@@ -19,8 +19,10 @@ import pytest
 
 #: Directory where every benchmark drops the table it regenerated (pytest
 #: captures stdout, so the tables would otherwise be invisible in the harness
-#: log of a passing run).
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
+#: log of a passing run).  It sits under the git-ignored ``.benchmarks/`` so
+#: a test run leaves the tracked tree untouched.
+RESULTS_DIR = (Path(__file__).resolve().parent.parent
+               / ".benchmarks" / "results")
 
 
 def run_and_report(benchmark, experiment, *args, **kwargs):
@@ -28,7 +30,7 @@ def run_and_report(benchmark, experiment, *args, **kwargs):
     record = benchmark(lambda: experiment(*args, **kwargs))
     print()
     print(record.to_table())
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     # run_experiment takes the experiment id as its first argument; it is
     # already the filename stem, so it does not repeat in the suffix.
     extra = [v for v in args if v != record.experiment_id]

@@ -3,13 +3,16 @@
 
 Times the hot paths — ``water_fill``, the batched ``water_fill_many``,
 ``optop`` and ``frank_wolfe`` — with the vectorized kernels against the
-scalar ``reference`` backend (or a per-demand loop, for the batched entry
-point) on sized instances, plus the serving-layer series: warm-vs-cold
-``trace_replay`` through the artifact store and ``cluster_scaling`` (hot-key
-throughput of the sharded cluster as workers scale 1 -> 4).  The
-measurements (with speedup factors) go to ``BENCH_perf.json``.  CI runs this
+scalar oracles ``water_fill_reference`` and ``all_or_nothing_reference`` (or
+a per-demand loop, for the batched entry point) on sized instances.  The
+whole-algorithm rows (``optop``, ``frank_wolfe``) swap the oracles in with
+``unittest.mock.patch`` on the module attribute the solver calls; the
+Frank–Wolfe row also forces the golden-section line search.  The
+serving-layer series follow: warm-vs-cold ``trace_replay`` through the
+artifact store and ``cluster_scaling`` (hot-key throughput of the sharded
+cluster as workers scale 1 -> 4).  The measurements (with speedup factors) go to ``BENCH_perf.json``.  CI runs this
 per commit and uploads the JSON as an artifact; the run fails (non-zero
-exit) when the backends deviate beyond tolerance or the mixed-family
+exit) when the kernels deviate from the oracles or the mixed-family
 ``water_fill`` speedup at ``m >= 1000`` drops below the 10x gate.
 
 Usage::
@@ -22,23 +25,29 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import platform
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.api import SolveConfig  # noqa: E402
 from repro.core.optop import optop  # noqa: E402
-from repro.equilibrium.frank_wolfe import FrankWolfeOptions, frank_wolfe  # noqa: E402
+from repro.equilibrium.frank_wolfe import (  # noqa: E402
+    FrankWolfeOptions,
+    all_or_nothing_reference,
+    frank_wolfe,
+)
 from repro.equilibrium.parallel import (  # noqa: E402
     parallel_nash,
     water_fill,
     water_fill_many,
+    water_fill_reference,
 )
 from repro.instances import (  # noqa: E402
     grid_network,
@@ -46,8 +55,28 @@ from repro.instances import (  # noqa: E402
     random_linear_parallel,
     random_mixed_parallel,
 )
+from repro.latency.batch import LatencyBatch  # noqa: E402
 
-REFERENCE_CONFIG = SolveConfig(kernel_backend="reference")
+
+def _reference_water_fill(latencies, demand, kind, *, tol=1e-12, batch=None):
+    return water_fill_reference(latencies, demand, kind, tol=tol)
+
+
+@contextlib.contextmanager
+def reference_water_fill():
+    """Run parallel-link solvers on the scalar water-filling oracle."""
+    with mock.patch("repro.equilibrium.parallel.water_fill",
+                    _reference_water_fill):
+        yield
+
+
+@contextlib.contextmanager
+def reference_frank_wolfe():
+    """Run Frank–Wolfe on the scalar all-or-nothing and golden section."""
+    with mock.patch("repro.equilibrium.frank_wolfe.all_or_nothing",
+                    all_or_nothing_reference), \
+            mock.patch.object(LatencyBatch, "supports_newton", False):
+        yield
 
 
 def best_of(fn, *, repeats: int, budget: float = 5.0) -> float:
@@ -80,13 +109,13 @@ def bench_water_fill(sizes, *, repeats: int):
             vec = best_of(lambda: water_fill(instance.latencies, instance.demand,
                                              "nash", batch=batch),
                           repeats=repeats)
-            ref = best_of(lambda: water_fill(instance.latencies, instance.demand,
-                                             "nash", backend="reference"),
+            ref = best_of(lambda: water_fill_reference(instance.latencies,
+                                                       instance.demand, "nash"),
                           repeats=max(2, repeats // 2))
             flows_v, _ = water_fill(instance.latencies, instance.demand,
                                     "nash", batch=batch)
-            flows_r, _ = water_fill(instance.latencies, instance.demand,
-                                    "nash", backend="reference")
+            flows_r, _ = water_fill_reference(instance.latencies,
+                                              instance.demand, "nash")
             rows.append({
                 "benchmark": "water_fill",
                 "family": family,
@@ -149,10 +178,11 @@ def bench_optop(sizes, *, repeats: int):
     for m in sizes:
         instance = random_linear_parallel(int(m), demand=0.2 * m, seed=7 + int(m))
         vec = best_of(lambda: optop(instance), repeats=repeats)
-        ref = best_of(lambda: optop(instance, config=REFERENCE_CONFIG),
-                      repeats=max(2, repeats // 2))
         beta_v = optop(instance).beta
-        beta_r = optop(instance, config=REFERENCE_CONFIG).beta
+        with reference_water_fill():
+            ref = best_of(lambda: optop(instance),
+                          repeats=max(2, repeats // 2))
+            beta_r = optop(instance).beta
         rows.append({
             "benchmark": "optop",
             "family": "linear",
@@ -180,14 +210,13 @@ def bench_frank_wolfe(*, repeats: int, iterations: int):
         ("grid 8x8", grid_network(8, 8, demand=5.0, seed=1)),
         ("layered 4x4", layered_network(4, 4, demand=2.0, seed=2)),
     ]
-    options_v = FrankWolfeOptions(tolerance=0.0, max_iterations=iterations)
-    options_r = FrankWolfeOptions(tolerance=0.0, max_iterations=iterations,
-                                  kernel="reference")
+    options = FrankWolfeOptions(tolerance=0.0, max_iterations=iterations)
     for name, instance in cases:
-        vec = best_of(lambda: frank_wolfe(instance, "nash", options_v),
+        vec = best_of(lambda: frank_wolfe(instance, "nash", options),
                       repeats=repeats, budget=30.0)
-        ref = best_of(lambda: frank_wolfe(instance, "nash", options_r),
-                      repeats=max(1, repeats // 2), budget=30.0)
+        with reference_frank_wolfe():
+            ref = best_of(lambda: frank_wolfe(instance, "nash", options),
+                          repeats=max(1, repeats // 2), budget=30.0)
         rows.append({
             "benchmark": "frank_wolfe",
             "family": name,

@@ -98,7 +98,6 @@ from repro.core import (
     nash_flow_monotonicity_violation,
     optimal_restricted_strategy,
     optop,
-    price_of_optimum,
 )
 from repro.baselines import aloof, brute_force_strategy, llf, scale
 from repro.metrics import (
@@ -199,7 +198,6 @@ __all__ = [
     "RestrictedStrategyResult",
     "optop",
     "mop",
-    "price_of_optimum",
     "optimal_restricted_strategy",
     "classify_links",
     "frozen_link_mask",

@@ -3,8 +3,6 @@
 The paper experiments are defined as declarative study plans in
 :mod:`repro.analysis.studies` (:func:`run_experiment` is the entry point);
 the benchmark modules under ``benchmarks/`` are thin wrappers around them.
-:mod:`repro.analysis.experiments` and :mod:`repro.analysis.ablation` keep
-the legacy imperative entry points alive as deprecated wrappers.
 """
 
 from repro.analysis.reporting import ExperimentRecord
@@ -16,7 +14,7 @@ from repro.analysis.studies import (
 )
 from repro.analysis.sweep import alpha_sweep, beta_statistics
 from repro.analysis.scaling import mop_scaling, optop_scaling
-from repro.analysis import ablation, experiments, studies
+from repro.analysis import studies
 
 __all__ = [
     "ExperimentRecord",
@@ -28,7 +26,5 @@ __all__ = [
     "beta_statistics",
     "optop_scaling",
     "mop_scaling",
-    "experiments",
-    "ablation",
     "studies",
 ]

@@ -5,10 +5,7 @@ through :func:`repro.study.run_study` with the result cache disabled, so
 every repeat is a genuine solver execution; the measured seconds are the
 ``wall_time`` recorded in each cell's
 :class:`~repro.api.report.SolveReport`.  Both accept a
-:class:`repro.api.SolveConfig`, so the same harness can contrast kernel
-backends (``SolveConfig(kernel_backend="reference")`` against the default
-vectorized kernels) — :mod:`scripts.bench_perf` builds its speedup
-trajectory this way.
+:class:`repro.api.SolveConfig` for the solver settings.
 """
 
 from __future__ import annotations
@@ -58,9 +55,9 @@ def optop_scaling(sizes: Sequence[int], *, demand: float = 5.0,
                   config: Optional[SolveConfig] = None) -> List[ScalingPoint]:
     """Wall-clock time of OpTop on random linear instances of growing size.
 
-    ``config`` selects solver settings (notably ``kernel_backend``); ``None``
-    keeps the defaults, i.e. the vectorized kernel layer.  Caching is
-    disabled for the timing run regardless, so repeats measure real solves.
+    ``config`` selects solver settings; ``None`` keeps the defaults.  Caching
+    is disabled for the timing run regardless, so repeats measure real
+    solves.
     """
     sizes = [int(m) for m in sizes]
     axes = [GeneratorAxis("random_linear_parallel",
@@ -81,7 +78,7 @@ def mop_scaling(grid_sizes: Sequence[int], *, demand: float = 2.0,
 
     ``grid_sizes`` lists the grid side lengths; the number of edges grows
     quadratically with the side.  ``config`` selects solver settings
-    (tolerance, backend, kernel) exactly as in :func:`optop_scaling`.  The
+    (tolerance, backend) exactly as in :func:`optop_scaling`.  The
     measured seconds cover the full ``"mop"`` strategy call — including the
     induced equilibrium the uniform report always carries (the legacy curve
     skipped it with ``compute_induced=False``).

@@ -21,9 +21,6 @@ deliberately does not expose; their summarisers consume the spec's instances
 directly.  Dependent follow-up solves (e.g. "brute force just below the
 measured beta") go through :func:`repro.study.solve_cell` so they resume
 through the same store.
-
-The legacy ``experiment_*`` functions in :mod:`repro.analysis.experiments`
-are thin deprecated wrappers over :func:`run_experiment`.
 """
 
 from __future__ import annotations
@@ -1205,8 +1202,7 @@ def experiment_title(experiment_id: str) -> str:
 def build_experiment(experiment_id: str, **kwargs) -> ExperimentPlan:
     """Build the :class:`ExperimentPlan` of ``experiment_id``.
 
-    Keyword arguments parameterise the plan exactly like the legacy
-    ``experiment_*`` signatures (e.g. ``build_experiment("E3",
+    Keyword arguments parameterise the plan (e.g. ``build_experiment("E3",
     epsilon=0.02)``).
     """
     try:
@@ -1216,17 +1212,6 @@ def build_experiment(experiment_id: str, **kwargs) -> ExperimentPlan:
         raise ModelError(
             f"unknown experiment {experiment_id!r}; known: {known}") from None
     return builder(**kwargs)
-
-
-def warn_deprecated_wrapper(name: str, experiment_id: str) -> None:
-    """Emit the deprecation warning of a legacy ``experiment_*`` wrapper."""
-    import warnings
-
-    warnings.warn(
-        f"{name}() is deprecated; use repro.analysis.studies."
-        f"run_experiment({experiment_id!r}) (optionally with an "
-        f"ArtifactStore for resumable runs)",
-        DeprecationWarning, stacklevel=3)
 
 
 def run_experiment(experiment_id: str, *,

@@ -66,8 +66,8 @@ def alpha_sweep(instance, alphas: Sequence[float],
                 max_workers: Optional[int] = 0) -> List[AlphaSweepRow]:
     """Sweep the Leader's share alpha and record each strategy's cost ratio.
 
-    Accepts any parallel-link or network instance — dispatch is structural,
-    matching :func:`repro.price_of_optimum`.  ``strategies`` selects
+    Accepts any parallel-link or network instance — dispatch is structural
+    (:func:`repro.api.resolve_instance_kind`).  ``strategies`` selects
     registered :mod:`repro.api` strategies by name (the default compares the
     ``"llf"`` and ``"scale"`` baselines); ``include_optimal_restricted``
     additionally runs the Theorem 2.4 optimal strategy (only valid for

@@ -16,7 +16,7 @@ from typing import Any, Dict, Optional
 
 from repro.exceptions import ModelError
 
-__all__ = ["SolveConfig", "EQUILIBRIUM_BACKENDS", "KERNEL_BACKENDS"]
+__all__ = ["SolveConfig", "EQUILIBRIUM_BACKENDS"]
 
 #: Equilibrium backend identifiers accepted by :class:`SolveConfig`.
 #:
@@ -26,18 +26,6 @@ __all__ = ["SolveConfig", "EQUILIBRIUM_BACKENDS", "KERNEL_BACKENDS"]
 #: * ``"frank_wolfe"`` — the Frank–Wolfe iterative solver;
 #: * ``"pathbased"`` — the exact path-based SLSQP solver.
 EQUILIBRIUM_BACKENDS = ("auto", "parallel", "frank_wolfe", "pathbased")
-
-#: Numeric kernel backends accepted by :class:`SolveConfig`.
-#:
-#: * ``"vectorized"`` — the batched NumPy kernel layer
-#:   (:class:`repro.latency.batch.LatencyBatch`): closed-form water filling on
-#:   all-linear instances, the sorted-breakpoint level engine with safeguarded
-#:   Newton finishing on mixed closed-form families (array-at-a-time bisection
-#:   remains only for generic-bucket links), CSR shortest paths and analytic
-#:   line searches inside Frank–Wolfe;
-#: * ``"reference"`` — the original scalar implementations (per-link Python
-#:   calls), kept as the numerical ground truth for the equivalence suite.
-KERNEL_BACKENDS = ("vectorized", "reference")
 
 #: Map from the api backend names to the solver names the network layer uses.
 _NETWORK_SOLVER_NAMES = {
@@ -60,11 +48,6 @@ class SolveConfig:
         Tolerance of the exact water-filling solver on parallel links.
     backend:
         Equilibrium backend, one of :data:`EQUILIBRIUM_BACKENDS`.
-    kernel_backend:
-        Numeric kernel layer, one of :data:`KERNEL_BACKENDS`: the batched
-        ``"vectorized"`` kernels (default) or the scalar ``"reference"``
-        implementations.  Both agree to solver tolerance; the reference
-        backend exists for verification and benchmarking.
     max_iterations:
         Iteration cap of the iterative network solvers.
     underload_atol:
@@ -97,7 +80,6 @@ class SolveConfig:
     tolerance: float = 1e-9
     water_fill_tol: float = 1e-12
     backend: str = "auto"
-    kernel_backend: str = "vectorized"
     max_iterations: int = 20_000
     underload_atol: float = 1e-8
     shortest_path_atol: float = 1e-5
@@ -112,10 +94,6 @@ class SolveConfig:
             raise ModelError(
                 f"unknown equilibrium backend {self.backend!r}; expected one of "
                 f"{', '.join(EQUILIBRIUM_BACKENDS)}")
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ModelError(
-                f"unknown kernel backend {self.kernel_backend!r}; expected one "
-                f"of {', '.join(KERNEL_BACKENDS)}")
         for name in ("tolerance", "water_fill_tol", "underload_atol",
                      "shortest_path_atol"):
             value = getattr(self, name)

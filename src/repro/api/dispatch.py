@@ -1,10 +1,10 @@
-"""Instance-kind resolution shared by the registry and the legacy facade.
+"""Instance-kind resolution shared by the strategy registry and the sweeps.
 
-The seed dispatched on ``isinstance`` checks against the two concrete
-instance classes, which broke for duck-typed wrappers and for instance
-subclasses reconstructed through serialisation layers.  The resolver here
-first tries the nominal types (which covers subclasses) and then falls back
-to structural typing, so anything that *behaves* like a parallel-link or
+Dispatch on ``isinstance`` checks against the two concrete instance classes
+alone would break for duck-typed wrappers and for instance subclasses
+reconstructed through serialisation layers.  The resolver here first tries
+the nominal types (which covers subclasses) and then falls back to
+structural typing, so anything that *behaves* like a parallel-link or
 network instance dispatches correctly.
 """
 

@@ -150,8 +150,7 @@ def solve_optop(instance, config: SolveConfig) -> SolveReport:
     """Algorithm OpTop (Corollary 2.2): the exact Price of Optimum.
 
     On parallel links runs the freezing iteration of the paper; on network
-    instances delegates to algorithm MOP (the paper's own generalisation),
-    matching the dispatch of :func:`repro.price_of_optimum`.
+    instances delegates to algorithm MOP (the paper's own generalisation).
     """
     kind = resolve_instance_kind(instance)
     if kind == PARALLEL:

@@ -7,7 +7,6 @@ strategy induces the global optimum cost ``C(O)``.  This package implements:
 * :func:`optop` — algorithm **OpTop** for parallel links (Corollary 2.2),
 * :func:`mop` — algorithm **MOP** for s–t and k-commodity networks
   (Corollary 2.3 / Theorem 2.1),
-* :func:`price_of_optimum` — a facade dispatching on the instance type,
 * :func:`optimal_restricted_strategy` — the Theorem 2.4 polynomial-time
   optimal strategy for hard instances ``(M, r, alpha < beta_M)`` with
   common-slope linear latencies,
@@ -20,7 +19,6 @@ strategy induces the global optimum cost ``C(O)``.  This package implements:
 from repro.core.strategy import NetworkStackelbergStrategy, ParallelStackelbergStrategy
 from repro.core.optop import OpTopResult, OpTopRound, optop
 from repro.core.mop import MOPResult, mop
-from repro.core.facade import price_of_optimum
 from repro.core.linear_optimal import (
     RestrictedStrategyResult,
     optimal_restricted_strategy,
@@ -43,7 +41,6 @@ __all__ = [
     "optop",
     "MOPResult",
     "mop",
-    "price_of_optimum",
     "RestrictedStrategyResult",
     "optimal_restricted_strategy",
     "classify_links",

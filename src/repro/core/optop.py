@@ -130,9 +130,8 @@ def optop(instance: ParallelLinkInstance, *, atol: Optional[float] = None,
         tol = config.water_fill_tol if tol is None else tol
     atol = 1e-8 if atol is None else atol
     tol = 1e-12 if tol is None else tol
-    backend = "auto" if config is None else config.kernel_backend
-    optimum = parallel_optimum(instance, tol=tol, backend=backend)
-    initial_nash = parallel_nash(instance, tol=tol, backend=backend)
+    optimum = parallel_optimum(instance, tol=tol)
+    initial_nash = parallel_nash(instance, tol=tol)
     opt_flows = optimum.flows
 
     demand = instance.demand
@@ -149,7 +148,7 @@ def optop(instance: ParallelLinkInstance, *, atol: Optional[float] = None,
             nash = initial_nash
         else:
             sub = instance.sub_instance(active, max(0.0, remaining))
-            nash = parallel_nash(sub, tol=tol, backend=backend)
+            nash = parallel_nash(sub, tol=tol)
         under = [orig for pos, orig in enumerate(active)
                  if nash.flows[pos] < opt_flows[orig] - atol * scale]
         rounds.append(OpTopRound(
@@ -168,7 +167,7 @@ def optop(instance: ParallelLinkInstance, *, atol: Optional[float] = None,
     remaining = max(0.0, remaining)
     beta = (demand - remaining) / demand if demand > 0.0 else 0.0
     strategy = ParallelStackelbergStrategy(flows=strategy_flows, total_demand=demand)
-    outcome = strategy.induce(instance, tol=tol, backend=backend)
+    outcome = strategy.induce(instance, tol=tol)
     return OpTopResult(
         instance=instance,
         beta=float(beta),

@@ -67,15 +67,14 @@ class ParallelStackelbergStrategy:
     def num_links(self) -> int:
         return int(self.flows.shape[0])
 
-    def induce(self, instance: ParallelLinkInstance, *, tol: float = 1e-12,
-               backend: str = "auto") -> StackelbergOutcome:
+    def induce(self, instance: ParallelLinkInstance, *,
+               tol: float = 1e-12) -> StackelbergOutcome:
         """Compute the equilibrium the Followers reach against this strategy."""
         if instance.num_links != self.num_links:
             raise StrategyError(
                 f"strategy has {self.num_links} links but the instance has "
                 f"{instance.num_links}")
-        return induced_parallel_equilibrium(instance, self.flows, tol=tol,
-                                            backend=backend)
+        return induced_parallel_equilibrium(instance, self.flows, tol=tol)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,7 @@ programs over the polytope of feasible edge flows.  Frank–Wolfe alternates:
 The *relative gap* ``costs . (f - y) / costs . f`` upper-bounds the relative
 sub-optimality and is the stopping criterion.
 
-The hot loop is vectorized end to end (selectable via
-``FrankWolfeOptions.kernel``):
+The hot loop is vectorized end to end:
 
 * the all-or-nothing step groups commodities by source and answers all
   distinct sources with one `scipy.sparse.csgraph.dijkstra` call over the
@@ -26,6 +25,10 @@ The hot loop is vectorized end to end (selectable via
   analytic derivatives whenever every edge family provides them
   (:attr:`repro.latency.batch.LatencyBatch.supports_newton`), falling back to
   golden-section on the batched objective otherwise.
+
+:func:`all_or_nothing_reference` is the scalar heap-Dijkstra assignment.
+Nothing in the solver stack calls it; it is the oracle the kernel
+equivalence tests and ``scripts/bench_perf.py`` compare against.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from repro.latency.batch import LatencyBatch
 from repro.network.instance import NetworkInstance
 from repro.obs.profiling import active as _profiling_active
 from repro.paths.dijkstra import (
-    HAVE_SPARSE_DIJKSTRA,
     ShortestPathEngine,
     shortest_distances,
     validate_edge_costs,
@@ -51,7 +53,8 @@ from repro.paths.dijkstra import (
 from repro.equilibrium.result import NetworkFlowResult
 from repro.utils.optimize import golden_section_minimize
 
-__all__ = ["FrankWolfeOptions", "all_or_nothing", "frank_wolfe"]
+__all__ = ["FrankWolfeOptions", "all_or_nothing", "all_or_nothing_reference",
+           "frank_wolfe"]
 
 
 @dataclass(frozen=True)
@@ -71,17 +74,12 @@ class FrankWolfeOptions:
         step increment for Newton).
     raise_on_failure:
         Whether a missed tolerance is an error or a soft warning flag.
-    kernel:
-        ``"auto"``/``"vectorized"`` — CSR shortest paths plus the analytic
-        Newton line search; ``"reference"`` — the scalar heap Dijkstra and
-        golden-section search (the seed behaviour, kept for verification).
     """
 
     tolerance: float = 1e-8
     max_iterations: int = 20_000
     line_search_tol: float = 1e-12
     raise_on_failure: bool = False
-    kernel: str = "auto"
 
 
 def _commodities_by_source(instance: NetworkInstance,
@@ -95,12 +93,11 @@ def _commodities_by_source(instance: NetworkInstance,
 
 
 def all_or_nothing(instance: NetworkInstance, edge_costs: np.ndarray,
-                   *, validated: bool = False,
-                   kernel: str = "auto") -> np.ndarray:
+                   *, validated: bool = False) -> np.ndarray:
     """Route every commodity entirely along its shortest path under ``edge_costs``.
 
-    Commodities sharing a source reuse one shortest-path tree, and with the
-    vectorized kernel all distinct sources are answered by a single
+    Commodities sharing a source reuse one shortest-path tree, and all
+    distinct sources are answered by a single
     `scipy.sparse.csgraph.dijkstra` call.  ``validated=True`` marks the costs
     as already checked by :func:`repro.paths.dijkstra.validate_edge_costs`
     (the Frank–Wolfe loop validates once per solve, not per iteration).
@@ -110,20 +107,32 @@ def all_or_nothing(instance: NetworkInstance, edge_costs: np.ndarray,
         else validate_edge_costs(network, edge_costs)
     groups = _commodities_by_source(instance)
     flows = np.zeros(network.num_edges, dtype=float)
-    if kernel != "reference" and HAVE_SPARSE_DIJKSTRA:
-        engine = ShortestPathEngine(network, costs, validated=True)
-        engine.run(list(groups))
-        for source, pairs in groups.items():
-            for sink, demand in pairs:
-                for idx in engine.path_edges(source, sink):
-                    flows[idx] += demand
-    else:
-        for source, pairs in groups.items():
-            dist, pred = shortest_distances(network, source, costs,
-                                            validated=True)
-            for sink, demand in pairs:
-                for idx in walk_tree_path(network, dist, pred, source, sink):
-                    flows[idx] += demand
+    engine = ShortestPathEngine(network, costs, validated=True)
+    engine.run(list(groups))
+    for source, pairs in groups.items():
+        for sink, demand in pairs:
+            for idx in engine.path_edges(source, sink):
+                flows[idx] += demand
+    return flows
+
+
+def all_or_nothing_reference(instance: NetworkInstance,
+                             edge_costs: np.ndarray,
+                             *, validated: bool = False) -> np.ndarray:
+    """:func:`all_or_nothing` on the scalar heap Dijkstra, one tree per source.
+
+    A test and benchmark oracle: same arguments, same routed cost.
+    """
+    network = instance.network
+    costs = np.asarray(edge_costs, dtype=float) if validated \
+        else validate_edge_costs(network, edge_costs)
+    flows = np.zeros(network.num_edges, dtype=float)
+    for source, pairs in _commodities_by_source(instance).items():
+        dist, pred = shortest_distances(network, source, costs,
+                                        validated=True)
+        for sink, demand in pairs:
+            for idx in walk_tree_path(network, dist, pred, source, sink):
+                flows[idx] += demand
     return flows
 
 
@@ -213,8 +222,6 @@ def _frank_wolfe(instance: NetworkInstance, kind: str,
                  options: FrankWolfeOptions | None = None,
                  ) -> NetworkFlowResult:
     options = options or FrankWolfeOptions()
-    if options.kernel not in ("auto", "vectorized", "reference"):
-        raise ModelError(f"unknown Frank-Wolfe kernel {options.kernel!r}")
     if kind == "nash":
         direction_costs = instance.latencies_at
         objective = instance.beckmann
@@ -223,22 +230,19 @@ def _frank_wolfe(instance: NetworkInstance, kind: str,
         objective = instance.cost
     else:
         raise ModelError(f"unknown Frank-Wolfe kind {kind!r}")
-    kernel = options.kernel
     batch = instance.network.latency_batch()
-    use_newton = kernel != "reference" and batch.supports_newton
 
     zero = np.zeros(instance.network.num_edges, dtype=float)
     # Validate the cost vector once per solve; the per-iteration costs come
     # from the same latency batch over clipped flows, so shape and sign are
     # invariants of the loop, not per-iteration properties.
     initial_costs = validate_edge_costs(instance.network, direction_costs(zero))
-    flows = all_or_nothing(instance, initial_costs, validated=True,
-                           kernel=kernel)
+    flows = all_or_nothing(instance, initial_costs, validated=True)
     gap = float("inf")
     iteration = 0
     for iteration in range(1, options.max_iterations + 1):
         costs = direction_costs(flows)
-        target = all_or_nothing(instance, costs, validated=True, kernel=kernel)
+        target = all_or_nothing(instance, costs, validated=True)
         current_value = float(np.dot(costs, flows))
         target_value = float(np.dot(costs, target))
         gap = (current_value - target_value) / max(current_value, 1e-30)
@@ -246,7 +250,7 @@ def _frank_wolfe(instance: NetworkInstance, kind: str,
             break
         direction = target - flows
 
-        if use_newton:
+        if batch.supports_newton:
             step = _newton_line_search(batch, flows, direction, kind,
                                        tol=options.line_search_tol)
         else:

@@ -43,8 +43,7 @@ def _validate_parallel_strategy(instance: ParallelLinkInstance,
 
 def induced_parallel_equilibrium(instance: ParallelLinkInstance,
                                  strategy_flows: Sequence[float],
-                                 *, tol: float = 1e-12,
-                                 backend: str = "auto") -> StackelbergOutcome:
+                                 *, tol: float = 1e-12) -> StackelbergOutcome:
     """The Followers' reaction ``T`` to a Leader strategy on parallel links.
 
     Returns the full Stackelberg equilibrium ``S + T`` with its cost.  The
@@ -53,7 +52,7 @@ def induced_parallel_equilibrium(instance: ParallelLinkInstance,
     """
     strategy = _validate_parallel_strategy(instance, strategy_flows)
     followers_instance = instance.shifted(strategy)
-    follower_result = parallel_nash(followers_instance, tol=tol, backend=backend)
+    follower_result = parallel_nash(followers_instance, tol=tol)
     follower_flows = follower_result.flows
     combined = strategy + follower_flows
     cost = instance.cost(combined)

@@ -29,8 +29,7 @@ _AUTO_PATH_LIMIT = 2000
 
 
 def _solve(instance: NetworkInstance, kind: str, solver: Solver,
-           tolerance: float, max_iterations: int,
-           kernel: str = "auto") -> NetworkFlowResult:
+           tolerance: float, max_iterations: int) -> NetworkFlowResult:
     if solver not in ("auto", "frank-wolfe", "path"):
         raise ModelError(f"unknown solver {solver!r}")
     if solver == "path":
@@ -40,27 +39,24 @@ def _solve(instance: NetworkInstance, kind: str, solver: Solver,
             return path_based_flow(instance, kind, max_paths=_AUTO_PATH_LIMIT)
         except ModelError:
             pass  # too many paths -> fall through to Frank-Wolfe
-    options = FrankWolfeOptions(tolerance=tolerance, max_iterations=max_iterations,
-                                kernel=kernel)
+    options = FrankWolfeOptions(tolerance=tolerance,
+                                max_iterations=max_iterations)
     return frank_wolfe(instance, kind, options)
 
 
 def _resolve_settings(solver: Optional[Solver], tolerance: Optional[float],
                       max_iterations: Optional[int],
                       config: "SolveConfig | None",
-                      ) -> Tuple[Solver, float, int, str]:
+                      ) -> Tuple[Solver, float, int]:
     """Resolve solver settings: explicit kwargs win, then config, then defaults."""
-    kernel = "auto"
     if config is not None:
         solver = config.network_solver() if solver is None else solver
         tolerance = config.tolerance if tolerance is None else tolerance
         max_iterations = (config.max_iterations if max_iterations is None
                           else max_iterations)
-        kernel = config.kernel_backend
     return (solver if solver is not None else "auto",
             tolerance if tolerance is not None else 1e-9,
-            max_iterations if max_iterations is not None else 20_000,
-            kernel)
+            max_iterations if max_iterations is not None else 20_000)
 
 
 def network_nash(instance: NetworkInstance, *, solver: Optional[Solver] = None,
@@ -74,9 +70,9 @@ def network_nash(instance: NetworkInstance, *, solver: Optional[Solver] = None,
     Settings may come from explicit keywords or a
     :class:`repro.api.SolveConfig`.
     """
-    solver, tolerance, max_iterations, kernel = _resolve_settings(
+    solver, tolerance, max_iterations = _resolve_settings(
         solver, tolerance, max_iterations, config)
-    return _solve(instance, "nash", solver, tolerance, max_iterations, kernel)
+    return _solve(instance, "nash", solver, tolerance, max_iterations)
 
 
 def network_optimum(instance: NetworkInstance, *, solver: Optional[Solver] = None,
@@ -88,6 +84,6 @@ def network_optimum(instance: NetworkInstance, *, solver: Optional[Solver] = Non
     Settings may come from explicit keywords or a
     :class:`repro.api.SolveConfig`.
     """
-    solver, tolerance, max_iterations, kernel = _resolve_settings(
+    solver, tolerance, max_iterations = _resolve_settings(
         solver, tolerance, max_iterations, config)
-    return _solve(instance, "optimum", solver, tolerance, max_iterations, kernel)
+    return _solve(instance, "optimum", solver, tolerance, max_iterations)

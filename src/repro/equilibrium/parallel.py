@@ -7,26 +7,24 @@ simplex).  In both cases the flow on every strictly increasing link is a
 non-decreasing function of the common level, so the level solves a monotone
 scalar equation.
 
-Two backends compute that level:
+The level is computed on a :class:`~repro.latency.batch.LatencyBatch`.
+All-linear instances are solved *exactly* in O(m log m) by the
+sorted-breakpoint closed form
+(:func:`repro.utils.vectorized.piecewise_linear_level`) — no bisection at
+all.  Mixed closed-form families (linear, M/M/1, power, monomial-like
+polynomial) go through the generic *sorted-breakpoint level engine*
+(:func:`repro.utils.vectorized.sorted_breakpoint_level`): the filled flow is
+evaluated on the grid of activation breakpoints in one broadcast, one
+``searchsorted`` locates the active segment, and a few safeguarded Newton
+steps finish inside it.  Rows without a closed-form inverse (multi-term
+polynomials; shifted powers under marginal-cost equalisation) join the solve
+as a scalar ``extra`` term, and only instances with strictly increasing
+*generic*-bucket links fall back to a bracket + bisection level solve.
 
-* ``"vectorized"`` (the default) works on a
-  :class:`~repro.latency.batch.LatencyBatch`.  All-linear instances are
-  solved *exactly* in O(m log m) by the sorted-breakpoint closed form
-  (:func:`repro.utils.vectorized.piecewise_linear_level`) — no bisection at
-  all.  Mixed closed-form families (linear, M/M/1, power, monomial-like
-  polynomial) go through the generic *sorted-breakpoint level engine*
-  (:func:`repro.utils.vectorized.sorted_breakpoint_level`): the filled flow
-  is evaluated on the grid of activation breakpoints in one broadcast, one
-  ``searchsorted`` locates the active segment, and a few safeguarded Newton
-  steps finish inside it.  Rows without a closed-form inverse (multi-term
-  polynomials; shifted powers under marginal-cost equalisation) join the
-  solve as a scalar ``extra`` term, and only instances with strictly
-  increasing *generic*-bucket links fall back to the legacy bracket +
-  bisection level solve.
-* ``"reference"`` is the original scalar implementation (per-link Python
-  lambdas inside the bisection); it remains selectable through
-  ``SolveConfig(kernel_backend="reference")`` and anchors the equivalence
-  test-suite.
+:func:`water_fill_reference` is the original scalar implementation (per-link
+Python calls inside the bisection).  Nothing in the solver stack calls it; it
+is the oracle the kernel equivalence tests and ``scripts/bench_perf.py``
+compare against.
 
 :func:`water_fill_many` solves a whole batch of demands over one link system
 (a coalesced service micro-batch, a ``StudySpec`` demand axis, an elastic
@@ -64,10 +62,7 @@ from repro.utils.vectorized import (
 )
 
 __all__ = ["parallel_nash", "parallel_optimum", "water_fill",
-           "water_fill_many", "WATER_FILL_BACKENDS"]
-
-#: Backends accepted by :func:`water_fill` (``"auto"`` means vectorized).
-WATER_FILL_BACKENDS = ("auto", "vectorized", "reference")
+           "water_fill_many", "water_fill_reference"]
 
 
 def _link_level_and_inverse(kind: str) -> Tuple[Callable[[LatencyFunction, float], float],
@@ -83,14 +78,13 @@ def _link_level_and_inverse(kind: str) -> Tuple[Callable[[LatencyFunction, float
 
 
 def water_fill(latencies: Sequence[LatencyFunction], demand: float,
-               kind: str, *, tol: float = 1e-12, backend: str = "auto",
+               kind: str, *, tol: float = 1e-12,
                batch: Optional[LatencyBatch] = None) -> Tuple[np.ndarray, float]:
     """Distribute ``demand`` across ``latencies`` equalising the chosen level.
 
     ``kind`` is ``"nash"`` (equalise latencies) or ``"optimum"`` (equalise
-    marginal costs).  ``backend`` selects the vectorized kernel (``"auto"`` /
-    ``"vectorized"``) or the scalar ``"reference"`` implementation; a prebuilt
-    ``batch`` over the same latencies avoids re-grouping on repeated solves.
+    marginal costs).  A prebuilt ``batch`` over the same latencies avoids
+    re-grouping on repeated solves.
     Returns ``(flows, common_level)`` where ``common_level`` is the equalised
     value on loaded links; unloaded links have a level at least as large.
 
@@ -101,19 +95,17 @@ def water_fill(latencies: Sequence[LatencyFunction], demand: float,
     """
     recorder = _profiling_active()
     if recorder is None:
-        return _water_fill(latencies, demand, kind, tol=tol,
-                           backend=backend, batch=batch)
+        return _water_fill(latencies, demand, kind, tol=tol, batch=batch)
     start = time.perf_counter()
     try:
-        return _water_fill(latencies, demand, kind, tol=tol,
-                           backend=backend, batch=batch)
+        return _water_fill(latencies, demand, kind, tol=tol, batch=batch)
     finally:
         recorder.note(f"water_fill[{kind}]", time.perf_counter() - start)
 
 
 def water_fill_many(latencies: Sequence[LatencyFunction],
                     demands: Sequence[float], kind: str, *,
-                    tol: float = 1e-12, backend: str = "auto",
+                    tol: float = 1e-12,
                     batch: Optional[LatencyBatch] = None,
                     ) -> Tuple[np.ndarray, np.ndarray]:
     """Batched :func:`water_fill`: many demands over one link system at once.
@@ -125,13 +117,13 @@ def water_fill_many(latencies: Sequence[LatencyFunction],
     common level per demand; row ``j`` equals
     ``water_fill(latencies, demands[j], kind)`` to solver tolerance.
 
-    The vectorized backend shares all demand-independent structure across the
-    batch: the family grouping, the sorted activation breakpoints and the
-    grid of filled flows are computed once, segment location is one
+    All demand-independent structure is shared across the batch: the
+    family grouping, the sorted activation breakpoints and the grid of
+    filled flows are computed once, segment location is one
     ``searchsorted`` over the whole demand vector, and the safeguarded Newton
     iterations run for all pending demands simultaneously.  Instances whose
-    links need a numeric fallback (generic bucket, non-closed-form rows) and
-    the ``"reference"`` backend fall back to a per-demand loop.
+    links need a numeric fallback (generic bucket, non-closed-form rows) fall
+    back to a per-demand loop.
 
     Raises :class:`~repro.exceptions.ModelError` if *any* demand cannot be
     routed (no constant links and the increasing links saturate below it).
@@ -139,24 +131,20 @@ def water_fill_many(latencies: Sequence[LatencyFunction],
     recorder = _profiling_active()
     if recorder is None:
         return _water_fill_many(latencies, demands, kind, tol=tol,
-                                backend=backend, batch=batch)
+                                batch=batch)
     start = time.perf_counter()
     try:
         return _water_fill_many(latencies, demands, kind, tol=tol,
-                                backend=backend, batch=batch)
+                                batch=batch)
     finally:
         recorder.note(f"water_fill_many[{kind}]", time.perf_counter() - start)
 
 
 def _water_fill_many(latencies: Sequence[LatencyFunction],
                      demands: Sequence[float], kind: str, *,
-                     tol: float = 1e-12, backend: str = "auto",
+                     tol: float = 1e-12,
                      batch: Optional[LatencyBatch] = None,
                      ) -> Tuple[np.ndarray, np.ndarray]:
-    if backend not in WATER_FILL_BACKENDS:
-        raise ModelError(
-            f"unknown water_fill backend {backend!r}; expected one of "
-            f"{', '.join(WATER_FILL_BACKENDS)}")
     demands = np.asarray(demands, dtype=float)
     if demands.ndim != 1:
         raise ModelError(
@@ -164,15 +152,6 @@ def _water_fill_many(latencies: Sequence[LatencyFunction],
             f"{demands.shape}")
     if np.any(demands < 0.0):
         raise ModelError("demands must be >= 0")
-    if backend == "reference":
-        latencies = list(latencies)
-        flows = np.zeros((demands.shape[0], len(latencies)))
-        levels = np.empty(demands.shape[0])
-        for j, d in enumerate(demands):
-            flows[j], levels[j] = _water_fill_reference(
-                latencies, float(d), kind, tol=tol)
-        return flows, levels
-
     _link_level_and_inverse(kind)  # validate ``kind`` before any work
     if batch is None:
         batch = LatencyBatch(latencies)
@@ -252,15 +231,9 @@ def _water_fill_many(latencies: Sequence[LatencyFunction],
 
 
 def _water_fill(latencies: Sequence[LatencyFunction], demand: float,
-                kind: str, *, tol: float = 1e-12, backend: str = "auto",
+                kind: str, *, tol: float = 1e-12,
                 batch: Optional[LatencyBatch] = None,
                 ) -> Tuple[np.ndarray, float]:
-    if backend not in WATER_FILL_BACKENDS:
-        raise ModelError(
-            f"unknown water_fill backend {backend!r}; expected one of "
-            f"{', '.join(WATER_FILL_BACKENDS)}")
-    if backend == "reference":
-        return _water_fill_reference(latencies, demand, kind, tol=tol)
     _link_level_and_inverse(kind)  # validate ``kind`` before any work
     if batch is None:
         batch = LatencyBatch(latencies)
@@ -354,10 +327,14 @@ def _normalise_total(flows: np.ndarray, demand: float) -> np.ndarray:
     return np.clip(flows, 0.0, None)
 
 
-def _water_fill_reference(latencies: Sequence[LatencyFunction], demand: float,
-                          kind: str, *, tol: float = 1e-12,
-                          ) -> Tuple[np.ndarray, float]:
-    """The scalar water-filling solver (per-link Python calls; the seed code)."""
+def water_fill_reference(latencies: Sequence[LatencyFunction], demand: float,
+                         kind: str, *, tol: float = 1e-12,
+                         ) -> Tuple[np.ndarray, float]:
+    """The scalar water-filling solver: per-link Python calls in a bisection.
+
+    A test and benchmark oracle for :func:`water_fill`: same arguments bar
+    ``batch``, same result to solver tolerance.
+    """
     latencies = list(latencies)
     m = len(latencies)
     if m == 0:
@@ -429,30 +406,18 @@ def _resolve_tol(tol: "float | None", config: "SolveConfig | None") -> float:
     return 1e-12
 
 
-def _resolve_backend(backend: "str | None", config: "SolveConfig | None") -> str:
-    """Kernel backend: explicit ``backend`` wins, then config, then vectorized."""
-    if backend is not None:
-        return backend
-    if config is not None:
-        return config.kernel_backend
-    return "auto"
-
-
 def parallel_nash(instance: ParallelLinkInstance, *, tol: "float | None" = None,
-                  config: "SolveConfig | None" = None,
-                  backend: "str | None" = None) -> ParallelFlowResult:
+                  config: "SolveConfig | None" = None) -> ParallelFlowResult:
     """The Nash (Wardrop) equilibrium ``N`` of a parallel-link instance.
 
     All loaded links share the common latency ``L_N`` returned in
     ``common_value``; empty links have latency at least ``L_N`` (Remark 4.1).
-    The flow is unique on strictly increasing links.  Settings may come from
-    an explicit ``tol``/``backend`` or a :class:`repro.api.SolveConfig`.
+    The flow is unique on strictly increasing links.  The tolerance may come
+    from an explicit ``tol`` or a :class:`repro.api.SolveConfig`.
     """
     tol = _resolve_tol(tol, config)
-    backend = _resolve_backend(backend, config)
-    flows, level = water_fill(
-        instance.latencies, instance.demand, "nash", tol=tol, backend=backend,
-        batch=None if backend == "reference" else instance.latency_batch())
+    flows, level = water_fill(instance.latencies, instance.demand, "nash",
+                              tol=tol, batch=instance.latency_batch())
     return ParallelFlowResult(
         flows=flows,
         common_value=level,
@@ -463,20 +428,17 @@ def parallel_nash(instance: ParallelLinkInstance, *, tol: "float | None" = None,
 
 
 def parallel_optimum(instance: ParallelLinkInstance, *, tol: "float | None" = None,
-                     config: "SolveConfig | None" = None,
-                     backend: "str | None" = None) -> ParallelFlowResult:
+                     config: "SolveConfig | None" = None) -> ParallelFlowResult:
     """The system optimum ``O`` of a parallel-link instance.
 
     All loaded links share the common marginal cost returned in
     ``common_value``; empty links have marginal cost at least that value.
-    Settings may come from an explicit ``tol``/``backend`` or a
+    The tolerance may come from an explicit ``tol`` or a
     :class:`repro.api.SolveConfig`.
     """
     tol = _resolve_tol(tol, config)
-    backend = _resolve_backend(backend, config)
-    flows, level = water_fill(
-        instance.latencies, instance.demand, "optimum", tol=tol, backend=backend,
-        batch=None if backend == "reference" else instance.latency_batch())
+    flows, level = water_fill(instance.latencies, instance.demand, "optimum",
+                              tol=tol, batch=instance.latency_batch())
     return ParallelFlowResult(
         flows=flows,
         common_value=level,

@@ -141,15 +141,6 @@ def collect_service_stats(stats: Any,
     hits.labels(tier="tier1").set_exact(data.get("tier1_hits", 0))
     hits.labels(tier="tier2").set_exact(data.get("tier2_hits", 0))
 
-    extra = data.get("extra") or {}
-    if extra:
-        family = registry.counter(
-            "repro_extra_total",
-            "Side counters carried through mixed-version stat merges",
-            labels=("counter",))
-        for key in sorted(extra):
-            family.labels(counter=key).set_exact(extra[key])
-
     cache = data.get("cache") or {}
     if cache:
         _collect_tiered_cache(cache, registry)

@@ -19,18 +19,11 @@ import math
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix as _csr_matrix
+from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
 from repro.exceptions import ModelError
 from repro.network.graph import Network
-
-try:  # pragma: no cover - exercised through HAVE_SPARSE_DIJKSTRA
-    from scipy.sparse import csr_matrix as _csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
-    HAVE_SPARSE_DIJKSTRA = True
-except ImportError:  # pragma: no cover - scipy is a baked-in dependency
-    _csr_matrix = None
-    _sparse_dijkstra = None
-    HAVE_SPARSE_DIJKSTRA = False
 
 __all__ = [
     "shortest_distances",
@@ -39,7 +32,6 @@ __all__ = [
     "walk_tree_path",
     "validate_edge_costs",
     "ShortestPathEngine",
-    "HAVE_SPARSE_DIJKSTRA",
 ]
 
 Node = Hashable
@@ -189,9 +181,6 @@ class ShortestPathEngine:
 
     def __init__(self, network: Network, edge_costs: Sequence[float],
                  *, validated: bool = False) -> None:
-        if not HAVE_SPARSE_DIJKSTRA:  # pragma: no cover - scipy baked in
-            raise ModelError(
-                "ShortestPathEngine requires scipy.sparse.csgraph")
         self.network = network
         costs = np.asarray(edge_costs, dtype=float) if validated \
             else validate_edge_costs(network, edge_costs)

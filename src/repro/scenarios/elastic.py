@@ -94,11 +94,9 @@ def wardrop_level(instance: Any, demand: float, *,
     if demand < 0.0:
         raise ModelError(f"demand must be >= 0, got {demand!r}")
     if resolve_instance_kind(instance) == PARALLEL:
-        backend = config.kernel_backend
-        batch = None if backend == "reference" else instance.latency_batch()
         _, level = water_fill(instance.latencies, demand, "nash",
-                              tol=config.water_fill_tol, backend=backend,
-                              batch=batch)
+                              tol=config.water_fill_tol,
+                              batch=instance.latency_batch())
         return float(level)
     if not instance.is_single_commodity:
         raise ModelError(

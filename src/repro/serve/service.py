@@ -124,12 +124,6 @@ class ServiceStats:
     queue_peak: int = 0
     #: Requests submitted but not yet resolved at snapshot time.
     pending: int = 0
-    #: Side counters this build does not recognise, carried through
-    #: :meth:`from_dict`/:meth:`merge` additively.  A gateway aggregating
-    #: snapshots from newer (or older) workers must not silently drop
-    #: their extra accounting — it rides here instead, keyed by the
-    #: foreign counter name.
-    extra: Dict[str, float] = field(default_factory=dict)
     #: Tiered-cache counters (top level plus per-tier backends).
     cache: Dict[str, Any] = field(default_factory=dict)
 
@@ -151,14 +145,8 @@ class ServiceStats:
                                  + self.rejected + self.probing)
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dictionary rendering (JSON-compatible).
-
-        ``extra`` is omitted while empty, so a build that never saw a
-        foreign counter emits the exact wire shape it always has.
-        """
+        """Plain-dictionary rendering (JSON-compatible)."""
         data = asdict(self)
-        if not data["extra"]:
-            del data["extra"]
         data["hits"] = self.hits
         data["consistent"] = self.consistent
         return data
@@ -168,23 +156,16 @@ class ServiceStats:
         """Rebuild a snapshot from :meth:`to_dict` output.
 
         The derived fields (``hits``, ``consistent``) are recomputed, not
-        trusted.  Unknown **numeric** keys are preserved in :attr:`extra`
-        instead of being dropped: snapshots ship across library versions
-        (a worker and a gateway need not run identical builds), and a
-        foreign side counter must survive aggregation rather than vanish
-        from the merged view.  Unknown non-numeric keys are still ignored
-        (there is no meaningful way to aggregate them).
+        trusted; any other unknown key raises
+        :class:`~repro.exceptions.ModelError`.
         """
         known = {f.name for f in _STATS_FIELDS}
-        fields = {key: value for key, value in data.items() if key in known}
-        extra = dict(fields.pop("extra", None) or {})
-        for key, value in data.items():
-            if key in known or key in ("hits", "consistent"):
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            extra[key] = extra.get(key, 0) + value
-        return cls(extra=extra, **fields)
+        unknown = set(data) - known - {"hits", "consistent"}
+        if unknown:
+            raise ModelError(
+                f"unknown ServiceStats fields: {', '.join(sorted(unknown))}")
+        return cls(**{key: value for key, value in data.items()
+                      if key in known})
 
     def merge(self, *others: "ServiceStats") -> "ServiceStats":
         """Aggregate snapshots from several services into one.
@@ -196,23 +177,16 @@ class ServiceStats:
         mark, not a flow), ``pending`` sums (in-flight work is additive),
         and the nested ``cache`` counters merge recursively: numeric
         leaves add, dicts recurse, mismatched shapes drop to ``None``.
-        ``extra`` (foreign side counters from mixed-version snapshots)
-        merges additively by key — a counter only one side carries keeps
-        its value.  This is what the cluster gateway's aggregated
-        ``/stats`` is built from.
+        This is what the cluster gateway's aggregated ``/stats`` is built
+        from.
         """
         merged: Dict[str, Any] = {
             f.name: getattr(self, f.name) for f in _STATS_FIELDS}
-        merged["extra"] = dict(merged["extra"])
         for other in others:
             for f in _STATS_FIELDS:
                 if f.name == "cache":
                     merged["cache"] = _merge_cache(merged["cache"],
                                                    other.cache)
-                elif f.name == "extra":
-                    for key, value in other.extra.items():
-                        merged["extra"][key] = \
-                            merged["extra"].get(key, 0) + value
                 elif f.name == "queue_peak":
                     merged["queue_peak"] = max(merged["queue_peak"],
                                                other.queue_peak)

@@ -20,8 +20,7 @@ that fails to parse, fails the checksum, or was torn mid-write is
 **quarantined** — renamed aside to ``<name>.json.corrupt.N``, counted in
 ``stats()["corrupt"]`` — and reported as a *miss*, so the damaged cell is
 transparently re-solved (and the write-through replaces the artifact)
-instead of crashing the read path.  Legacy artifacts written before the
-checksum envelope (a bare ``SolveReport`` JSON object) still load.
+instead of crashing the read path.
 """
 
 from __future__ import annotations
@@ -172,21 +171,17 @@ class ArtifactStore:
             payload = json.loads(text)
         except (json.JSONDecodeError, ValueError):
             return None
+        if not (isinstance(payload, dict) and "sha256" in payload
+                and "report" in payload):
+            return None
         try:
-            if isinstance(payload, dict) and "sha256" in payload \
-                    and "report" in payload:
-                report_json = json.dumps(
-                    payload["report"], sort_keys=True,
-                    separators=(",", ":"))
-                if _payload_checksum(report_json) != payload["sha256"]:
-                    return None
-                return SolveReport.from_dict(payload["report"])
-            # Legacy pre-checksum artifact: a bare SolveReport object.
-            if isinstance(payload, dict):
-                return SolveReport.from_dict(payload)
+            report_json = json.dumps(payload["report"], sort_keys=True,
+                                     separators=(",", ":"))
+            if _payload_checksum(report_json) != payload["sha256"]:
+                return None
+            return SolveReport.from_dict(payload["report"])
         except (ModelError, KeyError, TypeError, ValueError):
             return None
-        return None
 
     def _quarantine(self, path: Path) -> Optional[Path]:
         """Rename a damaged artifact aside (first free ``.corrupt.N``)."""

@@ -1,30 +1,23 @@
-"""Tests for the design-choice ablations."""
+"""Tests for the design-choice ablations (plans A1-A3)."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.ablation import (
-    ablation_free_flow_rule,
-    ablation_shortest_path_tolerance,
-    ablation_solver_agreement,
-)
+from repro.analysis.studies import run_experiment
 
 
 class TestAblations:
     def test_solver_agreement(self):
-        record = ablation_solver_agreement(seeds=(0,))
+        record = run_experiment("A1", seeds=(0,))
         assert record.all_claims_hold
         assert len(record.rows) == 2  # nash + optimum for one seed
 
     def test_free_flow_rule(self):
-        record = ablation_free_flow_rule(seeds=(0,))
+        record = run_experiment("A2", seeds=(0,))
         assert record.all_claims_hold
         # roughgarden + grid + layered for one seed
         assert len(record.rows) == 3
 
     def test_shortest_path_tolerance(self):
-        record = ablation_shortest_path_tolerance(tolerances=(1e-6, 1e-4),
-                                                  seeds=(0,))
+        record = run_experiment("A3", tolerances=(1e-6, 1e-4), seeds=(0,))
         assert record.all_claims_hold
         assert len(record.headers) == 3

@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
+from repro.analysis.studies import run_experiment
 from repro.analysis.sweep import beta_demand_sweep
-from repro.analysis.experiments import (
-    experiment_beta_vs_demand,
-    experiment_weak_strong,
-)
 from repro.instances import pigou, figure_4_example
 
 
@@ -46,9 +43,9 @@ class TestBetaDemandSweep:
 
 class TestNewExperiments:
     def test_weak_strong_experiment(self):
-        record = experiment_weak_strong(seeds=(0, 1))
+        record = run_experiment("E13", seeds=(0, 1))
         assert record.all_claims_hold
 
     def test_beta_vs_demand_experiment(self):
-        record = experiment_beta_vs_demand(num_points=4)
+        record = run_experiment("E14", num_points=4)
         assert record.all_claims_hold

@@ -1,73 +1,70 @@
 """Smoke tests of the per-figure experiments: every paper claim must hold.
 
-These are the same functions the benchmark harness runs; here they are
-executed with reduced sizes (where parameters allow) so that the unit-test
-suite also certifies the reproduction results end to end.
+These run the same declarative plans the benchmark harness runs, through
+:func:`repro.analysis.studies.run_experiment`, with reduced sizes (where
+parameters allow) so that the unit-test suite also certifies the
+reproduction results end to end.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis import experiments
+from repro.analysis.studies import run_experiment
 
 
 class TestCanonicalExperiments:
     def test_pigou(self):
-        record = experiments.experiment_pigou()
+        record = run_experiment("E1")
         assert record.all_claims_hold
         assert record.rows  # the table is not empty
 
     def test_figure4(self):
-        record = experiments.experiment_figure4_optop()
+        record = run_experiment("E2")
         assert record.all_claims_hold
         assert len(record.rows) == 5
 
     def test_roughgarden(self):
-        record = experiments.experiment_roughgarden_mop()
+        record = run_experiment("E3")
         assert record.all_claims_hold
 
     def test_roughgarden_perturbed(self):
-        record = experiments.experiment_roughgarden_mop(epsilon=0.05)
+        record = run_experiment("E3", epsilon=0.05)
         assert record.all_claims_hold
 
 
 class TestFamilyExperiments:
     def test_optop_random_families(self):
-        record = experiments.experiment_optop_random_families(
-            num_instances=2, num_links=4, minimality_resolution=10)
+        record = run_experiment("E4", num_instances=2, num_links=4,
+                                minimality_resolution=10)
         assert record.all_claims_hold
 
     def test_mop_networks(self):
-        record = experiments.experiment_mop_networks(seeds=(0,))
+        record = run_experiment("E5", seeds=(0,))
         assert record.all_claims_hold
 
     def test_linear_optimal(self):
-        record = experiments.experiment_linear_optimal(num_links=3,
-                                                       brute_resolution=12)
+        record = run_experiment("E6", num_links=3, brute_resolution=12)
         assert record.all_claims_hold
 
     def test_bound_sweep(self):
-        record = experiments.experiment_bound_sweep(num_links=4,
-                                                    alphas=(0.25, 0.5, 1.0))
+        record = run_experiment("E7", num_links=4, alphas=(0.25, 0.5, 1.0))
         assert record.all_claims_hold
 
     def test_mm1_beta(self):
-        record = experiments.experiment_mm1_beta()
+        record = run_experiment("E8")
         assert record.all_claims_hold
 
     def test_monotonicity(self):
-        record = experiments.experiment_monotonicity(num_links=4, num_demands=6)
+        record = run_experiment("E9", num_links=4, num_demands=6)
         assert record.all_claims_hold
 
     def test_frozen_links(self):
-        record = experiments.experiment_frozen_links(num_links=4, trials=3)
+        record = run_experiment("E10", num_links=4, trials=3)
         assert record.all_claims_hold
 
     def test_scaling(self):
-        record = experiments.experiment_scaling(optop_sizes=(4, 8), mop_sides=(3,))
+        record = run_experiment("E11", optop_sizes=(4, 8), mop_sides=(3,))
         assert record.all_claims_hold
 
     def test_thresholds(self):
-        record = experiments.experiment_thresholds(seeds=(1, 2))
+        record = run_experiment("E12", seeds=(1, 2))
         assert record.all_claims_hold

@@ -46,6 +46,14 @@ class TestValidation:
         with pytest.raises(ModelError):
             SolveConfig.from_dict({"warp_speed": True})
 
+    def test_retired_kernel_backend_key_rejected(self):
+        # The kernel switch is gone: a config serialised with it is
+        # refused, not silently read as a default config.
+        data = SolveConfig().to_dict()
+        data["kernel_backend"] = "reference"
+        with pytest.raises(ModelError, match="kernel_backend"):
+            SolveConfig.from_dict(data)
+
     def test_budget_defaults_to_half(self):
         assert SolveConfig().budget() == 0.5
         assert SolveConfig(alpha=0.2).budget() == 0.2

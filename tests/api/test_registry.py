@@ -116,49 +116,30 @@ class TestInstanceKindDispatch:
         assert report.instance == instance_to_dict(pigou_instance)
 
 
-class TestPriceOfOptimumFacade:
-    """The satellite fix: the facade accepts serialization round-trip subclasses."""
+class TestSolveOnLoadedInstances:
+    """``solve`` accepts serialization round-trips and instance subclasses."""
 
     def test_plain_round_trip(self, pigou_instance):
-        from repro import price_of_optimum
-
         loaded = instance_from_dict(instance_to_dict(pigou_instance))
-        assert abs(price_of_optimum(loaded).beta - 0.5) < 1e-9
+        report = solve(loaded, config=SolveConfig(cache=False))
+        assert abs(report.beta - 0.5) < 1e-9
 
     def test_subclass_round_trip(self, pigou_instance):
-        from repro import price_of_optimum
-
         class LoadedParallel(ParallelLinkInstance):
             """Mimics a loader reconstructing instances as a subclass."""
 
         loaded = LoadedParallel(pigou_instance.latencies, pigou_instance.demand)
-        result = price_of_optimum(loaded)
-        assert abs(result.beta - 0.5) < 1e-9
-
-    def test_duck_typed_instance_dispatches(self, pigou_instance):
-        from repro import price_of_optimum
-
-        class Wrapper:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
-
-        result = price_of_optimum(Wrapper(pigou_instance))
-        assert abs(result.beta - 0.5) < 1e-9
+        report = solve(loaded, config=SolveConfig(cache=False))
+        assert abs(report.beta - 0.5) < 1e-9
 
     def test_network_round_trip(self, braess_instance):
-        from repro import price_of_optimum
-
         loaded = instance_from_dict(instance_to_dict(braess_instance))
-        assert abs(price_of_optimum(loaded).beta - 1.0) < 1e-9
+        report = solve(loaded, config=SolveConfig(cache=False))
+        assert abs(report.beta - 1.0) < 1e-9
 
-    def test_garbage_still_rejected(self):
-        from repro import price_of_optimum
-
+    def test_garbage_rejected_with_a_typed_error(self):
         with pytest.raises(ModelError):
-            price_of_optimum("not an instance")
+            solve("not an instance")
 
 
 class TestBatchSolverRegistration:

@@ -34,14 +34,19 @@ class TestServiceStatsRoundTrip:
         payload = json.dumps(stats.to_dict(), sort_keys=True)
         assert ServiceStats.from_dict(json.loads(payload)) == stats
 
-    def test_from_dict_ignores_derived_and_unknown_keys(self):
+    def test_from_dict_ignores_derived_keys(self):
         data = ServiceStats(requests=3, enqueued=3).to_dict()
         data["hits"] = 999            # derived: recomputed, not trusted
         data["consistent"] = False    # derived: recomputed, not trusted
-        data["added_in_a_future_version"] = {"x": 1}
         rebuilt = ServiceStats.from_dict(data)
         assert rebuilt.hits == 0
         assert rebuilt.consistent
+
+    def test_from_dict_rejects_unknown_keys(self):
+        data = ServiceStats(requests=3, enqueued=3).to_dict()
+        data["speculative_solves"] = 4
+        with pytest.raises(ModelError, match="speculative_solves"):
+            ServiceStats.from_dict(data)
 
     def test_merge_sums_counters_and_preserves_partition(self):
         a = ServiceStats(requests=10, tier1_hits=6, enqueued=4,
@@ -70,51 +75,6 @@ class TestServiceStatsRoundTrip:
         broken = ServiceStats(requests=5, tier1_hits=1)  # 4 unaccounted
         merged = ServiceStats(requests=2, tier1_hits=2).merge(broken)
         assert not merged.consistent
-
-
-class TestMixedVersionMerge:
-    """Snapshots cross library versions: foreign counters must survive.
-
-    Regression coverage for the gateway silently dropping side counters
-    it did not recognise when aggregating snapshots from newer (or older)
-    workers."""
-
-    def test_from_dict_preserves_unknown_numeric_keys(self):
-        data = ServiceStats(requests=3, enqueued=3).to_dict()
-        data["speculative_solves"] = 4       # a future build's counter
-        data["gpu_batches"] = 1.5
-        data["build_label"] = "v9"           # non-numeric: not aggregable
-        data["experimental"] = True          # bools are not counters
-        rebuilt = ServiceStats.from_dict(data)
-        assert rebuilt.extra == {"speculative_solves": 4, "gpu_batches": 1.5}
-
-    def test_extra_counters_merge_additively(self):
-        new_worker = ServiceStats.from_dict({
-            "requests": 2, "enqueued": 2, "speculative_solves": 4})
-        other_new = ServiceStats.from_dict({
-            "requests": 1, "enqueued": 1, "speculative_solves": 3})
-        old_worker = ServiceStats(requests=5, tier1_hits=5)
-        merged = old_worker.merge(new_worker, other_new)
-        assert merged.requests == 8
-        assert merged.extra == {"speculative_solves": 7}
-        assert merged.consistent
-
-    def test_one_sided_extra_counter_keeps_its_value(self):
-        merged = ServiceStats(requests=1, enqueued=1).merge(
-            ServiceStats(requests=1, enqueued=1, extra={"only_here": 2}))
-        assert merged.extra == {"only_here": 2}
-
-    def test_extra_round_trips_through_the_wire_shape(self):
-        stats = ServiceStats(requests=1, enqueued=1, extra={"foreign": 9})
-        payload = json.dumps(stats.to_dict(), sort_keys=True)
-        rebuilt = ServiceStats.from_dict(json.loads(payload))
-        assert rebuilt.extra == {"foreign": 9}
-        assert rebuilt == stats
-
-    def test_empty_extra_is_omitted_from_the_wire_shape(self):
-        # Back-compat: a build that saw no foreign counter emits the
-        # historical dict shape exactly.
-        assert "extra" not in ServiceStats(requests=1, enqueued=1).to_dict()
 
 
 class TestOverloadedError:

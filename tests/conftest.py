@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import pytest
 
+from repro.equilibrium.parallel import water_fill_reference
 from repro.instances import (
     braess_paradox,
     figure_4_example,
@@ -48,6 +52,30 @@ def random_linear_instance():
 def common_slope_instance():
     """A deterministic 4-link common-slope instance (Theorem 2.4 family)."""
     return random_affine_common_slope(4, demand=2.0, seed=7, slope=1.0)
+
+
+@pytest.fixture
+def reference_water_fill():
+    """Swap the scalar water-filling oracle in for ``water_fill``.
+
+    Returns a context-manager factory: ``with reference_water_fill(target)
+    as calls:`` patches the module attribute ``target`` (by default the one
+    ``parallel_nash``/``parallel_optimum`` call) with
+    :func:`~repro.equilibrium.parallel.water_fill_reference` and records
+    the ``kind`` of every routed call, so a test can check the swap took.
+    """
+    @contextlib.contextmanager
+    def swap(target: str = "repro.equilibrium.parallel.water_fill"):
+        calls = []
+
+        def oracle(latencies, demand, kind, *, tol=1e-12, batch=None):
+            calls.append(kind)
+            return water_fill_reference(latencies, demand, kind, tol=tol)
+
+        with mock.patch(target, oracle):
+            yield calls
+
+    return swap
 
 
 def pytest_addoption(parser):

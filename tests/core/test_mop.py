@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import mop, price_of_optimum
+from repro.api import SolveConfig, solve
+from repro.core import mop
 from repro.equilibrium import network_nash
 from repro.instances import (
     braess_paradox,
@@ -127,12 +128,14 @@ class TestConsistencyWithOpTop:
         beta_network = mop(network_instance).beta
         assert beta_network == pytest.approx(beta_parallel, abs=1e-5)
 
-    def test_facade_dispatches_by_type(self):
-        assert price_of_optimum(pigou()).beta == pytest.approx(0.5, abs=1e-9)
-        assert price_of_optimum(roughgarden_example()).beta == pytest.approx(
-            0.5, abs=1e-4)
+    def test_solve_dispatches_by_type(self):
+        config = SolveConfig(cache=False)
+        assert solve(pigou(), config=config).beta == pytest.approx(
+            0.5, abs=1e-9)
+        assert solve(roughgarden_example(), config=config).beta == \
+            pytest.approx(0.5, abs=1e-4)
 
-    def test_facade_rejects_other_types(self):
+    def test_solve_rejects_other_types(self):
         from repro.exceptions import ModelError
         with pytest.raises(ModelError):
-            price_of_optimum(42)
+            solve(42)

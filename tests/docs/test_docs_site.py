@@ -58,6 +58,6 @@ def test_architecture_page_names_all_five_layers():
 
 def test_notation_glossary_covers_the_core_symbols():
     text = (DOCS / "notation.md").read_text(encoding="utf-8")
-    for symbol in ("OpTop", "MOP", "LLF", "SCALE", "price_of_optimum",
+    for symbol in ("OpTop", "MOP", "LLF", "SCALE", "SolveReport.beta",
                    "water_fill", "price_of_anarchy", "solve_elastic"):
         assert symbol in text, f"notation glossary misses {symbol}"

@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.equilibrium.frank_wolfe import (
     FrankWolfeOptions,
     all_or_nothing,
+    all_or_nothing_reference,
     frank_wolfe,
 )
 from repro.exceptions import ModelError
 from repro.instances import grid_network, layered_network
 from repro.latency import ConstantLatency, LinearLatency, MonomialLatency
+from repro.latency.batch import LatencyBatch
 from repro.network.graph import Network
 from repro.network.instance import Commodity, NetworkInstance
-from repro.paths.dijkstra import HAVE_SPARSE_DIJKSTRA, ShortestPathEngine
+from repro.paths.dijkstra import ShortestPathEngine
 
 
 def multi_source_instance():
@@ -38,7 +42,7 @@ class TestAllOrNothingKernels:
         instance = multi_source_instance()
         costs = instance.latencies_at(np.zeros(instance.network.num_edges))
         vec = all_or_nothing(instance, costs)
-        ref = all_or_nothing(instance, costs, kernel="reference")
+        ref = all_or_nothing_reference(instance, costs)
         np.testing.assert_allclose(vec, ref)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -47,7 +51,7 @@ class TestAllOrNothingKernels:
         rng = np.random.default_rng(seed)
         costs = rng.uniform(0.0, 2.0, size=instance.network.num_edges)
         vec = all_or_nothing(instance, costs)
-        ref = all_or_nothing(instance, costs, kernel="reference")
+        ref = all_or_nothing_reference(instance, costs)
         # Several equally-short paths may exist; the routed *cost* is the
         # invariant both kernels must agree on.
         assert float(np.dot(costs, vec)) == pytest.approx(
@@ -69,10 +73,9 @@ class TestAllOrNothingKernels:
         with pytest.raises(ModelError):
             all_or_nothing(instance, costs)
         with pytest.raises(ModelError):
-            all_or_nothing(instance, costs, kernel="reference")
+            all_or_nothing_reference(instance, costs)
 
 
-@pytest.mark.skipif(not HAVE_SPARSE_DIJKSTRA, reason="scipy csgraph missing")
 class TestShortestPathEngine:
     def test_batched_sources_share_one_run(self):
         instance = multi_source_instance()
@@ -106,12 +109,17 @@ class TestShortestPathEngine:
 class TestFrankWolfeKernels:
     @pytest.mark.parametrize("kind", ["nash", "optimum"])
     def test_kernels_agree_on_layered_network(self, kind):
-        options_v = FrankWolfeOptions(tolerance=1e-9, max_iterations=5000)
-        options_r = FrankWolfeOptions(tolerance=1e-9, max_iterations=5000,
-                                      kernel="reference")
+        # The scalar run patches the oracle in where the solver looks up
+        # all_or_nothing and forces the golden-section line search.
+        options = FrankWolfeOptions(tolerance=1e-9, max_iterations=5000)
         instance = layered_network(3, 3, demand=2.0, seed=4)
-        vec = frank_wolfe(instance, kind, options_v)
-        ref = frank_wolfe(instance, kind, options_r)
+        vec = frank_wolfe(instance, kind, options)
+        with mock.patch("repro.equilibrium.frank_wolfe.all_or_nothing",
+                        all_or_nothing_reference), \
+                mock.patch.object(LatencyBatch, "supports_newton", False), \
+                mock.patch("repro.equilibrium.frank_wolfe._newton_line_search",
+                           side_effect=AssertionError("Newton ran")):
+            ref = frank_wolfe(instance, kind, options)
         assert vec.cost == pytest.approx(ref.cost, rel=1e-6)
         assert vec.beckmann == pytest.approx(ref.beckmann, rel=1e-6)
 
@@ -123,8 +131,3 @@ class TestFrankWolfeKernels:
                                                max_iterations=10000))
         assert result.converged
         instance.check_flow_conservation(result.edge_flows)
-
-    def test_invalid_kernel_rejected(self):
-        instance = multi_source_instance()
-        with pytest.raises(ModelError):
-            frank_wolfe(instance, "nash", FrankWolfeOptions(kernel="turbo"))

@@ -2,7 +2,8 @@
 
 Parametrized over random mixed instances (linear, M/M/1, polynomial, power
 and constant families), both solve kinds, zero-demand and constant-floor edge
-cases: the vectorized backend must match the scalar reference to 1e-9.
+cases: :func:`water_fill` must match the scalar oracle
+:func:`water_fill_reference` to 1e-9.
 """
 
 from __future__ import annotations
@@ -10,13 +11,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import SolveConfig
 from repro.core.optop import optop
 from repro.equilibrium.parallel import (
     parallel_nash,
     parallel_optimum,
     water_fill,
     water_fill_many,
+    water_fill_reference,
 )
 from repro.exceptions import ModelError
 from repro.latency import (
@@ -60,8 +61,8 @@ def random_family_links(seed: int, m: int = 12):
 
 def assert_backends_agree(latencies, demand, kind, *, tol=1e-12):
     vec_flows, vec_level = water_fill(latencies, demand, kind, tol=tol)
-    ref_flows, ref_level = water_fill(latencies, demand, kind, tol=tol,
-                                      backend="reference")
+    ref_flows, ref_level = water_fill_reference(latencies, demand, kind,
+                                                tol=tol)
     np.testing.assert_allclose(vec_flows, ref_flows, atol=EQ_TOL, rtol=0.0)
     assert vec_level == pytest.approx(ref_level, abs=EQ_TOL)
     if demand > 0.0:
@@ -118,40 +119,41 @@ class TestEdgeCases:
         with pytest.raises(ModelError):
             water_fill(links, 1.0, "nope")
         with pytest.raises(ModelError):
-            water_fill(links, 1.0, "nope", backend="reference")
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ModelError):
-            water_fill([LinearLatency(1.0)], 1.0, "nash", backend="turbo")
+            water_fill_reference(links, 1.0, "nope")
 
 
-class TestConfigSelection:
-    def test_reference_backend_selectable_via_config(self):
+class TestWholeAlgorithmOnReferenceKernel:
+    """Solvers rerun with the oracle patched in where they call the kernel."""
+
+    def test_nash_matches_reference_kernel(self, reference_water_fill):
         instance = random_mixed_parallel(10, demand=2.0, seed=9)
-        config = SolveConfig(kernel_backend="reference")
-        ref = parallel_nash(instance, config=config)
         vec = parallel_nash(instance)
+        with reference_water_fill() as calls:
+            ref = parallel_nash(instance)
+        assert calls == ["nash"]
         np.testing.assert_allclose(ref.flows, vec.flows, atol=EQ_TOL)
         assert ref.common_value == pytest.approx(vec.common_value, abs=EQ_TOL)
 
-    def test_invalid_kernel_backend_rejected(self):
-        with pytest.raises(ModelError):
-            SolveConfig(kernel_backend="turbo")
-
     @pytest.mark.parametrize("seed", [0, 4])
-    def test_optop_identical_across_backends(self, seed):
+    def test_optop_identical_across_backends(self, seed,
+                                             reference_water_fill):
         instance = random_mixed_parallel(14, demand=3.0, seed=seed)
         vec = optop(instance)
-        ref = optop(instance, config=SolveConfig(kernel_backend="reference"))
+        with reference_water_fill() as calls:
+            ref = optop(instance)
+        # optimum, initial Nash, one Nash per later round, induced Nash.
+        assert calls[0] == "optimum"
+        assert len(calls) == ref.num_rounds + 2
         assert vec.beta == pytest.approx(ref.beta, abs=1e-8)
         np.testing.assert_allclose(vec.strategy.flows, ref.strategy.flows,
                                    atol=1e-8)
 
-    def test_optimum_matches_reference_through_config(self):
+    def test_optimum_matches_reference_kernel(self, reference_water_fill):
         instance = random_linear_parallel(25, demand=6.0, seed=2)
         vec = parallel_optimum(instance)
-        ref = parallel_optimum(instance,
-                               config=SolveConfig(kernel_backend="reference"))
+        with reference_water_fill() as calls:
+            ref = parallel_optimum(instance)
+        assert calls == ["optimum"]
         np.testing.assert_allclose(vec.flows, ref.flows, atol=EQ_TOL)
 
 
@@ -169,10 +171,10 @@ class TestMM1NearCapacity:
     DEMAND = 1001.0 - 1e-9
 
     @pytest.mark.parametrize("kind", ["nash", "optimum"])
-    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
-    def test_near_capacity_demand_solves(self, kind, backend):
-        flows, level = water_fill(self.LINKS, self.DEMAND, kind,
-                                  backend=backend)
+    @pytest.mark.parametrize("solver", [water_fill, water_fill_reference],
+                             ids=["vectorized", "reference"])
+    def test_near_capacity_demand_solves(self, kind, solver):
+        flows, level = solver(self.LINKS, self.DEMAND, kind)
         assert np.all(np.isfinite(flows))
         assert flows.sum() == pytest.approx(self.DEMAND, rel=1e-9)
         assert level > 1e6  # the level blows up near capacity
@@ -194,8 +196,7 @@ class TestMM1NearCapacity:
     @pytest.mark.parametrize("kind", ["nash", "optimum"])
     def test_backends_agree_near_capacity(self, kind):
         vec_flows, _ = water_fill(self.LINKS, self.DEMAND, kind)
-        ref_flows, _ = water_fill(self.LINKS, self.DEMAND, kind,
-                                  backend="reference")
+        ref_flows, _ = water_fill_reference(self.LINKS, self.DEMAND, kind)
         np.testing.assert_allclose(vec_flows, ref_flows, atol=1e-6)
 
 
@@ -222,8 +223,9 @@ class TestWaterFillMany:
         links = random_family_links(3)
         demands = np.array([0.5, 2.0, 5.0])
         vec_flows, vec_levels = water_fill_many(links, demands, kind)
-        ref_flows, ref_levels = water_fill_many(links, demands, kind,
-                                                backend="reference")
+        ref = [water_fill_reference(links, float(d), kind) for d in demands]
+        ref_flows = np.stack([flows for flows, _ in ref])
+        ref_levels = np.array([level for _, level in ref])
         np.testing.assert_allclose(vec_flows, ref_flows, atol=EQ_TOL)
         np.testing.assert_allclose(vec_levels, ref_levels, atol=EQ_TOL)
 
@@ -292,9 +294,6 @@ class TestWaterFillMany:
             water_fill_many([LinearLatency(1.0)], np.array([[1.0]]), "nash")
         with pytest.raises(ModelError):
             water_fill_many([LinearLatency(1.0)], np.array([1.0]), "nope")
-        with pytest.raises(ModelError):
-            water_fill_many([LinearLatency(1.0)], np.array([1.0]), "nash",
-                            backend="turbo")
 
     def test_prebuilt_batch_reused(self):
         from repro.latency.batch import LatencyBatch

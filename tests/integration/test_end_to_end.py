@@ -13,8 +13,8 @@ from repro import (
     optimal_restricted_strategy,
     optop,
     price_of_anarchy,
-    price_of_optimum,
     scale,
+    solve,
 )
 from repro.instances import (
     figure_4_example,
@@ -81,8 +81,8 @@ class TestParallelAndNetworkViewsAgree:
     def test_price_of_optimum_agrees(self, builder):
         parallel_instance = builder()
         network_instance = parallel_network_as_graph(parallel_instance)
-        beta_links = price_of_optimum(parallel_instance).beta
-        beta_graph = price_of_optimum(network_instance).beta
+        beta_links = solve(parallel_instance).beta
+        beta_graph = solve(network_instance).beta
         assert beta_graph == pytest.approx(beta_links, abs=1e-5)
 
     @pytest.mark.parametrize("seed", range(2))

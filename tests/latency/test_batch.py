@@ -215,7 +215,7 @@ class TestSubset:
             batch.subset([len(MIXED)])
 
     def test_subset_level_profile_solves(self):
-        from repro.equilibrium.parallel import water_fill
+        from repro.equilibrium.parallel import water_fill, water_fill_reference
 
         batch = LatencyBatch(MIXED)
         indices = [0, 2, 3, 5]
@@ -223,7 +223,6 @@ class TestSubset:
         links = [MIXED[i] for i in indices]
         for kind in ("nash", "optimum"):
             flows, level = water_fill(links, 2.0, kind, batch=sub)
-            ref_flows, ref_level = water_fill(links, 2.0, kind,
-                                              backend="reference")
+            ref_flows, ref_level = water_fill_reference(links, 2.0, kind)
             np.testing.assert_allclose(flows, ref_flows, atol=1e-9)
             assert level == pytest.approx(ref_level, abs=1e-9)

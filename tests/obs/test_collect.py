@@ -91,14 +91,6 @@ class TestServiceEquivalence:
         from_mapping = collect_service_stats(stats.to_dict()).snapshot()
         assert from_object == from_mapping
 
-    def test_foreign_extra_counters_become_labeled_series(self):
-        stats = ServiceStats(requests=2, enqueued=2,
-                             extra={"future_counter": 7})
-        parsed = parse_prometheus(
-            collect_service_stats(stats).render_prometheus())
-        assert series_value(parsed, "repro_extra_total",
-                            counter="future_counter") == 7
-
 
 class TestClusterEquivalence:
     def cluster_stats(self):

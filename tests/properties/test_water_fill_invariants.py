@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from families import FAMILIES, SEEDS, make_instance
-from repro.equilibrium.parallel import water_fill
+from repro.equilibrium.parallel import water_fill, water_fill_reference
 
 KINDS = ("nash", "optimum")
 
@@ -80,10 +80,9 @@ def test_flows_monotone_in_demand(family, seed, kind):
 def test_backends_agree(family, seed, kind):
     """The vectorized and the scalar reference kernels match to 1e-9."""
     instance = make_instance(family, seed)
-    fast, fast_level = water_fill(instance.latencies, instance.demand, kind,
-                                  backend="vectorized")
-    slow, slow_level = water_fill(instance.latencies, instance.demand, kind,
-                                  backend="reference")
+    fast, fast_level = water_fill(instance.latencies, instance.demand, kind)
+    slow, slow_level = water_fill_reference(instance.latencies,
+                                            instance.demand, kind)
     assert np.allclose(fast, slow, atol=1e-7)
     assert fast_level == pytest.approx(slow_level, abs=1e-7)
 

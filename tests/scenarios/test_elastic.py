@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro import instances
-from repro.api import SolveConfig
 from repro.exceptions import ModelError
 from repro.scenarios import (
     ElasticReport,
@@ -35,11 +34,13 @@ class TestWardropLevel:
         inst = instances.braess_paradox()
         assert wardrop_level(inst, 0.0) >= 0.0
 
-    def test_reference_backend_agrees(self):
+    def test_reference_backend_agrees(self, reference_water_fill):
         inst = instances.figure_4_example()
         vec = wardrop_level(inst, 1.7)
-        ref = wardrop_level(inst, 1.7,
-                            config=SolveConfig(kernel_backend="reference"))
+        with reference_water_fill("repro.scenarios.elastic.water_fill") \
+                as calls:
+            ref = wardrop_level(inst, 1.7)
+        assert calls == ["nash"]
         assert vec == pytest.approx(ref, abs=1e-9)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import ablation, experiments
 from repro.analysis.studies import (
     build_experiment,
     experiment_ids,
@@ -108,23 +107,19 @@ class TestBatchEquivalence:
         assert grid_row[6] == pytest.approx(direct.induced_cost, abs=1e-9)
 
 
-class TestDeprecatedWrappers:
-    def test_wrappers_warn_and_match_run_experiment(self):
-        with pytest.warns(DeprecationWarning, match="run_experiment"):
-            legacy = experiments.experiment_pigou()
-        fresh = run_experiment("E1")
-        assert legacy.rows == fresh.rows
-        assert legacy.claims == fresh.claims
+class TestRunExperimentEntryPoint:
+    def test_repeated_runs_match(self):
+        first = run_experiment("E1")
+        again = run_experiment("E1")
+        assert first.rows == again.rows
+        assert first.claims == again.claims
 
-    def test_wrappers_forward_keyword_arguments(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = experiments.experiment_beta_vs_demand(num_points=3)
-        assert len(legacy.rows) == 6
+    def test_forwards_keyword_arguments(self):
+        record = run_experiment("E14", num_points=3)
+        assert len(record.rows) == 6
 
-    def test_ablation_wrappers_warn(self):
-        with pytest.warns(DeprecationWarning, match="run_experiment"):
-            record = ablation.ablation_shortest_path_tolerance(
-                tolerances=(1e-5, 1e-4), seeds=())
+    def test_ablation_accepts_an_empty_seed_list(self):
+        record = run_experiment("A3", tolerances=(1e-5, 1e-4), seeds=())
         assert record.all_claims_hold
 
 

@@ -104,9 +104,9 @@ class TestArtifactStore:
         assert store.get(key) is None
         assert store.stats()["corrupt"] == 1
 
-    def test_legacy_raw_artifact_still_loads(self, tmp_path):
-        # Artifacts written before the checksum envelope are bare
-        # SolveReport objects; they must keep loading.
+    def test_bare_report_without_envelope_is_quarantined(self, tmp_path):
+        # A bare SolveReport carries no checksum, so bit rot in it could
+        # not be detected: it is treated as damaged, not served.
         import json as _json
         store = ArtifactStore(tmp_path)
         report = solve(pigou(), "optop")
@@ -114,8 +114,10 @@ class TestArtifactStore:
         path = store.path_for(key)
         path.parent.mkdir(parents=True)
         path.write_text(_json.dumps(report.to_dict()), encoding="utf-8")
-        assert store.get(key) == report
-        assert store.stats()["corrupt"] == 0
+        assert store.get(key) is None
+        assert store.stats()["corrupt"] == 1
+        assert not path.exists()
+        assert path.with_name(path.name + ".corrupt.0").exists()
 
     def test_keys_and_delete(self, tmp_path):
         store = ArtifactStore(tmp_path)

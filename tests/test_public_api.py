@@ -20,7 +20,7 @@ class TestPublicSurface:
             assert hasattr(repro, name), f"repro.__all__ lists missing name {name!r}"
 
     def test_core_entry_points_are_callables(self):
-        for name in ("optop", "mop", "price_of_optimum", "parallel_nash",
+        for name in ("optop", "mop", "solve", "parallel_nash",
                      "parallel_optimum", "network_nash", "network_optimum",
                      "llf", "scale", "aloof", "price_of_anarchy"):
             assert callable(getattr(repro, name))
