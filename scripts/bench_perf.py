@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Performance trajectory of the vectorized kernel layer.
 
-Times the hot paths — ``water_fill``, the batched ``water_fill_many``,
-``optop`` and ``frank_wolfe`` — with the vectorized kernels against the
+Times the hot paths — warm and cold ``water_fill``, the batched
+``water_fill_many``, ``optop`` and ``frank_wolfe`` — with the vectorized
+kernels against the
 scalar oracles ``water_fill_reference`` and ``all_or_nothing_reference`` (or
 a per-demand loop, for the batched entry point) on sized instances.  The
 whole-algorithm rows (``optop``, ``frank_wolfe``) swap the oracles in with
@@ -12,8 +13,10 @@ serving-layer series follow: warm-vs-cold ``trace_replay`` through the
 artifact store and ``cluster_scaling`` (hot-key throughput of the sharded
 cluster as workers scale 1 -> 4).  The measurements (with speedup factors) go to ``BENCH_perf.json``.  CI runs this
 per commit and uploads the JSON as an artifact; the run fails (non-zero
-exit) when the kernels deviate from the oracles or the mixed-family
-``water_fill`` speedup at ``m >= 1000`` drops below the 10x gate.
+exit) when the kernels deviate from the oracles, the warm mixed-family
+``water_fill`` speedup at ``m >= 1000`` drops below the 10x gate, or a cold
+``water_fill`` (a fresh ``LatencyBatch`` per call) is slower than the
+reference at any size.
 
 Usage::
 
@@ -95,10 +98,11 @@ def best_of(fn, *, repeats: int, budget: float = 5.0) -> float:
 
 
 def bench_water_fill(sizes, *, repeats: int):
-    """water_fill on all-linear and mixed-family parallel instances.
+    """Warm water_fill on all-linear and mixed-family parallel instances.
 
-    The vectorized timing uses the instance-cached latency batch — exactly
-    what the OpTop inner loop and the analysis sweeps pay per solve.
+    The vectorized timing reuses the instance-cached latency batch, so it
+    leaves out the batch build that every new instance pays
+    (:func:`bench_water_fill_cold` times that).
     """
     rows = []
     for family, generator in (("linear", random_linear_parallel),
@@ -130,14 +134,48 @@ def bench_water_fill(sizes, *, repeats: int):
     return rows
 
 
+def bench_water_fill_cold(sizes, *, repeats: int):
+    """Cold water_fill on mixed-family instances: no ``batch=``.
+
+    Every call builds a fresh ``LatencyBatch`` and level profile, as a solve
+    on an instance the process has never seen does.  The gate requires the
+    cold call to be no slower than the scalar reference at any size.
+    """
+    rows = []
+    for m in sizes:
+        instance = random_mixed_parallel(int(m), demand=0.2 * m, seed=int(m))
+        cold = best_of(lambda: water_fill(instance.latencies, instance.demand,
+                                          "nash"),
+                       repeats=repeats)
+        ref = best_of(lambda: water_fill_reference(instance.latencies,
+                                                   instance.demand, "nash"),
+                      repeats=max(2, repeats // 2))
+        flows_v, _ = water_fill(instance.latencies, instance.demand, "nash")
+        flows_r, _ = water_fill_reference(instance.latencies,
+                                          instance.demand, "nash")
+        rows.append({
+            "benchmark": "water_fill_cold",
+            "family": "mixed",
+            "size": int(m),
+            "vectorized_seconds": cold,
+            "reference_seconds": ref,
+            "speedup": ref / cold,
+            "max_flow_deviation": float(np.max(np.abs(flows_v - flows_r))),
+        })
+        print(f"water_fill_cold[mixed] m={m}: {cold*1e3:8.3f} ms vs "
+              f"{ref*1e3:8.3f} ms -> {ref/cold:6.1f}x")
+    return rows
+
+
 def bench_water_fill_many(sizes, *, num_demands: int, repeats: int):
     """water_fill_many vs a per-demand water_fill loop (same kernels).
 
     The shape of a coalesced serving micro-batch or a study demand axis:
     ``num_demands`` demands over one shared link system.  The batched entry
-    point amortises the breakpoint grid and runs every Newton iteration
-    vectorized across the batch; the loop pays the per-solve dispatch each
-    time.  Both sides reuse the instance-cached latency batch.
+    point evaluates the segment-locator probes of all demands in shared
+    calls and runs every Newton iteration vectorized across the batch; the
+    loop pays the per-solve dispatch each time.  Both sides reuse the
+    instance-cached latency batch.
     """
     rows = []
     for m in sizes:
@@ -389,12 +427,15 @@ def main(argv=None) -> int:
         cluster_counts, cluster_requests, cluster_distinct = (1, 2, 3, 4), 400, 320
         cluster_trials = 2
 
+    cold_sizes = sorted(set(wf_sizes) | {4000})
+
     # Warm up the kernels once so import/JIT-ish one-time costs stay out of
     # the measurements.
     parallel_nash(random_linear_parallel(50, demand=5.0, seed=0))
 
     results = []
     results += bench_water_fill(wf_sizes, repeats=repeats)
+    results += bench_water_fill_cold(cold_sizes, repeats=repeats)
     results += bench_water_fill_many(wf_sizes, num_demands=wfm_demands,
                                      repeats=repeats)
     results += bench_optop(optop_sizes, repeats=repeats)
@@ -424,6 +465,8 @@ def main(argv=None) -> int:
                 or (row.get("benchmark") == "water_fill"
                     and row["family"] == "mixed" and row["size"] >= 1000
                     and row["speedup"] < 10.0)
+                or (row.get("benchmark") == "water_fill_cold"
+                    and row["speedup"] < 1.0)
                 or (row.get("benchmark") == "cluster_scaling"
                     and not args.quick and row["size"] == max(cluster_counts)
                     and row["speedup"] < 2.5)]

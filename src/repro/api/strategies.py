@@ -252,8 +252,8 @@ def solve_aloof_many(instances: Sequence[object],
     coalesced service micro-batch or a ``StudySpec`` demand axis) differ only
     in their demand, so their optima and Nash equilibria are a batched
     :func:`~repro.equilibrium.parallel.water_fill_many` over the per-instance
-    demand vector instead of independent solves that each re-derive the same
-    breakpoint grid.  Declines (returns ``None``) when any instance is not a
+    demand vector instead of independent solves that each re-locate their
+    segments over the same sorted breakpoints.  Declines (returns ``None``) when any instance is not a
     parallel-link system; singleton groups go through the scalar adapter.
     """
     instances = list(instances)

@@ -13,10 +13,10 @@ sorted-breakpoint closed form
 (:func:`repro.utils.vectorized.piecewise_linear_level`) — no bisection at
 all.  Mixed closed-form families (linear, M/M/1, power, monomial-like
 polynomial) go through the generic *sorted-breakpoint level engine*
-(:func:`repro.utils.vectorized.sorted_breakpoint_level`): the filled flow is
-evaluated on the grid of activation breakpoints in one broadcast, one
-``searchsorted`` locates the active segment, and a few safeguarded Newton
-steps finish inside it.  Rows without a closed-form inverse (multi-term
+(:func:`repro.utils.vectorized.sorted_breakpoint_level`): a segment locator
+narrows the active segment over the sorted activation breakpoints in a few
+vectorized flow evaluations, and a few safeguarded Newton steps finish
+inside it.  Rows without a closed-form inverse (multi-term
 polynomials; shifted powers under marginal-cost equalisation) join the solve
 as a scalar ``extra`` term, and only instances with strictly increasing
 *generic*-bucket links fall back to a bracket + bisection level solve.
@@ -29,7 +29,8 @@ compare against.
 :func:`water_fill_many` solves a whole batch of demands over one link system
 (a coalesced service micro-batch, a ``StudySpec`` demand axis, an elastic
 trace) in a single vectorized pass sharing the sorted breakpoints across
-instances.
+demands.  Both entry points route their solved levels through one shared
+tail, so row ``j`` of :func:`water_fill_many` equals :func:`water_fill`.
 
 Constant-latency links (the documented extension; Pigou's example uses one)
 act as flow sinks: once the common level of the increasing links would exceed
@@ -118,12 +119,12 @@ def water_fill_many(latencies: Sequence[LatencyFunction],
     ``water_fill(latencies, demands[j], kind)`` to solver tolerance.
 
     All demand-independent structure is shared across the batch: the
-    family grouping, the sorted activation breakpoints and the grid of
-    filled flows are computed once, segment location is one
-    ``searchsorted`` over the whole demand vector, and the safeguarded Newton
-    iterations run for all pending demands simultaneously.  Instances whose
-    links need a numeric fallback (generic bucket, non-closed-form rows) fall
-    back to a per-demand loop.
+    family grouping and the sorted activation breakpoints are computed once,
+    each segment-locator round evaluates the probe levels of all pending
+    demands in one call, and the safeguarded Newton iterations run for all
+    pending demands simultaneously.  Instances whose links need a numeric
+    fallback (generic bucket, non-closed-form rows) fall back to a
+    per-demand loop.
 
     Raises :class:`~repro.exceptions.ModelError` if *any* demand cannot be
     routed (no constant links and the increasing links saturate below it).
@@ -164,19 +165,11 @@ def _water_fill_many(latencies: Sequence[LatencyFunction],
     if count == 0:
         return flows, levels
 
-    level_at_zero = batch.values_at_zero
-    const_mask = batch.is_constant
-    inc_mask = ~const_mask
-    inverse = batch.inverse_values if kind == "nash" else batch.inverse_marginals
-    constant_floor = float(level_at_zero[const_mask].min()) if const_mask.any() \
-        else float("inf")
-    min_level = float(level_at_zero.min())
-
     # Per-demand common level of the increasing links, solved batched when
     # every link admits a closed form; otherwise one scalar solve per demand.
     level_star = np.full(count, np.inf)
     positive = demands > 0.0
-    if inc_mask.any() and positive.any():
+    if not batch.is_constant.all() and positive.any():
         batched = False
         linear = batch.linear_increasing_params()
         if linear is not None:
@@ -189,12 +182,9 @@ def _water_fill_many(latencies: Sequence[LatencyFunction],
             profile = batch.level_profile(kind)
             if profile is not None and not profile.has_numeric:
                 try:
-                    grid_levels, grid_flows = profile.grid()
                     level_star[positive] = sorted_breakpoint_levels(
-                        grid_levels, demands[positive],
-                        profile.flow_grid, profile.dflow_grid,
-                        grid_flows=grid_flows,
-                        flow_dflow_grid=profile.flow_dflow_grid, tol=tol)
+                        profile.breakpoints, demands[positive],
+                        profile.flow_grid, profile.flow_dflow_grid, tol=tol)
                     batched = True
                 except (ModelError, ConvergenceError):
                     batched = False  # e.g. one demand saturates the links
@@ -207,26 +197,8 @@ def _water_fill_many(latencies: Sequence[LatencyFunction],
             return flows, levels
 
     for j in range(count):
-        demand = float(demands[j])
-        if demand == 0.0:
-            levels[j] = min_level
-            continue
-        star = float(level_star[j])
-        if star <= constant_floor:
-            flows[j, inc_mask] = inverse(star)[inc_mask]
-            levels[j] = star
-        else:
-            if not const_mask.any():
-                raise ModelError(
-                    "demand cannot be routed: no constant links and the "
-                    "increasing links cannot absorb the demand")
-            levels[j] = constant_floor
-            if inc_mask.any():
-                flows[j, inc_mask] = inverse(constant_floor)[inc_mask]
-            leftover = max(0.0, demand - float(flows[j].sum()))
-            sinks = const_mask & (level_at_zero <= constant_floor + 1e-12)
-            flows[j, sinks] = leftover / int(np.count_nonzero(sinks))
-        flows[j] = _normalise_total(flows[j], demand)
+        flows[j], levels[j] = _route(batch, kind, float(demands[j]),
+                                     float(level_star[j]))
     return flows, levels
 
 
@@ -243,19 +215,9 @@ def _water_fill(latencies: Sequence[LatencyFunction], demand: float,
     if demand < 0.0:
         raise ModelError(f"demand must be >= 0, got {demand!r}")
 
-    level_at_zero = batch.values_at_zero  # marginal cost at 0 equals l(0)
-    flows = np.zeros(m, dtype=float)
-    if demand == 0.0:
-        return flows, float(level_at_zero.min())
-
-    const_mask = batch.is_constant
-    inc_mask = ~const_mask
-    inverse = batch.inverse_values if kind == "nash" else batch.inverse_marginals
-
-    constant_floor = float(level_at_zero[const_mask].min()) if const_mask.any() \
-        else float("inf")
-
-    if inc_mask.any():
+    inc_mask = ~batch.is_constant
+    level_star = float("inf")
+    if demand > 0.0 and inc_mask.any():
         linear = batch.linear_increasing_params()
         if linear is not None:
             # Pure linear/affine instance: exact sorted-breakpoint solve.
@@ -266,22 +228,23 @@ def _water_fill(latencies: Sequence[LatencyFunction], demand: float,
             profile = batch.level_profile(kind)
             if profile is not None:
                 # Mixed closed-form families: sorted-breakpoint engine —
-                # one broadcast over the activation grid, one searchsorted,
-                # a few safeguarded Newton steps inside the active segment.
+                # the segment locator narrows the active segment over the
+                # sorted breakpoints, then a few safeguarded Newton steps
+                # finish inside it.
                 try:
-                    grid_levels, grid_flows = profile.grid()
                     level_star = sorted_breakpoint_level(
-                        grid_levels, demand, profile.flow_grid,
-                        grid_flows=grid_flows,
+                        profile.breakpoints, demand, profile.flow_grid,
                         extra=profile.extra if profile.has_numeric else None,
                         flow_dflow=profile.flow_dflow, tol=tol)
                 except (ModelError, ConvergenceError):
-                    level_star = float("inf")
+                    pass
             else:
                 # Strictly increasing generic-bucket links: no closed form
                 # at all, so bracket + bisect the level; each evaluation
                 # still inverts every increasing link in one batched call.
-                lo = float(level_at_zero[inc_mask].min())
+                inverse = batch.inverse_values if kind == "nash" \
+                    else batch.inverse_marginals
+                lo = float(batch.values_at_zero[inc_mask].min())
 
                 def gap(level: float) -> float:
                     return float(inverse(level)[inc_mask].sum()) - demand
@@ -291,10 +254,28 @@ def _water_fill(latencies: Sequence[LatencyFunction], demand: float,
                                               initial=max(1.0, abs(lo)))
                     level_star = bisect_root(gap, lo, hi, tol=tol)
                 except (ModelError, ConvergenceError):
-                    level_star = float("inf")
-    else:
-        level_star = float("inf")
+                    pass
+    return _route(batch, kind, demand, level_star)
 
+
+def _route(batch: LatencyBatch, kind: str, demand: float,
+           level_star: float) -> Tuple[np.ndarray, float]:
+    """Flows and common level, given the increasing links' solved level.
+
+    ``level_star`` is the level at which the strictly increasing links
+    alone absorb ``demand`` (``inf`` when they cannot).  Shared by
+    :func:`water_fill` and every row of :func:`water_fill_many`, so the two
+    route identically.
+    """
+    level_at_zero = batch.values_at_zero  # marginal cost at 0 equals l(0)
+    flows = np.zeros(batch.size, dtype=float)
+    if demand == 0.0:
+        return flows, float(level_at_zero.min())
+    const_mask = batch.is_constant
+    inc_mask = ~const_mask
+    inverse = batch.inverse_values if kind == "nash" else batch.inverse_marginals
+    constant_floor = float(level_at_zero[const_mask].min()) if const_mask.any() \
+        else float("inf")
     if level_star <= constant_floor:
         # The strictly increasing links absorb everything below the cheapest
         # constant link; constants stay empty.
@@ -312,7 +293,6 @@ def _water_fill(latencies: Sequence[LatencyFunction], demand: float,
         leftover = max(0.0, demand - float(flows.sum()))
         sinks = const_mask & (level_at_zero <= constant_floor + 1e-12)
         flows[sinks] = leftover / int(np.count_nonzero(sinks))
-
     return _normalise_total(flows, demand), float(level)
 
 

@@ -77,28 +77,6 @@ def _power_loads_at_levels(levels: np.ndarray, coeffs: np.ndarray,
     return np.where(lin, x_lin, x_pow)
 
 
-def _power_dloads_at_levels(levels: np.ndarray, coeffs: np.ndarray,
-                            degrees: np.ndarray, consts: np.ndarray,
-                            offsets: np.ndarray, kind: str) -> np.ndarray:
-    """Per-row ``dx/dL`` of :func:`_power_loads_at_levels`, 0 where inactive."""
-    L = np.asarray(levels, dtype=float)[:, None]
-    if kind == "nash":
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = np.maximum(L - consts, 0.0) / coeffs
-            x = np.power(t, 1.0 / degrees) - offsets
-            d = np.power(t, 1.0 / degrees - 1.0) / (coeffs * degrees)
-        return np.where(x > 0.0, d, 0.0)
-    lin = degrees == 1.0
-    scale = coeffs * (1.0 + degrees)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = np.maximum(L - consts, 0.0) / scale
-        d_pow = np.where(u > 0.0,
-                         np.power(u, 1.0 / degrees - 1.0) / (scale * degrees),
-                         0.0)
-    d_lin = (L > consts + coeffs * offsets) / (2.0 * coeffs)
-    return np.where(lin, d_lin, d_pow)
-
-
 def _power_level_flow_dflow(levels: np.ndarray, coeffs: np.ndarray,
                             degrees: np.ndarray, consts: np.ndarray,
                             offsets: np.ndarray,
@@ -240,10 +218,6 @@ class _LinearFamily(_Members):
         return (np.maximum(L - self.intercepts, 0.0)
                 / self._level_denoms(kind)).sum(axis=1)
 
-    def level_dflow_sum(self, levels: np.ndarray, kind: str) -> np.ndarray:
-        L = np.asarray(levels, dtype=float)[:, None]
-        return ((L > self.intercepts) / self._level_denoms(kind)).sum(axis=1)
-
     def level_flow_dflow_sum(self, levels: np.ndarray,
                              kind: str) -> Tuple[np.ndarray, np.ndarray]:
         L = np.asarray(levels, dtype=float)[:, None]
@@ -384,10 +358,6 @@ class _PowerFamily(_Members):
         return _power_loads_at_levels(levels, self.coeffs, self.degrees,
                                       self.consts, self.offsets, kind).sum(axis=1)
 
-    def level_dflow_sum(self, levels: np.ndarray, kind: str) -> np.ndarray:
-        return _power_dloads_at_levels(levels, self.coeffs, self.degrees,
-                                       self.consts, self.offsets, kind).sum(axis=1)
-
     def level_flow_dflow_sum(self, levels: np.ndarray,
                              kind: str) -> Tuple[np.ndarray, np.ndarray]:
         return _power_level_flow_dflow(levels, self.coeffs, self.degrees,
@@ -482,17 +452,6 @@ class _MM1Family(_Members):
                     self.factors * self.capacities / L)
             x = np.minimum(x, np.nextafter(self.capacities, 0.0))
         return np.where(L > free_flow, np.maximum(x, 0.0), 0.0).sum(axis=1)
-
-    def level_dflow_sum(self, levels: np.ndarray, kind: str) -> np.ndarray:
-        L = np.asarray(levels, dtype=float)[:, None]
-        free_flow = self.factors / self.capacities
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if kind == "nash":
-                d = self.factors / (L * L)
-            else:
-                d = (0.5 * np.sqrt(self.factors * self.capacities)
-                     * np.power(L, -1.5))
-        return np.where(L > free_flow, d, 0.0).sum(axis=1)
 
     def level_flow_dflow_sum(self, levels: np.ndarray,
                              kind: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -624,11 +583,6 @@ class _PolyFamily(_Members):
                                       self.mono_degrees, self.mono_consts,
                                       self.offsets, kind).sum(axis=1)
 
-    def level_dflow_sum(self, levels: np.ndarray, kind: str) -> np.ndarray:
-        return _power_dloads_at_levels(levels, self.mono_coeffs,
-                                       self.mono_degrees, self.mono_consts,
-                                       self.offsets, kind).sum(axis=1)
-
     def level_flow_dflow_sum(self, levels: np.ndarray,
                              kind: str) -> Tuple[np.ndarray, np.ndarray]:
         return _power_level_flow_dflow(levels, self.mono_coeffs,
@@ -700,9 +654,11 @@ class _LevelProfile:
     (multi-term polynomials; shifted powers when equalising marginal costs)
     that are inverted per scalar level through the bisection fallback.  The
     level engine (:func:`repro.utils.vectorized.sorted_breakpoint_level`)
-    consumes this object: ``breakpoints`` are the free-flow activation
-    levels, ``flow_grid`` the vectorized analytic filled flow, ``extra`` /
-    ``dflow`` the scalar hooks covering the numeric remainder.
+    consumes this object: ``breakpoints`` are the sorted unique free-flow
+    activation levels, ``flow_grid`` the vectorized analytic filled flow,
+    ``extra`` / ``flow_dflow`` the scalar hooks covering the numeric
+    remainder.  Everything it holds is O(m): the engine evaluates the flow
+    only at the levels its segment locator probes.
     """
 
     #: Cap on level-grid x family-row broadcast size per chunk (elements).
@@ -719,10 +675,8 @@ class _LevelProfile:
                 self._analytic.append(fam)
             else:
                 self._numeric.append(fam)
-        self.breakpoints = batch.values_at_zero[~batch.is_constant]
+        self.breakpoints = np.unique(batch.values_at_zero[~batch.is_constant])
         self._rows = sum(len(fam) for fam in self._analytic)
-        self._grid_levels: Optional[np.ndarray] = None
-        self._grid_flows: Optional[np.ndarray] = None
 
     @property
     def has_numeric(self) -> bool:
@@ -731,22 +685,19 @@ class _LevelProfile:
     def grid(self) -> Tuple[np.ndarray, np.ndarray]:
         """Sorted unique breakpoints with their analytic filled flows.
 
-        The grid is demand-independent, so it is computed once per profile
-        (i.e. once per batch and solve kind) and shared by every subsequent
-        solve — repeated water fillings of the same links cost only the
-        segment lookup plus a few Newton evaluations.
+        The dense grid: every analytic row at every breakpoint, O(m^2) work
+        on each call.  No solver uses it; it is an oracle for the level
+        engine's segment locator and a per-layer benchmark probe.
         """
-        if self._grid_flows is None:
-            levels = np.unique(self.breakpoints)
-            if levels.size == 0 or not np.all(np.isfinite(levels)):
-                raise ModelError(
-                    "water filling needs finite activation breakpoints on "
-                    "at least one strictly increasing link")
-            self._grid_levels = levels
-            self._grid_flows = self.flow_grid(levels)
-        return self._grid_levels, self._grid_flows
+        levels = self.breakpoints
+        if levels.size == 0 or not np.all(np.isfinite(levels)):
+            raise ModelError(
+                "water filling needs finite activation breakpoints on "
+                "at least one strictly increasing link")
+        return levels, self.flow_grid(levels)
 
-    def _chunked(self, levels, method: str) -> np.ndarray:
+    def flow_grid(self, levels) -> np.ndarray:
+        """Total analytic filled flow at each candidate level."""
         levels = np.asarray(levels, dtype=float)
         total = np.zeros(levels.shape[0])
         chunk = max(1, self._CHUNK_ELEMENTS // max(self._rows, 1))
@@ -754,16 +705,8 @@ class _LevelProfile:
             block = levels[start:start + chunk]
             out = total[start:start + chunk]
             for fam in self._analytic:
-                out += getattr(fam, method)(block, self.kind)
+                out += fam.level_flow_sum(block, self.kind)
         return total
-
-    def flow_grid(self, levels) -> np.ndarray:
-        """Total analytic filled flow at each candidate level."""
-        return self._chunked(levels, "level_flow_sum")
-
-    def dflow_grid(self, levels) -> np.ndarray:
-        """Derivative of the analytic filled flow at each candidate level."""
-        return self._chunked(levels, "level_dflow_sum")
 
     def _numeric_inverse(self, fam: _Members, level: float) -> np.ndarray:
         return fam.inverse_values(level) if self.kind == "nash" \
@@ -790,20 +733,13 @@ class _LevelProfile:
             contrib = np.where(active & (denom > 0.0), 1.0 / denom, 0.0)
         return float(contrib.sum())
 
-    def dflow(self, level: float) -> float:
-        """Total ``d(filled flow)/dL`` at a scalar level, numeric rows included."""
-        total = float(self.dflow_grid(np.array([level]))[0])
-        for fam in self._numeric:
-            total += self._numeric_dflow(fam, self._numeric_inverse(fam, level))
-        return total
-
     def flow_dflow_grid(self, levels) -> Tuple[np.ndarray, np.ndarray]:
         """Fused batched ``(flow, dflow)`` at an array of levels.
 
         The array analogue of :meth:`flow_dflow` for the analytic rows: one
         pass per family sharing the ``np.power`` intermediates between the
-        flow and its derivative, so the batched engine's Newton iterations
-        cost one family sweep instead of two.
+        flow and its derivative, so each of the batched engine's Newton
+        iterations costs one family sweep.
         """
         levels = np.asarray(levels, dtype=float)
         flow = np.zeros(levels.shape[0])

@@ -13,8 +13,11 @@ inverses of :class:`repro.latency.batch.LatencyBatch`.
 * :func:`sorted_breakpoint_level` / :func:`sorted_breakpoint_levels` — the
   generic sorted-breakpoint *level engine*: the same segment-location idea for
   any monotone "total filled flow at level L" function built from closed-form
-  family inverses, finished with a few safeguarded Newton steps inside the
-  active segment instead of 40+ full-array bisection passes;
+  family inverses.  One segment locator serves both: it narrows an index
+  range over the sorted breakpoints in a few vectorized flow evaluations
+  (O(m log m), never the O(m^2) grid of every link at every breakpoint),
+  and a few safeguarded Newton steps finish inside the active segment
+  instead of 40+ full-array bisection passes;
 * :func:`vectorized_bisect` — guarded bisection on arrays of brackets, one
   array op per step for all components simultaneously;
 * :func:`expand_upper_brackets` — geometric bracket expansion, masked so that
@@ -108,16 +111,77 @@ def _validated_breakpoints(breakpoints: np.ndarray) -> np.ndarray:
     bp = np.unique(np.asarray(breakpoints, dtype=float))
     if bp.size == 0:
         raise ModelError("the breakpoint engine needs at least one breakpoint")
-    if not np.all(np.isfinite(bp)):
+    if not (math.isfinite(bp[0]) and math.isfinite(bp[-1])):  # NaN sorts last
         raise ModelError("activation breakpoints must be finite")
     return bp
 
 
+#: Cap on probe levels x breakpoints evaluated per segment-locator round.
+_LOCATE_ELEMENTS = 8192
+
+
+def _locate_segments(bp: np.ndarray, demands: np.ndarray,
+                     total: Callable[[np.ndarray], np.ndarray], budget: int,
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Active breakpoint segment of every demand.
+
+    ``bp`` holds sorted unique breakpoints and ``total`` maps an array of
+    levels to the total filled flow at each.  Returns ``(k, f_lo, f_hi)``:
+    ``k`` is the largest index with ``total(bp[k]) <= demand`` (0 when even
+    ``bp[0]`` overfills), ``f_lo`` the flow at ``bp[k]`` and ``f_hi`` the
+    flow at ``bp[k + 1]`` (NaN when unknown: ``k`` is the last index, or
+    ``bp[0]`` already overfills).
+
+    Every round narrows each demand's open index range ``(lo, hi)`` by
+    probing evenly spaced interior breakpoints in one ``total`` call:
+    ``budget // bp.size`` levels shared among the open demands, but never
+    fewer than one per demand, so every round makes progress.  All ranges
+    start as the whole index line, so round one probes the same levels for
+    every demand.  The cost is O(m log m) per demand instead of the O(m^2)
+    grid of every link at every breakpoint.
+    """
+    n = bp.size
+    probes = min(max(1, budget // n), n)
+    at = np.arange(1, probes + 1) * (n + 1) // (probes + 1) - 1
+    flows = np.asarray(total(bp[at]), dtype=float)
+    # Probes at or below each demand (NaN flows count as above).
+    below = np.searchsorted(flows, demands, side="right")
+    at = np.concatenate(([-1], at, [n]))
+    flows = np.concatenate(([np.nan], flows, [np.nan]))
+    lo, hi = at[below], at[below + 1]
+    f_lo, f_hi = flows[below], flows[below + 1]
+    rows = np.flatnonzero(hi - lo > 1)
+    while rows.size:
+        width = hi[rows] - lo[rows]
+        probes = min(max(1, budget // (n * rows.size)), int(width.min()) - 1)
+        # Each row runs lo, the probes, hi; with probes < width the evenly
+        # spaced probes are strictly increasing and inside the open range.
+        at = np.empty((rows.size, probes + 2), dtype=np.intp)
+        at[:, 0] = lo[rows]
+        at[:, -1] = hi[rows]
+        at[:, 1:-1] = at[:, :1] + (
+            np.arange(1, probes + 1) * width[:, None] // (probes + 1))
+        flows = np.empty(at.shape)
+        flows[:, 0] = f_lo[rows]
+        flows[:, -1] = f_hi[rows]
+        # Ranges still overlap early on: evaluate each level once.
+        levels, inverse = np.unique(at[:, 1:-1], return_inverse=True)
+        flows[:, 1:-1] = np.asarray(total(bp[levels]))[
+            inverse.reshape(at[:, 1:-1].shape)]
+        below = (flows[:, 1:-1] <= demands[rows, None]).sum(axis=1)
+        pick = np.arange(rows.size)
+        lo[rows], hi[rows] = at[pick, below], at[pick, below + 1]
+        f_lo[rows], f_hi[rows] = flows[pick, below], flows[pick, below + 1]
+        rows = rows[hi[rows] - lo[rows] > 1]
+    first = lo < 0
+    f_lo[first] = f_hi[first]
+    f_hi[first] = np.nan
+    return np.maximum(lo, 0), f_lo, f_hi
+
+
 def sorted_breakpoint_level(breakpoints: np.ndarray, demand: float,
                             flow_grid: Callable[[np.ndarray], np.ndarray], *,
-                            grid_flows: Optional[np.ndarray] = None,
                             extra: Optional[Callable[[float], float]] = None,
-                            dflow: Optional[Callable[[float], float]] = None,
                             flow_dflow: Optional[
                                 Callable[[float], Tuple[float, float]]] = None,
                             tol: float = 1e-12, max_expansions: int = 200,
@@ -129,77 +193,52 @@ def sorted_breakpoint_level(breakpoints: np.ndarray, demand: float,
     are deduplicated here); ``flow_grid(levels)`` maps an array of candidate
     levels to the total closed-form filled flow at each of them, and must be
     non-decreasing.  ``extra`` optionally adds the (scalar, typically
-    bisected) contribution of links without a closed-form inverse; ``dflow``
-    optionally supplies ``d(total flow)/dL`` at a scalar level, enabling
-    safeguarded Newton finishing inside the active segment.  ``flow_dflow``,
-    when given, replaces both per-iteration calls with one fused evaluation
-    returning ``(total flow including extra, total dflow)`` — the cheapest
-    option when the caller can share intermediates between the two.
+    bisected) contribution of links without a closed-form inverse.
+    ``flow_dflow``, when given, returns ``(total flow including extra,
+    d(total flow)/dL)`` at a scalar level in one fused evaluation, enabling
+    safeguarded Newton finishing inside the active segment.
 
-    The solve is: evaluate the total flow at every breakpoint once (one
-    vectorized call), locate the segment containing ``demand`` with a single
-    ``searchsorted`` (or an index bisection when ``extra`` makes grid values
-    non-precomputable), then run safeguarded Newton — each step either a
-    Newton update (when it stays inside the bracket) or a bisection fallback —
-    until the bracket width drops below ``tol * scale``, the same stopping
-    rule as :func:`repro.utils.rootfind.bisect_root`.
-
-    The breakpoint grid is demand-independent, so repeated solves over the
-    same links should precompute ``grid_flows = flow_grid(unique_breakpoints)``
-    once and pass it in — then ``breakpoints`` must already be sorted and
-    unique, and the per-solve cost drops to one ``searchsorted`` plus a few
-    O(m) Newton evaluations.
+    The solve is: locate the segment containing ``demand`` by narrowing an
+    index range over the sorted breakpoints (a few vectorized flow
+    evaluations, one interior breakpoint per round when ``extra`` is
+    present), then run safeguarded Newton from the secant of the segment's
+    endpoints — each step either a Newton update (when it stays inside the
+    bracket) or a bisection fallback — until the bracket width drops below
+    ``tol * scale``, the same stopping rule as
+    :func:`repro.utils.rootfind.bisect_root`.
 
     Raises :class:`ConvergenceError` when no finite level absorbs ``demand``
     (e.g. M/M/1 links saturating below it) or when the flow evaluates to NaN.
     """
     if demand < 0.0:
         raise ModelError(f"demand must be >= 0, got {demand!r}")
-    if grid_flows is None:
-        bp = _validated_breakpoints(breakpoints)
-        grid = np.asarray(flow_grid(bp), dtype=float)
-    else:
-        bp = np.asarray(breakpoints, dtype=float)
-        grid = np.asarray(grid_flows, dtype=float)
-        if bp.shape != grid.shape or bp.ndim != 1 or bp.size == 0:
-            raise ModelError(
-                "grid_flows must match the sorted unique breakpoints")
+    bp = _validated_breakpoints(breakpoints)
+
+    def totals(levels: np.ndarray) -> np.ndarray:
+        flows = np.asarray(flow_grid(levels), dtype=float)
+        if extra is not None:
+            flows = flows + np.array([float(extra(lv)) for lv in levels])
+        return flows
 
     def total(level: float) -> float:
-        value = float(np.asarray(flow_grid(np.array([level])))[0])
-        if extra is not None:
-            value += float(extra(level))
-        return value
-    # Locate the active segment: the largest k with total(bp[k]) <= demand.
-    if extra is None:
-        k = max(int(np.searchsorted(grid, demand, side="right")) - 1, 0)
-        g_lo = float(grid[k]) - demand
-    else:
-        lo_i, hi_i = 0, int(bp.size) - 1
-        if total(float(bp[lo_i])) > demand:
-            k = 0
-        elif hi_i == lo_i or total(float(bp[hi_i])) <= demand:
-            k = hi_i
-        else:
-            while hi_i - lo_i > 1:
-                mid = (lo_i + hi_i) // 2
-                if total(float(bp[mid])) <= demand:
-                    lo_i = mid
-                else:
-                    hi_i = mid
-            k = lo_i
-        g_lo = total(float(bp[k])) - demand
+        return float(totals(np.array([level]))[0])
+
+    # Each ``extra`` level costs a scalar bisected inverse, so the locator
+    # then probes a single breakpoint per round.
+    k, f_lo, f_hi = _locate_segments(
+        bp, np.array([demand]), totals,
+        _LOCATE_ELEMENTS if extra is None else 0)
+    k = int(k[0])
     lo = float(bp[k])
+    g_lo = float(f_lo[0]) - demand
     if g_lo >= 0.0:
         # Only possible through rounding at the smallest breakpoint: the
         # filled flow there is already (numerically) the demand.
         return lo
 
-    g_hi = None
+    g_hi = float(f_hi[0]) - demand
     if k + 1 < bp.size:
         hi = float(bp[k + 1])
-        if extra is None:
-            g_hi = float(grid[k + 1]) - demand
     else:
         # Above the top breakpoint: geometric expansion, exactly like the
         # scalar expand_upper_bracket used by the bisection path.
@@ -215,11 +254,11 @@ def sorted_breakpoint_level(breakpoints: np.ndarray, demand: float,
                 f"{max_expansions} expansions", iterations=max_expansions)
 
     scale = max(1.0, abs(lo), abs(hi))
-    # Secant start: both endpoint gaps are already known (from the cached
-    # grid or the expansion), so the first iterate is free and usually lands
+    # Secant start: both endpoint gaps are already known (from the locator
+    # or the expansion), so the first iterate is free and usually lands
     # very close to the root.
     x = 0.5 * (lo + hi)
-    if g_hi is not None and math.isfinite(g_hi) and g_hi > g_lo:
+    if math.isfinite(g_hi) and g_hi > g_lo:
         secant = lo - g_lo * (hi - lo) / (g_hi - g_lo)
         if lo < secant < hi:
             x = secant
@@ -230,7 +269,7 @@ def sorted_breakpoint_level(breakpoints: np.ndarray, demand: float,
             d = float(d)
         else:
             g = total(x) - demand
-            d = float(dflow(x)) if dflow is not None else math.nan
+            d = math.nan
         if math.isnan(g):
             raise ConvergenceError(
                 "water-filling flow evaluated to NaN during the level solve")
@@ -256,51 +295,34 @@ def sorted_breakpoint_level(breakpoints: np.ndarray, demand: float,
 
 def sorted_breakpoint_levels(breakpoints: np.ndarray, demands: np.ndarray,
                              flow_grid: Callable[[np.ndarray], np.ndarray],
-                             dflow_grid: Callable[[np.ndarray], np.ndarray], *,
-                             grid_flows: Optional[np.ndarray] = None,
-                             flow_dflow_grid: Optional[Callable[
-                                 [np.ndarray],
-                                 Tuple[np.ndarray, np.ndarray]]] = None,
-                             tol: float = 1e-12, max_expansions: int = 200,
+                             flow_dflow_grid: Callable[
+                                 [np.ndarray], Tuple[np.ndarray, np.ndarray]],
+                             *, tol: float = 1e-12, max_expansions: int = 200,
                              max_iter: int = 200) -> np.ndarray:
     """Batched :func:`sorted_breakpoint_level` over many demands at once.
 
     Solves ``flow_grid(L_j) = demand_j`` for every entry of ``demands`` over
-    one shared breakpoint grid: the grid flows are evaluated once, one
-    ``searchsorted`` locates every active segment, and all the safeguarded
-    Newton iterations run vectorized across the batch (only rows that have
-    not converged are re-evaluated).  Requires closed forms throughout —
-    callers with numeric (``extra``) links fall back to the scalar engine.
-    As with :func:`sorted_breakpoint_level`, pass a precomputed
-    ``grid_flows`` (with sorted unique ``breakpoints``) to skip the grid
-    evaluation on repeated solves, and ``flow_dflow_grid`` — one fused call
-    returning ``(flows, dflows)`` — to halve the per-iteration family
-    sweeps.
+    the same links: the segment locator narrows every demand's index range
+    in shared flow evaluations, and all the safeguarded Newton iterations
+    run vectorized across the batch (only rows that have not converged are
+    re-evaluated).  Requires closed forms throughout — callers with numeric
+    (``extra``) links fall back to the scalar engine.  Each Newton
+    iteration is one fused ``flow_dflow_grid`` call returning
+    ``(flows, d flows/dL)`` at the pending levels.
     """
     demands = np.asarray(demands, dtype=float)
     if demands.ndim != 1:
         raise ModelError("sorted_breakpoint_levels needs a 1-d demand array")
     if np.any(demands < 0.0):
         raise ModelError("demands must be >= 0")
-    if grid_flows is None:
-        bp = _validated_breakpoints(breakpoints)
-        grid = None
-    else:
-        bp = np.asarray(breakpoints, dtype=float)
-        grid = np.asarray(grid_flows, dtype=float)
-        if bp.shape != grid.shape or bp.ndim != 1 or bp.size == 0:
-            raise ModelError(
-                "grid_flows must match the sorted unique breakpoints")
+    bp = _validated_breakpoints(breakpoints)
     if demands.size == 0:
         return np.empty(0, dtype=float)
-    if grid is None:
-        grid = np.asarray(flow_grid(bp), dtype=float)
-    k = np.searchsorted(grid, demands, side="right") - 1
-    np.maximum(k, 0, out=k)
-    lo = bp[k].astype(float)
+    k, f_lo, f_hi = _locate_segments(bp, demands, flow_grid, _LOCATE_ELEMENTS)
+    lo = bp[k]
     hi = np.empty_like(lo)
     inner = k + 1 < bp.size
-    hi[inner] = bp[np.minimum(k[inner] + 1, bp.size - 1)]
+    hi[inner] = bp[k[inner] + 1]
     top = ~inner
     if np.any(top):
         hi[top] = expand_upper_brackets(
@@ -308,27 +330,22 @@ def sorted_breakpoint_levels(breakpoints: np.ndarray, demands: np.ndarray,
             lo[top], initial=1.0, max_expansions=max_expansions)
 
     scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    x = 0.5 * (lo + hi)
-    if np.any(inner):
-        # Secant start from the two grid endpoints of each active segment.
-        g_lo = grid[k] - demands
-        g_hi = grid[np.minimum(k + 1, bp.size - 1)] - demands
-        with np.errstate(divide="ignore", invalid="ignore"):
-            secant = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-        use = inner & (g_hi > g_lo) & (secant > lo) & (secant < hi)
-        x = np.where(use, secant, x)
+    # Secant start from the two flows the locator found at each active
+    # segment's endpoints (NaN, so no secant, where one is unknown).
+    g_lo = f_lo - demands
+    g_hi = f_hi - demands
+    with np.errstate(divide="ignore", invalid="ignore"):
+        secant = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+    use = (g_hi > g_lo) & (secant > lo) & (secant < hi)
+    x = np.where(use, secant, 0.5 * (lo + hi))
     active = np.ones(demands.size, dtype=bool)
     for _ in range(max_iter):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        if flow_dflow_grid is not None:
-            flows, d = flow_dflow_grid(x[idx])
-            g = np.asarray(flows, dtype=float) - demands[idx]
-            d = np.asarray(d, dtype=float)
-        else:
-            g = np.asarray(flow_grid(x[idx]), dtype=float) - demands[idx]
-            d = None
+        flows, d = flow_dflow_grid(x[idx])
+        g = np.asarray(flows, dtype=float) - demands[idx]
+        d = np.asarray(d, dtype=float)
         if np.any(np.isnan(g)):
             raise ConvergenceError(
                 "water-filling flow evaluated to NaN during the level solve")
@@ -339,8 +356,6 @@ def sorted_breakpoint_levels(breakpoints: np.ndarray, demands: np.ndarray,
         hi[idx] = hi_i
         exact = g == 0.0
         done = exact | (hi_i - lo_i <= tol * scale[idx])
-        if d is None:
-            d = np.asarray(dflow_grid(x[idx]), dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = np.where(d > 0.0, -g / d, np.nan)
         nxt = x[idx] + step

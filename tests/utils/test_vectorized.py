@@ -1,7 +1,8 @@
 """Tests for the vectorized numeric kernels (`repro.utils.vectorized`).
 
-Covers the sorted-breakpoint level engine (scalar and batched), the exact
-all-linear closed form, and the two kernel bug regressions: the NaN guard in
+Covers the sorted-breakpoint level engine (scalar and batched) and its
+segment locator, the exact all-linear closed form, and the two kernel bug
+regressions: the NaN guard in
 ``vectorized_bisect`` and the frozen-row probing of ``expand_upper_brackets``.
 """
 
@@ -10,7 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.equilibrium.parallel import water_fill
 from repro.exceptions import ConvergenceError, ModelError
+from repro.instances import random_mixed_parallel
+from repro.latency.batch import LatencyBatch, _LevelProfile
+from repro.utils import vectorized
 from repro.utils.vectorized import (
     expand_upper_brackets,
     piecewise_linear_level,
@@ -62,56 +67,73 @@ def _affine_dflow(weights, breaks):
     return dflow
 
 
+def _affine_flow_dflow(weights, breaks):
+    """Fused ``(flow, dflow)`` at each level, as the batched engine takes."""
+    flow = _affine_flow(weights, breaks)
+    dflow = _affine_dflow(weights, breaks)
+    return lambda levels: (flow(levels), dflow(levels))
+
+
+def _links(size):
+    """``size`` affine links with duplicate breakpoints on purpose."""
+    if size == 4:
+        return np.array([1.0, 0.5, 2.0, 0.25]), np.array([0.0, 1.0, 1.0, 3.0])
+    rng = np.random.default_rng(size)
+    weights = rng.uniform(0.2, 3.0, size=size)
+    breaks = 3.0 * rng.integers(0, size, size=size) / size
+    assert np.unique(breaks).size < size
+    return weights, breaks
+
+
+def _demands(weights, breaks):
+    """Demands from the first segment to far above the top breakpoint."""
+    top = float(_affine_flow(weights, breaks)(np.array([breaks.max()]))[0])
+    return np.array([0.5, 2.5, 42.0, 0.37 * top, 0.81 * top, 3.0 * top])
+
+
+# 300 and 5000 unique-ish breakpoints need several locator rounds.
+SIZES = pytest.mark.parametrize("size", [4, 300, 5000])
+
+
 class TestSortedBreakpointLevel:
-    weights = np.array([1.0, 0.5, 2.0, 0.25])
-    breaks = np.array([0.0, 1.0, 1.0, 3.0])  # duplicate breakpoint on purpose
+    weights, breaks = _links(4)
 
-    def test_matches_exact_affine_solution(self):
-        flow = _affine_flow(self.weights, self.breaks)
-        for demand in (0.5, 1.0, 2.5, 7.0, 100.0):
-            level = sorted_breakpoint_level(self.breaks, demand, flow)
+    @SIZES
+    def test_matches_exact_affine_solution(self, size):
+        weights, breaks = _links(size)
+        flow = _affine_flow(weights, breaks)
+        for demand in _demands(weights, breaks):
+            level = sorted_breakpoint_level(breaks, demand, flow)
             assert level == pytest.approx(
-                piecewise_linear_level(self.weights, self.breaks, demand),
-                rel=1e-10)
+                piecewise_linear_level(weights, breaks, demand), rel=1e-10)
 
-    def test_newton_hook_matches_bisection_only(self):
-        flow = _affine_flow(self.weights, self.breaks)
-        dflow = _affine_dflow(self.weights, self.breaks)
-        for demand in (0.5, 2.5, 42.0):
-            plain = sorted_breakpoint_level(self.breaks, demand, flow)
-            newton = sorted_breakpoint_level(
-                self.breaks, demand, flow,
-                dflow=lambda x: float(dflow(np.array([x]))[0]))
+    @SIZES
+    def test_newton_hook_matches_bisection_only(self, size):
+        weights, breaks = _links(size)
+        flow = _affine_flow(weights, breaks)
+        dflow = _affine_dflow(weights, breaks)
+        for demand in _demands(weights, breaks):
+            plain = sorted_breakpoint_level(breaks, demand, flow)
             fused = sorted_breakpoint_level(
-                self.breaks, demand, flow,
+                breaks, demand, flow,
                 flow_dflow=lambda x: (float(flow(np.array([x]))[0]),
                                       float(dflow(np.array([x]))[0])))
-            assert newton == pytest.approx(plain, rel=1e-10)
             assert fused == pytest.approx(plain, rel=1e-10)
 
-    def test_precomputed_grid_flows_path(self):
-        flow = _affine_flow(self.weights, self.breaks)
-        bp = np.unique(self.breaks)
-        grid = flow(bp)
-        for demand in (0.5, 2.5, 42.0):
-            assert sorted_breakpoint_level(
-                bp, demand, flow, grid_flows=grid) == pytest.approx(
-                    sorted_breakpoint_level(self.breaks, demand, flow),
-                    rel=1e-12)
-
-    def test_extra_term_joins_the_solve(self):
+    @SIZES
+    def test_extra_term_joins_the_solve(self, size):
         # Split the last link out of the closed form into the scalar hook.
-        flow = _affine_flow(self.weights[:3], self.breaks[:3])
+        weights, breaks = _links(size)
+        flow = _affine_flow(weights[:-1], breaks[:-1])
 
         def extra(level):
-            return self.weights[3] * max(level - self.breaks[3], 0.0)
+            return weights[-1] * max(level - breaks[-1], 0.0)
 
-        for demand in (0.5, 2.5, 42.0):
-            level = sorted_breakpoint_level(self.breaks, demand, flow,
+        for demand in _demands(weights, breaks):
+            level = sorted_breakpoint_level(breaks, demand, flow,
                                             extra=extra)
             assert level == pytest.approx(
-                piecewise_linear_level(self.weights, self.breaks, demand),
-                rel=1e-10)
+                piecewise_linear_level(weights, breaks, demand), rel=1e-10)
 
     def test_demand_above_top_breakpoint_expands(self):
         flow = _affine_flow(self.weights, self.breaks)
@@ -146,43 +168,120 @@ class TestSortedBreakpointLevel:
         with pytest.raises(ConvergenceError):
             sorted_breakpoint_level(np.array([0.0, 2.0]), 1.5, flow)
 
-    def test_rejects_negative_demand_and_bad_grid(self):
+    def test_rejects_negative_demand_and_bad_breakpoints(self):
         flow = _affine_flow(self.weights, self.breaks)
         with pytest.raises(ModelError):
             sorted_breakpoint_level(self.breaks, -1.0, flow)
         with pytest.raises(ModelError):
             sorted_breakpoint_level(np.array([0.0, np.inf]), 1.0, flow)
         with pytest.raises(ModelError):
-            sorted_breakpoint_level(np.array([0.0, 1.0]), 1.0, flow,
-                                    grid_flows=np.zeros(3))
+            sorted_breakpoint_level(np.array([]), 1.0, flow)
 
 
 class TestSortedBreakpointLevels:
-    weights = np.array([1.0, 0.5, 2.0, 0.25])
-    breaks = np.array([0.0, 1.0, 1.0, 3.0])
+    weights, breaks = _links(4)
 
-    def test_matches_scalar_engine_per_demand(self):
-        flow = _affine_flow(self.weights, self.breaks)
-        dflow = _affine_dflow(self.weights, self.breaks)
-        demands = np.array([0.0, 0.5, 1.0, 2.5, 7.0, 1e4])
-        levels = sorted_breakpoint_levels(self.breaks, demands, flow, dflow)
+    @SIZES
+    def test_matches_scalar_engine_per_demand(self, size):
+        weights, breaks = _links(size)
+        flow = _affine_flow(weights, breaks)
+        fused = _affine_flow_dflow(weights, breaks)
+        demands = np.concatenate([[0.0, 1.0, 7.0, 1e4],
+                                  _demands(weights, breaks)])
+        levels = sorted_breakpoint_levels(breaks, demands, flow, fused)
         for demand, level in zip(demands, levels):
             assert level == pytest.approx(
-                piecewise_linear_level(self.weights, self.breaks,
-                                       float(demand)), rel=1e-10)
+                piecewise_linear_level(weights, breaks, float(demand)),
+                rel=1e-10)
+            assert level == pytest.approx(
+                sorted_breakpoint_level(breaks, float(demand), flow),
+                rel=1e-10)
 
     def test_empty_batch(self):
         flow = _affine_flow(self.weights, self.breaks)
-        dflow = _affine_dflow(self.weights, self.breaks)
-        out = sorted_breakpoint_levels(self.breaks, np.empty(0), flow, dflow)
+        fused = _affine_flow_dflow(self.weights, self.breaks)
+        out = sorted_breakpoint_levels(self.breaks, np.empty(0), flow, fused)
         assert out.shape == (0,)
 
     def test_rejects_bad_demands(self):
         flow = _affine_flow(self.weights, self.breaks)
-        dflow = _affine_dflow(self.weights, self.breaks)
+        fused = _affine_flow_dflow(self.weights, self.breaks)
         with pytest.raises(ModelError):
             sorted_breakpoint_levels(self.breaks, np.array([-1.0]), flow,
-                                     dflow)
+                                     fused)
+
+
+# --------------------------------------------------------------------------- #
+# The segment locator shared by both engines
+# --------------------------------------------------------------------------- #
+class TestSegmentLocator:
+    def test_matches_the_dense_grid_oracle(self):
+        # The locator must land on the segment a searchsorted over the full
+        # grid of every link at every breakpoint finds, with the same flows.
+        instance = random_mixed_parallel(400, demand=80.0, seed=5)
+        profile = LatencyBatch(instance.latencies).level_profile("optimum")
+        levels, grid = profile.grid()
+        demands = np.concatenate([[0.0], np.linspace(0.5, 2.0 * grid[-1], 37)])
+        k, f_lo, f_hi = vectorized._locate_segments(
+            profile.breakpoints, demands, profile.flow_grid,
+            vectorized._LOCATE_ELEMENTS)
+        expected = np.maximum(
+            np.searchsorted(grid, demands, side="right") - 1, 0)
+        np.testing.assert_array_equal(k, expected)
+        np.testing.assert_array_equal(f_lo, grid[k])
+        inner = k + 1 < levels.size
+        np.testing.assert_array_equal(f_hi[inner], grid[k[inner] + 1])
+        assert np.all(np.isnan(f_hi[~inner]))
+
+    def test_budget_below_row_count_still_terminates(self, monkeypatch):
+        # A budget smaller than the breakpoint count leaves no room for even
+        # one probe per demand; the locator must still probe one interior
+        # breakpoint per round and so finish in ~log2(m) rounds.
+        monkeypatch.setattr(vectorized, "_LOCATE_ELEMENTS", 1)
+        weights, breaks = _links(300)
+        flow = _affine_flow(weights, breaks)
+        calls = []
+
+        def counted(levels):
+            calls.append(len(levels))
+            return flow(levels)
+
+        demands = _demands(weights, breaks)
+        fused = _affine_flow_dflow(weights, breaks)
+        levels = sorted_breakpoint_levels(breaks, demands, counted, fused)
+        np.testing.assert_allclose(
+            levels, piecewise_linear_levels(weights, breaks, demands),
+            rtol=1e-10)
+        # One probe per open demand per round: ~log2(unique breakpoints)
+        # rounds plus the top expansion (Newton runs on the fused call).
+        assert len(calls) < 60
+        assert max(calls) <= demands.size
+        for demand in demands:
+            calls.clear()
+            level = sorted_breakpoint_level(breaks, float(demand), counted)
+            assert level == pytest.approx(
+                piecewise_linear_level(weights, breaks, float(demand)),
+                rel=1e-10)
+            assert len(calls) < 120
+
+    def test_cold_water_fill_evaluates_o_m_log_m_elements(self, monkeypatch):
+        # The dense grid evaluates every increasing link at every unique
+        # breakpoint (~9e6 level x row elements at m=4000); the locator
+        # probes O(log m) levels.
+        m = 4000
+        instance = random_mixed_parallel(m, demand=800.0, seed=0)
+        original = _LevelProfile.flow_grid
+        elements = []
+
+        def counting(self, levels):
+            elements.append(np.size(levels) * self._rows)
+            return original(self, levels)
+
+        monkeypatch.setattr(_LevelProfile, "flow_grid", counting)
+        flows, _ = water_fill(instance.latencies, instance.demand, "nash")
+        assert flows.sum() == pytest.approx(instance.demand)
+        assert elements
+        assert sum(elements) <= 64 * m
 
 
 # --------------------------------------------------------------------------- #
