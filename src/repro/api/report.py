@@ -2,16 +2,18 @@
 
 :class:`SolveReport` replaces the zoo of per-algorithm result types
 (``OpTopResult``, ``MOPResult``, bare strategy objects from the baselines)
-with one flat, JSON-serialisable record.  All flow vectors are plain float
-tuples and the instance is embedded in its serialised form, so a report is
-self-contained: it can be written to disk, shipped between processes, and
-reconstructed losslessly with ``SolveReport.from_json(report.to_json())``.
+with one flat, JSON-serialisable record of what the algorithm output: the
+Leader's share, the Price of Optimum, the flow vectors and their costs.  The
+instance is not part of the report; every cache, store and wire that keeps a
+report names its instance by digest next to it.  All flow vectors are plain
+float tuples, and ``SolveReport.from_json(report.to_json())`` reconstructs a
+report losslessly.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional, Tuple
 
 from repro.exceptions import ModelError
@@ -51,8 +53,6 @@ class SolveReport:
         Registry name of the strategy that produced the report.
     instance_kind:
         ``"parallel"`` or ``"network"``.
-    instance:
-        The instance in the :mod:`repro.serialization` dictionary format.
     alpha:
         Fraction of the demand the Leader actually controls.
     beta:
@@ -78,7 +78,6 @@ class SolveReport:
 
     strategy: str
     instance_kind: str
-    instance: Dict[str, Any]
     alpha: float
     beta: Optional[float]
     leader_flows: Tuple[float, ...]
@@ -94,7 +93,6 @@ class SolveReport:
     metadata: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "instance", _jsonify(self.instance))
         object.__setattr__(self, "metadata", _jsonify(self.metadata))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta",
@@ -148,7 +146,8 @@ class SolveReport:
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
         """Serialise to a plain dictionary (JSON-compatible)."""
-        data = asdict(self)
+        # Shallow: ``_jsonify`` below already copies every container once.
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["config"] = self.config.to_dict()
         return _jsonify(data)
 
@@ -162,17 +161,18 @@ class SolveReport:
         if unknown:
             raise ModelError(
                 f"unknown SolveReport fields: {', '.join(sorted(unknown))}")
-        payload = dict(data)
-        payload["config"] = SolveConfig.from_dict(payload.get("config", {}))
-        for name in ("leader_flows", "induced_flows", "optimum_flows"):
-            payload[name] = _float_tuple(payload[name])
-        if payload.get("nash_flows") is not None:
-            payload["nash_flows"] = _float_tuple(payload["nash_flows"])
-        return cls(**payload)
+        config = SolveConfig.from_dict(data.get("config", {}))
+        return cls(**{**data, "config": config})
 
     def to_json(self, *, indent: Optional[int] = None) -> str:
-        """Serialise to JSON; ``from_json`` inverts this losslessly."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+        """Serialise to JSON; ``from_json`` inverts this losslessly.
+
+        Without ``indent``: the canonical, compact form that the cluster
+        wire ships and the artifact store checksums.
+        """
+        separators = (",", ":") if indent is None else None
+        return json.dumps(self.to_dict(), sort_keys=True, indent=indent,
+                          separators=separators)
 
     @classmethod
     def from_json(cls, text: str) -> "SolveReport":

@@ -36,6 +36,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -76,13 +77,25 @@ def cache_stats() -> Dict[str, int]:
 
 
 def _with_cache_metadata(report: SolveReport, *, hit: bool,
-                         cache: LRUCache) -> SolveReport:
-    """Attach the cache outcome and the running counters to a report."""
-    stats = cache.stats()
+                         cache: Optional[LRUCache],
+                         wall_time: Optional[float] = None,
+                         profile: Optional[dict] = None) -> SolveReport:
+    """Attach the cache outcome and the running counters to a report.
+
+    The one ``replace`` (which re-runs ``SolveReport.__post_init__``) a
+    served report goes through: a fresh solve also sets its ``wall_time``
+    and ``profile`` here.  ``cache=None`` leaves the cache record out.
+    """
     metadata = dict(report.metadata)
-    metadata["cache"] = {"hit": hit, "hits": stats["hits"],
-                         "misses": stats["misses"]}
-    return replace(report, metadata=metadata)
+    if profile is not None:
+        metadata["profile"] = profile
+    if cache is not None:
+        stats = cache.stats()
+        metadata["cache"] = {"hit": hit, "hits": stats["hits"],
+                             "misses": stats["misses"]}
+    if wall_time is None:
+        wall_time = report.wall_time
+    return replace(report, wall_time=wall_time, metadata=metadata)
 
 #: Default strategy: the paper's Price-of-Optimum algorithm, which itself
 #: dispatches between OpTop (parallel links) and MOP (networks).
@@ -120,28 +133,30 @@ def _cache_key(name: str, instance, config: SolveConfig,
     return (f"{name}@{REGISTRY.generation(name)}", digest, config.to_json())
 
 
-def _execute(instance, name: str, config: SolveConfig) -> SolveReport:
+def _execute(instance, name: str, config: SolveConfig,
+             cache: Optional[LRUCache]) -> SolveReport:
     """Run the strategy without touching any cache; times the call.
 
-    With ``config.profile`` set, the strategy runs under a fresh
-    :class:`~repro.obs.profiling.PhaseRecorder` — installed *here* because
-    this function executes wherever the solve actually runs (the calling
-    thread, a service dispatcher, or a pool worker process) — and the
-    per-phase kernel timings land in ``metadata["profile"]``.
+    The report gets a ``hit=False`` record of ``cache``'s counters (none
+    for ``cache=None``).  With ``config.profile`` set, the strategy runs
+    under a fresh :class:`~repro.obs.profiling.PhaseRecorder` — installed
+    *here* because this function executes wherever the solve actually runs
+    (the calling thread, a service dispatcher, or a pool worker process) —
+    and the per-phase kernel timings land in ``metadata["profile"]``.
     """
     fn = get_strategy(name)
-    if config.profile:
-        from repro.obs.profiling import profiled
-        start = time.perf_counter()
-        with profiled() as recorder:
-            report = fn(instance, config)
-        wall_time = time.perf_counter() - start
-        metadata = dict(report.metadata)
-        metadata["profile"] = recorder.to_dict(total_seconds=wall_time)
-        return replace(report, wall_time=wall_time, metadata=metadata)
     start = time.perf_counter()
-    report = fn(instance, config)
-    return replace(report, wall_time=time.perf_counter() - start)
+    if not config.profile:
+        report = fn(instance, config)
+        return _with_cache_metadata(report, hit=False, cache=cache,
+                                    wall_time=time.perf_counter() - start)
+    from repro.obs.profiling import profiled
+    with profiled() as recorder:
+        report = fn(instance, config)
+    wall_time = time.perf_counter() - start
+    return _with_cache_metadata(
+        report, hit=False, cache=cache, wall_time=wall_time,
+        profile=recorder.to_dict(total_seconds=wall_time))
 
 
 def solve(instance, strategy: Optional[str] = None, *,
@@ -175,17 +190,11 @@ def solve(instance, strategy: Optional[str] = None, *,
         cached = result_cache.get(key)  # counts the hit or the miss
         if cached is not None:
             return _with_cache_metadata(cached, hit=True, cache=result_cache)
-    report = _execute(instance, name, config)
+    report = _execute(instance, name, config,
+                      None if key is None else result_cache)
     if key is not None:
-        report = _with_cache_metadata(report, hit=False, cache=result_cache)
         result_cache.put(key, report)
     return report
-
-
-def _solve_task(payload: Tuple[object, str, SolveConfig]) -> SolveReport:
-    """Top-level worker body (must be picklable for the process pool)."""
-    instance, name, config = payload
-    return solve(instance, name, config=config)
 
 
 def _start_method() -> str:
@@ -294,6 +303,9 @@ def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
                 pending.append(i)
     else:
         pending = list(range(len(batch)))
+    # Cache of each fresh report's record (none without a digest).
+    stamp = [None if key is None else result_cache for key in keys]
+    fresh = list(pending)
 
     if len(pending) > 1 and not config.profile:
         # Whole-batch pre-pass: strategies with a registered batch solver
@@ -312,16 +324,11 @@ def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
             if solved is not None and len(solved) == len(pending):
                 each = (time.perf_counter() - start) / len(solved)
                 for i, report in zip(pending, solved):
-                    report = replace(report, wall_time=each)
-                    if keys[i] is not None:
-                        report = _with_cache_metadata(report, hit=False,
-                                                      cache=result_cache)
-                        result_cache.put(keys[i], report)
-                    reports[i] = report
+                    reports[i] = _with_cache_metadata(
+                        report, hit=False, cache=stamp[i], wall_time=each)
                 pending = []
 
     if pending:
-        payloads = [(batch[i], name, config) for i in pending]
         workers = max_workers
         if workers is None:
             workers = min(len(pending), os.cpu_count() or 1)
@@ -334,20 +341,22 @@ def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
                 workers = 1
         if workers > 1 and len(pending) > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                solved = list(pool.map(_solve_task, payloads))
+                solved = pool.map(_execute, [batch[i] for i in pending],
+                                  repeat(name), repeat(config), repeat(None))
+                for i, report in zip(pending, solved):
+                    # Workers cannot see this session's cache: stamp here.
+                    reports[i] = report if stamp[i] is None else \
+                        _with_cache_metadata(report, hit=False, cache=stamp[i])
         else:
             # The scan above already recorded these lookups as misses, so
             # run the strategy directly instead of re-probing through
             # solve() (which would double-count).
-            solved = [_execute(*payload) for payload in payloads]
-        for i, report in zip(pending, solved):
-            if keys[i] is not None:
-                # Re-stamp pooled reports too: worker-side counters are
-                # process-local and meaningless to this session.
-                report = _with_cache_metadata(report, hit=False,
-                                              cache=result_cache)
-                result_cache.put(keys[i], report)
-            reports[i] = report
+            for i in pending:
+                reports[i] = _execute(batch[i], name, config, stamp[i])
+
+    for i in fresh:
+        if keys[i] is not None:
+            result_cache.put(keys[i], reports[i])
 
     for i, j in duplicates:
         # Structural duplicates inside the batch were solved once; each

@@ -23,7 +23,7 @@ from repro.api.config import SolveConfig
 from repro.api.dispatch import NETWORK, PARALLEL, resolve_instance_kind
 from repro.api.registry import register_batch_strategy, register_strategy
 from repro.api.report import SolveReport
-from repro.serialization import instance_to_dict, latency_to_dict
+from repro.serialization import latency_to_dict
 from repro.core.mop import mop
 from repro.core.optop import optop
 from repro.baselines.aloof import aloof
@@ -58,7 +58,7 @@ def _flows_of(result) -> Any:
     return result.flows if hasattr(result, "flows") else result.edge_flows
 
 
-def _build_report(*, name: str, instance, kind: str, config: SolveConfig,
+def _build_report(*, name: str, kind: str, config: SolveConfig,
                   alpha: float, beta: Optional[float], leader_flows,
                   induced_flows, induced_cost: float, optimum, nash,
                   metadata: Dict[str, Any]) -> SolveReport:
@@ -72,7 +72,6 @@ def _build_report(*, name: str, instance, kind: str, config: SolveConfig,
     return SolveReport(
         strategy=name,
         instance_kind=kind,
-        instance=instance_to_dict(instance),
         alpha=alpha,
         beta=beta,
         leader_flows=leader_flows,
@@ -97,8 +96,8 @@ def _parallel_baseline_report(name: str, instance, config: SolveConfig,
     if outcome is None:
         outcome = strategy.induce(instance, tol=config.water_fill_tol)
     return _build_report(
-        name=name, instance=instance, kind=PARALLEL, config=config,
-        alpha=strategy.alpha, beta=None, leader_flows=strategy.flows,
+        name=name, kind=PARALLEL, config=config, alpha=strategy.alpha,
+        beta=None, leader_flows=strategy.flows,
         induced_flows=outcome.combined_flows, induced_cost=float(outcome.cost),
         optimum=optimum, nash=nash, metadata=metadata)
 
@@ -114,8 +113,8 @@ def _network_baseline_report(name: str, instance, config: SolveConfig,
         outcome = strategy.induce(instance, solver=solver,
                                   tolerance=config.tolerance)
     return _build_report(
-        name=name, instance=instance, kind=NETWORK, config=config,
-        alpha=strategy.alpha, beta=None, leader_flows=strategy.edge_flows,
+        name=name, kind=NETWORK, config=config, alpha=strategy.alpha,
+        beta=None, leader_flows=strategy.edge_flows,
         induced_flows=outcome.combined_flows, induced_cost=float(outcome.cost),
         optimum=optimum, nash=nash, metadata=metadata)
 
@@ -124,7 +123,7 @@ def _network_baseline_report(name: str, instance, config: SolveConfig,
 # The Price-of-Optimum strategies (Theorem 2.1)
 # --------------------------------------------------------------------------- #
 def _mop_report(name: str, instance, config: SolveConfig, *,
-                report_instance=None, kind: str = NETWORK,
+                kind: str = NETWORK,
                 extra_metadata: Optional[Dict[str, Any]] = None) -> SolveReport:
     result = mop(instance, compute_nash=config.compute_nash, config=config)
     metadata = {
@@ -136,10 +135,8 @@ def _mop_report(name: str, instance, config: SolveConfig, *,
     if extra_metadata:
         metadata.update(extra_metadata)
     return _build_report(
-        name=name, instance=report_instance if report_instance is not None
-        else instance, kind=kind, config=config,
-        alpha=result.strategy.alpha, beta=result.beta,
-        leader_flows=result.strategy.edge_flows,
+        name=name, kind=kind, config=config, alpha=result.strategy.alpha,
+        beta=result.beta, leader_flows=result.strategy.edge_flows,
         induced_flows=result.outcome.combined_flows,
         induced_cost=result.induced_cost,
         optimum=result.optimum, nash=result.nash, metadata=metadata)
@@ -162,7 +159,7 @@ def solve_optop(instance, config: SolveConfig) -> SolveReport:
             "frozen_links": [sorted(r.frozen_links) for r in result.rounds],
         }
         return _build_report(
-            name="optop", instance=instance, kind=PARALLEL, config=config,
+            name="optop", kind=PARALLEL, config=config,
             alpha=result.strategy.alpha, beta=result.beta,
             leader_flows=result.strategy.flows,
             induced_flows=result.outcome.combined_flows,
@@ -184,8 +181,7 @@ def solve_mop(instance, config: SolveConfig) -> SolveReport:
     if kind == NETWORK:
         return _mop_report("mop", instance, config)
     embedded = parallel_network_as_graph(instance)
-    return _mop_report("mop", embedded, config, report_instance=instance,
-                       kind=PARALLEL,
+    return _mop_report("mop", embedded, config, kind=PARALLEL,
                        extra_metadata={"embedded_parallel_links": True})
 
 
@@ -297,7 +293,7 @@ def solve_aloof_many(instances: Sequence[object],
                 follower_result=nash,
             )
             reports[i] = _build_report(
-                name="aloof", instance=inst, kind=PARALLEL, config=config,
+                name="aloof", kind=PARALLEL, config=config,
                 alpha=strategy.alpha, beta=None, leader_flows=strategy.flows,
                 induced_flows=outcome.combined_flows,
                 induced_cost=float(outcome.cost), optimum=optimum,

@@ -276,7 +276,7 @@ def _route(batch: LatencyBatch, kind: str, demand: float,
     inverse = batch.inverse_values if kind == "nash" else batch.inverse_marginals
     constant_floor = float(level_at_zero[const_mask].min()) if const_mask.any() \
         else float("inf")
-    if level_star <= constant_floor:
+    if level_star <= constant_floor and level_star < np.inf:
         # The strictly increasing links absorb everything below the cheapest
         # constant link; constants stay empty.
         flows[inc_mask] = inverse(level_star)[inc_mask]
@@ -350,7 +350,7 @@ def water_fill_reference(latencies: Sequence[LatencyFunction], demand: float,
     else:
         level_star = float("inf")
 
-    if level_star <= constant_floor:
+    if level_star <= constant_floor and level_star < np.inf:
         # The strictly increasing links absorb everything below the cheapest
         # constant link; constants stay empty.
         for i in increasing:

@@ -44,6 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 __all__ = ["ArtifactStore", "artifact_key", "storable_strategy"]
 
+#: Artifact layout version, part of every :func:`artifact_key`: a bump makes
+#: older artifacts unreachable, so they are re-solved.  2: no instance.
+ARTIFACT_FORMAT = 2
+
 
 def storable_strategy(strategy: str) -> bool:
     """Whether artifacts may serve/persist results for ``strategy``.
@@ -63,8 +67,9 @@ def artifact_key(instance_digest: str, strategy: str,
                  config: SolveConfig) -> str:
     """The content address of one solved cell.
 
-    SHA-256 over the canonical JSON of ``{instance digest, strategy, config}``
-    — everything that determines the solver output.  Stable across processes
+    SHA-256 over the canonical JSON of ``{instance digest, strategy, config,
+    format}`` — everything that determines the solver output, plus the
+    :data:`ARTIFACT_FORMAT` of the stored report.  Stable across processes
     and platforms because every component is itself canonical JSON.
 
     The strategy is addressed by *name*: unlike the in-process result cache
@@ -75,7 +80,7 @@ def artifact_key(instance_digest: str, strategy: str,
     """
     payload = json.dumps(
         {"instance": instance_digest, "strategy": strategy,
-         "config": json.loads(config.to_json())},
+         "config": json.loads(config.to_json()), "format": ARTIFACT_FORMAT},
         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -210,8 +215,7 @@ class ArtifactStore:
         """
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        report_json = json.dumps(json.loads(report.to_json()),
-                                 sort_keys=True, separators=(",", ":"))
+        report_json = report.to_json()
         # The checksum covers the TRUE payload, before any injected
         # damage — bit rot happens after a correct write, and a checksum
         # taken over already-corrupt bytes would dutifully verify them.
@@ -228,10 +232,8 @@ class ArtifactStore:
                 report_json = (report_json[:mid]
                                + ("X" if report_json[mid] != "X" else "Y")
                                + report_json[mid + 1:])
-        body = json.dumps({"sha256": checksum,
-                           "report": json.loads(report_json)
-                           if _is_json(report_json) else report_json},
-                          sort_keys=True, separators=(",", ":"))
+        # The canonical envelope ("report" sorts first), encoded once.
+        body = f'{{"report":{report_json},"sha256":"{checksum}"}}'
         if self._faults is not None \
                 and self._faults.draw("store_torn_write") is not None:
             body = body[:max(1, len(body) // 2)]  # torn mid-write
@@ -308,12 +310,3 @@ class ArtifactStore:
         with self._stats_lock:
             for key in self._stats:
                 self._stats[key] = 0
-
-
-def _is_json(text: str) -> bool:
-    """Whether ``text`` still parses (an injected byte-flip may break it)."""
-    try:
-        json.loads(text)
-        return True
-    except (json.JSONDecodeError, ValueError):
-        return False

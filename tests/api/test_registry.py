@@ -18,7 +18,8 @@ from repro.api import (
 from repro.exceptions import ModelError, StrategyError
 from repro.instances import pigou, braess_paradox
 from repro.network.parallel import ParallelLinkInstance
-from repro.serialization import instance_from_dict, instance_to_dict
+from repro.serialization import (instance_digest, instance_from_dict,
+                                 instance_to_dict)
 
 BUILTINS = {"optop", "mop", "llf", "scale", "aloof", "brute_force"}
 
@@ -110,10 +111,11 @@ class TestInstanceKindDispatch:
             def __getattr__(self, name):
                 return getattr(self._inner, name)
 
-        report = solve(Wrapper(pigou_instance), "optop",
-                       config=SolveConfig(cache=False))
+        wrapped = Wrapper(pigou_instance)
+        report = solve(wrapped, "optop", config=SolveConfig(cache=False))
         assert report.beta == pytest.approx(0.5, abs=1e-9)
-        assert report.instance == instance_to_dict(pigou_instance)
+        # The wrapper is the same instance to every digest-keyed cache.
+        assert instance_digest(wrapped) == instance_digest(pigou_instance)
 
 
 class TestSolveOnLoadedInstances:

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
-from repro.api import SolveConfig, SolveReport, available_strategies, solve
-from repro.instances import braess_paradox, figure_4_example, pigou
-from repro.serialization import instance_from_dict
+from repro.api import (SolveConfig, SolveReport, available_strategies, solve,
+                       solve_many)
+from repro.cache import LRUCache
+from repro.cluster import protocol
+from repro.exceptions import ModelError
+from repro.instances import (braess_paradox, figure_4_example, pigou,
+                             random_mixed_parallel)
+from repro.serialization import instance_digest
+from repro.study import ArtifactStore, artifact_key
 
 INSTANCES = {
     "pigou": pigou,
@@ -37,12 +44,21 @@ class TestRoundTrip:
         # A second round trip is byte-identical (canonical rendering).
         assert restored.to_json() == text
 
-    def test_embedded_instance_reloads(self, strategy, instance_name):
-        report = solve(INSTANCES[instance_name](), strategy, config=CONFIG)
-        reloaded = instance_from_dict(report.instance)
-        fresh = solve(reloaded, strategy, config=CONFIG)
-        assert fresh.instance == report.instance
-        assert fresh.induced_cost == pytest.approx(report.induced_cost, rel=1e-9)
+    def test_lean_report_round_trips_through_store_and_wire(
+            self, strategy, instance_name, tmp_path):
+        instance = INSTANCES[instance_name]()
+        report = solve(instance, strategy, config=CONFIG)
+        assert "instance" not in report.to_dict()
+        canonical = report.to_json()
+        store = ArtifactStore(tmp_path)
+        key = artifact_key(instance_digest(instance), strategy, CONFIG)
+        envelope = json.loads(store.put(key, report).read_text())
+        assert envelope["sha256"] == \
+            hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        assert store.get(key) == report
+        wire = protocol.encode_report(report)
+        assert wire == canonical.encode("utf-8")
+        assert protocol.decode_report(wire) == report
 
 
 class TestReportShape:
@@ -80,9 +96,63 @@ class TestReportShape:
         assert beta_graph == pytest.approx(beta_links, abs=1e-5)
 
     def test_unknown_field_rejected(self, pigou_instance):
-        from repro.exceptions import ModelError
-
         data = solve(pigou_instance, "optop").to_dict()
         data["surprise"] = 1
         with pytest.raises(ModelError):
             SolveReport.from_dict(data)
+
+    def test_embedded_instance_rejected(self, pigou_instance):
+        """Reports that still embed their instance are not read back."""
+        data = solve(pigou_instance, "optop").to_dict()
+        data["instance"] = {"kind": "parallel"}
+        with pytest.raises(ModelError):
+            SolveReport.from_dict(data)
+
+    def test_canonical_json_is_compact_and_sorted(self, pigou_instance):
+        report = solve(pigou_instance, "optop")
+        text = report.to_json()
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  separators=(",", ":"))
+        assert SolveReport.from_json(report.to_json(indent=2)) == report
+
+
+#: Configurations that take every stamping path of a fresh solve: the cache
+#: record, no cache record, and the profiler's extra metadata.
+STAMP_CONFIGS = [SolveConfig(), SolveConfig(cache=False),
+                 SolveConfig(profile=True)]
+
+
+@pytest.fixture()
+def post_init_calls(monkeypatch):
+    """How many times ``SolveReport.__post_init__`` has run."""
+    calls = []
+    original = SolveReport.__post_init__
+
+    def counted(self):
+        calls.append(None)
+        original(self)
+
+    monkeypatch.setattr(SolveReport, "__post_init__", counted)
+    return calls
+
+
+class TestReportBuiltOnce:
+    """A fresh report is built once and stamped by at most one ``replace``."""
+
+    @pytest.mark.parametrize("config", STAMP_CONFIGS)
+    @pytest.mark.parametrize("strategy", ["optop", "aloof", "mop"])
+    def test_cold_solve(self, post_init_calls, strategy, config):
+        solve(random_mixed_parallel(20, demand=4.0, seed=3), strategy,
+              config=config, cache=LRUCache())
+        assert len(post_init_calls) <= 2
+
+    @pytest.mark.parametrize("config", STAMP_CONFIGS)
+    @pytest.mark.parametrize("strategy", ["optop", "aloof"])
+    def test_cold_solve_many(self, post_init_calls, strategy, config):
+        # aloof takes the whole-batch pre-pass: its instances share links.
+        base = random_mixed_parallel(20, demand=4.0, seed=3)
+        instances = [type(base)(base.latencies, 1.0 + k) for k in range(4)]
+        reports = solve_many(instances, strategy, config=config,
+                             max_workers=0, cache=LRUCache())
+        assert len(reports) == len(instances)
+        assert len(post_init_calls) <= 2 * len(instances)

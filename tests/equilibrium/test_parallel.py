@@ -14,7 +14,8 @@ from repro.equilibrium import (
     parallel_optimality_gap,
     parallel_wardrop_gap,
 )
-from repro.equilibrium.parallel import water_fill
+from repro.equilibrium.parallel import (water_fill, water_fill_many,
+                                        water_fill_reference)
 
 
 class TestPigouFlows:
@@ -161,6 +162,19 @@ class TestWaterFillFunction:
     def test_empty_links_rejected(self):
         with pytest.raises(ModelError):
             water_fill([], 1.0, "nash")
+
+    @pytest.mark.parametrize("kind", ["nash", "optimum"])
+    @pytest.mark.parametrize("solver", [
+        lambda lats, demand, kind: water_fill(lats, demand, kind),
+        lambda lats, demand, kind: water_fill_reference(lats, demand, kind),
+        lambda lats, demand, kind: water_fill_many(lats, [1.0, demand], kind),
+    ], ids=["water_fill", "water_fill_reference", "water_fill_many"])
+    def test_saturating_links_without_a_constant_rejected(self, solver, kind):
+        # Capacities 1 + 2 < 5: no level routes the demand, and with no
+        # constant link to take the excess the call must fail, not return
+        # flows above capacity at level inf.
+        with pytest.raises(ModelError):
+            solver([MM1Latency(1.0), MM1Latency(2.0)], 5.0, kind)
 
     def test_common_level_reported(self):
         flows, level = water_fill([LinearLatency(1.0), LinearLatency(1.0)], 2.0,

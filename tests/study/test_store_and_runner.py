@@ -14,6 +14,7 @@ from repro.api import (
 from repro.api.registry import REGISTRY
 from repro.exceptions import ModelError
 from repro.instances import pigou
+from repro.serialization import instance_digest, instance_to_dict
 from repro.study import (
     ArtifactStore,
     GeneratorAxis,
@@ -118,6 +119,33 @@ class TestArtifactStore:
         assert store.stats()["corrupt"] == 1
         assert not path.exists()
         assert path.with_name(path.name + ".corrupt.0").exists()
+
+    def test_artifact_of_the_previous_format_is_unreachable(self, tmp_path):
+        # Before the format version, reports embedded their instance and
+        # the address hashed only {instance, strategy, config}.  Such a
+        # file is never read, so it is neither served nor quarantined.
+        import hashlib
+        import json as _json
+        store = ArtifactStore(tmp_path)
+        instance, config = pigou(), SolveConfig()
+        digest = instance_digest(instance)
+        report = solve(instance, "optop", config=config).to_dict()
+        report["instance"] = instance_to_dict(instance)
+        report_json = _json.dumps(report, sort_keys=True,
+                                  separators=(",", ":"))
+        old_key = hashlib.sha256(_json.dumps(
+            {"instance": digest, "strategy": "optop",
+             "config": _json.loads(config.to_json())},
+            sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()
+        old_path = store.path_for(old_key)
+        old_path.parent.mkdir(parents=True)
+        old_path.write_text(_json.dumps(
+            {"sha256": hashlib.sha256(report_json.encode("utf-8")).hexdigest(),
+             "report": report}), encoding="utf-8")
+        assert store.get(artifact_key(digest, "optop", config)) is None
+        assert store.stats()["corrupt"] == 0
+        assert store.stats()["misses"] == 1
+        assert old_path.exists()
 
     def test_keys_and_delete(self, tmp_path):
         store = ArtifactStore(tmp_path)
