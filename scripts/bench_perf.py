@@ -2,21 +2,22 @@
 """Performance trajectory of the vectorized kernel layer.
 
 Times the hot paths — warm and cold ``water_fill``, the batched
-``water_fill_many``, ``optop`` and ``frank_wolfe`` — with the vectorized
-kernels against the
-scalar oracles ``water_fill_reference`` and ``all_or_nothing_reference`` (or
-a per-demand loop, for the batched entry point) on sized instances.  The
-whole-algorithm rows (``optop``, ``frank_wolfe``) swap the oracles in with
-``unittest.mock.patch`` on the module attribute the solver calls; the
-Frank–Wolfe row also forces the golden-section line search.  The
+``water_fill_many``, warm and cold ``optop`` and ``frank_wolfe`` — with the
+vectorized kernels against the scalar oracles ``water_fill_reference`` and
+``all_or_nothing_reference`` (or a per-demand loop, for the batched entry
+point) on sized instances.  The whole-algorithm rows (``optop``,
+``frank_wolfe``) swap the oracles in with ``unittest.mock.patch`` on the
+module attribute the solver calls; the Frank–Wolfe row also forces the
+golden-section line search.  The
 serving-layer series follow: warm-vs-cold ``trace_replay`` through the
 artifact store and ``cluster_scaling`` (hot-key throughput of the sharded
 cluster as workers scale 1 -> 4).  The measurements (with speedup factors) go to ``BENCH_perf.json``.  CI runs this
 per commit and uploads the JSON as an artifact; the run fails (non-zero
 exit) when the kernels deviate from the oracles, the warm mixed-family
-``water_fill`` speedup at ``m >= 1000`` drops below the 10x gate, or a cold
+``water_fill`` speedup at ``m >= 1000`` drops below the 10x gate, a cold
 ``water_fill`` (a fresh ``LatencyBatch`` per call) is slower than the
-reference at any size.
+reference at any size, or a cold ``optop`` (``optop_cold``, a fresh instance
+per call) canonicalises its latencies more than once.
 
 Usage::
 
@@ -235,6 +236,55 @@ def bench_optop(sizes, *, repeats: int):
     return rows
 
 
+@contextlib.contextmanager
+def counting_batch_builds():
+    """Count ``LatencyBatch`` canonicalisations (``__init__`` calls)."""
+    calls = []
+    original = LatencyBatch.__init__
+
+    def counted(self, latencies):
+        calls.append(None)
+        original(self, latencies)
+
+    with mock.patch.object(LatencyBatch, "__init__", counted):
+        yield calls
+
+
+def bench_optop_cold(sizes, *, repeats: int):
+    """OpTop on instances the process has never seen, one per call.
+
+    Each call pays the one ``LatencyBatch`` canonicalisation of its
+    instance; every round's sub-instance and the Followers' shifted
+    instance are derived from that batch.  ``batch_builds`` is the largest
+    number of canonicalisations any call made — the gate requires 1.
+    """
+    rows = []
+    for family, generator in (("linear", random_linear_parallel),
+                              ("mixed", random_mixed_parallel)):
+        for m in sizes:
+            times, builds = [], 0
+            for k in range(max(2, repeats)):
+                instance = generator(int(m), demand=0.2 * m,
+                                     seed=1000 * int(m) + k)
+                with counting_batch_builds() as calls:
+                    start = time.perf_counter()
+                    optop(instance)
+                    times.append(time.perf_counter() - start)
+                builds = max(builds, len(calls))
+            rows.append({
+                "benchmark": "optop_cold",
+                "family": family,
+                "size": int(m),
+                "seconds": min(times),
+                "median_seconds": float(np.median(times)),
+                "batch_builds": builds,
+            })
+            print(f"optop_cold[{family}] m={m}: {min(times)*1e3:8.3f} ms "
+                  f"(median {np.median(times)*1e3:8.3f} ms), "
+                  f"{builds} batch build(s) per call")
+    return rows
+
+
 def bench_frank_wolfe(*, repeats: int, iterations: int):
     """Frank–Wolfe on the E5 network families (grids and layered DAGs).
 
@@ -428,6 +478,7 @@ def main(argv=None) -> int:
         cluster_trials = 2
 
     cold_sizes = sorted(set(wf_sizes) | {4000})
+    optop_cold_sizes = (1000,) if args.quick else (1000, 4000)
 
     # Warm up the kernels once so import/JIT-ish one-time costs stay out of
     # the measurements.
@@ -439,6 +490,7 @@ def main(argv=None) -> int:
     results += bench_water_fill_many(wf_sizes, num_demands=wfm_demands,
                                      repeats=repeats)
     results += bench_optop(optop_sizes, repeats=repeats)
+    results += bench_optop_cold(optop_cold_sizes, repeats=repeats)
     results += bench_frank_wolfe(repeats=repeats, iterations=fw_iters)
     results += bench_trace_replay(num_steps=trace_steps, num_links=16,
                                   repeats=repeats)
@@ -461,6 +513,7 @@ def main(argv=None) -> int:
                 if row.get("max_flow_deviation", 0.0) > 1e-9
                 or row.get("beta_deviation", 0.0) > 1e-8
                 or row.get("warm_solver_calls", 0) > 0
+                or row.get("batch_builds", 1) > 1
                 or not row.get("stats_consistent", True)
                 or (row.get("benchmark") == "water_fill"
                     and row["family"] == "mixed" and row["size"] >= 1000

@@ -89,9 +89,10 @@ def _build_report(*, name: str, kind: str, config: SolveConfig,
 
 def _parallel_baseline_report(name: str, instance, config: SolveConfig,
                               strategy, metadata: Dict[str, Any],
-                              outcome=None) -> SolveReport:
+                              outcome=None, optimum=None) -> SolveReport:
     """Report for a budgeted/null strategy on a parallel-link instance."""
-    optimum = parallel_optimum(instance, config=config)
+    if optimum is None:
+        optimum = parallel_optimum(instance, config=config)
     nash = parallel_nash(instance, config=config) if config.compute_nash else None
     if outcome is None:
         outcome = strategy.induce(instance, tol=config.water_fill_tol)
@@ -104,10 +105,11 @@ def _parallel_baseline_report(name: str, instance, config: SolveConfig,
 
 def _network_baseline_report(name: str, instance, config: SolveConfig,
                              strategy, metadata: Dict[str, Any],
-                             outcome=None) -> SolveReport:
+                             outcome=None, optimum=None) -> SolveReport:
     """Report for a budgeted/null strategy on a network instance."""
     solver = config.network_solver()
-    optimum = network_optimum(instance, config=config)
+    if optimum is None:
+        optimum = network_optimum(instance, config=config)
     nash = network_nash(instance, config=config) if config.compute_nash else None
     if outcome is None:
         outcome = strategy.induce(instance, solver=solver,
@@ -194,14 +196,18 @@ def solve_llf(instance, config: SolveConfig) -> SolveReport:
     alpha = config.budget()
     kind = resolve_instance_kind(instance)
     metadata = {"algorithm": "llf", "requested_alpha": alpha}
+    # One optimum, solved with the config's settings, feeds both the
+    # strategy and the report.
     if kind == PARALLEL:
-        strategy = llf(instance, alpha)
+        optimum = parallel_optimum(instance, config=config)
+        strategy = llf(instance, alpha, optimum=optimum)
         return _parallel_baseline_report("llf", instance, config, strategy,
-                                         metadata)
-    strategy = network_llf(instance, alpha, solver=config.network_solver(),
-                           tolerance=config.tolerance)
+                                         metadata, optimum=optimum)
+    optimum = network_optimum(instance, config=config)
+    strategy = network_llf(instance, alpha, optimum=optimum)
     metadata["path_generalisation"] = True
-    return _network_baseline_report("llf", instance, config, strategy, metadata)
+    return _network_baseline_report("llf", instance, config, strategy, metadata,
+                                    optimum=optimum)
 
 
 @register_strategy("scale")

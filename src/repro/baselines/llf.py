@@ -16,16 +16,23 @@ import numpy as np
 from repro.exceptions import StrategyError
 from repro.network.parallel import ParallelLinkInstance
 from repro.equilibrium.parallel import parallel_optimum
+from repro.equilibrium.result import ParallelFlowResult
 from repro.core.strategy import ParallelStackelbergStrategy
 
 __all__ = ["llf"]
 
 
-def llf(instance: ParallelLinkInstance, alpha: float) -> ParallelStackelbergStrategy:
-    """The Largest-Latency-First strategy controlling an ``alpha`` portion."""
+def llf(instance: ParallelLinkInstance, alpha: float, *,
+        optimum: ParallelFlowResult | None = None) -> ParallelStackelbergStrategy:
+    """The Largest-Latency-First strategy controlling an ``alpha`` portion.
+
+    ``optimum`` is the instance's system optimum when the caller already
+    solved it; otherwise it is solved here at the default tolerance.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise StrategyError(f"alpha must lie in [0, 1], got {alpha!r}")
-    optimum = parallel_optimum(instance)
+    if optimum is None:
+        optimum = parallel_optimum(instance)
     opt_flows = optimum.flows
     latencies = instance.latencies_at(opt_flows)
 
@@ -33,8 +40,8 @@ def llf(instance: ParallelLinkInstance, alpha: float) -> ParallelStackelbergStra
     strategy = np.zeros(instance.num_links, dtype=float)
     # Saturate links by decreasing optimal latency; ties broken by index for
     # determinism.
-    order = sorted(range(instance.num_links), key=lambda i: (-latencies[i], i))
-    for i in order:
+    order = np.argsort(-latencies, kind="stable")
+    for i in order.tolist():
         if budget <= 0.0:
             break
         take = min(float(opt_flows[i]), budget)

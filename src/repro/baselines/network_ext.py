@@ -28,7 +28,7 @@ from repro.exceptions import StrategyError
 from repro.network.instance import NetworkInstance
 from repro.core.strategy import NetworkStackelbergStrategy
 from repro.equilibrium.network import network_optimum
-from repro.equilibrium.result import StackelbergOutcome
+from repro.equilibrium.result import NetworkFlowResult, StackelbergOutcome
 from repro.paths.decomposition import decompose_flow
 from repro.baselines.brute_force import _compositions
 
@@ -36,19 +36,23 @@ __all__ = ["network_llf", "network_brute_force", "NetworkBruteForceResult"]
 
 
 def network_llf(instance: NetworkInstance, alpha: float, *,
-                solver: str = "auto",
-                tolerance: float = 1e-9) -> NetworkStackelbergStrategy:
+                solver: str = "auto", tolerance: float = 1e-9,
+                optimum: NetworkFlowResult | None = None,
+                ) -> NetworkStackelbergStrategy:
     """Largest-Latency-First on a network: saturate costly optimum paths first.
 
     Per commodity, the optimum flow is decomposed into paths; the Leader
     claims whole paths in order of decreasing path latency (under optimal
     loads) until her budget ``alpha * demand_i`` is exhausted, taking the last
     path partially.  With every edge a distinct s–t path this reduces to the
-    parallel-link LLF.
+    parallel-link LLF.  ``optimum`` is the instance's system optimum when the
+    caller already solved it; otherwise it is solved here with ``solver``
+    and ``tolerance``.
     """
     if not 0.0 <= alpha <= 1.0:
         raise StrategyError(f"alpha must lie in [0, 1], got {alpha!r}")
-    optimum = network_optimum(instance, solver=solver, tolerance=tolerance)
+    if optimum is None:
+        optimum = network_optimum(instance, solver=solver, tolerance=tolerance)
     costs = instance.latencies_at(optimum.edge_flows)
 
     remaining = optimum.edge_flows.copy()

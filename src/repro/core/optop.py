@@ -135,34 +135,35 @@ def optop(instance: ParallelLinkInstance, *, atol: Optional[float] = None,
     opt_flows = optimum.flows
 
     demand = instance.demand
-    scale = max(1.0, demand)
-    active: List[int] = list(range(instance.num_links))
+    threshold = atol * max(1.0, demand)
+    active = np.arange(instance.num_links)
     remaining = demand
     strategy_flows = np.zeros(instance.num_links, dtype=float)
     rounds: List[OpTopRound] = []
 
-    while active and remaining > -atol * scale:
-        if len(active) == instance.num_links and remaining == demand:
+    while active.size and remaining > -threshold:
+        if active.size == instance.num_links and remaining == demand:
             # Round 1 is the full instance at full demand — the Nash already
             # computed above; skip the redundant solve (and sub-instance).
             nash = initial_nash
         else:
             sub = instance.sub_instance(active, max(0.0, remaining))
             nash = parallel_nash(sub, tol=tol)
-        under = [orig for pos, orig in enumerate(active)
-                 if nash.flows[pos] < opt_flows[orig] - atol * scale]
+        under_mask = nash.flows < opt_flows[active] - threshold
+        under = active[under_mask]
         rounds.append(OpTopRound(
-            active_links=tuple(active),
+            active_links=tuple(active.tolist()),
             remaining_flow=max(0.0, remaining),
             nash_flows=nash.flows.copy(),
-            frozen_links=tuple(under),
+            frozen_links=tuple(under.tolist()),
         ))
-        if not under:
+        if not under.size:
             break
-        for orig in under:
-            strategy_flows[orig] = opt_flows[orig]
-        remaining -= float(sum(opt_flows[orig] for orig in under))
-        active = [orig for orig in active if orig not in set(under)]
+        strategy_flows[under] = opt_flows[under]
+        # ``cumsum`` adds left to right; numpy's pairwise ``sum`` would round
+        # differently and move beta in its last bits.
+        remaining -= float(np.cumsum(opt_flows[under])[-1])
+        active = active[~under_mask]
 
     remaining = max(0.0, remaining)
     beta = (demand - remaining) / demand if demand > 0.0 else 0.0

@@ -48,7 +48,9 @@ def induced_parallel_equilibrium(instance: ParallelLinkInstance,
 
     Returns the full Stackelberg equilibrium ``S + T`` with its cost.  The
     Followers' common latency (Remark 4.2) is reported when they route a
-    positive amount of flow.
+    positive amount of flow.  The Followers' instance shares the Leader's
+    canonicalisation: :meth:`ParallelLinkInstance.shifted` derives its
+    latency batch from ``instance``'s instead of rebuilding it.
     """
     strategy = _validate_parallel_strategy(instance, strategy_flows)
     followers_instance = instance.shifted(strategy)

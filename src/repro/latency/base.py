@@ -133,8 +133,6 @@ class LatencyFunction(ABC):
         :class:`repro.latency.ShiftedLatency` (or ``self`` when ``offset`` is
         zero).
         """
-        from repro.latency.shifted import ShiftedLatency
-
         if offset == 0.0:
             return self
         return ShiftedLatency(self, offset)
@@ -144,3 +142,9 @@ class LatencyFunction(ABC):
     # ------------------------------------------------------------------ #
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
+
+
+# ``ShiftedLatency`` subclasses ``LatencyFunction``, so it can only be imported
+# once the class above exists; a module-level name keeps ``shifted`` free of a
+# per-call import.
+from repro.latency.shifted import ShiftedLatency  # noqa: E402

@@ -32,6 +32,7 @@ family at or beyond its capacity raises
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import List, Optional, Sequence, Tuple
 
@@ -46,6 +47,11 @@ from repro.latency.shifted import ScaledLatency, ShiftedLatency
 from repro.utils.vectorized import expand_upper_brackets, vectorized_bisect
 
 __all__ = ["LatencyBatch"]
+
+#: The ``shifted`` implementations :meth:`LatencyBatch.shifted` can mirror
+#: with array operations; a latency class overriding ``shifted`` may return
+#: anything, so batches holding one re-run the canonicaliser instead.
+_STOCK_SHIFTS = (LatencyFunction.shifted, ShiftedLatency.shifted)
 
 #: Relative bracket tolerance of the numeric inverse fallbacks; matches the
 #: default of :func:`repro.utils.rootfind.bisect_root` used by the scalar
@@ -110,25 +116,29 @@ def _power_level_flow_dflow(levels: np.ndarray, coeffs: np.ndarray,
     return flow, dflow
 
 
-def _unwrap(lat: LatencyFunction) -> Tuple[LatencyFunction, float, float]:
+def _unwrap(lat: LatencyFunction) -> Tuple[LatencyFunction, float, float, bool]:
     """Strip ``ShiftedLatency``/``ScaledLatency`` wrappers.
 
-    Returns ``(base, offset, factor)`` such that the original latency is
-    ``x -> factor * base(x + offset)`` (shift and scale commute, so nesting in
-    any order accumulates correctly).
+    Returns ``(base, offset, factor, nested)`` such that the original latency
+    is ``x -> factor * base(x + offset)`` (shift and scale commute, so nesting
+    in any order accumulates correctly).  ``nested`` flags a shift below the
+    outermost wrapper: shifting such a row once more does not add the new
+    offset last, so :meth:`LatencyBatch.shifted` cannot derive it.
     """
     offset = 0.0
     factor = 1.0
     base = lat
+    nested = False
     while True:
         if isinstance(base, ShiftedLatency):
+            nested = nested or base is not lat
             offset += base.offset
             base = base.base
         elif isinstance(base, ScaledLatency):
             factor *= base.factor
             base = base.base
         else:
-            return base, offset, factor
+            return base, offset, factor, nested
 
 
 class _Members:
@@ -146,19 +156,35 @@ class _Members:
     def index_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=np.intp)
 
-    def take(self, rows: Sequence[int], new_indices: Sequence[int]) -> "_Members":
+    def take(self, rows: np.ndarray, new_indices: np.ndarray) -> "_Members":
         """A frozen copy restricted to ``rows``, re-indexed to ``new_indices``."""
         clone = type(self)()
-        clone.indices = list(new_indices)
-        if clone.indices:
-            sel = np.asarray(rows, dtype=np.intp)
+        clone.indices = new_indices
+        if len(new_indices):
             for name in self._ARRAYS:
-                setattr(clone, name, getattr(self, name)[sel])
+                setattr(clone, name, getattr(self, name)[rows])
             clone._after_take()
         return clone
 
+    def shift(self, offsets: np.ndarray,
+              latencies: Sequence[LatencyFunction]) -> "_Members":
+        """A frozen copy with row ``k`` shifted by ``offsets[k]`` more.
+
+        Only the ``offsets`` column moves; :meth:`_after_take` re-derives
+        every column that depends on it with the construction formula, so
+        the copy holds the floats the canonicaliser gives the shifted
+        ``latencies``.  Buckets without an offset column are load-shift
+        invariant and return themselves.
+        """
+        if "offsets" not in self._ARRAYS:
+            return self
+        clone = copy.copy(self)
+        clone.offsets = self.offsets + offsets
+        clone._after_take()
+        return clone
+
     def _after_take(self) -> None:
-        """Recompute derived attributes after :meth:`take` sliced the arrays."""
+        """Recompute derived attributes after :meth:`take` or :meth:`shift`."""
 
     def analytic_for(self, kind: str) -> bool:
         """Whether every row has a closed-form inverse for this solve kind."""
@@ -169,21 +195,29 @@ class _LinearFamily(_Members):
     """Affine rows ``l(x) = slope * x + intercept`` with ``slope > 0``."""
 
     name = "linear"
-    _ARRAYS = ("slopes", "intercepts")
+    #: ``slopes`` is ``factor * base slope``; the intercept of a shifted row
+    #: ``factor * (base slope * offset + base intercept)`` is re-derived from
+    #: the raw base columns whenever the offsets change.
+    _ARRAYS = ("slopes", "base_slopes", "base_intercepts", "factors",
+               "offsets")
 
     def __init__(self) -> None:
         super().__init__()
-        self._slopes: List[float] = []
-        self._intercepts: List[float] = []
+        self._rows: List[Tuple[float, float, float, float, float]] = []
 
-    def add(self, index: int, slope: float, intercept: float) -> None:
+    def add(self, index: int, slope: float, base: LinearLatency,
+            offset: float, factor: float) -> None:
         self.indices.append(index)
-        self._slopes.append(slope)
-        self._intercepts.append(intercept)
+        self._rows.append((slope, base.slope, base.intercept, factor, offset))
 
     def freeze(self) -> None:
-        self.slopes = np.asarray(self._slopes, dtype=float)
-        self.intercepts = np.asarray(self._intercepts, dtype=float)
+        for name, column in zip(self._ARRAYS, zip(*self._rows)):
+            setattr(self, name, np.asarray(column, dtype=float))
+        self._after_take()
+
+    def _after_take(self) -> None:
+        self.intercepts = self.factors * (self.base_slopes * self.offsets
+                                          + self.base_intercepts)
 
     def values(self, x) -> np.ndarray:
         return self.slopes * x + self.intercepts
@@ -372,21 +406,24 @@ class _MM1Family(_Members):
     """
 
     name = "mm1"
-    _ARRAYS = ("capacities", "factors")
+    _ARRAYS = ("base_capacities", "offsets", "factors")
 
     def __init__(self) -> None:
         super().__init__()
-        self._capacities: List[float] = []
-        self._factors: List[float] = []
+        self._rows: List[Tuple[float, float, float]] = []
 
-    def add(self, index: int, capacity: float, factor: float) -> None:
+    def add(self, index: int, capacity: float, offset: float,
+            factor: float) -> None:
         self.indices.append(index)
-        self._capacities.append(capacity)
-        self._factors.append(factor)
+        self._rows.append((capacity, offset, factor))
 
     def freeze(self) -> None:
-        self.capacities = np.asarray(self._capacities, dtype=float)
-        self.factors = np.asarray(self._factors, dtype=float)
+        for name, column in zip(self._ARRAYS, zip(*self._rows)):
+            setattr(self, name, np.asarray(column, dtype=float))
+        self._after_take()
+
+    def _after_take(self) -> None:
+        self.capacities = self.base_capacities - self.offsets
 
     def _check_domain(self, x) -> None:
         if np.any(np.asarray(x) >= self.capacities):
@@ -606,10 +643,18 @@ class _GenericFamily(_Members):
     def freeze(self) -> None:
         pass
 
-    def take(self, rows: Sequence[int], new_indices: Sequence[int]) -> "_GenericFamily":
+    def take(self, rows: np.ndarray, new_indices: np.ndarray) -> "_GenericFamily":
         clone = type(self)()
-        clone.indices = list(new_indices)
-        clone.functions = [self.functions[r] for r in rows]
+        clone.indices = new_indices
+        clone.functions = [self.functions[r] for r in rows.tolist()]
+        return clone
+
+    def shift(self, offsets: np.ndarray,
+              latencies: Sequence[LatencyFunction]) -> "_GenericFamily":
+        # Generic rows keep the wrapped object, so they take the shifted one.
+        clone = type(self)()
+        clone.indices = self.indices
+        clone.functions = [latencies[i] for i in self.index_array().tolist()]
         return clone
 
     def _per_link(self, x, method: str) -> np.ndarray:
@@ -791,46 +836,74 @@ class LatencyBatch:
                 raise ModelError(
                     f"link {i}: expected a LatencyFunction, "
                     f"got {type(lat).__name__}")
-        self.latencies = latencies
         self._linear = _LinearFamily()
         self._constant = _ConstantFamily()
         self._power = _PowerFamily()
         self._mm1 = _MM1Family()
         self._poly = _PolyFamily()
         self._generic = _GenericFamily()
+        # Whether :meth:`shifted` may derive its batch with array operations;
+        # ``_dispatch`` clears it for rows that shift would not mirror.
+        self._derivable = all(cls.shifted in _STOCK_SHIFTS
+                              for cls in set(map(type, latencies)))
         constant_mask = np.zeros(len(latencies), dtype=bool)
         for i, lat in enumerate(latencies):
             constant_mask[i] = self._dispatch(i, lat)
-        families = [self._linear, self._constant, self._power, self._mm1,
-                    self._poly, self._generic]
-        self._families = [fam for fam in families if len(fam)]
-        for fam in self._families:
-            fam.freeze()
+        for fam in self._buckets():
+            fam.indices = fam.index_array()
+            if len(fam):
+                fam.freeze()
+        self._assemble(latencies, constant_mask)
+
+    def _buckets(self) -> Tuple[_Members, ...]:
+        return (self._linear, self._constant, self._power, self._mm1,
+                self._poly, self._generic)
+
+    def _assemble(self, latencies: Tuple[LatencyFunction, ...],
+                  is_constant: np.ndarray) -> None:
+        """Finish a batch whose family buckets are frozen."""
+        self.latencies = latencies
+        self._families = [fam for fam in self._buckets() if len(fam)]
         self._index_arrays = [fam.index_array() for fam in self._families]
-        self.is_constant = constant_mask
+        self.is_constant = is_constant
         self._values_at_zero: Optional[np.ndarray] = None
         self._domain_upper: Optional[np.ndarray] = None
         self._profiles: dict = {}
+
+    def _derive(self, latencies: Tuple[LatencyFunction, ...],
+                buckets: Sequence[_Members],
+                is_constant: np.ndarray) -> "LatencyBatch":
+        """A batch assembled from frozen ``buckets`` without canonicalising."""
+        new = object.__new__(LatencyBatch)
+        (new._linear, new._constant, new._power, new._mm1, new._poly,
+         new._generic) = buckets
+        new._derivable = self._derivable
+        new._assemble(latencies, is_constant)
+        return new
 
     # ------------------------------------------------------------------ #
     # Canonicalisation
     # ------------------------------------------------------------------ #
     def _dispatch(self, index: int, lat: LatencyFunction) -> bool:
         """Route one latency into its family bucket; returns ``is_constant``."""
-        base, offset, factor = _unwrap(lat)
+        base, offset, factor, nested = _unwrap(lat)
+        if nested:
+            self._derivable = False
         if isinstance(base, LinearLatency):
             slope = factor * base.slope
-            intercept = factor * (base.slope * offset + base.intercept)
             if slope == 0.0:
-                self._constant.add(index, intercept)
+                if base.slope != 0.0:  # underflow: the constant moves with a shift
+                    self._derivable = False
+                self._constant.add(
+                    index, factor * (base.slope * offset + base.intercept))
                 return True
-            self._linear.add(index, slope, intercept)
+            self._linear.add(index, slope, base, offset, factor)
             return False
         if isinstance(base, ConstantLatency):
             self._constant.add(index, factor * base.constant)
             return True
         if isinstance(base, MM1Latency):
-            self._mm1.add(index, base.capacity - offset, factor)
+            self._mm1.add(index, base.capacity, offset, factor)
             return False
         if isinstance(base, MonomialLatency):
             if base.coefficient == 0.0:
@@ -952,33 +1025,56 @@ class LatencyBatch:
         but without re-running the per-link canonicaliser — the OpTop
         recursion derives each round's sub-instance batch this way.
         """
-        indices = [int(i) for i in indices]
-        if not indices:
+        idx = np.asarray(indices).reshape(-1)
+        if not idx.size:
             raise ModelError("subset needs at least one link index")
-        positions = {}
-        for j, i in enumerate(indices):
-            if not 0 <= i < self.size:
-                raise ModelError(f"subset index {i} out of range 0..{self.size - 1}")
-            if i in positions:
-                raise ModelError("subset indices must be unique")
-            positions[i] = j
-        new = object.__new__(LatencyBatch)
-        new.latencies = tuple(self.latencies[i] for i in indices)
-        for attr in ("_linear", "_constant", "_power", "_mm1", "_poly",
-                     "_generic"):
-            fam = getattr(self, attr)
-            rows = [r for r, old in enumerate(fam.indices) if old in positions]
-            setattr(new, attr, fam.take(
-                rows, [positions[fam.indices[r]] for r in rows]))
-        families = [new._linear, new._constant, new._power, new._mm1,
-                    new._poly, new._generic]
-        new._families = [fam for fam in families if len(fam)]
-        new._index_arrays = [fam.index_array() for fam in new._families]
-        new.is_constant = self.is_constant[np.asarray(indices, dtype=np.intp)]
-        new._values_at_zero = None
-        new._domain_upper = None
-        new._profiles = {}
-        return new
+        if idx.dtype.kind not in "iu":
+            raise ModelError(f"subset indices must be integers, got {idx.dtype}")
+        idx = idx.astype(np.intp, copy=False)
+        outside = (idx < 0) | (idx >= self.size)
+        if outside.any():
+            raise ModelError(f"subset index {int(idx[outside][0])} out of "
+                             f"range 0..{self.size - 1}")
+        positions = np.full(self.size, -1, dtype=np.intp)
+        positions[idx] = np.arange(idx.size)
+        if np.count_nonzero(positions >= 0) != idx.size:
+            raise ModelError("subset indices must be unique")
+        buckets = []
+        for fam in self._buckets():
+            new_positions = positions[fam.index_array()]
+            rows = np.flatnonzero(new_positions >= 0)
+            buckets.append(fam.take(rows, new_positions[rows]))
+        latencies = tuple(map(self.latencies.__getitem__, idx.tolist()))
+        return self._derive(latencies, buckets, self.is_constant[idx])
+
+    def shifted(self, offsets) -> "LatencyBatch":
+        """The batch of the shifted latencies ``x -> l_i(x + offsets[i])``.
+
+        Equivalent, bit for bit, to ``LatencyBatch([lat.shifted(s) for lat,
+        s in zip(batch.latencies, offsets)])`` — the Followers' view of a
+        Stackelberg pre-load.  Only rows with a non-zero offset build a new
+        latency object; each family then re-derives its offset-dependent
+        columns from the raw ``(base, offset, factor)`` columns in one array
+        operation (:meth:`_Members.shift`) instead of re-running the per-link
+        canonicaliser.  A batch holding a shift below another wrapper or a
+        latency class with its own ``shifted`` canonicalises the shifted
+        latencies afresh.
+        """
+        offsets = np.asarray(offsets, dtype=float)
+        if offsets.shape != (self.size,):
+            raise ModelError(
+                f"expected {self.size} offsets, got shape {offsets.shape}")
+        if not np.all(np.isfinite(offsets)):
+            raise ModelError("shift offsets must be finite")
+        latencies = list(self.latencies)
+        values = offsets.tolist()
+        for i in np.flatnonzero(offsets).tolist():
+            latencies[i] = latencies[i].shifted(values[i])
+        if not self._derivable:
+            return LatencyBatch(latencies)
+        buckets = [fam.shift(offsets[fam.index_array()], latencies)
+                   if len(fam) else fam for fam in self._buckets()]
+        return self._derive(tuple(latencies), buckets, self.is_constant)
 
     # ------------------------------------------------------------------ #
     # Batched calculus

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -32,15 +32,13 @@ class ParallelLinkInstance:
     produces the Followers' view via :meth:`shifted`.
     """
 
-    __slots__ = ("latencies", "demand", "names", "_batch")
+    __slots__ = ("latencies", "demand", "names", "_batch", "_uppers")
 
     def __init__(self, latencies: Sequence[LatencyFunction], demand: float,
                  *, names: Sequence[str] | None = None) -> None:
         latencies = tuple(latencies)
         if not latencies:
             raise ModelError("a parallel-link instance needs at least one link")
-        if demand < 0.0:
-            raise ModelError(f"total demand must be >= 0, got {demand!r}")
         for i, lat in enumerate(latencies):
             if not isinstance(lat, LatencyFunction):
                 raise ModelError(
@@ -52,14 +50,37 @@ class ParallelLinkInstance:
             if len(names) != len(latencies):
                 raise ModelError(
                     f"got {len(names)} names for {len(latencies)} links")
-        capacity = sum(lat.domain_upper for lat in latencies)
+        self._init(latencies, demand, names, _domain_uppers(latencies), None)
+
+    def _init(self, latencies: Tuple[LatencyFunction, ...], demand: float,
+              names: Tuple[str, ...], uppers: np.ndarray,
+              batch: LatencyBatch | None) -> None:
+        """Set the fields after checking ``demand`` against the capacity.
+
+        Derived instances come straight here: their links were validated
+        when the parent was built, so only the new demand is checked.
+        """
+        if demand < 0.0:
+            raise ModelError(f"total demand must be >= 0, got {demand!r}")
+        # ``sum`` over Python floats: the same capacity, to the last bit, as
+        # summing the latencies' ``domain_upper`` one by one.
+        capacity = sum(uppers.tolist())
         if demand >= capacity:
             raise ModelError(
                 f"demand {demand!r} exceeds the total link capacity {capacity!r}")
         self.latencies = latencies
         self.demand = float(demand)
         self.names = names
-        self._batch = None
+        self._uppers = uppers
+        self._batch = batch
+
+    @staticmethod
+    def _derived(latencies: Tuple[LatencyFunction, ...], demand: float,
+                 names: Tuple[str, ...], uppers: np.ndarray,
+                 batch: LatencyBatch | None) -> "ParallelLinkInstance":
+        new = object.__new__(ParallelLinkInstance)
+        new._init(latencies, demand, names, uppers, batch)
+        return new
 
     def latency_batch(self) -> LatencyBatch:
         """The vectorized family-grouped view of the link latencies (cached).
@@ -78,6 +99,7 @@ class ParallelLinkInstance:
 
     def __setstate__(self, state) -> None:
         self.latencies, self.demand, self.names = state
+        self._uppers = _domain_uppers(self.latencies)
         self._batch = None
 
     # ------------------------------------------------------------------ #
@@ -154,35 +176,33 @@ class ParallelLinkInstance:
         profiles): elastic-demand bisections and demand sweeps re-solve
         without re-grouping the families per trial demand.
         """
-        clone = ParallelLinkInstance(self.latencies, demand, names=self.names)
-        clone._batch = self._batch
-        return clone
+        return self._derived(self.latencies, demand, self.names, self._uppers,
+                             self._batch)
 
     def sub_instance(self, link_indices: Sequence[int],
                      demand: float) -> "ParallelLinkInstance":
         """The restriction of the system to ``link_indices`` with flow ``demand``.
 
         Used by OpTop when it discards optimally frozen links and recurses on
-        the remaining subsystem.  When this instance already built its
-        :class:`LatencyBatch`, the restriction derives the sub-batch by
-        slicing the frozen family arrays (:meth:`LatencyBatch.subset`)
-        instead of re-running the canonicaliser on every recursion round.
+        the remaining subsystem.  The sub-batch is sliced from this
+        instance's :class:`LatencyBatch` (:meth:`LatencyBatch.subset`), and
+        the kept links are not re-validated: only the new demand is checked.
         """
-        indices = list(link_indices)
-        if not indices:
+        if not len(link_indices):
             raise ModelError("sub_instance needs at least one link")
-        sub = ParallelLinkInstance(
-            [self.latencies[i] for i in indices], demand,
-            names=[self.names[i] for i in indices])
-        if self._batch is not None:
-            sub._batch = self._batch.subset(indices)
-        return sub
+        batch = self.latency_batch().subset(link_indices)
+        idx = np.asarray(link_indices, dtype=np.intp)  # validated by subset
+        names = tuple(map(self.names.__getitem__, idx.tolist()))
+        return self._derived(batch.latencies, demand, names, self._uppers[idx],
+                             batch)
 
     def shifted(self, strategy_flows: np.ndarray) -> "ParallelLinkInstance":
         """The Followers' view of the system under a Stackelberg pre-load.
 
         Every latency becomes ``l_i(x + s_i)`` and the demand drops by the
-        controlled amount ``sum_i s_i``.
+        controlled amount ``sum_i s_i``.  The Followers' batch is derived
+        from this instance's (:meth:`LatencyBatch.shifted`), so the links
+        are neither re-canonicalised nor re-validated.
         """
         strategy = np.asarray(strategy_flows, dtype=float)
         if strategy.shape != (self.num_links,):
@@ -196,6 +216,17 @@ class ParallelLinkInstance:
             raise ModelError(
                 f"strategy routes {strategy.sum()!r} > total demand {self.demand!r}")
         remaining = max(0.0, remaining)
-        shifted_lats = [lat.shifted(float(s))
-                        for lat, s in zip(self.latencies, strategy)]
-        return ParallelLinkInstance(shifted_lats, remaining, names=self.names)
+        batch = self.latency_batch().shifted(strategy)
+        # A shift leaves an infinite domain infinite; only the finite domains
+        # of moved links need the shifted latency's own bound.
+        uppers = self._uppers.copy()
+        moved = np.flatnonzero((strategy != 0.0) & np.isfinite(uppers))
+        for i in moved.tolist():
+            uppers[i] = batch.latencies[i].domain_upper
+        return self._derived(batch.latencies, remaining, self.names, uppers,
+                             batch)
+
+
+def _domain_uppers(latencies: Sequence[LatencyFunction]) -> np.ndarray:
+    """Per-link exclusive upper ends of the latency domains."""
+    return np.array([lat.domain_upper for lat in latencies], dtype=float)

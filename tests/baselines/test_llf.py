@@ -92,3 +92,43 @@ class TestLLFGuarantees:
         result = optop(instance)
         llf_cost = llf(instance, result.beta).induce(instance).cost
         assert llf_cost >= result.optimum_cost - 1e-9
+
+
+class TestLLFThroughSolve:
+    """``solve(..., "llf")`` solves the optimum once, with the config."""
+
+    def test_strategy_uses_the_reported_optimum(self):
+        from repro.api import SolveConfig, solve
+
+        # Multi-term polynomials take the tolerance-bound numeric level
+        # solve, so a loose ``water_fill_tol`` moves the optimum's flows.
+        instance = random_polynomial_parallel(50, demand=10.0, seed=2)
+        report = solve(instance, "llf",
+                       config=SolveConfig(water_fill_tol=1e-4))
+        leader = np.array(report.leader_flows)
+        optimum = np.array(report.optimum_flows)
+        used = np.flatnonzero(leader > 0.0)
+        partial = used[leader[used] != optimum[used]]
+        # Every used link but the last one filled is saturated at its
+        # reported optimum flow.
+        assert len(used) > 1 and len(partial) <= 1
+        assert np.all(leader <= optimum)
+
+    def test_network_llf_makes_three_path_based_solves(self, monkeypatch):
+        from repro.api import solve
+        from repro.cache import LRUCache
+        from repro.equilibrium import network as network_module
+        from repro.instances import grid_network
+
+        calls = []
+        original = network_module.path_based_flow
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(network_module, "path_based_flow", counted)
+        solve(grid_network(3, 3, seed=1), "llf", cache=LRUCache())
+        # The optimum (shared by the strategy and the report), the Nash
+        # equilibrium and the induced equilibrium.
+        assert sorted(calls) == ["nash", "nash", "optimum"]

@@ -156,3 +156,70 @@ class TestDerivedInstances:
         manual = sum((s + t) * float(lat.value(s + t))
                      for lat, s, t in zip(instance.latencies, strategy_arr, followers))
         assert combined_cost == pytest.approx(manual)
+
+
+class TestDerivedInstanceErrors:
+    """Derived instances skip per-link re-validation but keep every check."""
+
+    @pytest.fixture
+    def queues(self):
+        return ParallelLinkInstance(
+            [MM1Latency(1.0), MM1Latency(2.0), MM1Latency(3.0)], demand=2.5)
+
+    @pytest.mark.parametrize("indices, demand", [
+        ([], 1.0),                # no links
+        ([0, 1], -0.5),           # negative demand
+        ([0, 1], 3.0),            # demand at the kept links' capacity
+        ([0, 0], 0.5),            # repeated link
+        ([0, 3], 0.5),            # out of range
+        ([-1, 0], 0.5),           # negative index
+        ([0.0, 1.0], 0.5),        # not integers
+    ])
+    def test_sub_instance_rejects(self, queues, indices, demand):
+        with pytest.raises(ModelError):
+            queues.sub_instance(indices, demand)
+
+    def test_sub_instance_keeps_the_kept_links(self, queues):
+        sub = queues.sub_instance(np.array([2, 0]), 1.5)
+        assert sub.latencies == (queues.latencies[2], queues.latencies[0])
+        assert sub.names == ("M3", "M1")
+        np.testing.assert_array_equal(sub.latency_batch().domain_upper,
+                                      [3.0, 1.0])
+
+    @pytest.mark.parametrize("strategy", [
+        [0.5, 0.5],               # wrong shape
+        [-0.5, 0.0, 0.0],         # negative
+        [2.0, 1.0, 0.0],          # more than the demand
+        [np.inf, 0.0, 0.0],       # more than the demand
+        [np.nan, 0.0, 0.0],       # not a number
+    ])
+    def test_shifted_rejects(self, queues, strategy):
+        with pytest.raises(ModelError):
+            queues.shifted(np.array(strategy))
+
+    def test_shifted_rejects_followers_at_the_shifted_capacity(self):
+        # The Leader fills the only queue to within the strategy tolerance
+        # of the demand: the Followers' capacity 1 - 1 = 0 cannot hold even
+        # their (clamped) zero flow.
+        single = ParallelLinkInstance([MM1Latency(1.0)], demand=1.0 - 1e-10)
+        with pytest.raises(ModelError):
+            single.shifted(np.array([1.0]))
+
+    def test_shifted_capacity_uses_the_shifted_domains(self, queues):
+        shifted = queues.shifted(np.array([0.5, 0.0, 1.0]))
+        np.testing.assert_array_equal(shifted.latency_batch().domain_upper,
+                                      [0.5, 2.0, 2.0])
+        assert shifted.demand == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("demand", [-1.0, 6.0])
+    def test_with_demand_rejects(self, queues, demand):
+        with pytest.raises(ModelError):
+            queues.with_demand(demand)
+
+    def test_derived_instances_pickle(self, queues):
+        import pickle
+
+        shifted = queues.shifted(np.array([0.5, 0.0, 1.0]))
+        clone = pickle.loads(pickle.dumps(shifted))
+        assert clone.demand == shifted.demand
+        assert clone.sub_instance([0, 2], 0.5).num_links == 2
