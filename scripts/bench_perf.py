@@ -17,7 +17,9 @@ exit) when the kernels deviate from the oracles, the warm mixed-family
 ``water_fill`` speedup at ``m >= 1000`` drops below the 10x gate, a cold
 ``water_fill`` (a fresh ``LatencyBatch`` per call) is slower than the
 reference at any size, or a cold ``optop`` (``optop_cold``, a fresh instance
-per call) canonicalises its latencies more than once.
+per call) canonicalises its latencies more than once.  A cold network solve
+(``pathbased_cold``) that misses its path-cost residual raises
+``ConvergenceError`` and so fails the run too.
 
 Usage::
 
@@ -53,11 +55,13 @@ from repro.equilibrium.parallel import (  # noqa: E402
     water_fill_many,
     water_fill_reference,
 )
+from repro.equilibrium.pathbased import path_based_flow  # noqa: E402
 from repro.instances import (  # noqa: E402
     grid_network,
     layered_network,
     random_linear_parallel,
     random_mixed_parallel,
+    random_multicommodity_instance,
 )
 from repro.latency.batch import LatencyBatch  # noqa: E402
 
@@ -320,6 +324,50 @@ def bench_frank_wolfe(*, repeats: int, iterations: int):
     return rows
 
 
+def bench_pathbased_cold(*, repeats: int):
+    """Path equilibration on networks the process has never seen.
+
+    One fresh instance per call (the batch, CSR structure and engine are
+    built inside the timing).  Each row keeps the fastest and median call
+    and, over all calls, the most rounds, the largest working set (paths
+    generated) and the worst final residual (at most ``tol = 1e-12``, or
+    the solve raises ``ConvergenceError``).
+    """
+    cases = [
+        ("grid 5x6", lambda seed: grid_network(5, 6, seed=seed)),
+        ("grid 6x6", lambda seed: grid_network(6, 6, seed=seed)),
+        ("layered 4x4", lambda seed: layered_network(4, 4, seed=seed)),
+        ("E13 3-commodity 3x3", lambda seed: random_multicommodity_instance(
+            3, 3, num_commodities=3, seed=seed)),
+    ]
+    rows = []
+    for name, make in cases:
+        for kind in ("optimum", "nash"):
+            times, results = [], []
+            for k in range(max(3, repeats)):
+                instance = make(k)
+                start = time.perf_counter()
+                results.append(path_based_flow(instance, kind))
+                times.append(time.perf_counter() - start)
+            rows.append({
+                "benchmark": "pathbased_cold",
+                "family": name,
+                "kind": kind,
+                "size": int(instance.network.num_edges),
+                "seconds": min(times),
+                "median_seconds": float(np.median(times)),
+                "rounds": max(r.iterations for r in results),
+                "paths": max(r.num_paths for r in results),
+                "residual": max(r.relative_gap for r in results),
+            })
+            row = rows[-1]
+            print(f"pathbased_cold[{name}, {kind}]: "
+                  f"{row['median_seconds']*1e3:7.3f} ms median, "
+                  f"<= {row['rounds']} rounds, <= {row['paths']} paths, "
+                  f"residual <= {row['residual']:.1e}")
+    return rows
+
+
 def bench_trace_replay(*, num_steps: int, num_links: int, repeats: int):
     """Warm vs cold trace replay through the serving layer.
 
@@ -492,6 +540,7 @@ def main(argv=None) -> int:
     results += bench_optop(optop_sizes, repeats=repeats)
     results += bench_optop_cold(optop_cold_sizes, repeats=repeats)
     results += bench_frank_wolfe(repeats=repeats, iterations=fw_iters)
+    results += bench_pathbased_cold(repeats=repeats)
     results += bench_trace_replay(num_steps=trace_steps, num_links=16,
                                   repeats=repeats)
     results += bench_cluster_scaling(worker_counts=cluster_counts,

@@ -81,3 +81,39 @@ print(f"study_smoke OK: {spec.num_cells} cells, second run "
       f"{warm.store_hits}/{spec.num_cells} artifact hits, "
       f"{warm.solver_calls} solver calls")
 PY
+
+# Network smoke: one cold 5x6 grid through `solve` with optop (MOP) and llf.
+# A path-equilibration solve that misses its path-cost residual (1e-12)
+# raises ConvergenceError and fails the script; each must also finish within
+# a round ceiling.  There is no wall-clock bound.
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - <<'PY'
+from repro.api import solve
+from repro.cache import LRUCache
+from repro.equilibrium import network as network_module
+from repro.instances import grid_network
+
+MAX_ROUNDS = 60
+solves = []
+path_based_flow = network_module.path_based_flow
+
+
+def recorded(*args, **kwargs):
+    result = path_based_flow(*args, **kwargs)
+    solves.append(result)
+    return result
+
+
+network_module.path_based_flow = recorded
+for strategy in ("optop", "llf"):
+    del solves[:]
+    report = solve(grid_network(5, 6, seed=11), strategy, cache=LRUCache())
+    assert solves, f"{strategy}: no path-equilibration solve ran"
+    for result in solves:
+        assert result.iterations <= MAX_ROUNDS, (
+            f"{strategy}: {result.iterations} rounds > {MAX_ROUNDS}")
+    if strategy == "optop":
+        assert report.attains_optimum, "MOP failed to induce C(O)"
+    print(f"network_smoke OK: {strategy} on a 5x6 grid, {len(solves)} solves, "
+          f"<= {max(r.iterations for r in solves)} rounds, residual <= "
+          f"{max(r.relative_gap for r in solves):.1e}")
+PY

@@ -24,7 +24,8 @@ __all__ = ["SolveConfig", "EQUILIBRIUM_BACKENDS"]
 #:   networks, Frank–Wolfe otherwise (the seed behaviour);
 #: * ``"parallel"`` — the exact water-filling solver (parallel links only);
 #: * ``"frank_wolfe"`` — the Frank–Wolfe iterative solver;
-#: * ``"pathbased"`` — the exact path-based SLSQP solver.
+#: * ``"pathbased"`` — path equilibration plus column generation, stopped
+#:   at a relative path-cost residual of ``1e-12``.
 EQUILIBRIUM_BACKENDS = ("auto", "parallel", "frank_wolfe", "pathbased")
 
 #: Map from the api backend names to the solver names the network layer uses.

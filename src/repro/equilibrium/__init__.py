@@ -9,8 +9,10 @@ Two regimes:
   flow sinks at their fixed level (the documented model extension).
 * **General networks** — iterative solvers.  :func:`network_nash` minimises the
   Beckmann potential, :func:`network_optimum` minimises the total cost, either
-  with Frank–Wolfe (all-or-nothing direction + golden-section line search) or
-  with an exact path-based formulation solved by SLSQP on small networks.
+  with Frank–Wolfe (all-or-nothing direction + golden-section line search) or,
+  on networks up to the ``auto`` switch, with path equilibration plus column
+  generation (:func:`path_based_flow`), which stops once the relative
+  path-cost residual of every commodity is at most ``1e-12``.
 
 :func:`induced_parallel_equilibrium` / :func:`induced_network_equilibrium`
 compute the Followers' reaction to a Stackelberg strategy by shifting every
@@ -40,6 +42,8 @@ from repro.equilibrium.verify import (
     parallel_optimality_gap,
     parallel_wardrop_gap,
     network_wardrop_gap,
+    network_optimality_gap,
+    network_commodity_gap,
 )
 
 __all__ = [
@@ -60,4 +64,6 @@ __all__ = [
     "parallel_wardrop_gap",
     "parallel_optimality_gap",
     "network_wardrop_gap",
+    "network_optimality_gap",
+    "network_commodity_gap",
 ]

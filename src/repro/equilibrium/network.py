@@ -1,8 +1,8 @@
 """High-level entry points for network Nash and optimum flows.
 
-These wrappers choose between the exact path-based solver (small networks)
-and Frank–Wolfe (everything else), and optionally polish a Frank–Wolfe
-solution with the path-based solver seeded by the discovered support.
+These wrappers choose between the certified path-equilibration solver
+(networks with at most ``_AUTO_PATH_EDGE_LIMIT`` edges) and Frank–Wolfe
+(everything else).
 """
 
 from __future__ import annotations
@@ -23,22 +23,18 @@ __all__ = ["network_nash", "network_optimum"]
 Solver = Literal["auto", "frank-wolfe", "path"]
 
 #: Networks with at most this many edges are considered "small enough" for the
-#: exact path-based solver when ``solver="auto"``.
+#: path-equilibration solver when ``solver="auto"``.
 _AUTO_PATH_EDGE_LIMIT = 60
-_AUTO_PATH_LIMIT = 2000
 
 
 def _solve(instance: NetworkInstance, kind: str, solver: Solver,
            tolerance: float, max_iterations: int) -> NetworkFlowResult:
     if solver not in ("auto", "frank-wolfe", "path"):
         raise ModelError(f"unknown solver {solver!r}")
-    if solver == "path":
+    if solver == "path" or (
+            solver == "auto"
+            and instance.network.num_edges <= _AUTO_PATH_EDGE_LIMIT):
         return path_based_flow(instance, kind)
-    if solver == "auto" and instance.network.num_edges <= _AUTO_PATH_EDGE_LIMIT:
-        try:
-            return path_based_flow(instance, kind, max_paths=_AUTO_PATH_LIMIT)
-        except ModelError:
-            pass  # too many paths -> fall through to Frank-Wolfe
     options = FrankWolfeOptions(tolerance=tolerance,
                                 max_iterations=max_iterations)
     return frank_wolfe(instance, kind, options)

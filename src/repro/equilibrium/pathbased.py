@@ -1,137 +1,382 @@
-"""Exact path-based solver for small networks.
+"""Certified path equilibration for networks at or below the ``auto`` switch.
 
-On networks small enough to enumerate all simple source–sink paths, both the
-Nash equilibrium (Beckmann potential) and the system optimum (total cost) can
-be solved directly as smooth convex programs over path flows with SLSQP.
-The path formulation gives much tighter accuracy than Frank–Wolfe on the
-canonical 4-node examples, which matters when MOP compares the induced cost
-against the optimum cost at tolerance 1e-6.
+Both the Nash equilibrium (minimise the Beckmann potential) and the system
+optimum (minimise the total cost) are solved over path flows, without
+enumerating any paths:
+
+* **Start.** Every commodity routes its demand on its free-flow shortest
+  path.  Where that would overload an M/M/1 edge, the path takes half of
+  its headroom instead and the rest follows on the next shortest path at
+  the new flows, so the start lies inside every latency domain.
+* **Round.** The edges are priced with their latencies (Nash) or marginal
+  costs (optimum).  One :class:`~repro.paths.dijkstra.ShortestPathEngine`,
+  repriced in place, answers every commodity source with a single Dijkstra
+  call; a shortest path cheaper than every path of its commodity's working
+  set joins that set (column generation).  One equality-constrained Newton
+  step then re-balances the restricted master problem, which holds each
+  commodity's used paths plus its cheapest one and one demand row per
+  commodity: flow moves from costly to cheap paths (Dafermos & Sparrow
+  1969) with the step scaled by the path Hessian ``A_S diag(g') A_S^T``
+  (the projected Newton method of Jayakrishnan et al. 1994), where ``g'``
+  is the derivative of the edge prices.  Grids make path columns linearly
+  dependent, so the step is the minimum-norm solution; a ratio test keeps
+  path flows non-negative, a derivative test along the step guards against
+  overshooting, and a degenerate step falls back to one pairwise shift per
+  commodity, from its costliest used path to its cheapest one.
+* **Stop.** The solve is certified when the relative path-cost residual
+  ``max over used paths (c_p - d) / d`` is at most ``tol`` for every
+  commodity, where ``c_p`` is a path's price and ``d`` the commodity's
+  shortest-path distance over the whole graph (the absolute residual when
+  ``d`` is zero).  A residual that small also means no shortest path is
+  missing from a working set.  The residual is reported as
+  ``relative_gap``.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy import optimize as sciopt
+from scipy.linalg.lapack import dgelss as _min_norm_solve
 
 from repro.exceptions import ConvergenceError, ModelError
 from repro.network.instance import NetworkInstance
-from repro.paths.enumeration import all_simple_paths
+from repro.paths.dijkstra import ShortestPathEngine, validate_edge_costs
 from repro.equilibrium.result import NetworkFlowResult
 
-__all__ = ["path_based_flow", "enumerate_commodity_paths"]
+__all__ = ["path_based_flow"]
+
+#: A step is accepted when the objective's slope at its end is at most this
+#: fraction of the (negative) slope at its start.
+_SLOPE_ACCEPT = 1e-3
+#: Secant refinements of an overshooting step.
+_LINE_SEARCH_STEPS = 30
+#: Singular values below this fraction of the largest are dropped by the
+#: minimum-norm Newton solve.
+_RCOND = 1e-12
+#: Shortest-path steps the start may take per commodity before it gives up
+#: on fitting the demand inside the latency domains.
+_START_STEPS = 1000
 
 
-def enumerate_commodity_paths(instance: NetworkInstance,
-                              *, max_paths: int = 5000) -> List[List[Tuple[int, ...]]]:
-    """All simple paths of every commodity (one list per commodity)."""
-    result = []
-    for commodity in instance.commodities:
-        paths = all_simple_paths(instance.network, commodity.source,
-                                 commodity.sink, max_paths=max_paths)
-        if not paths:
+class _WorkingSet:
+    """The generated paths of one commodity and the flow on each.
+
+    ``incidence`` (paths by edges) and ``flows`` are views into buffers
+    that double when full.
+    """
+
+    def __init__(self, source, sink, demand: float, num_edges: int) -> None:
+        self.source = source
+        self.sink = sink
+        self.demand = demand
+        self.keys: Dict[Tuple[int, ...], int] = {}
+        self._rows = np.zeros((4, num_edges))
+        self._flows = np.zeros(4)
+        self.incidence = self._rows[:0]
+        self.flows = self._flows[:0]
+
+    def add(self, path: List[int], max_paths: int) -> None:
+        size = len(self.keys)
+        if size >= max_paths:
             raise ModelError(
-                f"commodity ({commodity.source!r} -> {commodity.sink!r}) has no path")
-        result.append(paths)
-    return result
+                f"commodity ({self.source!r} -> {self.sink!r}) needs more "
+                f"than {max_paths} paths; use Frank-Wolfe for this network")
+        if size == len(self._flows):
+            self._rows = np.concatenate([self._rows, np.zeros_like(self._rows)])
+            self._flows = np.concatenate([self._flows, np.zeros(size)])
+        self.keys[tuple(path)] = size
+        self._rows[size, path] = 1.0
+        self.incidence = self._rows[:size + 1]
+        self.flows = self._flows[:size + 1]
 
 
-def _edge_incidence(instance: NetworkInstance,
-                    commodity_paths: List[List[Tuple[int, ...]]]) -> np.ndarray:
-    """0/1 matrix mapping path-flow variables to edge flows."""
-    num_edges = instance.network.num_edges
-    total_paths = sum(len(paths) for paths in commodity_paths)
-    incidence = np.zeros((num_edges, total_paths), dtype=float)
-    col = 0
-    for paths in commodity_paths:
-        for path in paths:
-            for idx in path:
-                incidence[idx, col] += 1.0
-            col += 1
-    return incidence
+class _Prices:
+    """Edge prices of one solve kind and their derivatives.
+
+    Nash prices are the latencies ``l_e``; optimum prices are the marginal
+    costs ``l_e + x l_e'``, whose derivative is ``2 l_e' + x l_e''``.
+    """
+
+    def __init__(self, instance: NetworkInstance, kind: str) -> None:
+        self.batch = batch = instance.network.latency_batch()
+        self.nash = kind == "nash"
+        # Generic latencies expose no second derivative; their optimum
+        # curvature drops the ``x l_e''`` term (the line search still
+        # guards every step).
+        self.second_order = not batch.has_generic
+        domain = batch.domain_upper
+        self.capped = np.flatnonzero(np.isfinite(domain))
+        self.caps = domain[self.capped]
+
+    def at(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(prices, price derivatives)`` at edge flows ``x``."""
+        values = self.batch.values(x)
+        derivs = self.batch.derivs(x)
+        if self.nash:
+            curvature = derivs
+            prices = values
+        else:
+            prices = values + x * derivs
+            curvature = 2.0 * derivs
+            if self.second_order:
+                used = x > 0.0
+                # Powers below two have an infinite l'' at zero load.
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    second = self.batch.second_derivs(x)
+                curvature[used] += x[used] * second[used]
+        curvature[~np.isfinite(curvature)] = 0.0
+        return prices, curvature
+
+    def headroom(self, flows: np.ndarray, direction: np.ndarray,
+                 t_max: float) -> float:
+        """``t_max`` shortened to stay strictly inside every latency domain
+        (M/M/1 capacities) along ``direction``."""
+        if len(self.capped):
+            d = direction[self.capped]
+            rising = d > 0.0
+            if np.any(rising):
+                room = (self.caps[rising] - flows[self.capped][rising]) / d[rising]
+                t_max = min(t_max, float(np.min(room)) * (1.0 - 1e-12))
+        return t_max
 
 
 def path_based_flow(instance: NetworkInstance, kind: str,
                     *, max_paths: int = 5000, tol: float = 1e-12,
                     max_iterations: int = 800) -> NetworkFlowResult:
-    """Solve the Nash or optimum flow via the explicit path formulation.
+    """Solve the Nash or optimum flow by certified path equilibration.
 
-    ``kind`` is ``"nash"`` or ``"optimum"``.  Raises :class:`ModelError` when
-    a commodity has more than ``max_paths`` simple paths (use Frank–Wolfe for
-    such instances) and :class:`ConvergenceError` when SLSQP fails.
+    ``kind`` is ``"nash"`` or ``"optimum"``.  ``max_paths`` bounds every
+    commodity's working set and ``max_iterations`` the number of rounds.
+    Raises :class:`ModelError` when a working set would exceed ``max_paths``
+    (use Frank–Wolfe for such instances) or a sink is unreachable, and
+    :class:`ConvergenceError` when the residual is still above ``tol`` after
+    ``max_iterations`` rounds.
     """
     if kind not in ("nash", "optimum"):
         raise ModelError(f"unknown path-based kind {kind!r}")
-    commodity_paths = enumerate_commodity_paths(instance, max_paths=max_paths)
-    incidence = _edge_incidence(instance, commodity_paths)
-    num_vars = incidence.shape[1]
+    network = instance.network
+    prices = _Prices(instance, kind)
+    sets = [_WorkingSet(c.source, c.sink, c.demand, network.num_edges)
+            for c in instance.commodities]
+    sources = list(dict.fromkeys(c.source for c in instance.commodities))
+    flows = np.zeros(network.num_edges)
+    costs, _ = prices.at(flows)
+    engine = ShortestPathEngine(network, validate_edge_costs(network, costs),
+                                validated=True)
+    engine.run(sources)
+    for ws in sets:
+        _load_start(ws, engine, flows, prices, max_paths)
+    costs, curvature = prices.at(flows)
 
-    # Start from an even split of every commodity across its paths.
-    x0 = np.zeros(num_vars)
-    col = 0
-    for commodity, paths in zip(instance.commodities, commodity_paths):
-        share = commodity.demand / len(paths)
-        x0[col:col + len(paths)] = share
-        col += len(paths)
-
-    def edge_flows_of(path_flows: np.ndarray) -> np.ndarray:
-        return incidence @ path_flows
-
-    if kind == "nash":
-        def objective(path_flows: np.ndarray) -> float:
-            return instance.beckmann(edge_flows_of(path_flows))
-
-        def gradient(path_flows: np.ndarray) -> np.ndarray:
-            latencies = instance.latencies_at(edge_flows_of(path_flows))
-            return incidence.T @ latencies
+    residual = np.inf
+    for iteration in range(1, max_iterations + 1):
+        engine.reprice(costs, validated=True)
+        engine.run(sources)
+        residual = 0.0
+        blocks = []
+        for ws in sets:
+            dist = engine.distance(ws.source, ws.sink)
+            scale = dist if dist > 0.0 else 1.0
+            path_costs = ws.incidence @ costs
+            active = ws.flows > 0.0
+            residual = max(residual, (path_costs[active].max() - dist) / scale)
+            if path_costs.min() - dist > tol * scale:
+                ws.add(engine.path_edges(ws.source, ws.sink), max_paths)
+                path_costs = ws.incidence @ costs
+                active = ws.flows > 0.0
+            active[path_costs.argmin()] = True
+            members = active.nonzero()[0]
+            if len(members) > 1:
+                blocks.append((ws, members, path_costs))
+        if residual <= tol:
+            break
+        flows, costs, curvature = _rebalance(blocks, (flows, costs, curvature),
+                                             prices)
     else:
-        def objective(path_flows: np.ndarray) -> float:
-            return instance.cost(edge_flows_of(path_flows))
-
-        def gradient(path_flows: np.ndarray) -> np.ndarray:
-            marginals = instance.marginal_costs_at(edge_flows_of(path_flows))
-            return incidence.T @ marginals
-
-    # One equality constraint per commodity: its path flows sum to its demand.
-    constraints = []
-    col = 0
-    for commodity, paths in zip(instance.commodities, commodity_paths):
-        indices = np.arange(col, col + len(paths))
-
-        def make_constraint(idx: np.ndarray, demand: float):
-            return {
-                "type": "eq",
-                "fun": lambda x, idx=idx, demand=demand: float(x[idx].sum() - demand),
-                "jac": lambda x, idx=idx: _indicator(num_vars, idx),
-            }
-
-        constraints.append(make_constraint(indices, commodity.demand))
-        col += len(paths)
-
-    bounds = [(0.0, None)] * num_vars
-    solution = sciopt.minimize(
-        objective, x0, jac=gradient, bounds=bounds, constraints=constraints,
-        method="SLSQP", options={"maxiter": max_iterations, "ftol": tol})
-    if not solution.success:
         raise ConvergenceError(
-            f"path-based {kind} solve failed: {solution.message}",
-            iterations=int(solution.get("nit", 0)))
-    path_flows = np.clip(solution.x, 0.0, None)
-    flows = edge_flows_of(path_flows)
+            f"path-based {kind} solve did not reach residual {tol!r} "
+            f"within {max_iterations} rounds (residual={residual!r})",
+            iterations=max_iterations, residual=float(residual))
     return NetworkFlowResult(
         edge_flows=flows,
         cost=instance.cost(flows),
         beckmann=instance.beckmann(flows),
         kind=kind,
-        relative_gap=0.0,
-        iterations=int(solution.nit),
+        relative_gap=float(max(residual, 0.0)),
+        iterations=iteration,
         converged=True,
         solver="path-based",
+        num_paths=sum(len(ws.keys) for ws in sets),
+        commodity_flows=np.array([ws.flows @ ws.incidence for ws in sets]),
     )
 
 
-def _indicator(size: int, indices: np.ndarray) -> np.ndarray:
-    row = np.zeros(size)
-    row[indices] = 1.0
-    return row
+def _load_start(ws: _WorkingSet, engine: ShortestPathEngine,
+                flows: np.ndarray, prices: _Prices, max_paths: int) -> None:
+    """Route ``ws``'s demand on successive shortest paths, adding to
+    ``flows`` in place.
+
+    A path takes all the remaining demand unless that would fill one of its
+    edges past half of the edge's headroom (M/M/1 capacities); then it takes
+    half the headroom and the engine is repriced at the new flows.
+    """
+    remaining = ws.demand
+    for _ in range(_START_STEPS):
+        engine.run([ws.source])
+        path = engine.path_edges(ws.source, ws.sink)
+        if tuple(path) not in ws.keys:
+            ws.add(path, max_paths)
+        index = ws.keys[tuple(path)]
+        row = ws.incidence[index]
+        amount = min(remaining, 0.5 * prices.headroom(flows, row, np.inf))
+        ws.flows[index] += amount
+        flows += amount * row
+        remaining -= amount
+        if remaining <= 0.0:
+            return
+        engine.reprice(prices.at(flows)[0], validated=True)
+    raise ModelError(
+        f"commodity ({ws.source!r} -> {ws.sink!r}) could not be routed inside "
+        f"the latency domains in {_START_STEPS} shortest-path steps")
+
+
+_Point = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _rebalance(blocks: List[Tuple[_WorkingSet, np.ndarray, np.ndarray]],
+               point: _Point, prices: _Prices) -> _Point:
+    """One Newton flow shift over the restricted master problem.
+
+    ``blocks`` holds, per commodity with a choice, its working set, the
+    member paths of the problem (its used paths plus its cheapest one) and
+    the prices of all its paths.  The Newton system has one demand row per
+    commodity.  Returns the new ``(flows, costs, curvature)``; the path
+    flows are updated in place.
+    """
+    curvature = point[2]
+    problem = blocks
+    while problem:
+        sizes = np.array([len(m) for _, m, _ in problem])
+        owner = np.repeat(np.arange(len(problem)), sizes)
+        rows = np.concatenate([ws.incidence[m] for ws, m, _ in problem])
+        member_costs = np.concatenate([c[m] for _, m, c in problem])
+        member_flows = np.concatenate([ws.flows[m] for ws, m, _ in problem])
+        demand_rows = owner[:, None] == np.arange(len(problem))
+        n = len(member_costs)
+        kkt = np.zeros((n + len(problem), n + len(problem)))
+        kkt[:n, :n] = (rows * curvature) @ rows.T
+        kkt[:n, n:] = demand_rows
+        kkt[n:, :n] = demand_rows.T
+        rhs = np.zeros(len(kkt))
+        rhs[:n] = -member_costs
+        # Minimum-norm solve plus one step of iterative refinement.
+        solution = _min_norm_solve(kkt, rhs, cond=_RCOND)[1]
+        solution += _min_norm_solve(kkt, rhs - kkt @ solution,
+                                    cond=_RCOND)[1]
+        delta = solution[:n]
+        # Each commodity's shifts sum to zero exactly.
+        delta -= demand_rows @ ((delta @ demand_rows) / sizes)
+        # An empty path the step would drain leaves the problem.
+        blocked = (member_flows <= 0.0) & (delta < 0.0)
+        if blocked.any():
+            kept = ((ws, m[~blocked[start:stop]], c) for (ws, m, c), start, stop
+                    in _spans(problem))
+            problem = [block for block in kept if len(block[1]) > 1]
+            continue
+        slope = float(member_costs @ delta)
+        shrinking = delta < 0.0
+        limits = member_flows[shrinking] / -delta[shrinking]
+        t_max = min(1.0, limits.min()) if len(limits) else 1.0
+        if not (slope < 0.0 and t_max > 0.0):
+            break
+        step, moved = _line_step(point, delta @ rows, slope, t_max, prices)
+        if step <= 0.0:
+            break
+        member_flows += step * delta
+        if step == t_max:
+            # The blocking paths empty exactly.
+            member_flows[shrinking] = np.where(
+                limits <= t_max, 0.0, member_flows[shrinking])
+        np.maximum(member_flows, 0.0, out=member_flows)
+        for (ws, members, _), start, stop in _spans(problem):
+            ws.flows[members] = member_flows[start:stop]
+        return moved
+    # A degenerate Newton step: one pairwise shift per commodity.
+    for ws, _, _ in blocks:
+        point = _pairwise_shift(ws, point, ws.incidence @ point[1], prices)
+    return point
+
+
+def _spans(problem):
+    """``(block, start, stop)``: each block's slice of the stacked members."""
+    start = 0
+    for block in problem:
+        stop = start + len(block[1])
+        yield block, start, stop
+        start = stop
+
+
+def _pairwise_shift(ws: _WorkingSet, point: _Point, path_costs: np.ndarray,
+                    prices: _Prices) -> _Point:
+    """Move flow from the costliest used path to the cheapest path."""
+    used = (ws.flows > 0.0).nonzero()[0]
+    costliest = int(used[np.argmax(path_costs[used])])
+    cheapest = int(np.argmin(path_costs))
+    gain = float(path_costs[costliest] - path_costs[cheapest])
+    if gain <= 0.0:
+        return point
+    direction = ws.incidence[cheapest] - ws.incidence[costliest]
+    available = float(ws.flows[costliest])
+    curvature = float(point[2] @ (direction * direction))
+    amount = min(gain / curvature, available) if curvature > 0.0 else available
+    step, moved = _line_step(point, direction, -gain, amount, prices)
+    if step <= 0.0:
+        return point
+    ws.flows[costliest] = 0.0 if step >= available else available - step
+    ws.flows[cheapest] += step
+    return moved
+
+
+def _line_step(point: _Point, direction: np.ndarray, slope: float,
+               t_max: float, prices: _Prices) -> Tuple[float, _Point]:
+    """A step in ``[0, t_max]`` along ``direction`` that does not overshoot.
+
+    ``slope`` is the objective's (negative) slope at the current flows.  The
+    objective is convex along the segment and its slope there is
+    ``direction . prices``, so the full step is taken unless the slope at
+    its end is clearly positive; then secant steps on the slope (Illinois
+    variant) locate the minimiser inside the bracket.  Steps stay strictly
+    inside the latency domains.  Returns the step and the point it reaches
+    (``(0.0, point)`` when no step is possible).
+    """
+    flows = point[0]
+    hi = prices.headroom(flows, direction, t_max)
+    if hi <= 0.0:
+        return 0.0, point
+    accept = _SLOPE_ACCEPT * -slope
+    lo, g_lo = 0.0, slope
+    best = (0.0, point)
+    s = hi
+    side = 0
+    for _ in range(_LINE_SEARCH_STEPS):
+        trial = np.maximum(flows + s * direction, 0.0)
+        costs, curvature = prices.at(trial)
+        g_s = float(direction @ costs)
+        if g_s <= accept and (g_s >= -accept or s == hi):
+            return s, (trial, costs, curvature)
+        if g_s < 0.0:
+            lo, g_lo = s, g_s
+            best = (s, (trial, costs, curvature))
+            if side == -1:
+                g_hi *= 0.5
+            side = -1
+        else:
+            hi, g_hi = s, g_s
+            if side == 1:
+                g_lo *= 0.5
+            side = 1
+        s = lo + g_lo * (lo - hi) / (g_hi - g_lo)
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+    return best

@@ -53,8 +53,12 @@ class ParallelFlowResult:
 class NetworkFlowResult:
     """Outcome of a network Nash or optimum computation.
 
-    ``relative_gap`` is the Frank–Wolfe convergence measure (zero for the
-    exact path-based solver); ``iterations`` counts solver iterations.
+    ``relative_gap`` is the solver's stopping residual: the Frank–Wolfe
+    relative gap, or the relative path-cost residual of path equilibration;
+    ``iterations`` counts solver iterations (rounds); ``num_paths`` is the
+    total size of path equilibration's working sets (0 for Frank–Wolfe) and
+    ``commodity_flows`` its edge flows per commodity (commodities by edges;
+    ``None`` for Frank–Wolfe, which tracks only their sum).
     """
 
     edge_flows: np.ndarray
@@ -65,6 +69,8 @@ class NetworkFlowResult:
     iterations: int = 0
     converged: bool = True
     solver: str = "frank-wolfe"
+    num_paths: int = 0
+    commodity_flows: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edge_flows",

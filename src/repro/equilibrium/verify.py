@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.exceptions import ModelError
 from repro.network.instance import NetworkInstance
 from repro.network.parallel import ParallelLinkInstance
 from repro.paths.dijkstra import shortest_distances
@@ -25,6 +26,8 @@ __all__ = [
     "parallel_wardrop_gap",
     "parallel_optimality_gap",
     "network_wardrop_gap",
+    "network_optimality_gap",
+    "network_commodity_gap",
 ]
 
 
@@ -61,6 +64,31 @@ def parallel_optimality_gap(instance: ParallelLinkInstance, flows: Sequence[floa
     return _support_violation(marginals, arr, flow_atol=flow_atol)
 
 
+def _dag_overshoot(instance: NetworkInstance, costs: np.ndarray,
+                   commodity_flows: Sequence[np.ndarray],
+                   flow_atol: float) -> float:
+    """Largest overshoot ``dist(tail) + cost(e) - dist(head)`` of a used edge.
+
+    For each commodity, labels come from the pure-Python
+    :func:`shortest_distances` tree of its source, and an edge counts as
+    used when the commodity's entry of ``commodity_flows`` exceeds
+    ``flow_atol`` on it.
+    """
+    worst = 0.0
+    for commodity, flows in zip(instance.commodities, commodity_flows):
+        dist, _ = shortest_distances(instance.network, commodity.source, costs)
+        for idx, edge in enumerate(instance.network.edges):
+            if flows[idx] <= flow_atol:
+                continue
+            du = dist.get(edge.tail, math.inf)
+            dv = dist.get(edge.head, math.inf)
+            if math.isinf(du) or math.isinf(dv):
+                continue
+            slack = du + costs[idx] - dv
+            worst = max(worst, slack)
+    return float(worst)
+
+
 def network_wardrop_gap(instance: NetworkInstance, edge_flows: Sequence[float],
                         *, flow_atol: float = 1e-7) -> float:
     """Wardrop residual of a network flow.
@@ -75,17 +103,52 @@ def network_wardrop_gap(instance: NetworkInstance, edge_flows: Sequence[float],
     single-commodity instances (every used path then has minimal latency).
     """
     flows = np.asarray(edge_flows, dtype=float)
-    costs = instance.latencies_at(flows)
-    worst = 0.0
-    for commodity in instance.commodities:
-        dist, _ = shortest_distances(instance.network, commodity.source, costs)
-        for idx, edge in enumerate(instance.network.edges):
-            if flows[idx] <= flow_atol:
-                continue
-            du = dist.get(edge.tail, math.inf)
-            dv = dist.get(edge.head, math.inf)
-            if math.isinf(du) or math.isinf(dv):
-                continue
-            slack = du + costs[idx] - dv
-            worst = max(worst, slack)
-    return float(worst)
+    return _dag_overshoot(instance, instance.latencies_at(flows),
+                          [flows] * len(instance.commodities), flow_atol)
+
+
+def network_optimality_gap(instance: NetworkInstance,
+                           edge_flows: Sequence[float],
+                           *, flow_atol: float = 1e-7) -> float:
+    """KKT residual of a system-optimum network flow.
+
+    The marginal-cost twin of :func:`network_wardrop_gap`: the same
+    edge-wise overshoot over each commodity's shortest-path DAG, with every
+    edge priced at its marginal cost ``l_e(f_e) + f_e l_e'(f_e)``.  A
+    residual ~0 certifies the optimum (every used path has minimal marginal
+    cost).  With a single commodity the converse holds too.  With several
+    commodities the aggregate flow does not say whose flow an edge carries,
+    so every used edge is checked against every commodity's DAG, and an
+    exact optimum can read positive; certify it with
+    :func:`network_commodity_gap` instead.
+    """
+    flows = np.asarray(edge_flows, dtype=float)
+    return _dag_overshoot(instance, instance.marginal_costs_at(flows),
+                          [flows] * len(instance.commodities), flow_atol)
+
+
+def network_commodity_gap(instance: NetworkInstance,
+                          commodity_flows: Sequence[Sequence[float]],
+                          kind: str, *, flow_atol: float = 1e-7) -> float:
+    """Wardrop (``kind="nash"``) or KKT (``kind="optimum"``) residual of a
+    flow given per commodity.
+
+    ``commodity_flows`` holds one edge-flow row per commodity, such as
+    :attr:`NetworkFlowResult.commodity_flows`.  Edges are priced at the
+    summed flow (latencies or marginal costs), and each commodity's own
+    used edges are measured against its own shortest-path DAG.  The
+    residual is ~0 exactly when every commodity uses only paths of minimal
+    price, for any number of commodities.
+    """
+    if kind not in ("nash", "optimum"):
+        raise ModelError(f"unknown kind {kind!r}")
+    rows = np.asarray(commodity_flows, dtype=float)
+    if rows.shape != (len(instance.commodities), instance.network.num_edges):
+        raise ModelError(
+            f"commodity_flows must have shape "
+            f"({len(instance.commodities)}, {instance.network.num_edges}), "
+            f"got {rows.shape}")
+    flows = rows.sum(axis=0)
+    costs = instance.latencies_at(flows) if kind == "nash" \
+        else instance.marginal_costs_at(flows)
+    return _dag_overshoot(instance, costs, rows, flow_atol)

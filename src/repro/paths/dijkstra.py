@@ -54,10 +54,6 @@ def validate_edge_costs(network: Network,
     return np.clip(costs, 0.0, None)
 
 
-# Backwards-compatible private alias (pre-existing internal callers).
-_validate_costs = validate_edge_costs
-
-
 def shortest_distances(network: Network, source: Node,
                        edge_costs: Sequence[float],
                        *, reverse: bool = False,
@@ -145,7 +141,7 @@ def shortest_path_edge_set(network: Network, source: Node, sink: Node,
     ``dist_source(u) + cost(e) + dist_sink(v) <= dist_source(sink) + atol``.
     This is the subgraph ``G^`` of the paper's footnote 5.
     """
-    costs = _validate_costs(network, edge_costs)
+    costs = validate_edge_costs(network, edge_costs)
     dist_from_source, _ = shortest_distances(network, source, costs)
     dist_to_sink, _ = shortest_distances(network, sink, costs, reverse=True)
     target = dist_from_source.get(sink, math.inf)
@@ -166,13 +162,14 @@ def shortest_path_edge_set(network: Network, source: Node, sink: Node,
 class ShortestPathEngine:
     """Batched shortest paths over a network's cached CSR adjacency.
 
-    One engine wraps a fixed ``(network, edge_costs)`` pair.  Construction
-    reduces parallel edges to their cheapest representative (shortest paths
-    never take a costlier parallel copy) and assembles a
-    ``scipy.sparse.csr_matrix`` from the structure arrays cached on the
-    network; :meth:`run` then answers *all* requested sources with a single
-    `scipy.sparse.csgraph.dijkstra` call, and :meth:`path_edges` walks the
-    predecessor matrix back into canonical edge indices.
+    One engine wraps a network and its current edge costs.  The
+    ``scipy.sparse.csr_matrix`` over the network's node pairs is assembled
+    once, from the structure arrays cached on the network; :meth:`reprice`
+    rewrites its ``data`` in place for new costs, reducing parallel edges to
+    their cheapest representative (shortest paths never take a costlier
+    parallel copy).  :meth:`run` then answers *all* requested sources with a
+    single `scipy.sparse.csgraph.dijkstra` call, and :meth:`path_edges`
+    walks the predecessor matrix back into canonical edge indices.
 
     Zero-cost edges are kept as explicit entries of the sparse matrix, which
     ``csgraph`` treats as genuine zero-weight edges, so free-flow links route
@@ -182,34 +179,49 @@ class ShortestPathEngine:
     def __init__(self, network: Network, edge_costs: Sequence[float],
                  *, validated: bool = False) -> None:
         self.network = network
-        costs = np.asarray(edge_costs, dtype=float) if validated \
-            else validate_edge_costs(network, edge_costs)
         self._structure = structure = network.csr_structure()
-        pair_id = structure["pair_id"]
+        n = network.num_nodes
+        # Pairs are sorted by (tail, head) node index, which is CSR order.
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(structure["pair_tail"], minlength=n),
+                  out=indptr[1:])
         num_pairs = len(structure["pair_tail"])
+        self._graph = _csr_matrix(
+            (np.zeros(num_pairs), structure["pair_head"].astype(np.int32),
+             indptr), shape=(n, n))
+        # Scatter edge ids into the pair ordering (pairs are sorted by
+        # node-index key, not by edge insertion order); on a simple graph
+        # this is final, on a multigraph :meth:`reprice` picks per pair.
+        self._representatives = np.empty(num_pairs, dtype=np.int64)
+        self._representatives[structure["pair_id"]] = np.arange(
+            network.num_edges, dtype=np.int64)
+        #: Per-source results: node index -> (distance row, predecessor row).
+        self._trees: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self.reprice(edge_costs, validated=validated)
+
+    def reprice(self, edge_costs: Sequence[float], *,
+                validated: bool = False) -> None:
+        """Replace the edge costs and forget every solved source.
+
+        The sparse matrix's ``data`` is rewritten in place; where several
+        edges join the same node pair the cheapest one (ties: lowest index)
+        stands for the pair.
+        """
+        costs = np.asarray(edge_costs, dtype=float) if validated \
+            else validate_edge_costs(self.network, edge_costs)
+        structure = self._structure
+        pair_id = structure["pair_id"]
+        data = self._graph.data
         if structure["has_parallel"]:
-            pair_costs = np.full(num_pairs, math.inf)
-            np.minimum.at(pair_costs, pair_id, costs)
+            data.fill(math.inf)
+            np.minimum.at(data, pair_id, costs)
             # Representative edge per pair: scatter in descending cost order
             # so the cheapest edge (ties: lowest index) wins the final write.
             order = np.lexsort((np.arange(len(costs)), costs))[::-1]
-            representatives = np.empty(num_pairs, dtype=np.int64)
-            representatives[pair_id[order]] = order
+            self._representatives[pair_id[order]] = order
         else:
-            # One edge per pair; scatter into the pair ordering (pairs are
-            # sorted by node-index key, not by edge insertion order).
-            pair_costs = np.empty(num_pairs)
-            pair_costs[pair_id] = costs
-            representatives = np.empty(num_pairs, dtype=np.int64)
-            representatives[pair_id] = np.arange(len(costs), dtype=np.int64)
-        self._pair_costs = pair_costs
-        self._representatives = representatives
-        n = network.num_nodes
-        self._graph = _csr_matrix(
-            (pair_costs, (structure["pair_tail"], structure["pair_head"])),
-            shape=(n, n))
-        #: Per-source results: node index -> (distance row, predecessor row).
-        self._trees: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+            data[pair_id] = costs
+        self._trees.clear()
 
     def _node_index(self, node: Node) -> int:
         try:

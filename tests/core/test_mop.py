@@ -12,6 +12,7 @@ from repro.instances import (
     braess_paradox,
     grid_network,
     layered_network,
+    mm1_server_farm,
     random_multicommodity_instance,
     roughgarden_example,
 )
@@ -127,6 +128,16 @@ class TestConsistencyWithOpTop:
         beta_parallel = optop(parallel_instance).beta
         beta_network = mop(network_instance).beta
         assert beta_network == pytest.approx(beta_parallel, abs=1e-5)
+
+    @pytest.mark.parametrize("utilisation", [0.6, 0.99])
+    def test_mm1_farm_beyond_one_link_capacity(self, utilisation):
+        """The demand exceeds every single link's M/M/1 capacity, so no
+        all-or-nothing start fits; ``mop`` embeds the farm as a graph."""
+        farm = mm1_server_farm(2, 6, fast_capacity=4.0, slow_capacity=2.0,
+                               utilisation=utilisation)
+        config = SolveConfig(cache=False)
+        assert solve(farm, "mop", config=config).beta == pytest.approx(
+            solve(farm, "optop", config=config).beta, abs=1e-9)
 
     def test_solve_dispatches_by_type(self):
         config = SolveConfig(cache=False)

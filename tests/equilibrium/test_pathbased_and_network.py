@@ -6,17 +6,24 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
-from repro.latency import ConstantLatency, LinearLatency
-from repro.network import Network, NetworkInstance
+from repro.latency import ConstantLatency, LinearLatency, MM1Latency
+from repro.network import Commodity, Network, NetworkInstance
 from repro.equilibrium import (
     frank_wolfe,
     FrankWolfeOptions,
     network_nash,
     network_optimum,
+    network_commodity_gap,
     network_wardrop_gap,
     path_based_flow,
 )
-from repro.instances import braess_paradox, grid_network, roughgarden_example
+from repro.instances import (
+    braess_paradox,
+    grid_network,
+    mm1_server_farm,
+    roughgarden_example,
+)
+from repro.network.builders import parallel_network_as_graph
 
 
 class TestPathBasedSolver:
@@ -59,6 +66,27 @@ class TestPathBasedSolver:
         result = path_based_flow(instance, "nash")
         instance.check_flow_conservation(result.edge_flows, atol=1e-5)
         assert network_wardrop_gap(instance, result.edge_flows) < 1e-5
+
+
+    @pytest.mark.parametrize("kind", ["nash", "optimum"])
+    def test_mm1_start_stays_inside_capacities(self, kind):
+        """Demand 12 would overload any single link (capacities 4 and 2)."""
+        farm = mm1_server_farm(2, 6, fast_capacity=4.0, slow_capacity=2.0)
+        instance = parallel_network_as_graph(farm)
+        result = path_based_flow(instance, kind)
+        assert np.all(result.edge_flows < farm.latency_batch().domain_upper)
+        assert result.edge_flows.sum() == pytest.approx(farm.demand)
+        assert network_commodity_gap(instance, result.commodity_flows,
+                                     kind) < 1e-9
+
+    def test_demand_beyond_capacity_rejected(self):
+        """No start fits demand 3 into two M/M/1 links of capacity 1."""
+        net = Network()
+        net.add_edge("s", "t", MM1Latency(1.0))
+        net.add_edge("s", "t", MM1Latency(1.0))
+        instance = NetworkInstance(net, [Commodity("s", "t", 3.0)])
+        with pytest.raises(ModelError, match="latency domains"):
+            path_based_flow(instance, "nash")
 
 
 class TestNetworkEntryPoints:
