@@ -17,7 +17,11 @@ exit) when the kernels deviate from the oracles, the warm mixed-family
 ``water_fill`` speedup at ``m >= 1000`` drops below the 10x gate, a cold
 ``water_fill`` (a fresh ``LatencyBatch`` per call) is slower than the
 reference at any size, or a cold ``optop`` (``optop_cold``, a fresh instance
-per call) canonicalises its latencies more than once.  A cold network solve
+per call) canonicalises its latencies more than once.  The ``solve_cold``
+rows time whole cold ``solve`` calls (a fresh instance per call, cache on)
+and split out the work around the kernels: the instance digest (which
+canonicalises the links once), the ``LatencyBatch`` fill from those columns
+and the ``SolveReport`` build.  A cold network solve
 (``pathbased_cold``) that misses its path-cost residual raises
 ``ConvergenceError`` and so fails the run too.
 
@@ -43,6 +47,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
+import repro.api.session  # noqa: E402
+from repro.api import SolveReport, solve  # noqa: E402
+from repro.cache import LRUCache  # noqa: E402
 from repro.core.optop import optop  # noqa: E402
 from repro.equilibrium.frank_wolfe import (  # noqa: E402
     FrankWolfeOptions,
@@ -64,6 +71,7 @@ from repro.instances import (  # noqa: E402
     random_multicommodity_instance,
 )
 from repro.latency.batch import LatencyBatch  # noqa: E402
+from repro.latency.columns import LatencyColumns  # noqa: E402
 
 
 def _reference_water_fill(latencies, demand, kind, *, tol=1e-12, batch=None):
@@ -242,16 +250,32 @@ def bench_optop(sizes, *, repeats: int):
 
 @contextlib.contextmanager
 def counting_batch_builds():
-    """Count ``LatencyBatch`` canonicalisations (``__init__`` calls)."""
+    """Count latency canonicalisations (``LatencyColumns.__init__`` calls)."""
     calls = []
-    original = LatencyBatch.__init__
+    original = LatencyColumns.__init__
 
     def counted(self, latencies):
         calls.append(None)
         original(self, latencies)
 
-    with mock.patch.object(LatencyBatch, "__init__", counted):
+    with mock.patch.object(LatencyColumns, "__init__", counted):
         yield calls
+
+
+@contextlib.contextmanager
+def timing(owner, name: str, into: list):
+    """Append the seconds of every ``owner.name`` call to ``into``."""
+    original = getattr(owner, name)
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            into.append(time.perf_counter() - start)
+
+    with mock.patch.object(owner, name, timed):
+        yield
 
 
 def bench_optop_cold(sizes, *, repeats: int):
@@ -286,6 +310,56 @@ def bench_optop_cold(sizes, *, repeats: int):
             print(f"optop_cold[{family}] m={m}: {min(times)*1e3:8.3f} ms "
                   f"(median {np.median(times)*1e3:8.3f} ms), "
                   f"{builds} batch build(s) per call")
+    return rows
+
+
+def bench_solve_cold(sizes, *, repeats: int, strategies=("aloof", "optop")):
+    """Whole cold ``solve`` calls and the work around their kernels.
+
+    One fresh instance per call, solved through ``solve`` with a fresh
+    result cache, so each call digests its instance.  Per call it records
+    the digest (including the one canonicalisation of the links), the
+    ``LatencyBatch`` fill from those columns and the ``SolveReport`` build
+    (``__post_init__`` plus the cache stamp); the rows report medians.
+    """
+    rows = []
+    for family, generator in (("linear", random_linear_parallel),
+                              ("mixed", random_mixed_parallel)):
+        for m in sizes:
+            for strategy in strategies:
+                times, digest, batch, report = [], [], [], []
+                for k in range(max(3, repeats)):
+                    instance = generator(int(m), demand=0.2 * m,
+                                         seed=2000 * int(m) + k)
+                    parts = ([], [], [])
+                    with timing(repro.api.session, "instance_digest",
+                                parts[0]), \
+                            timing(LatencyBatch, "_fill", parts[1]), \
+                            timing(SolveReport, "__post_init__", parts[2]), \
+                            timing(SolveReport, "stamped", parts[2]):
+                        start = time.perf_counter()
+                        solve(instance, strategy, cache=LRUCache())
+                        times.append(time.perf_counter() - start)
+                    for into, part in zip((digest, batch, report), parts):
+                        into.append(sum(part))
+                split = {"digest_ms": float(np.median(digest)) * 1e3,
+                         "batch_ms": float(np.median(batch)) * 1e3,
+                         "report_ms": float(np.median(report)) * 1e3}
+                rows.append({
+                    "benchmark": "solve_cold",
+                    "family": family,
+                    "size": int(m),
+                    "strategy": strategy,
+                    "seconds": min(times),
+                    "median_seconds": float(np.median(times)),
+                    **split,
+                    "out_of_kernel_ms": sum(split.values()),
+                })
+                print(f"solve_cold[{family}, {strategy}] m={m}: "
+                      f"{np.median(times)*1e3:8.3f} ms median; digest "
+                      f"{split['digest_ms']:.3f}, batch "
+                      f"{split['batch_ms']:.3f}, report "
+                      f"{split['report_ms']:.3f} ms")
     return rows
 
 
@@ -539,6 +613,7 @@ def main(argv=None) -> int:
                                      repeats=repeats)
     results += bench_optop(optop_sizes, repeats=repeats)
     results += bench_optop_cold(optop_cold_sizes, repeats=repeats)
+    results += bench_solve_cold(optop_cold_sizes, repeats=repeats)
     results += bench_frank_wolfe(repeats=repeats, iterations=fw_iters)
     results += bench_pathbased_cold(repeats=repeats)
     results += bench_trace_replay(num_steps=trace_steps, num_links=16,

@@ -12,22 +12,31 @@ report losslessly.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.exceptions import ModelError
 from repro.api.config import SolveConfig
 
 __all__ = ["SolveReport"]
 
+#: Types ``_jsonify`` returns unchanged, checked by identity first.
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
 
 def _jsonify(value: Any) -> Any:
     """Normalise ``value`` to what it will look like after a JSON round trip."""
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, dict):
         return {str(key): _jsonify(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonify(item) for item in value]
+        return [item if type(item) in _PLAIN else _jsonify(item)
+                for item in value]
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
@@ -40,7 +49,9 @@ def _jsonify(value: Any) -> Any:
 
 
 def _float_tuple(values: Any) -> Tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        return tuple(values.astype(float, copy=False).tolist())
+    return tuple(map(float, values))
 
 
 @dataclass(frozen=True)
@@ -133,6 +144,23 @@ class SolveReport:
     def controlled_flow(self) -> float:
         """Total flow routed by the Leader."""
         return float(sum(self.leader_flows))
+
+    def stamped(self, *, wall_time: Optional[float] = None,
+                **entries: Any) -> "SolveReport":
+        """A copy with ``wall_time`` and the metadata ``entries`` set.
+
+        Only ``entries`` are normalised: every other field was normalised
+        when this report was built and is shared with the copy, so stamping
+        does not grow with the flow vectors.  Nested metadata containers
+        are shared too; like the rest of a report they are read-only.
+        """
+        new = copy.copy(self)
+        metadata = dict(self.metadata)
+        metadata.update(_jsonify(entries))
+        object.__setattr__(new, "metadata", metadata)
+        if wall_time is not None:
+            object.__setattr__(new, "wall_time", float(wall_time))
+        return new
 
     @property
     def profile(self) -> Optional[Dict[str, Any]]:

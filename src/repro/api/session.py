@@ -6,8 +6,9 @@ returns a :class:`~repro.api.report.SolveReport`.  :func:`solve_many` maps it
 over a batch with two production conveniences:
 
 * a **result cache** keyed by ``(strategy, instance digest, config)`` — the
-  digest is a SHA-256 of the canonical instance JSON, so structurally equal
-  instances (including duplicates inside one batch) are solved exactly once.
+  digest is a SHA-256 of the instance's canonical parameter columns, so
+  structurally equal instances (including duplicates inside one batch) are
+  solved exactly once.
   The cache is a thread-safe :class:`repro.cache.LRUCache`; the process
   global is shared by default and both entry points accept an injected
   ``cache`` (the serving layer passes its own tier-1 instance);
@@ -37,7 +38,6 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
-from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.api.config import SolveConfig
@@ -82,20 +82,19 @@ def _with_cache_metadata(report: SolveReport, *, hit: bool,
                          profile: Optional[dict] = None) -> SolveReport:
     """Attach the cache outcome and the running counters to a report.
 
-    The one ``replace`` (which re-runs ``SolveReport.__post_init__``) a
-    served report goes through: a fresh solve also sets its ``wall_time``
-    and ``profile`` here.  ``cache=None`` leaves the cache record out.
+    The one copy a served report goes through
+    (:meth:`SolveReport.stamped`, which normalises only the new entries):
+    a fresh solve also sets its ``wall_time`` and ``profile`` here.
+    ``cache=None`` leaves the cache record out.
     """
-    metadata = dict(report.metadata)
+    entries = {}
     if profile is not None:
-        metadata["profile"] = profile
+        entries["profile"] = profile
     if cache is not None:
         stats = cache.stats()
-        metadata["cache"] = {"hit": hit, "hits": stats["hits"],
-                             "misses": stats["misses"]}
-    if wall_time is None:
-        wall_time = report.wall_time
-    return replace(report, wall_time=wall_time, metadata=metadata)
+        entries["cache"] = {"hit": hit, "hits": stats["hits"],
+                            "misses": stats["misses"]}
+    return report.stamped(wall_time=wall_time, **entries)
 
 #: Default strategy: the paper's Price-of-Optimum algorithm, which itself
 #: dispatches between OpTop (parallel links) and MOP (networks).

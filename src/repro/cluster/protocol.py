@@ -201,8 +201,8 @@ def encode_solve_request(instance: object, strategy: str,
     """Serialise one solve request; returns ``(body, digest)``.
 
     The digest is computed here (once, client side) so every later hop —
-    gateway routing, worker cache keys — reuses it instead of re-canonising
-    the instance JSON.
+    gateway routing, worker cache keys — reuses it instead of digesting
+    the decoded instance again.
     """
     config = SolveConfig() if config is None else config
     if digest is None:

@@ -16,13 +16,16 @@ Python method calls:
   a *vectorized* bisection that still evaluates all affected links per step
   in one array op.
 
-Stackelberg wrappers are folded into the coefficient arrays at construction
-time: ``ShiftedLatency``/``ScaledLatency`` around a linear base collapse to a
-plain affine row, a shifted M/M/1 queue collapses to an M/M/1 queue with
-reduced capacity, and power/polynomial families carry an explicit offset
-column.  Latency subclasses the canonicaliser does not recognise land in a
-``generic`` bucket evaluated with the ordinary scalar loop, so a batch is
-always exact — unknown families only lose the speed-up, never correctness.
+The buckets are filled from the per-class parameter columns of
+:class:`~repro.latency.columns.LatencyColumns`, one array expression per
+stock class.  Stackelberg wrappers are folded into the coefficient arrays at
+construction time: ``ShiftedLatency``/``ScaledLatency`` around a linear base
+collapse to a plain affine row, a shifted M/M/1 queue collapses to an M/M/1
+queue with reduced capacity, and power/polynomial families carry an explicit
+offset column.  Latency subclasses the canonicaliser does not recognise land
+in a ``generic`` bucket evaluated with the ordinary scalar loop, so a batch
+is always exact — unknown families only lose the speed-up, never
+correctness.
 
 The batch preserves the scalar layer's domain semantics: evaluating an M/M/1
 family at or beyond its capacity raises
@@ -34,15 +37,19 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import LatencyDomainError, ModelError
 from repro.latency.base import LatencyFunction
-from repro.latency.linear import ConstantLatency, LinearLatency
-from repro.latency.mm1 import MM1Latency
-from repro.latency.polynomial import BPRLatency, MonomialLatency, PolynomialLatency
+from repro.latency.columns import (
+    STOCK_CLASSES,
+    WRAPPER,
+    LatencyColumns,
+    check_latencies,
+    stock_class,
+)
 from repro.latency.shifted import ScaledLatency, ShiftedLatency
 from repro.utils.vectorized import expand_upper_brackets, vectorized_bisect
 
@@ -148,7 +155,19 @@ class _Members:
     _ARRAYS: Tuple[str, ...] = ()
 
     def __init__(self) -> None:
-        self.indices: List[int] = []
+        self.indices = np.empty(0, dtype=np.intp)
+
+    @classmethod
+    def filled(cls, indices: np.ndarray, columns: Dict[str, np.ndarray],
+               ) -> "_Members":
+        """A frozen bucket holding ``columns`` for the links ``indices``."""
+        fam = cls()
+        fam.indices = indices
+        if len(indices):
+            for name in cls._ARRAYS:
+                setattr(fam, name, columns[name])
+            fam._after_take()
+        return fam
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -200,20 +219,6 @@ class _LinearFamily(_Members):
     #: the raw base columns whenever the offsets change.
     _ARRAYS = ("slopes", "base_slopes", "base_intercepts", "factors",
                "offsets")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._rows: List[Tuple[float, float, float, float, float]] = []
-
-    def add(self, index: int, slope: float, base: LinearLatency,
-            offset: float, factor: float) -> None:
-        self.indices.append(index)
-        self._rows.append((slope, base.slope, base.intercept, factor, offset))
-
-    def freeze(self) -> None:
-        for name, column in zip(self._ARRAYS, zip(*self._rows)):
-            setattr(self, name, np.asarray(column, dtype=float))
-        self._after_take()
 
     def _after_take(self) -> None:
         self.intercepts = self.factors * (self.base_slopes * self.offsets
@@ -267,17 +272,6 @@ class _ConstantFamily(_Members):
     name = "constant"
     _ARRAYS = ("constants",)
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._constants: List[float] = []
-
-    def add(self, index: int, constant: float) -> None:
-        self.indices.append(index)
-        self._constants.append(constant)
-
-    def freeze(self) -> None:
-        self.constants = np.asarray(self._constants, dtype=float)
-
     def values(self, x) -> np.ndarray:
         return self.constants.copy()
 
@@ -309,28 +303,6 @@ class _PowerFamily(_Members):
 
     name = "power"
     _ARRAYS = ("coeffs", "degrees", "consts", "offsets")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._coeffs: List[float] = []
-        self._degrees: List[float] = []
-        self._consts: List[float] = []
-        self._offsets: List[float] = []
-
-    def add(self, index: int, coeff: float, degree: float, const: float,
-            offset: float) -> None:
-        self.indices.append(index)
-        self._coeffs.append(coeff)
-        self._degrees.append(degree)
-        self._consts.append(const)
-        self._offsets.append(offset)
-
-    def freeze(self) -> None:
-        self.coeffs = np.asarray(self._coeffs, dtype=float)
-        self.degrees = np.asarray(self._degrees, dtype=float)
-        self.consts = np.asarray(self._consts, dtype=float)
-        self.offsets = np.asarray(self._offsets, dtype=float)
-        self._after_take()
 
     def _after_take(self) -> None:
         self.has_offsets = bool(np.any(self.offsets > 0.0))
@@ -407,20 +379,6 @@ class _MM1Family(_Members):
 
     name = "mm1"
     _ARRAYS = ("base_capacities", "offsets", "factors")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._rows: List[Tuple[float, float, float]] = []
-
-    def add(self, index: int, capacity: float, offset: float,
-            factor: float) -> None:
-        self.indices.append(index)
-        self._rows.append((capacity, offset, factor))
-
-    def freeze(self) -> None:
-        for name, column in zip(self._ARRAYS, zip(*self._rows)):
-            setattr(self, name, np.asarray(column, dtype=float))
-        self._after_take()
 
     def _after_take(self) -> None:
         self.capacities = self.base_capacities - self.offsets
@@ -514,25 +472,6 @@ class _PolyFamily(_Members):
 
     name = "poly"
     _ARRAYS = ("coeffs", "offsets")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._coeff_rows: List[Tuple[float, ...]] = []
-        self._offsets: List[float] = []
-
-    def add(self, index: int, coeffs: Tuple[float, ...], offset: float) -> None:
-        self.indices.append(index)
-        self._coeff_rows.append(coeffs)
-        self._offsets.append(offset)
-
-    def freeze(self) -> None:
-        width = max(len(row) for row in self._coeff_rows)
-        coeffs = np.zeros((len(self._coeff_rows), width))
-        for i, row in enumerate(self._coeff_rows):
-            coeffs[i, :len(row)] = row
-        self.coeffs = coeffs
-        self.offsets = np.asarray(self._offsets, dtype=float)
-        self._after_take()
 
     def _after_take(self) -> None:
         coeffs = self.coeffs
@@ -632,16 +571,12 @@ class _GenericFamily(_Members):
 
     name = "generic"
 
+    #: The latency objects themselves; :meth:`take` slices the list.
+    _ARRAYS = ("functions",)
+
     def __init__(self) -> None:
         super().__init__()
         self.functions: List[LatencyFunction] = []
-
-    def add(self, index: int, lat: LatencyFunction) -> None:
-        self.indices.append(index)
-        self.functions.append(lat)
-
-    def freeze(self) -> None:
-        pass
 
     def take(self, rows: np.ndarray, new_indices: np.ndarray) -> "_GenericFamily":
         clone = type(self)()
@@ -821,6 +756,113 @@ class _LevelProfile:
         return flow, dflow
 
 
+_FAMILIES = (_LinearFamily, _ConstantFamily, _PowerFamily, _MM1Family,
+             _PolyFamily, _GenericFamily)
+
+
+def _merge(parts: list) -> Tuple[np.ndarray, dict]:
+    """One bucket's ``(indices, columns)`` from its parts, in link order."""
+    if not parts:
+        return np.empty(0, dtype=np.intp), {}
+    idx, columns = parts[0]
+    if len(parts) > 1:
+        idx = np.concatenate([part[0] for part in parts])
+        columns = {name: np.concatenate([part[1][name] for part in parts])
+                   for name in columns}
+    if len(idx) > 1 and bool(np.any(idx[1:] < idx[:-1])):
+        order = np.argsort(idx, kind="stable")
+        idx = idx[order]
+        columns = {name: column[order] for name, column in columns.items()}
+    return idx.astype(np.intp, copy=False), columns
+
+
+def _put(parts: list, mask: np.ndarray, idx: np.ndarray,
+         **columns: np.ndarray) -> None:
+    """Add the rows ``mask`` selects to a bucket's ``parts``."""
+    if mask.any():
+        parts.append((idx[mask], columns))
+
+
+# Each route folds one stock class's rows into the parts of its family
+# bucket (``out``, the table's ``family``) and of the constant bucket, with
+# the arithmetic, operand order included, of the scalar construction
+# ``factor * base(x + offset)``, so the columns are bit-identical to it.  A
+# route returns whether :meth:`LatencyBatch.shifted` can still mirror its
+# rows with array operations.
+def _route_linear(out, constant, idx, params, offsets, factors) -> bool:
+    base_slopes, base_intercepts = params
+    slopes = factors * base_slopes
+    flat = slopes == 0.0
+    _put(constant, flat, idx, constants=(
+        factors * (base_slopes * offsets + base_intercepts))[flat])
+    rising = ~flat
+    _put(out, rising, idx, slopes=slopes[rising],
+         base_slopes=base_slopes[rising],
+         base_intercepts=base_intercepts[rising], factors=factors[rising],
+         offsets=offsets[rising])
+    # A slope that underflows to zero makes a constant that moves with a
+    # shift.
+    return not bool(np.any(flat & (base_slopes != 0.0)))
+
+
+def _route_constant(out, constant, idx, params, offsets, factors) -> bool:
+    out.append((idx, {"constants": factors * params[0]}))
+    return True
+
+
+def _route_monomial(out, constant, idx, params, offsets, factors) -> bool:
+    coefficients, degrees, constants = params
+    flat = coefficients == 0.0
+    _put(constant, flat, idx, constants=(factors * constants)[flat])
+    rising = ~flat
+    _put(out, rising, idx,
+         coeffs=(factors * coefficients)[rising], degrees=degrees[rising],
+         consts=(factors * constants)[rising], offsets=offsets[rising])
+    return True
+
+
+def _route_bpr(out, constant, idx, params, offsets, factors) -> bool:
+    free_flow, capacity, alpha, beta = params
+    flat = alpha == 0.0
+    _put(constant, flat, idx, constants=(factors * free_flow)[flat])
+    rising = ~flat
+    if rising.any():
+        # Python ``**``: ``np.power`` may round the last ulp differently.
+        scale = np.array([c ** b for c, b in zip(capacity[rising].tolist(),
+                                                 beta[rising].tolist())])
+        _put(out, rising, idx,
+             coeffs=factors[rising] * free_flow[rising] * alpha[rising] / scale,
+             degrees=beta[rising], consts=(factors * free_flow)[rising],
+             offsets=offsets[rising])
+    return True
+
+
+def _route_polynomial(out, constant, idx, params, offsets, factors) -> bool:
+    lengths, coeffs = params[0], params[1:].T
+    flat = ~np.any(coeffs[:, 1:] != 0.0, axis=1)
+    _put(constant, flat, idx, constants=(factors * coeffs[:, 0])[flat])
+    rising = ~flat
+    if rising.any():
+        width = int(lengths[rising].max())
+        inside = np.arange(width) < lengths[rising][:, None]
+        scaled = np.where(inside,
+                          factors[rising][:, None] * coeffs[rising, :width],
+                          0.0)
+        _put(out, rising, idx, coeffs=scaled, offsets=offsets[rising])
+    return True
+
+
+def _route_mm1(out, constant, idx, params, offsets, factors) -> bool:
+    out.append((idx, {"base_capacities": params[0], "offsets": offsets,
+                      "factors": factors}))
+    return True
+
+
+_ROUTES = {"linear": _route_linear, "constant": _route_constant,
+           "monomial": _route_monomial, "polynomial": _route_polynomial,
+           "bpr": _route_bpr, "mm1": _route_mm1}
+
+
 class LatencyBatch:
     """A family-grouped, array-backed view of a sequence of latency functions.
 
@@ -831,29 +873,19 @@ class LatencyBatch:
 
     def __init__(self, latencies: Sequence[LatencyFunction]) -> None:
         latencies = tuple(latencies)
-        for i, lat in enumerate(latencies):
-            if not isinstance(lat, LatencyFunction):
-                raise ModelError(
-                    f"link {i}: expected a LatencyFunction, "
-                    f"got {type(lat).__name__}")
-        self._linear = _LinearFamily()
-        self._constant = _ConstantFamily()
-        self._power = _PowerFamily()
-        self._mm1 = _MM1Family()
-        self._poly = _PolyFamily()
-        self._generic = _GenericFamily()
-        # Whether :meth:`shifted` may derive its batch with array operations;
-        # ``_dispatch`` clears it for rows that shift would not mirror.
-        self._derivable = all(cls.shifted in _STOCK_SHIFTS
-                              for cls in set(map(type, latencies)))
-        constant_mask = np.zeros(len(latencies), dtype=bool)
-        for i, lat in enumerate(latencies):
-            constant_mask[i] = self._dispatch(i, lat)
-        for fam in self._buckets():
-            fam.indices = fam.index_array()
-            if len(fam):
-                fam.freeze()
-        self._assemble(latencies, constant_mask)
+        check_latencies(latencies)
+        self._fill(LatencyColumns(latencies))
+
+    @classmethod
+    def from_columns(cls, columns: LatencyColumns) -> "LatencyBatch":
+        """The batch of ``columns.latencies``, filled from their columns.
+
+        Equal to ``LatencyBatch(columns.latencies)``; an instance that has
+        already canonicalised its links (for its digest) reuses the columns.
+        """
+        batch = object.__new__(cls)
+        batch._fill(columns)
+        return batch
 
     def _buckets(self) -> Tuple[_Members, ...]:
         return (self._linear, self._constant, self._power, self._mm1,
@@ -884,52 +916,48 @@ class LatencyBatch:
     # ------------------------------------------------------------------ #
     # Canonicalisation
     # ------------------------------------------------------------------ #
-    def _dispatch(self, index: int, lat: LatencyFunction) -> bool:
-        """Route one latency into its family bucket; returns ``is_constant``."""
-        base, offset, factor, nested = _unwrap(lat)
-        if nested:
-            self._derivable = False
-        if isinstance(base, LinearLatency):
-            slope = factor * base.slope
-            if slope == 0.0:
-                if base.slope != 0.0:  # underflow: the constant moves with a shift
-                    self._derivable = False
-                self._constant.add(
-                    index, factor * (base.slope * offset + base.intercept))
-                return True
-            self._linear.add(index, slope, base, offset, factor)
-            return False
-        if isinstance(base, ConstantLatency):
-            self._constant.add(index, factor * base.constant)
-            return True
-        if isinstance(base, MM1Latency):
-            self._mm1.add(index, base.capacity, offset, factor)
-            return False
-        if isinstance(base, MonomialLatency):
-            if base.coefficient == 0.0:
-                self._constant.add(index, factor * base.constant)
-                return True
-            self._power.add(index, factor * base.coefficient, base.degree,
-                            factor * base.constant, offset)
-            return False
-        if isinstance(base, BPRLatency):
-            if base.alpha == 0.0:
-                self._constant.add(index, factor * base.free_flow_time)
-                return True
-            coeff = (factor * base.free_flow_time * base.alpha
-                     / base.capacity ** base.beta)
-            self._power.add(index, coeff, base.beta,
-                            factor * base.free_flow_time, offset)
-            return False
-        if isinstance(base, PolynomialLatency):
-            if base.is_constant:
-                self._constant.add(index, factor * base.coefficients[0])
-                return True
-            coeffs = tuple(factor * c for c in base.coefficients)
-            self._poly.add(index, coeffs, offset)
-            return False
-        self._generic.add(index, lat)  # keep the *wrapped* object intact
-        return bool(lat.is_constant)
+    def _fill(self, columns: LatencyColumns) -> None:
+        """Fill the family buckets from ``columns``, in link order.
+
+        Plain stock rows enter with offset 0 and factor 1.  When some links
+        are wrappers, each is unwrapped and the sequence with the wrappers
+        replaced by their bases is canonicalised once more; a base of an
+        unknown class keeps the *wrapped* object in the generic bucket.
+        Each stock class then routes all its rows with one array
+        expression (:data:`_ROUTES`).
+        """
+        latencies = columns.latencies
+        offsets = np.zeros(len(latencies))
+        factors = np.ones(len(latencies))
+        # Whether :meth:`shifted` may derive its batch with array operations.
+        derivable = all(cls.shifted in _STOCK_SHIFTS for cls in columns.classes)
+        wrapped = [i for i, lat in columns.others
+                   if stock_class(type(lat)) is WRAPPER]
+        if wrapped:
+            bases = list(latencies)
+            for i in wrapped:
+                bases[i], offsets[i], factors[i], nested = _unwrap(bases[i])
+                derivable = derivable and not nested
+            columns = LatencyColumns(bases)
+        parts: Dict[str, list] = {fam.name: [] for fam in _FAMILIES}
+        for entry, (idx, params) in zip(STOCK_CLASSES, columns.groups):
+            if len(idx):
+                derivable &= _ROUTES[entry.tag](
+                    parts[entry.family], parts["constant"], idx, params,
+                    offsets[idx], factors[idx])
+        generic = [i for i, _ in columns.others]
+        if generic:
+            parts["generic"].append((np.asarray(generic, dtype=np.int64), {
+                "functions": [latencies[i] for i in generic]}))
+        (self._linear, self._constant, self._power, self._mm1, self._poly,
+         self._generic) = [family.filled(*_merge(parts[family.name]))
+                           for family in _FAMILIES]
+        self._derivable = bool(derivable)
+        is_constant = np.zeros(len(latencies), dtype=bool)
+        is_constant[self._constant.indices] = True
+        for i, lat in zip(generic, self._generic.functions):
+            is_constant[i] = bool(lat.is_constant)
+        self._assemble(latencies, is_constant)
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -9,6 +10,7 @@ import numpy as np
 from repro.exceptions import InfeasibleFlowError, ModelError
 from repro.latency.base import LatencyFunction
 from repro.latency.batch import LatencyBatch
+from repro.latency.columns import STOCK_CLASSES, LatencyColumns, check_latencies
 from repro.utils.numeric import DEFAULT_ATOL
 
 __all__ = ["ParallelLinkInstance"]
@@ -32,17 +34,15 @@ class ParallelLinkInstance:
     produces the Followers' view via :meth:`shifted`.
     """
 
-    __slots__ = ("latencies", "demand", "names", "_batch", "_uppers")
+    __slots__ = ("latencies", "demand", "names", "_batch", "_uppers",
+                 "_columns")
 
     def __init__(self, latencies: Sequence[LatencyFunction], demand: float,
                  *, names: Sequence[str] | None = None) -> None:
         latencies = tuple(latencies)
         if not latencies:
             raise ModelError("a parallel-link instance needs at least one link")
-        for i, lat in enumerate(latencies):
-            if not isinstance(lat, LatencyFunction):
-                raise ModelError(
-                    f"link {i}: expected a LatencyFunction, got {type(lat).__name__}")
+        check_latencies(latencies)
         if names is None:
             names = tuple(f"M{i + 1}" for i in range(len(latencies)))
         else:
@@ -50,11 +50,13 @@ class ParallelLinkInstance:
             if len(names) != len(latencies):
                 raise ModelError(
                     f"got {len(names)} names for {len(latencies)} links")
-        self._init(latencies, demand, names, _domain_uppers(latencies), None)
+        self._init(latencies, demand, names, _domain_uppers(latencies), None,
+                   None)
 
     def _init(self, latencies: Tuple[LatencyFunction, ...], demand: float,
               names: Tuple[str, ...], uppers: np.ndarray,
-              batch: LatencyBatch | None) -> None:
+              batch: LatencyBatch | None,
+              columns: LatencyColumns | None) -> None:
         """Set the fields after checking ``demand`` against the capacity.
 
         Derived instances come straight here: their links were validated
@@ -73,27 +75,41 @@ class ParallelLinkInstance:
         self.names = names
         self._uppers = uppers
         self._batch = batch
+        self._columns = columns
 
     @staticmethod
     def _derived(latencies: Tuple[LatencyFunction, ...], demand: float,
                  names: Tuple[str, ...], uppers: np.ndarray,
-                 batch: LatencyBatch | None) -> "ParallelLinkInstance":
+                 batch: LatencyBatch | None,
+                 columns: LatencyColumns | None = None,
+                 ) -> "ParallelLinkInstance":
         new = object.__new__(ParallelLinkInstance)
-        new._init(latencies, demand, names, uppers, batch)
+        new._init(latencies, demand, names, uppers, batch, columns)
         return new
+
+    def latency_columns(self) -> LatencyColumns:
+        """The per-class parameter columns of the link latencies (cached).
+
+        The one canonicalisation of the links: the instance digest hashes
+        these columns and :meth:`latency_batch` fills its buckets from them.
+        """
+        if self._columns is None:
+            self._columns = LatencyColumns(self.latencies)
+        return self._columns
 
     def latency_batch(self) -> LatencyBatch:
         """The vectorized family-grouped view of the link latencies (cached).
 
-        Built lazily on first use; the instance is immutable, so the batch
-        stays valid for its whole lifetime.
+        Built lazily on first use from :meth:`latency_columns`; the instance
+        is immutable, so the batch stays valid for its whole lifetime.
         """
         if self._batch is None:
-            self._batch = LatencyBatch(self.latencies)
+            self._batch = LatencyBatch.from_columns(self.latency_columns())
         return self._batch
 
-    # The batch cache is a derived view; drop it when pickling (process-pool
-    # fan-out ships instances to workers, which rebuild it on demand).
+    # The columns and the batch are derived views; drop them when pickling
+    # (process-pool fan-out ships instances to workers, which rebuild them
+    # on demand).
     def __getstate__(self):
         return (self.latencies, self.demand, self.names)
 
@@ -101,6 +117,7 @@ class ParallelLinkInstance:
         self.latencies, self.demand, self.names = state
         self._uppers = _domain_uppers(self.latencies)
         self._batch = None
+        self._columns = None
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -177,7 +194,7 @@ class ParallelLinkInstance:
         without re-grouping the families per trial demand.
         """
         return self._derived(self.latencies, demand, self.names, self._uppers,
-                             self._batch)
+                             self._batch, self._columns)
 
     def sub_instance(self, link_indices: Sequence[int],
                      demand: float) -> "ParallelLinkInstance":
@@ -227,6 +244,18 @@ class ParallelLinkInstance:
                              batch)
 
 
+#: Stock classes with an unbounded domain: they inherit the class constant
+#: ``domain_upper = inf`` (their batch families report ``inf`` too).
+_UNBOUNDED = frozenset(entry.cls for entry in STOCK_CLASSES
+                       if entry.cls.domain_upper == math.inf)
+
+
 def _domain_uppers(latencies: Sequence[LatencyFunction]) -> np.ndarray:
-    """Per-link exclusive upper ends of the latency domains."""
+    """Per-link exclusive upper ends of the latency domains.
+
+    Checked once per distinct class: links of the unbounded stock classes
+    alone need no per-link read.
+    """
+    if set(map(type, latencies)) <= _UNBOUNDED:
+        return np.full(len(latencies), math.inf)
     return np.array([lat.domain_upper for lat in latencies], dtype=float)

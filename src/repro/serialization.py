@@ -25,25 +25,31 @@ instances in plain files.  The format is deliberately simple:
 
 Every canonical instance of :mod:`repro.instances` round-trips through this
 format (see the tests), so files produced by :func:`instance_to_dict` can be
-re-loaded with :func:`instance_from_dict`.
+re-loaded with :func:`instance_from_dict`.  The latency forms come from the
+stock class table :data:`repro.latency.columns.STOCK_CLASSES`.
+
+:func:`instance_digest` does not render JSON: it hashes the per-class
+parameter columns of :class:`~repro.latency.columns.LatencyColumns` in a
+fixed little-endian byte layout (see its docstring).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from pathlib import Path
 from typing import Any, Dict, Union
 
+import numpy as np
+
 from repro.exceptions import ModelError
-from repro.latency import (
-    BPRLatency,
-    ConstantLatency,
-    LatencyFunction,
-    LinearLatency,
-    MM1Latency,
-    MonomialLatency,
-    PolynomialLatency,
+from repro.latency import LatencyFunction
+from repro.latency.columns import (
+    STOCK_CLASSES,
+    LatencyColumns,
+    StockClass,
+    stock_class,
 )
 from repro.network import Commodity, Network, NetworkInstance, ParallelLinkInstance
 
@@ -52,7 +58,6 @@ __all__ = [
     "latency_from_dict",
     "instance_to_dict",
     "instance_from_dict",
-    "canonical_instance_json",
     "instance_digest",
     "save_instance",
     "load_instance",
@@ -60,30 +65,24 @@ __all__ = [
 
 AnyInstance = Union[ParallelLinkInstance, NetworkInstance]
 
+_BY_TAG = {entry.tag: entry for entry in STOCK_CLASSES}
+
 
 # --------------------------------------------------------------------------- #
 # Latency functions
 # --------------------------------------------------------------------------- #
 def latency_to_dict(latency: LatencyFunction) -> Dict[str, Any]:
     """Serialise a latency function to a plain dictionary."""
-    if isinstance(latency, LinearLatency):
-        return {"type": "linear", "slope": latency.slope,
-                "intercept": latency.intercept}
-    if isinstance(latency, ConstantLatency):
-        return {"type": "constant", "value": latency.constant}
-    if isinstance(latency, MonomialLatency):
-        return {"type": "monomial", "coefficient": latency.coefficient,
-                "degree": latency.degree, "constant": latency.constant}
-    if isinstance(latency, PolynomialLatency):
-        return {"type": "polynomial", "coefficients": list(latency.coefficients)}
-    if isinstance(latency, BPRLatency):
-        return {"type": "bpr", "free_flow_time": latency.free_flow_time,
-                "capacity": latency.capacity, "alpha": latency.alpha,
-                "beta": latency.beta}
-    if isinstance(latency, MM1Latency):
-        return {"type": "mm1", "capacity": latency.capacity}
-    raise ModelError(
-        f"cannot serialise latency of type {type(latency).__name__}")
+    entry = stock_class(type(latency))
+    if not isinstance(entry, StockClass):
+        raise ModelError(
+            f"cannot serialise latency of type {type(latency).__name__}")
+    if entry.ragged:
+        return {"type": entry.tag, "coefficients": list(latency.coefficients)}
+    data = {"type": entry.tag}
+    for name, key in zip(entry.fields, entry.keys):
+        data[key] = getattr(latency, name)
+    return data
 
 
 def latency_from_dict(data: Dict[str, Any]) -> LatencyFunction:
@@ -91,23 +90,15 @@ def latency_from_dict(data: Dict[str, Any]) -> LatencyFunction:
     if not isinstance(data, dict) or "type" not in data:
         raise ModelError(f"invalid latency specification: {data!r}")
     kind = data["type"]
-    if kind == "linear":
-        return LinearLatency(float(data.get("slope", 0.0)),
-                             float(data.get("intercept", 0.0)))
-    if kind == "constant":
-        return ConstantLatency(float(data["value"]))
-    if kind == "monomial":
-        return MonomialLatency(float(data["coefficient"]), float(data["degree"]),
-                               float(data.get("constant", 0.0)))
-    if kind == "polynomial":
-        return PolynomialLatency([float(c) for c in data["coefficients"]])
-    if kind == "bpr":
-        return BPRLatency(float(data["free_flow_time"]), float(data["capacity"]),
-                          float(data.get("alpha", 0.15)),
-                          float(data.get("beta", 4.0)))
-    if kind == "mm1":
-        return MM1Latency(float(data["capacity"]))
-    raise ModelError(f"unknown latency type {kind!r}")
+    entry = _BY_TAG.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        raise ModelError(f"unknown latency type {kind!r}")
+    if entry.ragged:
+        return entry.cls([float(c) for c in data["coefficients"]])
+    defaults = entry.defaults
+    return entry.cls(*[float(data[key] if key not in defaults
+                             else data.get(key, defaults[key]))
+                       for key in entry.keys])
 
 
 # --------------------------------------------------------------------------- #
@@ -152,7 +143,7 @@ def _node_name(name: Any) -> Any:
     """Hashable node name: JSON arrays come back as lists, rebuild tuples.
 
     Tuple node names (e.g. the ``(row, col)`` nodes of grid networks)
-    serialise to JSON arrays; converting them back keeps the canonical JSON
+    serialise to JSON arrays; converting them back keeps the topology JSON
     — and therefore :func:`instance_digest` — stable across a round trip.
     """
     if isinstance(name, list):
@@ -183,25 +174,64 @@ def instance_from_dict(data: Dict[str, Any]) -> AnyInstance:
     raise ModelError(f"unknown instance type {kind!r}")
 
 
-def canonical_instance_json(instance: AnyInstance) -> str:
-    """Deterministic JSON rendering of an instance (sorted keys, no spaces).
-
-    Two structurally equal instances produce byte-identical strings, which is
-    what makes :func:`instance_digest` usable as a cache key.
-    """
-    return json.dumps(instance_to_dict(instance), sort_keys=True,
-                      separators=(",", ":"))
-
-
 def instance_digest(instance: AnyInstance) -> str:
-    """SHA-256 hex digest of the canonical instance JSON.
+    """SHA-256 hex digest of an instance's canonical byte layout.
 
-    Used by :mod:`repro.api` to key its result cache; raises
-    :class:`~repro.exceptions.ModelError` for instances that cannot be
-    serialised (those are simply not cacheable).
+    The identity of an instance for every cache, store and shard route.
+    Dispatch is structural, like :func:`instance_to_dict`, and the digest
+    raises :class:`~repro.exceptions.ModelError` for exactly the instances
+    that cannot be serialised (those are simply not cacheable).  The hashed
+    bytes, all little-endian, are:
+
+    1. ``<8sqq``: the kind tag (``parallel`` / ``network``), the link or
+       edge count ``m`` and the demand count ``k``;
+    2. ``k`` float64 demands: the total demand, or each commodity's;
+    3. an int64 byte length and the compact, key-sorted JSON of the
+       topology: the link names, or ``{"commodities": [[source, sink],
+       ...], "edges": [[tail, head], ...]}``;
+    4. for each class of :data:`~repro.latency.columns.STOCK_CLASSES`, in
+       table order: ``<qq`` with the parameter count ``p`` and row count
+       ``n``, the ``n`` int64 link indices, then the ``p * n`` float64
+       parameters, one field after the other (a polynomial's fields are
+       its coefficient count and its zero-padded coefficients).
     """
-    return hashlib.sha256(
-        canonical_instance_json(instance).encode("utf-8")).hexdigest()
+    from repro.api.dispatch import resolve_instance_kind
+
+    try:
+        kind = resolve_instance_kind(instance)
+    except ModelError:
+        raise ModelError(
+            f"cannot serialise instance of type {type(instance).__name__}")
+    if kind == "parallel":
+        columns = (instance.latency_columns()
+                   if isinstance(instance, ParallelLinkInstance)
+                   else LatencyColumns(instance.latencies))
+        demands = [instance.demand]
+        topology: Any = list(instance.names)
+    else:
+        edges = instance.network.edges
+        columns = LatencyColumns([edge.latency for edge in edges])
+        commodities = instance.commodities
+        demands = [com.demand for com in commodities]
+        topology = {"edges": [[edge.tail, edge.head] for edge in edges],
+                    "commodities": [[com.source, com.sink]
+                                    for com in commodities]}
+    bad = columns.first_unserialisable()
+    if bad is not None:
+        raise ModelError(
+            f"cannot serialise latency of type {type(bad).__name__}")
+    text = json.dumps(topology, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+    digest = hashlib.sha256(struct.pack("<8sqq", kind.encode("ascii"),
+                                        len(columns), len(demands)))
+    digest.update(np.asarray(demands, dtype="<f8").tobytes())
+    digest.update(struct.pack("<q", len(text)))
+    digest.update(text)
+    for indices, params in columns.groups:
+        digest.update(struct.pack("<qq", *params.shape))
+        digest.update(indices.astype("<i8", copy=False).tobytes())
+        digest.update(params.astype("<f8", copy=False).tobytes())
+    return digest.hexdigest()
 
 
 def save_instance(instance: AnyInstance, path: Union[str, Path]) -> None:

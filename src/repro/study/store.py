@@ -45,8 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 __all__ = ["ArtifactStore", "artifact_key", "storable_strategy"]
 
 #: Artifact layout version, part of every :func:`artifact_key`: a bump makes
-#: older artifacts unreachable, so they are re-solved.  2: no instance.
-ARTIFACT_FORMAT = 2
+#: older artifacts unreachable, so they are re-solved.  2: no instance;
+#: 3: instance digests over the columnar byte layout.
+ARTIFACT_FORMAT = 3
 
 
 def storable_strategy(strategy: str) -> bool:

@@ -1,8 +1,11 @@
 """A cold parallel-link solve canonicalises its latencies exactly once.
 
-Every later view — OpTop's per-round sub-instances, the Followers' shifted
-instance of the induced equilibrium — is derived from that one
-:class:`~repro.latency.LatencyBatch` by array operations.
+The instance digest reads the links' per-class parameter columns
+(:class:`~repro.latency.columns.LatencyColumns`), the
+:class:`~repro.latency.LatencyBatch` is filled from those same columns, and
+every later view — OpTop's per-round sub-instances, the Followers' shifted
+instance of the induced equilibrium — is derived from that one batch by
+array operations.
 """
 
 from __future__ import annotations
@@ -12,20 +15,20 @@ import pytest
 from repro.api import solve
 from repro.cache import LRUCache
 from repro.instances import random_mixed_parallel
-from repro.latency import LatencyBatch
+from repro.latency.columns import LatencyColumns
 
 
 @pytest.fixture()
 def batch_builds(monkeypatch):
-    """How many times ``LatencyBatch.__init__`` has run."""
+    """How many times ``LatencyColumns.__init__`` (canonicalisation) ran."""
     calls = []
-    original = LatencyBatch.__init__
+    original = LatencyColumns.__init__
 
     def counted(self, latencies):
         calls.append(None)
         original(self, latencies)
 
-    monkeypatch.setattr(LatencyBatch, "__init__", counted)
+    monkeypatch.setattr(LatencyColumns, "__init__", counted)
     return calls
 
 
