@@ -23,7 +23,9 @@ and split out the work around the kernels: the instance digest (which
 canonicalises the links once), the ``LatencyBatch`` fill from those columns
 and the ``SolveReport`` build.  A cold network solve
 (``pathbased_cold``) that misses its path-cost residual raises
-``ConvergenceError`` and so fails the run too.
+``ConvergenceError`` and so fails the run too.  The ``network_cold`` rows
+time whole cold ``solve`` calls (``optop``, ``llf``) on fresh graphs and
+count the rounds of their Nash, optimum and induced path solves.
 
 Usage::
 
@@ -363,6 +365,63 @@ def bench_solve_cold(sizes, *, repeats: int, strategies=("aloof", "optop")):
     return rows
 
 
+def bench_network_cold(*, repeats: int):
+    """Whole cold network ``solve`` calls and their path solves by role.
+
+    One fresh graph per call, solved through ``solve`` with a fresh result
+    cache.  Every path-equilibration solve of the call is recorded with its
+    role — the instance's ``nash`` or ``optimum``, or the Followers'
+    ``induced`` equilibrium (a solve on another instance) — and the rows
+    report the median call and the mean rounds per role.
+    """
+    import repro.equilibrium.network as network_module
+
+    original = network_module.path_based_flow
+    cases = [
+        ("grid 5x6", lambda seed: grid_network(5, 6, seed=seed)),
+        ("grid 4x5", lambda seed: grid_network(4, 5, seed=seed)),
+        ("layered 4x4", lambda seed: layered_network(4, 4, seed=seed)),
+    ]
+    rows = []
+    for name, make in cases:
+        for strategy in ("optop", "llf"):
+            times, rounds = [], {"nash": [], "optimum": [], "induced": []}
+            for k in range(max(3, repeats)):
+                instance = make(3000 + k)
+                solves = []
+
+                def recorded(problem, kind, **kwargs):
+                    result = original(problem, kind, **kwargs)
+                    role = kind if problem is instance else "induced"
+                    solves.append((role, result.iterations))
+                    return result
+
+                with mock.patch.object(network_module, "path_based_flow",
+                                       recorded):
+                    start = time.perf_counter()
+                    solve(instance, strategy, cache=LRUCache())
+                    times.append(time.perf_counter() - start)
+                for role, count in solves:
+                    rounds[role].append(count)
+            rows.append({
+                "benchmark": "network_cold",
+                "family": name,
+                "strategy": strategy,
+                "size": int(instance.network.num_edges),
+                "seconds": min(times),
+                "median_seconds": float(np.median(times)),
+                **{f"rounds_{role}": float(np.mean(counts))
+                   for role, counts in rounds.items()},
+            })
+            row = rows[-1]
+            print(f"network_cold[{name}, {strategy}]: "
+                  f"{row['median_seconds']*1e3:7.3f} ms median; rounds "
+                  f"nash {row['rounds_nash']:.1f}, optimum "
+                  f"{row['rounds_optimum']:.1f}, induced "
+                  f"{row['rounds_induced']:.1f}")
+    return rows
+
+
 def bench_frank_wolfe(*, repeats: int, iterations: int):
     """Frank–Wolfe on the E5 network families (grids and layered DAGs).
 
@@ -616,6 +675,7 @@ def main(argv=None) -> int:
     results += bench_solve_cold(optop_cold_sizes, repeats=repeats)
     results += bench_frank_wolfe(repeats=repeats, iterations=fw_iters)
     results += bench_pathbased_cold(repeats=repeats)
+    results += bench_network_cold(repeats=repeats)
     results += bench_trace_replay(num_steps=trace_steps, num_links=16,
                                   repeats=repeats)
     results += bench_cluster_scaling(worker_counts=cluster_counts,

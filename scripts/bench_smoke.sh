@@ -85,7 +85,10 @@ PY
 # Network smoke: one cold 5x6 grid through `solve` with optop (MOP) and llf.
 # A path-equilibration solve that misses its path-cost residual (1e-12)
 # raises ConvergenceError and fails the script; each must also finish within
-# a round ceiling.  There is no wall-clock bound.
+# a round ceiling, and the solves of one strategy within a total that the
+# warm starts (Nash -> optimum, LLF's untaken optimum paths -> Followers)
+# must not exceed.  Round counts repeat exactly.  There is no wall-clock
+# bound.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - <<'PY'
 from repro.api import solve
 from repro.cache import LRUCache
@@ -93,6 +96,10 @@ from repro.equilibrium import network as network_module
 from repro.instances import grid_network
 
 MAX_ROUNDS = 60
+# Total rounds per strategy of the cold solves before warm starts:
+# optop 17 + 1 + 15 (optimum, induced, Nash), llf 17 + 15 + 9 (optimum,
+# Nash, induced).  Warm-started solves take 25 and 30.
+MAX_TOTAL_ROUNDS = {"optop": 33, "llf": 41}
 solves = []
 path_based_flow = network_module.path_based_flow
 
@@ -111,9 +118,13 @@ for strategy in ("optop", "llf"):
     for result in solves:
         assert result.iterations <= MAX_ROUNDS, (
             f"{strategy}: {result.iterations} rounds > {MAX_ROUNDS}")
+    total = sum(result.iterations for result in solves)
+    assert total <= MAX_TOTAL_ROUNDS[strategy], (
+        f"{strategy}: {total} rounds in all > {MAX_TOTAL_ROUNDS[strategy]}")
     if strategy == "optop":
         assert report.attains_optimum, "MOP failed to induce C(O)"
     print(f"network_smoke OK: {strategy} on a 5x6 grid, {len(solves)} solves, "
-          f"<= {max(r.iterations for r in solves)} rounds, residual <= "
+          f"<= {max(r.iterations for r in solves)} rounds ({total} in all), "
+          f"residual <= "
           f"{max(r.relative_gap for r in solves):.1e}")
 PY

@@ -30,8 +30,10 @@ from repro.baselines.aloof import aloof
 from repro.baselines.brute_force import brute_force_strategy
 from repro.baselines.exact import exact_strategy
 from repro.baselines.llf import llf
-from repro.baselines.network_ext import network_brute_force, network_llf
+from repro.baselines.network_ext import (network_brute_force,
+                                         _network_llf_split)
 from repro.baselines.scale import scale
+from repro.equilibrium.induced import induced_network_equilibrium
 from repro.equilibrium.network import network_nash, network_optimum
 from repro.equilibrium.parallel import (parallel_nash, parallel_optimum,
                                         water_fill_many)
@@ -105,12 +107,14 @@ def _parallel_baseline_report(name: str, instance, config: SolveConfig,
 
 def _network_baseline_report(name: str, instance, config: SolveConfig,
                              strategy, metadata: Dict[str, Any],
-                             outcome=None, optimum=None) -> SolveReport:
+                             outcome=None, optimum=None,
+                             nash=None) -> SolveReport:
     """Report for a budgeted/null strategy on a network instance."""
     solver = config.network_solver()
     if optimum is None:
         optimum = network_optimum(instance, config=config)
-    nash = network_nash(instance, config=config) if config.compute_nash else None
+    if nash is None and config.compute_nash:
+        nash = network_nash(instance, config=config)
     if outcome is None:
         outcome = strategy.induce(instance, solver=solver,
                                   tolerance=config.tolerance)
@@ -203,11 +207,19 @@ def solve_llf(instance, config: SolveConfig) -> SolveReport:
         strategy = llf(instance, alpha, optimum=optimum)
         return _parallel_baseline_report("llf", instance, config, strategy,
                                          metadata, optimum=optimum)
-    optimum = network_optimum(instance, config=config)
-    strategy = network_llf(instance, alpha, optimum=optimum)
+    # On networks the Nash flow seeds the optimum, and the optimum paths the
+    # Leader leaves untaken seed the Followers' equilibrium.
+    nash = network_nash(instance, config=config) if config.compute_nash else None
+    optimum = network_optimum(instance, config=config,
+                              start=None if nash is None else nash.path_flows)
+    strategy, followers_start = _network_llf_split(instance, alpha, optimum)
+    outcome = induced_network_equilibrium(
+        instance, strategy.edge_flows, strategy.remaining_demands(instance),
+        solver=config.network_solver(), tolerance=config.tolerance,
+        start=followers_start)
     metadata["path_generalisation"] = True
     return _network_baseline_report("llf", instance, config, strategy, metadata,
-                                    optimum=optimum)
+                                    outcome=outcome, optimum=optimum, nash=nash)
 
 
 @register_strategy("scale")

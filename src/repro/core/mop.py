@@ -103,6 +103,7 @@ def mop(instance: NetworkInstance, *, solver: Optional[str] = None,
     compute_nash:
         Whether to also compute the uncontrolled Nash equilibrium of the
         instance (used by reporting code to show the anarchy gap MOP closes).
+        It is solved first, and its path flows seed the optimum solve.
     config:
         A :class:`repro.api.SolveConfig` supplying the solver backend,
         tolerance and ``shortest_path_atol``; explicit keywords take
@@ -117,7 +118,13 @@ def mop(instance: NetworkInstance, *, solver: Optional[str] = None,
     solver = "auto" if solver is None else solver
     tolerance = 1e-9 if tolerance is None else tolerance
     shortest_path_atol = 1e-5 if shortest_path_atol is None else shortest_path_atol
-    optimum = network_optimum(instance, solver=solver, tolerance=tolerance)
+    # The Nash flow, when wanted, is solved first: its certified path flows
+    # seed the optimum.
+    nash = None
+    if compute_nash:
+        nash = network_nash(instance, solver=solver, tolerance=tolerance)
+    optimum = network_optimum(instance, solver=solver, tolerance=tolerance,
+                              start=None if nash is None else nash.path_flows)
     opt_flows = optimum.edge_flows
     costs = instance.latencies_at(opt_flows)
 
@@ -153,9 +160,6 @@ def mop(instance: NetworkInstance, *, solver: Optional[str] = None,
     outcome = None
     if compute_induced:
         outcome = strategy.induce(instance, solver=solver, tolerance=tolerance)
-    nash = None
-    if compute_nash:
-        nash = network_nash(instance, solver=solver, tolerance=tolerance)
 
     return MOPResult(
         instance=instance,

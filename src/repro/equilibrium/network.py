@@ -2,7 +2,8 @@
 
 These wrappers choose between the certified path-equilibration solver
 (networks with at most ``_AUTO_PATH_EDGE_LIMIT`` edges) and Frank–Wolfe
-(everything else).
+(everything else).  A ``start`` (the ``path_flows`` of an earlier
+path-based result) seeds path equilibration only; Frank–Wolfe takes none.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.network.instance import NetworkInstance
 from repro.equilibrium.frank_wolfe import FrankWolfeOptions, frank_wolfe
 from repro.equilibrium.pathbased import path_based_flow
-from repro.equilibrium.result import NetworkFlowResult
+from repro.equilibrium.result import NetworkFlowResult, PathFlows
 
 __all__ = ["network_nash", "network_optimum"]
 
@@ -28,13 +29,17 @@ _AUTO_PATH_EDGE_LIMIT = 60
 
 
 def _solve(instance: NetworkInstance, kind: str, solver: Solver,
-           tolerance: float, max_iterations: int) -> NetworkFlowResult:
+           tolerance: float, max_iterations: int,
+           start: Optional[PathFlows]) -> NetworkFlowResult:
     if solver not in ("auto", "frank-wolfe", "path"):
         raise ModelError(f"unknown solver {solver!r}")
     if solver == "path" or (
             solver == "auto"
             and instance.network.num_edges <= _AUTO_PATH_EDGE_LIMIT):
-        return path_based_flow(instance, kind)
+        return path_based_flow(instance, kind, start=start)
+    if start is not None:
+        raise ModelError("a start seeds path equilibration only; this solve "
+                         "runs Frank-Wolfe")
     options = FrankWolfeOptions(tolerance=tolerance,
                                 max_iterations=max_iterations)
     return frank_wolfe(instance, kind, options)
@@ -58,28 +63,34 @@ def _resolve_settings(solver: Optional[Solver], tolerance: Optional[float],
 def network_nash(instance: NetworkInstance, *, solver: Optional[Solver] = None,
                  tolerance: Optional[float] = None,
                  max_iterations: Optional[int] = None,
-                 config: "SolveConfig | None" = None) -> NetworkFlowResult:
+                 config: "SolveConfig | None" = None,
+                 start: Optional[PathFlows] = None) -> NetworkFlowResult:
     """Wardrop/Nash equilibrium edge flows of a network instance.
 
     The equilibrium minimises the Beckmann potential; for strictly increasing
     latencies the edge flows are unique ([41, Cor 2.6.4], Remark 2.5).
     Settings may come from explicit keywords or a
-    :class:`repro.api.SolveConfig`.
+    :class:`repro.api.SolveConfig`.  ``start`` seeds path equilibration
+    (see :func:`~repro.equilibrium.pathbased.path_based_flow`); it raises
+    :class:`ModelError` when the solve runs Frank–Wolfe.
     """
     solver, tolerance, max_iterations = _resolve_settings(
         solver, tolerance, max_iterations, config)
-    return _solve(instance, "nash", solver, tolerance, max_iterations)
+    return _solve(instance, "nash", solver, tolerance, max_iterations, start)
 
 
 def network_optimum(instance: NetworkInstance, *, solver: Optional[Solver] = None,
                     tolerance: Optional[float] = None,
                     max_iterations: Optional[int] = None,
-                    config: "SolveConfig | None" = None) -> NetworkFlowResult:
+                    config: "SolveConfig | None" = None,
+                    start: Optional[PathFlows] = None) -> NetworkFlowResult:
     """System-optimum edge flows of a network instance (minimum total cost).
 
     Settings may come from explicit keywords or a
-    :class:`repro.api.SolveConfig`.
+    :class:`repro.api.SolveConfig`; ``start`` seeds path equilibration as
+    in :func:`network_nash`.
     """
     solver, tolerance, max_iterations = _resolve_settings(
         solver, tolerance, max_iterations, config)
-    return _solve(instance, "optimum", solver, tolerance, max_iterations)
+    return _solve(instance, "optimum", solver, tolerance, max_iterations,
+                  start)

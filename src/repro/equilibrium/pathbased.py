@@ -7,7 +7,12 @@ enumerating any paths:
 * **Start.** Every commodity routes its demand on its free-flow shortest
   path.  Where that would overload an M/M/1 edge, the path takes half of
   its headroom instead and the rest follows on the next shortest path at
-  the new flows, so the start lies inside every latency domain.
+  the new flows, so the start lies inside every latency domain.  A caller
+  holding certified path flows of a neighbouring problem (the Nash flow
+  before the optimum, the Leader's untaken optimum paths before the
+  Followers' equilibrium) passes them as ``start`` instead: the working
+  sets begin with those paths and flows (the warm start of path-based
+  assignment, Jayakrishnan et al. 1994).
 * **Round.** The edges are priced with their latencies (Nash) or marginal
   costs (optimum).  One :class:`~repro.paths.dijkstra.ShortestPathEngine`,
   repriced in place, answers every commodity source with a single Dijkstra
@@ -34,15 +39,17 @@ enumerating any paths:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import math
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dgelss as _min_norm_solve
 
 from repro.exceptions import ConvergenceError, ModelError
+from repro.network.graph import Network
 from repro.network.instance import NetworkInstance
 from repro.paths.dijkstra import ShortestPathEngine, validate_edge_costs
-from repro.equilibrium.result import NetworkFlowResult
+from repro.equilibrium.result import NetworkFlowResult, PathFlows
 
 __all__ = ["path_based_flow"]
 
@@ -51,12 +58,18 @@ __all__ = ["path_based_flow"]
 _SLOPE_ACCEPT = 1e-3
 #: Secant refinements of an overshooting step.
 _LINE_SEARCH_STEPS = 30
+#: A bracket whose upper slope exceeds the lower one's magnitude by this
+#: factor (a step that ran into the end of an M/M/1 domain) is bisected:
+#: a secant step would barely leave the lower end.
+_SECANT_SLOPE_RATIO = 1e6
 #: Singular values below this fraction of the largest are dropped by the
 #: minimum-norm Newton solve.
 _RCOND = 1e-12
 #: Shortest-path steps the start may take per commodity before it gives up
 #: on fitting the demand inside the latency domains.
 _START_STEPS = 1000
+#: Relative tolerance of a ``start``'s per-commodity flow sum.
+_START_RTOL = 1e-9
 
 
 class _WorkingSet:
@@ -143,15 +156,22 @@ class _Prices:
 
 def path_based_flow(instance: NetworkInstance, kind: str,
                     *, max_paths: int = 5000, tol: float = 1e-12,
-                    max_iterations: int = 800) -> NetworkFlowResult:
+                    max_iterations: int = 800,
+                    start: Optional[PathFlows] = None) -> NetworkFlowResult:
     """Solve the Nash or optimum flow by certified path equilibration.
 
     ``kind`` is ``"nash"`` or ``"optimum"``.  ``max_paths`` bounds every
     commodity's working set and ``max_iterations`` the number of rounds.
-    Raises :class:`ModelError` when a working set would exceed ``max_paths``
-    (use Frank–Wolfe for such instances) or a sink is unreachable, and
-    :class:`ConvergenceError` when the residual is still above ``tol`` after
-    ``max_iterations`` rounds.
+    ``start`` seeds the solve: per commodity (in instance order), pairs
+    ``(path, flow)`` of a simple source-to-sink path given by its edge
+    indices and its non-negative flow, summing to the commodity's demand
+    within a relative ``1e-9`` (the flows are rescaled to the exact
+    demand; a repeated path adds up); the edge prices at the start must be
+    finite.  A seeded solve stops on the same residual test as a cold one.
+    Raises :class:`ModelError` for a malformed ``start``, when a working set
+    would exceed ``max_paths`` (use Frank–Wolfe for such instances) or a
+    sink is unreachable, and :class:`ConvergenceError` when the residual is
+    still above ``tol`` after ``max_iterations`` rounds.
     """
     if kind not in ("nash", "optimum"):
         raise ModelError(f"unknown path-based kind {kind!r}")
@@ -160,14 +180,25 @@ def path_based_flow(instance: NetworkInstance, kind: str,
     sets = [_WorkingSet(c.source, c.sink, c.demand, network.num_edges)
             for c in instance.commodities]
     sources = list(dict.fromkeys(c.source for c in instance.commodities))
-    flows = np.zeros(network.num_edges)
-    costs, _ = prices.at(flows)
-    engine = ShortestPathEngine(network, validate_edge_costs(network, costs),
-                                validated=True)
-    engine.run(sources)
-    for ws in sets:
-        _load_start(ws, engine, flows, prices, max_paths)
-    costs, curvature = prices.at(flows)
+    if start is None:
+        flows = np.zeros(network.num_edges)
+        costs, _ = prices.at(flows)
+        engine = ShortestPathEngine(network,
+                                    validate_edge_costs(network, costs),
+                                    validated=True)
+        engine.run(sources)
+        for ws in sets:
+            _load_start(ws, engine, flows, prices, max_paths)
+        costs, curvature = prices.at(flows)
+    else:
+        flows = _load_seed(sets, start, network, max_paths)
+        # A load past an M/M/1 capacity raises LatencyDomainError here.
+        costs, curvature = prices.at(flows)
+        if not np.all(np.isfinite(costs)):
+            raise ModelError("the edge prices at the start are not finite")
+        engine = ShortestPathEngine(network,
+                                    validate_edge_costs(network, costs),
+                                    validated=True)
 
     residual = np.inf
     for iteration in range(1, max_iterations + 1):
@@ -209,7 +240,63 @@ def path_based_flow(instance: NetworkInstance, kind: str,
         solver="path-based",
         num_paths=sum(len(ws.keys) for ws in sets),
         commodity_flows=np.array([ws.flows @ ws.incidence for ws in sets]),
+        path_flows=tuple(
+            tuple((path, flow) for path, flow in zip(ws.keys, ws.flows.tolist())
+                  if flow > 0.0)
+            for ws in sets),
     )
+
+
+def _load_seed(sets: List[_WorkingSet], start: PathFlows, network: Network,
+               max_paths: int) -> np.ndarray:
+    """Load a validated ``start`` into the working sets; return the edge
+    flows."""
+    try:
+        start = tuple(start)
+    except TypeError as exc:
+        raise ModelError("start must hold one entry per commodity") from exc
+    if len(start) != len(sets):
+        raise ModelError(f"start has {len(start)} entries for "
+                         f"{len(sets)} commodities")
+    structure = network.csr_structure()
+    tails, heads = structure["tail_idx"], structure["head_idx"]
+    node_index = structure["node_index"]
+    flows = np.zeros(network.num_edges)
+    for ws, entry in zip(sets, start):
+        label = f"start of commodity ({ws.source!r} -> {ws.sink!r})"
+        try:
+            pairs = [(np.asarray(path), float(flow)) for path, flow in entry]
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"{label}: expected (path, flow) pairs") from exc
+        for edges, flow in pairs:
+            if (edges.ndim != 1 or not edges.size
+                    or edges.dtype.kind not in "iu"
+                    or edges.min() < 0 or edges.max() >= network.num_edges):
+                raise ModelError(
+                    f"{label}: {edges.tolist()!r} is not a sequence of edge "
+                    f"indices")
+            nodes = np.append(tails[edges], heads[edges[-1]])
+            if (nodes[0] != node_index[ws.source]
+                    or nodes[-1] != node_index[ws.sink]
+                    or np.any(heads[edges[:-1]] != tails[edges[1:]])
+                    or len(np.unique(nodes)) != len(nodes)):
+                raise ModelError(f"{label}: {edges.tolist()!r} is not a "
+                                 f"simple source-sink path")
+            if not (math.isfinite(flow) and flow >= 0.0):
+                raise ModelError(f"{label}: path flow {flow!r} is not a "
+                                 f"finite non-negative number")
+        total = math.fsum(flow for _, flow in pairs)
+        if not abs(total - ws.demand) <= _START_RTOL * ws.demand:
+            raise ModelError(f"{label}: path flows sum to {total!r}, not to "
+                             f"the demand {ws.demand!r}")
+        scale = ws.demand / total
+        for edges, flow in pairs:
+            path = edges.tolist()
+            if tuple(path) not in ws.keys:
+                ws.add(path, max_paths)
+            ws.flows[ws.keys[tuple(path)]] += flow * scale
+        flows += ws.flows @ ws.incidence
+    return flows
 
 
 def _load_start(ws: _WorkingSet, engine: ShortestPathEngine,
@@ -346,7 +433,8 @@ def _line_step(point: _Point, direction: np.ndarray, slope: float,
     objective is convex along the segment and its slope there is
     ``direction . prices``, so the full step is taken unless the slope at
     its end is clearly positive; then secant steps on the slope (Illinois
-    variant) locate the minimiser inside the bracket.  Steps stay strictly
+    variant, bisecting a bracket whose slopes differ by orders of
+    magnitude) locate the minimiser inside the bracket.  Steps stay strictly
     inside the latency domains.  Returns the step and the point it reaches
     (``(0.0, point)`` when no step is possible).
     """
@@ -377,6 +465,6 @@ def _line_step(point: _Point, direction: np.ndarray, slope: float,
                 g_lo *= 0.5
             side = 1
         s = lo + g_lo * (lo - hi) / (g_hi - g_lo)
-        if not lo < s < hi:
+        if not lo < s < hi or g_hi > _SECANT_SLOPE_RATIO * -g_lo:
             s = 0.5 * (lo + hi)
     return best

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["ParallelFlowResult", "NetworkFlowResult", "StackelbergOutcome"]
+__all__ = ["ParallelFlowResult", "NetworkFlowResult", "StackelbergOutcome",
+           "PathFlows"]
+
+#: Path flows per commodity: pairs ``(path, flow)`` of a path's edge
+#: indices and the flow on it, one tuple per commodity in instance order.
+PathFlows = Tuple[Tuple[Tuple[Tuple[int, ...], float], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -56,9 +61,11 @@ class NetworkFlowResult:
     ``relative_gap`` is the solver's stopping residual: the Frank–Wolfe
     relative gap, or the relative path-cost residual of path equilibration;
     ``iterations`` counts solver iterations (rounds); ``num_paths`` is the
-    total size of path equilibration's working sets (0 for Frank–Wolfe) and
-    ``commodity_flows`` its edge flows per commodity (commodities by edges;
-    ``None`` for Frank–Wolfe, which tracks only their sum).
+    total size of path equilibration's working sets (0 for Frank–Wolfe),
+    ``commodity_flows`` its edge flows per commodity (commodities by edges)
+    and ``path_flows`` its used paths with their flows (:data:`PathFlows`,
+    the ``start`` format of the network solvers); both are ``None`` for
+    Frank–Wolfe, which tracks only the summed edge flows.
     """
 
     edge_flows: np.ndarray
@@ -71,6 +78,7 @@ class NetworkFlowResult:
     solver: str = "frank-wolfe"
     num_paths: int = 0
     commodity_flows: Optional[np.ndarray] = None
+    path_flows: Optional[PathFlows] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edge_flows",

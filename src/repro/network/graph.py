@@ -11,6 +11,7 @@ import numpy as np
 from repro.exceptions import ModelError
 from repro.latency.base import LatencyFunction
 from repro.latency.batch import LatencyBatch
+from repro.latency.columns import LatencyColumns
 
 __all__ = ["Edge", "Network"]
 
@@ -57,8 +58,11 @@ class Network:
         self._out: Dict[Node, List[int]] = {}
         self._in: Dict[Node, List[int]] = {}
         self._nodes: List[Node] = []
-        #: Derived views (latency batch, CSR adjacency) built lazily and
-        #: invalidated whenever the graph is mutated.
+        #: Edges added so far per ``(tail, head)`` pair: the next parallel
+        #: edge's key.
+        self._keys: Dict[Tuple[Node, Node], int] = {}
+        #: Derived views (latency columns and batch, CSR adjacency) built
+        #: lazily and invalidated whenever the graph is mutated.
         self._derived: Dict[str, Any] = {}
         if edges is not None:
             for edge in edges:
@@ -90,8 +94,9 @@ class Network:
         """
         self.add_node(tail)
         self.add_node(head)
-        key = sum(1 for e in self._edges if e.tail == tail and e.head == head)
+        key = self._keys.get((tail, head), 0)
         edge = Edge(tail, head, latency, key=key)
+        self._keys[(tail, head)] = key + 1
         index = len(self._edges)
         self._edges.append(edge)
         self._out[tail].append(index)
@@ -141,11 +146,23 @@ class Network:
     # ------------------------------------------------------------------ #
     # Derived vectorized views (cached; invalidated on mutation)
     # ------------------------------------------------------------------ #
+    def latency_columns(self) -> LatencyColumns:
+        """The per-class parameter columns of the edge latencies (cached).
+
+        The instance digest reads them and :meth:`latency_batch` fills its
+        buckets from them, so a network canonicalises its latencies once.
+        """
+        columns = self._derived.get("columns")
+        if columns is None:
+            columns = LatencyColumns(tuple(e.latency for e in self._edges))
+            self._derived["columns"] = columns
+        return columns
+
     def latency_batch(self) -> LatencyBatch:
         """The vectorized family-grouped view of the edge latencies (cached)."""
         batch = self._derived.get("batch")
         if batch is None:
-            batch = LatencyBatch(tuple(e.latency for e in self._edges))
+            batch = LatencyBatch.from_columns(self.latency_columns())
             self._derived["batch"] = batch
         return batch
 
@@ -235,13 +252,28 @@ class Network:
     # Conversions
     # ------------------------------------------------------------------ #
     def shifted(self, strategy_flows: np.ndarray) -> "Network":
-        """The Followers' network: every latency shifted by the Leader's edge flow."""
+        """The Followers' network: every latency shifted by the Leader's edge flow.
+
+        Equal to a rebuild through :meth:`add_edge` with the latencies
+        ``edge.latency.shifted(s_e)``, but derived: the node order,
+        adjacency, edge keys and CSR structure are the Leader's (copied
+        containers, so either network may still be mutated), an edge with a
+        zero pre-load is the Leader's own :class:`Edge`, and the latency
+        batch comes from :meth:`LatencyBatch.shifted` instead of a fresh
+        canonicalisation.
+        """
         strategy = self.validate_edge_flows(strategy_flows)
+        batch = self.latency_batch().shifted(strategy)
         shifted_net = Network()
-        for node in self._nodes:
-            shifted_net.add_node(node)
-        for edge, s in zip(self._edges, strategy):
-            shifted_net.add_edge(edge.tail, edge.head, edge.latency.shifted(float(s)))
+        shifted_net._nodes = list(self._nodes)
+        shifted_net._out = {node: list(out) for node, out in self._out.items()}
+        shifted_net._in = {node: list(into) for node, into in self._in.items()}
+        shifted_net._keys = dict(self._keys)
+        shifted_net._edges = [
+            edge if lat is edge.latency
+            else Edge(edge.tail, edge.head, lat, key=edge.key)
+            for edge, lat in zip(self._edges, batch.latencies)]
+        shifted_net._derived.update(batch=batch, csr=self.csr_structure())
         return shifted_net
 
     def to_networkx(self, edge_flows: np.ndarray | None = None,

@@ -209,8 +209,10 @@ def instance_digest(instance: AnyInstance) -> str:
         demands = [instance.demand]
         topology: Any = list(instance.names)
     else:
-        edges = instance.network.edges
-        columns = LatencyColumns([edge.latency for edge in edges])
+        network = instance.network
+        edges = network.edges
+        columns = (network.latency_columns() if isinstance(network, Network)
+                   else LatencyColumns([edge.latency for edge in edges]))
         commodities = instance.commodities
         demands = [com.demand for com in commodities]
         topology = {"edges": [[edge.tail, edge.head] for edge in edges],

@@ -1,11 +1,14 @@
-"""A cold parallel-link solve canonicalises its latencies exactly once.
+"""A cold solve canonicalises its latencies exactly once.
 
-The instance digest reads the links' per-class parameter columns
-(:class:`~repro.latency.columns.LatencyColumns`), the
+The instance digest reads the links' (or edges') per-class parameter
+columns (:class:`~repro.latency.columns.LatencyColumns`), the
 :class:`~repro.latency.LatencyBatch` is filled from those same columns, and
 every later view — OpTop's per-round sub-instances, the Followers' shifted
-instance of the induced equilibrium — is derived from that one batch by
-array operations.
+instance or network of the induced equilibrium — is derived from that one
+batch by array operations.  A cold network solve also builds its CSR
+adjacency once, and only its first path solve (plus MOP's one-round
+induced solve) starts unseeded: the others start from the certified path
+flows of an earlier solve.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ import pytest
 
 from repro.api import solve
 from repro.cache import LRUCache
-from repro.instances import random_mixed_parallel
+from repro.equilibrium import network as network_module
+from repro.instances import grid_network, random_mixed_parallel
 from repro.latency.columns import LatencyColumns
+from repro.network import Network
 
 
 @pytest.fixture()
@@ -38,3 +43,53 @@ def test_cold_solve_builds_one_batch(batch_builds, strategy):
                    cache=LRUCache())
     assert report.instance_kind == "parallel"
     assert len(batch_builds) == 1
+
+
+@pytest.fixture()
+def csr_builds(monkeypatch):
+    """How many times a network built its CSR structure."""
+    calls = []
+    original = Network.csr_structure
+
+    def counted(self):
+        if "csr" not in self._derived:
+            calls.append(None)
+        return original(self)
+
+    monkeypatch.setattr(Network, "csr_structure", counted)
+    return calls
+
+
+@pytest.fixture()
+def path_solves(monkeypatch):
+    """``(kind, seeded, rounds)`` of every path-equilibration solve."""
+    solves = []
+    original = network_module.path_based_flow
+
+    def recorded(instance, kind, **kwargs):
+        result = original(instance, kind, **kwargs)
+        solves.append((kind, kwargs.get("start") is not None,
+                       result.iterations))
+        return result
+
+    monkeypatch.setattr(network_module, "path_based_flow", recorded)
+    return solves
+
+
+@pytest.mark.parametrize("strategy", ["optop", "llf"])
+def test_cold_network_solve_builds_once_and_seeds(batch_builds, csr_builds,
+                                                  path_solves, strategy):
+    report = solve(grid_network(5, 6, seed=11), strategy, cache=LRUCache())
+    assert report.instance_kind == "network"
+    assert len(batch_builds) == 1
+    assert len(csr_builds) == 1
+    # The Nash is solved first and cold; the optimum starts from its paths.
+    assert [kind for kind, _, _ in path_solves] == ["nash", "optimum", "nash"]
+    assert path_solves[0][1] is False and path_solves[1][1] is True
+    induced_seeded, induced_rounds = path_solves[2][1:]
+    if strategy == "llf":
+        # The Followers start from the optimum paths the Leader left.
+        assert induced_seeded
+    else:
+        # MOP's Followers reach their equilibrium in the first round.
+        assert not induced_seeded and induced_rounds == 1

@@ -79,6 +79,31 @@ class TestPathBasedSolver:
         assert network_commodity_gap(instance, result.commodity_flows,
                                      kind) < 1e-9
 
+    @pytest.mark.parametrize("kind", ["nash", "optimum"])
+    def test_step_into_an_mm1_capacity_converges(self, kind):
+        """A Newton step cut short at an M/M/1 capacity has a slope ~1e24
+        at its end; the line search bisects such a bracket instead of
+        creeping up from zero in secant steps."""
+        base = grid_network(5, 4, 4.165117607354409, seed=59)
+        capacities = {0: 5.745252000685658, 1: 4.11725491323553,
+                      2: 10.207750481113527, 3: 9.921860562460608,
+                      6: 6.7100042209027615, 8: 4.738395324422823,
+                      9: 5.51290751121351, 10: 4.348176874029583,
+                      11: 9.607028040497495, 14: 3.382334028332816,
+                      20: 5.127225171985564, 22: 6.817968321863483,
+                      26: 5.190469529929681, 27: 2.9429689168694555,
+                      28: 7.567205134270629}
+        network = Network()
+        for i, edge in enumerate(base.network.edges):
+            latency = (MM1Latency(capacities[i]) if i in capacities
+                       else edge.latency)
+            network.add_edge(edge.tail, edge.head, latency)
+        instance = NetworkInstance(network, base.commodities)
+        result = path_based_flow(instance, kind, max_iterations=100)
+        assert result.relative_gap <= 1e-12
+        assert network_commodity_gap(instance, result.commodity_flows,
+                                     kind) < 1e-9
+
     def test_demand_beyond_capacity_rejected(self):
         """No start fits demand 3 into two M/M/1 links of capacity 1."""
         net = Network()

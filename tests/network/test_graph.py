@@ -7,7 +7,9 @@ import pytest
 
 from repro.exceptions import ModelError
 from repro.latency import ConstantLatency, LinearLatency
+from repro.instances import random_linear_parallel
 from repro.network import Edge, Network
+from repro.network.builders import parallel_network_as_graph
 
 
 @pytest.fixture
@@ -63,6 +65,22 @@ class TestConstruction:
         edges = [Edge("a", "b", LinearLatency(1.0)), Edge("b", "c", LinearLatency(2.0))]
         net = Network(edges)
         assert net.num_edges == 2
+
+    def test_keys_count_insertions_per_node_pair(self):
+        rng = np.random.default_rng(7)
+        net = Network()
+        seen = {}
+        for _ in range(400):
+            tail, head = rng.choice(6, size=2, replace=False).tolist()
+            index = net.add_edge(tail, head, LinearLatency(1.0))
+            assert net.edge(index).key == seen.get((tail, head), 0)
+            seen[(tail, head)] = seen.get((tail, head), 0) + 1
+        assert sum(seen.values()) == net.num_edges
+
+    def test_parallel_link_embedding_keys(self):
+        instance = parallel_network_as_graph(
+            random_linear_parallel(4000, demand=100.0, seed=0))
+        assert [edge.key for edge in instance.network.edges] == list(range(4000))
 
 
 class TestFunctionals:
