@@ -86,9 +86,8 @@ PY
 # A path-equilibration solve that misses its path-cost residual (1e-12)
 # raises ConvergenceError and fails the script; each must also finish within
 # a round ceiling, and the solves of one strategy within a total that the
-# warm starts (Nash -> optimum, LLF's untaken optimum paths -> Followers)
-# must not exceed.  Round counts repeat exactly.  There is no wall-clock
-# bound.
+# Nash -> optimum warm start must not exceed.  Round counts repeat exactly.
+# There is no wall-clock bound.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - <<'PY'
 from repro.api import solve
 from repro.cache import LRUCache
@@ -98,7 +97,7 @@ from repro.instances import grid_network
 MAX_ROUNDS = 60
 # Total rounds per strategy of the cold solves before warm starts:
 # optop 17 + 1 + 15 (optimum, induced, Nash), llf 17 + 15 + 9 (optimum,
-# Nash, induced).  Warm-started solves take 25 and 30.
+# Nash, induced).  With the optimum seeded by the Nash they take 25 and 33.
 MAX_TOTAL_ROUNDS = {"optop": 33, "llf": 41}
 solves = []
 path_based_flow = network_module.path_based_flow

@@ -30,10 +30,8 @@ from repro.baselines.aloof import aloof
 from repro.baselines.brute_force import brute_force_strategy
 from repro.baselines.exact import exact_strategy
 from repro.baselines.llf import llf
-from repro.baselines.network_ext import (network_brute_force,
-                                         _network_llf_split)
+from repro.baselines.network_ext import network_brute_force, network_llf
 from repro.baselines.scale import scale
-from repro.equilibrium.induced import induced_network_equilibrium
 from repro.equilibrium.network import network_nash, network_optimum
 from repro.equilibrium.parallel import (parallel_nash, parallel_optimum,
                                         water_fill_many)
@@ -207,19 +205,15 @@ def solve_llf(instance, config: SolveConfig) -> SolveReport:
         strategy = llf(instance, alpha, optimum=optimum)
         return _parallel_baseline_report("llf", instance, config, strategy,
                                          metadata, optimum=optimum)
-    # On networks the Nash flow seeds the optimum, and the optimum paths the
-    # Leader leaves untaken seed the Followers' equilibrium.
+    # On networks the Nash flow, when wanted, is solved first: its path flows
+    # seed the optimum.
     nash = network_nash(instance, config=config) if config.compute_nash else None
     optimum = network_optimum(instance, config=config,
                               start=None if nash is None else nash.path_flows)
-    strategy, followers_start = _network_llf_split(instance, alpha, optimum)
-    outcome = induced_network_equilibrium(
-        instance, strategy.edge_flows, strategy.remaining_demands(instance),
-        solver=config.network_solver(), tolerance=config.tolerance,
-        start=followers_start)
+    strategy = network_llf(instance, alpha, optimum=optimum)
     metadata["path_generalisation"] = True
     return _network_baseline_report("llf", instance, config, strategy, metadata,
-                                    outcome=outcome, optimum=optimum, nash=nash)
+                                    optimum=optimum, nash=nash)
 
 
 @register_strategy("scale")

@@ -21,7 +21,6 @@ comparison sweeps run uniformly across instance kinds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -29,8 +28,7 @@ from repro.exceptions import StrategyError
 from repro.network.instance import NetworkInstance
 from repro.core.strategy import NetworkStackelbergStrategy
 from repro.equilibrium.network import network_optimum
-from repro.equilibrium.result import (NetworkFlowResult, PathFlows,
-                                      StackelbergOutcome)
+from repro.equilibrium.result import NetworkFlowResult, StackelbergOutcome
 from repro.paths.decomposition import decompose_flow
 from repro.baselines.brute_force import _compositions
 
@@ -55,27 +53,11 @@ def network_llf(instance: NetworkInstance, alpha: float, *,
         raise StrategyError(f"alpha must lie in [0, 1], got {alpha!r}")
     if optimum is None:
         optimum = network_optimum(instance, solver=solver, tolerance=tolerance)
-    return _network_llf_split(instance, alpha, optimum)[0]
-
-
-def _network_llf_split(instance: NetworkInstance, alpha: float,
-                      optimum: NetworkFlowResult,
-                      ) -> Tuple[NetworkStackelbergStrategy, Optional[PathFlows]]:
-    """:func:`network_llf`'s strategy and a start for the Followers' solve.
-
-    The start holds, per commodity, the untaken parts of its optimum paths
-    rescaled to its remaining demand: the Followers' equilibrium routes
-    exactly that demand next to the Leader's paths, so it starts from the
-    rest of the optimum.  It is ``None`` when some commodity with remaining
-    demand has no untaken path (the decomposition of a multicommodity
-    optimum is per aggregate flow), or when the rescaled paths would load
-    an edge near the end of its latency domain.
-    """
     costs = instance.latencies_at(optimum.edge_flows)
+
     remaining = optimum.edge_flows.copy()
     strategy_flows = np.zeros(instance.network.num_edges, dtype=float)
     controlled = []
-    untaken = []
     for commodity in instance.commodities:
         budget = alpha * commodity.demand
         taken = 0.0
@@ -85,52 +67,20 @@ def _network_llf_split(instance: NetworkInstance, alpha: float,
         ordered = sorted(paths,
                          key=lambda pv: (-float(sum(costs[i] for i in pv[0])),
                                          pv[0]))
-        rest = []
         for path, value in ordered:
-            take = 0.0
-            if budget - taken > 1e-15:
-                take = min(float(value), budget - taken)
-                for idx in path:
-                    strategy_flows[idx] += take
-                    remaining[idx] = max(0.0, remaining[idx] - take)
-                taken += take
-            if value > take:
-                rest.append((path, float(value) - take))
+            if budget - taken <= 1e-15:
+                break
+            take = min(float(value), budget - taken)
+            for idx in path:
+                strategy_flows[idx] += take
+                remaining[idx] = max(0.0, remaining[idx] - take)
+            taken += take
         controlled.append(taken)
-        untaken.append(rest)
-    strategy = NetworkStackelbergStrategy(
+    return NetworkStackelbergStrategy(
         edge_flows=strategy_flows,
         controlled_demands=tuple(controlled),
         total_demand=instance.total_demand,
     )
-    return strategy, _followers_start(instance, strategy, untaken)
-
-
-def _followers_start(instance: NetworkInstance,
-                     strategy: NetworkStackelbergStrategy,
-                     untaken: List[List[Tuple[Tuple[int, ...], float]]],
-                     ) -> Optional[PathFlows]:
-    """The untaken path flows rescaled to the remaining demands, or
-    ``None`` when they cannot seed the Followers' solve."""
-    start = []
-    loads = strategy.edge_flows.copy()
-    for rest, demand in zip(untaken, strategy.remaining_demands(instance)):
-        total = sum(flow for _, flow in rest)
-        if demand <= NetworkInstance.VANISHING_DEMAND:
-            rest = ()
-        elif total <= 0.0:
-            return None
-        else:
-            rest = tuple((path, flow * (demand / total)) for path, flow in rest)
-            for path, flow in rest:
-                loads[list(path)] += flow
-        start.append(rest)
-    # A margin far above rounding keeps the Followers' shifted domains
-    # (capacity minus pre-load) clear of the seed.
-    if np.any(loads >= instance.network.latency_batch().domain_upper
-              * (1.0 - 1e-9)):
-        return None
-    return tuple(start)
 
 
 @dataclass(frozen=True)

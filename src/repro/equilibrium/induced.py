@@ -9,7 +9,7 @@ equilibrium whose cost the paper's guarantees speak about.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from repro.network.instance import NetworkInstance
 from repro.network.parallel import ParallelLinkInstance
 from repro.equilibrium.network import network_nash
 from repro.equilibrium.parallel import parallel_nash
-from repro.equilibrium.result import PathFlows, StackelbergOutcome
+from repro.equilibrium.result import StackelbergOutcome
 
 __all__ = ["induced_parallel_equilibrium", "induced_network_equilibrium"]
 
@@ -73,17 +73,12 @@ def induced_network_equilibrium(instance: NetworkInstance,
                                 strategy_edge_flows: Sequence[float],
                                 remaining_demands: Sequence[float],
                                 *, solver: str = "auto",
-                                tolerance: float = 1e-9,
-                                start: Optional[PathFlows] = None,
-                                ) -> StackelbergOutcome:
+                                tolerance: float = 1e-9) -> StackelbergOutcome:
     """The Followers' reaction to a Leader edge pre-load on a network instance.
 
     ``strategy_edge_flows`` is the Leader's edge-flow vector (it must itself be
     a feasible routing of the controlled portion of every commodity);
     ``remaining_demands`` lists the uncontrolled demand per commodity.
-    ``start`` seeds the Followers' path-equilibration solve with path flows
-    per commodity of ``instance`` that route its remaining demand; the
-    entries of commodities left without demand are ignored.
     """
     strategy = instance.network.validate_edge_flows(strategy_edge_flows)
     if len(remaining_demands) != instance.num_commodities:
@@ -97,17 +92,8 @@ def induced_network_equilibrium(instance: NetworkInstance,
                 f"for commodity ({commodity.source!r} -> {commodity.sink!r})")
 
     followers_instance = instance.shifted(strategy, remaining_demands)
-    if start is not None:
-        if len(start) != instance.num_commodities:
-            raise StrategyError(
-                f"expected a start entry for each of the "
-                f"{instance.num_commodities} commodities, got {len(start)}")
-        # ``shifted`` drops the commodities without remaining demand.
-        start = tuple(entry for entry, remaining
-                      in zip(start, remaining_demands)
-                      if remaining > NetworkInstance.VANISHING_DEMAND) or None
     follower_result = network_nash(followers_instance, solver=solver,
-                                   tolerance=tolerance, start=start)
+                                   tolerance=tolerance)
     follower_flows = follower_result.edge_flows
     combined = strategy + follower_flows
     cost = instance.cost(combined)

@@ -9,8 +9,7 @@ enumerating any paths:
   its headroom instead and the rest follows on the next shortest path at
   the new flows, so the start lies inside every latency domain.  A caller
   holding certified path flows of a neighbouring problem (the Nash flow
-  before the optimum, the Leader's untaken optimum paths before the
-  Followers' equilibrium) passes them as ``start`` instead: the working
+  before the optimum) passes them as ``start`` instead: the working
   sets begin with those paths and flows (the warm start of path-based
   assignment, Jayakrishnan et al. 1994).
 * **Round.** The edges are priced with their latencies (Nash) or marginal

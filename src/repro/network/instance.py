@@ -40,9 +40,6 @@ class NetworkInstance:
     edge ordering.
     """
 
-    #: Derived instances drop commodities whose demand is at most this.
-    VANISHING_DEMAND = 1e-12
-
     def __init__(self, network: Network, commodities: Sequence[Commodity]) -> None:
         commodities = tuple(commodities)
         if not commodities:
@@ -197,7 +194,7 @@ class NetworkInstance:
                 f"expected {self.num_commodities} demands, got {len(demands)}")
         new_commodities = []
         for com, demand in zip(self.commodities, demands):
-            if demand > self.VANISHING_DEMAND:
+            if demand > 1e-12:
                 new_commodities.append(Commodity(com.source, com.sink, float(demand)))
         if not new_commodities:
             raise ModelError("all commodity demands would be zero")
@@ -218,12 +215,11 @@ class NetworkInstance:
                 f"got {len(remaining_demands)}")
         new_commodities = []
         for com, demand in zip(self.commodities, remaining_demands):
-            if demand > self.VANISHING_DEMAND:
+            if demand > 1e-12:
                 new_commodities.append(Commodity(com.source, com.sink, float(demand)))
         if not new_commodities:
             # All flow is controlled by the Leader; keep a vanishing commodity so
             # downstream code can still compute (trivial) equilibria.
             com = self.commodities[0]
-            new_commodities = [Commodity(com.source, com.sink,
-                                         self.VANISHING_DEMAND)]
+            new_commodities = [Commodity(com.source, com.sink, 1e-12)]
         return NetworkInstance(shifted_network, new_commodities)

@@ -6,9 +6,8 @@ columns (:class:`~repro.latency.columns.LatencyColumns`), the
 every later view — OpTop's per-round sub-instances, the Followers' shifted
 instance or network of the induced equilibrium — is derived from that one
 batch by array operations.  A cold network solve also builds its CSR
-adjacency once, and only its first path solve (plus MOP's one-round
-induced solve) starts unseeded: the others start from the certified path
-flows of an earlier solve.
+adjacency once, and its optimum starts from the certified path flows of
+its Nash.
 """
 
 from __future__ import annotations
@@ -83,13 +82,10 @@ def test_cold_network_solve_builds_once_and_seeds(batch_builds, csr_builds,
     assert report.instance_kind == "network"
     assert len(batch_builds) == 1
     assert len(csr_builds) == 1
-    # The Nash is solved first and cold; the optimum starts from its paths.
-    assert [kind for kind, _, _ in path_solves] == ["nash", "optimum", "nash"]
-    assert path_solves[0][1] is False and path_solves[1][1] is True
-    induced_seeded, induced_rounds = path_solves[2][1:]
-    if strategy == "llf":
-        # The Followers start from the optimum paths the Leader left.
-        assert induced_seeded
-    else:
+    # The Nash is solved first and cold; the optimum starts from its paths;
+    # the Followers' induced solve starts cold.
+    assert [(kind, seeded) for kind, seeded, _ in path_solves] == [
+        ("nash", False), ("optimum", True), ("nash", False)]
+    if strategy == "optop":
         # MOP's Followers reach their equilibrium in the first round.
-        assert not induced_seeded and induced_rounds == 1
+        assert path_solves[2][2] == 1

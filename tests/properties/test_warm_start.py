@@ -2,17 +2,13 @@
 
 A path solve seeded with the certified path flows of a neighbouring
 problem (``start=``) must stop on the same residual test as a cold one.
-These properties seed each of the three warm starts a ``solve`` uses:
-
-* the Nash path flows seeding the optimum (MOP and LLF with
-  ``compute_nash``), and the optimum's seeding the Nash;
-* the untaken parts of LLF's optimum paths seeding the Followers' induced
-  equilibrium;
-
+These properties seed the optimum with the Nash path flows (the warm start
+MOP and LLF use with ``compute_nash``) and the Nash with the optimum's,
 and check each seeded result with code independent of the solver
 (``network_commodity_gap``) and against the cold solve's edge flows.  A
-malformed start raises ``ModelError``.  The Followers' network derived by
-``Network.shifted`` must equal a rebuild through ``add_edge``.
+malformed start raises ``ModelError``, and no start reaches Frank–Wolfe.
+The Followers' network derived by ``Network.shifted`` must equal a rebuild
+through ``add_edge``.
 
 Instances: the grids, layered graphs, multicommodity grids and
 parallel-edge embeddings of ``test_path_equilibration``, plus grids and
@@ -26,14 +22,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.network_ext import _network_llf_split
 from repro.equilibrium import (
-    induced_network_equilibrium,
     network_commodity_gap,
     network_nash,
     network_optimum,
     path_based_flow,
 )
+from repro.api import SolveConfig, solve
+from repro.cache import LRUCache
 from repro.exceptions import ModelError
 from repro.instances import (
     grid_network,
@@ -41,7 +37,7 @@ from repro.instances import (
     random_multicommodity_instance,
 )
 from repro.latency import LatencyBatch, LinearLatency, MM1Latency
-from repro.network import Commodity, Network, NetworkInstance
+from repro.network import Network, NetworkInstance
 from repro.network.builders import parallel_network_as_graph
 from test_path_equilibration import (
     RTOL,
@@ -110,54 +106,6 @@ def test_nash_and_optimum_seed_each_other(instance):
                                  start=cold[other].path_flows)
         _assert_certified(instance, seeded, kind)
         _assert_same_flows(instance, seeded, cold[kind])
-
-
-@settings(max_examples=40, deadline=None)
-@given(instances, st.floats(0.0, 1.0))
-def test_llf_remainder_seeds_the_induced_equilibrium(instance, alpha):
-    optimum = path_based_flow(instance, "optimum")
-    strategy, start = _network_llf_split(instance, alpha, optimum)
-    assume(start is not None)
-    remaining = strategy.remaining_demands(instance)
-    cold = induced_network_equilibrium(instance, strategy.edge_flows,
-                                       remaining, solver="path")
-    seeded = induced_network_equilibrium(instance, strategy.edge_flows,
-                                         remaining, solver="path",
-                                         start=start)
-    followers = instance.shifted(strategy.edge_flows, remaining)
-    _assert_certified(followers, seeded.follower_result, "nash")
-    _assert_same_flows(instance, seeded.follower_result, cold.follower_result)
-    assert seeded.cost == pytest.approx(cold.cost, rel=RTOL)
-
-
-def test_llf_passes_no_start_that_would_overload_an_mm1_edge():
-    """With two commodities, each one's untaken paths come from the summed
-    optimum; rescaled to commodity 0's remaining demand they would load the
-    M/M/1 edge (0, 0) -> (0, 1) past its capacity, so the Followers start
-    cold."""
-    mm1 = {0: 1.3364017960995662, 1: 1.2801903116113946,
-           4: 1.3997492750470144, 6: 2.07476293677326}
-    linear = {2: (1.4200752458130592, 0.14107330546376629),
-              3: (1.7789389984051955, 0.6600501708843681),
-              5: (1.9474785302916306, 0.009000434811050506),
-              7: (0.9337959247652556, 0.19326049330177175)}
-    ends = [((0, 0), (0, 1)), ((0, 0), (1, 0)), ((0, 1), (1, 1)),
-            ((0, 1), (0, 0)), ((1, 0), (1, 1)), ((1, 0), (0, 0)),
-            ((1, 1), (1, 0)), ((1, 1), (0, 1))]
-    network = Network()
-    for i, (tail, head) in enumerate(ends):
-        network.add_edge(tail, head, MM1Latency(mm1[i]) if i in mm1
-                         else LinearLatency(*linear[i]))
-    instance = NetworkInstance(network, [
-        Commodity((0, 0), (0, 1), 1.467088890724138),
-        Commodity((0, 1), (1, 1), 0.8388098178684398)])
-    optimum = path_based_flow(instance, "optimum")
-    strategy, start = _network_llf_split(instance, 0.0, optimum)
-    assert start is None
-    outcome = induced_network_equilibrium(
-        instance, strategy.edge_flows, strategy.remaining_demands(instance),
-        solver="path", start=start)
-    assert outcome.follower_result.relative_gap <= 1e-12
 
 
 # --------------------------------------------------------------------------- #
@@ -264,6 +212,22 @@ def test_frank_wolfe_takes_no_start():
     for solve in (network_nash, network_optimum):
         with pytest.raises(ModelError):
             solve(instance, solver="frank-wolfe", start=start)
+
+
+@pytest.mark.parametrize("strategy", ["optop", "llf"])
+@pytest.mark.parametrize("instance, backend", [
+    (grid_network(3, 4, 2.0, seed=5), "frank_wolfe"),
+    # Above the 60-edge switch ``auto`` runs Frank-Wolfe too.
+    (grid_network(5, 8, seed=1), "auto"),
+], ids=["frank_wolfe", "auto-67-edges"])
+def test_solve_under_frank_wolfe_passes_no_start(strategy, instance,
+                                                 backend):
+    """A network ``solve`` whose path solves all run Frank-Wolfe seeds
+    nothing and returns a report."""
+    config = SolveConfig(backend=backend, max_iterations=50)
+    report = solve(instance, strategy, config=config, cache=LRUCache())
+    assert report.instance_kind == "network"
+    assert report.strategy == strategy
 
 
 # --------------------------------------------------------------------------- #
