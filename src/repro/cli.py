@@ -60,6 +60,9 @@ unified :mod:`repro.api` solver-session layer:
     throughput and the full service statistics.  ``--store DIR`` adds the
     on-disk artifact store as the tier-2 cache, shared with ``repro study``;
     ``--trace PROCESS`` drives diurnal traffic instead of the hot-key mix.
+    ``repro serve cluster`` runs N worker processes behind an HTTP gateway;
+    its load benchmark is ``python perfbench/run.py --workload
+    cluster_stream`` (``--trace 1`` adds per-hop spans).
 
 ``repro chaos``
     Deterministic fault injection: ``repro chaos list`` shows the built-in
@@ -362,13 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "fixed hot-key mix")
     serve_bench.add_argument("--trace-steps", type=int, default=24,
                              help="steps of the demand trace (default: 24)")
-    serve_bench.add_argument("--cluster", type=int, default=0, metavar="N",
-                             help="run the stream through a cluster of N "
-                                  "worker processes instead of one "
-                                  "in-process service (default: 0 = off)")
-    serve_bench.add_argument("--max-inflight", type=int, default=2,
-                             help="per-worker in-flight bound of the "
-                                  "gateway (cluster mode; default: 2)")
 
     serve_cluster = serve_sub.add_parser(
         "cluster",
@@ -826,8 +822,6 @@ def _command_bench_suite_verify(args: argparse.Namespace) -> int:
 def _command_serve_bench(args: argparse.Namespace) -> int:
     from repro.serve import run_bench
 
-    if args.cluster > 0:
-        return _serve_bench_cluster(args)
     store = _open_store(args)
     trace = None
     if args.trace is not None:
@@ -873,52 +867,6 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
           f"{final.pool_restarts} pool restarts, "
           f"{final.worker_restarts} dispatcher restarts")
     return 0 if consistent else 1
-
-
-def _serve_bench_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import run_cluster_bench
-
-    if args.trace is not None:
-        print("error: --trace is not supported with --cluster",
-              file=sys.stderr)
-        return 2
-    result = run_cluster_bench(
-        num_requests=args.requests, num_distinct=args.distinct,
-        num_links=args.num_links, seed=args.seed, passes=args.passes,
-        strategy=args.strategy, n_workers=args.cluster,
-        store_dir=args.store, max_inflight=args.max_inflight,
-        max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-        max_queue=args.max_queue)
-    if args.json:
-        import json as _json
-        print(_json.dumps(result.to_dict(), sort_keys=True, indent=2))
-        return 0 if result.consistent else 1
-    rows = []
-    for record in result.passes:
-        rows.append((record.index + 1, record.requests,
-                     f"{record.seconds:.3f}",
-                     f"{record.requests_per_second:.0f}",
-                     f"{record.hit_rate:.1f}%", record.solver_calls,
-                     "yes" if record.merged.consistent else "NO"))
-    print(format_table(
-        ("pass", "requests", "seconds", "req/s", "hit rate",
-         "solver calls", "consistent"),
-        rows,
-        title=f"Cluster benchmark ({result.n_workers} workers)"))
-    last = result.passes[-1]
-    shares = ", ".join(f"{node}={count}"
-                       for node, count in sorted(last.forwarded.items()))
-    gateway = result.gateway
-    print(f"gateway: {gateway.get('requests', 0)} requests, "
-          f"{gateway.get('reroutes', 0)} reroutes, "
-          f"{gateway.get('overload_retries', 0)} overload retries | "
-          f"last-pass shard shares: {shares}")
-    resilience = result.resilience
-    print(f"resilience: {resilience.get('gateway_timeouts', 0)} deadline "
-          f"expiries, {resilience.get('breaker_opens', 0)} breaker opens, "
-          f"{resilience.get('worker_respawns', 0)} respawns, "
-          f"{resilience.get('quarantined', 0)} quarantined artifacts")
-    return 0 if result.consistent else 1
 
 
 def _command_serve_cluster(args: argparse.Namespace) -> int:

@@ -25,17 +25,10 @@ The pieces:
 * :func:`start_cluster` / :class:`ClusterHandle`
   (:mod:`repro.cluster.launcher`) — process lifecycle and the synchronous
   facade;
-* :func:`run_cluster_bench` (:mod:`repro.cluster.bench`) — the
-  ``cluster_scaling`` benchmark behind ``repro serve bench --cluster``;
 * :mod:`repro.cluster.protocol` / :mod:`repro.cluster.hashing` — the JSON
   wire format and the deterministic shard mapping.
 """
 
-from repro.cluster.bench import (
-    ClusterBenchPass,
-    ClusterBenchResult,
-    run_cluster_bench,
-)
 from repro.cluster.gateway import ClusterGateway, WorkerEndpoint
 from repro.cluster.hashing import rank_nodes, rendezvous_weight, route, shard_map
 from repro.cluster.launcher import (
@@ -55,9 +48,6 @@ __all__ = [
     "EventLoopThread",
     "WorkerProcess",
     "start_cluster",
-    "ClusterBenchPass",
-    "ClusterBenchResult",
-    "run_cluster_bench",
     "rendezvous_weight",
     "rank_nodes",
     "route",

@@ -191,27 +191,17 @@ class Histogram:
         return histogram_quantile(self.snapshot(), q)
 
 
-def histogram_quantile(snapshot: Mapping[str, Any], q: float,
-                       *, baseline: Optional[Mapping[str, Any]] = None
-                       ) -> float:
+def histogram_quantile(snapshot: Mapping[str, Any], q: float) -> float:
     """Estimate a quantile from a :meth:`Histogram.snapshot` dict.
 
-    With ``baseline`` (an earlier snapshot of the *same* histogram) the
-    quantile is computed over the delta — how the cluster bench derives
-    per-pass p50/p95/p99 from one cumulative histogram.  Returns ``nan``
-    when the (delta) population is empty.  Standard Prometheus-style
-    linear interpolation inside the containing bucket; the overflow
-    bucket clamps to its lower bound.
+    Returns ``nan`` when the population is empty.  Standard
+    Prometheus-style linear interpolation inside the containing bucket;
+    the overflow bucket clamps to its lower bound.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q!r}")
-    buckets = [list(pair) for pair in snapshot["buckets"]]
+    buckets = snapshot["buckets"]
     count = int(snapshot["count"])
-    if baseline is not None:
-        base = {pair[0]: pair[1] for pair in baseline["buckets"]}
-        for pair in buckets:
-            pair[1] -= base.get(pair[0], 0)
-        count -= int(baseline["count"])
     if count <= 0:
         return math.nan
     rank = q * count

@@ -1,4 +1,4 @@
-"""Path-level substrate: shortest paths, enumeration, decomposition, max-flow.
+"""Path-level substrate: shortest paths, decomposition, max-flow.
 
 These utilities power both the Frank–Wolfe equilibrium solver (shortest-path /
 all-or-nothing steps) and the MOP algorithm (shortest-path subgraph w.r.t.
@@ -11,7 +11,6 @@ from repro.paths.dijkstra import (
     shortest_path_edges,
     shortest_path_edge_set,
 )
-from repro.paths.enumeration import all_simple_paths, path_nodes
 from repro.paths.decomposition import decompose_flow, remove_flow_cycles
 from repro.paths.maxflow import max_flow
 
@@ -19,8 +18,6 @@ __all__ = [
     "shortest_distances",
     "shortest_path_edges",
     "shortest_path_edge_set",
-    "all_simple_paths",
-    "path_nodes",
     "decompose_flow",
     "remove_flow_cycles",
     "max_flow",

@@ -137,6 +137,8 @@ def run_bench(*, num_requests: int = 5000, num_distinct: int = 200,
     traffic instead of the fixed hot-key mix.  Repeated levels then repeat
     instance digests, which the tiered cache and the coalescer collapse.
     """
+    if passes < 1:
+        raise ModelError(f"passes must be >= 1, got {passes!r}")
     config = SolveConfig(compute_nash=False)
     instances, schedule = build_workload(
         num_requests=num_requests, num_distinct=num_distinct,

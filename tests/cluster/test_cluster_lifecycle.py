@@ -11,10 +11,11 @@ import json
 import pytest
 
 from repro.api.config import SolveConfig
-from repro.cluster import run_cluster_bench, start_cluster
+from repro.cluster import start_cluster
 from repro.cluster.hashing import route
 from repro.serialization import instance_digest
-from repro.serve.bench import build_workload
+from repro.serve.bench import _delta, build_workload
+from repro.serve.service import ServiceStats
 
 pytestmark = pytest.mark.slow
 
@@ -30,16 +31,30 @@ def make_stream(num_requests=40, num_distinct=30, seed=3):
 
 class TestTwoPassResume:
     def test_second_pass_makes_zero_solver_calls(self, tmp_path):
-        result = run_cluster_bench(
-            n_workers=2, num_requests=40, num_distinct=30, num_links=3,
-            passes=2, store_dir=str(tmp_path / "store"), max_wait_ms=2.0)
-        cold, warm = result.passes
-        assert result.consistent
+        stream = make_stream(seed=0)
+        merged, shard_enqueued = [], []
+        with start_cluster(n_workers=2, store_dir=str(tmp_path / "store"),
+                           max_wait_ms=2.0) as cluster:
+            before = cluster.stats()
+            for _ in range(2):
+                cluster.solve_many(stream, "optop", config=CONFIG)
+                after = cluster.stats()
+                merged.append(_delta(
+                    ServiceStats.from_dict(dict(before["merged"])),
+                    ServiceStats.from_dict(dict(after["merged"]))))
+                shard_enqueued.append({
+                    node: entry["stats"]["enqueued"]
+                    - before["workers"][node]["stats"]["enqueued"]
+                    for node, entry in after["workers"].items()})
+                before = after
+        cold, warm = merged
+        assert cold.consistent and warm.consistent
         assert cold.requests == warm.requests == 40
-        assert cold.solver_calls == 30           # one per distinct instance
-        assert warm.solver_calls == 0            # fully resumed
-        assert warm.merged.hits == 40
-        assert all(count == 0 for count in warm.shard_enqueued.values())
+        assert cold.enqueued == 30               # one per distinct instance
+        assert warm.enqueued == 0                # fully resumed
+        assert warm.hits == 40
+        assert len(shard_enqueued[1]) == 2
+        assert all(count == 0 for count in shard_enqueued[1].values())
 
     def test_requests_follow_the_rendezvous_mapping(self, tmp_path):
         stream = make_stream()
@@ -150,26 +165,9 @@ class TestCli:
         assert "gateway listening" in out
         assert "worker[0]" in out
 
-    def test_serve_bench_cluster(self, capsys):
-        from repro.cli import main
+    def test_serve_cluster_keeps_max_inflight(self):
+        from repro.cli import build_parser
 
-        code = main(["serve", "bench", "--cluster", "1", "--requests", "40",
-                     "--distinct", "30", "--num-links", "3",
-                     "--max-wait-ms", "2"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "Cluster benchmark (1 workers)" in out
-        assert "100.0%" in out      # warm pass: everything a cache hit
-
-    def test_serve_bench_cluster_json(self, capsys):
-        from repro.cli import main
-
-        code = main(["serve", "bench", "--cluster", "1", "--requests", "40",
-                     "--distinct", "30", "--num-links", "3",
-                     "--max-wait-ms", "2", "--json"])
-        out = capsys.readouterr().out
-        assert code == 0
-        record = json.loads(out)
-        assert record["consistent"] is True
-        assert record["n_workers"] == 1
-        assert record["passes"][1]["solver_calls"] == 0
+        args = build_parser().parse_args(
+            ["serve", "cluster", "--max-inflight", "3"])
+        assert args.max_inflight == 3

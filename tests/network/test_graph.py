@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -130,3 +131,24 @@ class TestConversions:
         assert graph.number_of_edges() == 4
         _, _, data = next(iter(graph.edges(data=True)))
         assert "flow" in data and "capacity" in data and "index" in data
+
+    def test_to_networkx_edge_paths_carry_edge_indices(self):
+        net = Network()
+        net.add_edge("s", "v", LinearLatency(1.0))  # 0
+        net.add_edge("s", "w", LinearLatency(1.0))  # 1
+        net.add_edge("v", "w", LinearLatency(1.0))  # 2
+        net.add_edge("v", "t", LinearLatency(1.0))  # 3
+        net.add_edge("w", "t", LinearLatency(1.0))  # 4
+        graph = net.to_networkx()
+        paths = {tuple(graph.edges[e]["index"] for e in path)
+                 for path in nx.all_simple_edge_paths(graph, "s", "t")}
+        assert paths == {(0, 3), (1, 4), (0, 2, 4)}
+
+    def test_to_networkx_keeps_parallel_edges_apart(self):
+        net = Network()
+        net.add_edge("s", "t", LinearLatency(1.0))
+        net.add_edge("s", "t", LinearLatency(2.0))
+        graph = net.to_networkx()
+        assert graph.number_of_edges("s", "t") == 2
+        paths = list(nx.all_simple_edge_paths(graph, "s", "t"))
+        assert sorted(graph.edges[p[0]]["index"] for p in paths) == [0, 1]

@@ -109,25 +109,44 @@ class TestHistogram:
         assert hist.quantile(0.99) == pytest.approx(1.0)
 
 
-class TestQuantileBaseline:
-    def test_delta_quantile_sees_only_new_observations(self):
+class TestHistogramQuantile:
+    """The snapshot-level estimator that :meth:`Histogram.quantile` uses."""
+
+    @staticmethod
+    def two_regimes():
         hist = Histogram(buckets=[1.0, 2.0, 4.0])
         for _ in range(10):
-            hist.observe(0.5)  # old regime: fast
-        before = hist.snapshot()
+            hist.observe(0.5)
         for _ in range(10):
-            hist.observe(3.0)  # new regime: slow
-        after = hist.snapshot()
-        overall = histogram_quantile(after, 0.5)
-        delta = histogram_quantile(after, 0.5, baseline=before)
-        assert overall <= 2.0       # half the total population is fast
-        assert 2.0 < delta <= 4.0   # the delta population is all slow
+            hist.observe(3.0)
+        return hist
 
-    def test_delta_of_identical_snapshots_is_nan(self):
-        hist = Histogram(buckets=[1.0])
-        hist.observe(0.5)
-        snap = hist.snapshot()
-        assert math.isnan(histogram_quantile(snap, 0.5, baseline=snap))
+    @pytest.mark.parametrize("q, expected", [
+        (0.0, 0.0), (0.25, 0.5), (0.5, 1.0), (0.75, 3.0), (1.0, 4.0)])
+    def test_interpolates_inside_the_containing_bucket(self, q, expected):
+        hist = self.two_regimes()
+        assert histogram_quantile(hist.snapshot(), q) == pytest.approx(
+            expected)
+        assert hist.quantile(q) == histogram_quantile(hist.snapshot(), q)
+
+    def test_reads_a_plain_snapshot_dict(self):
+        snapshot = {"buckets": [[1.0, 2], [math.inf, 4]], "count": 4,
+                    "sum": 12.0}
+        assert histogram_quantile(snapshot, 0.5) == pytest.approx(1.0)
+        assert histogram_quantile(snapshot, 0.9) == pytest.approx(1.0)
+
+    def test_empty_snapshot_is_nan(self):
+        assert math.isnan(histogram_quantile(Histogram().snapshot(), 0.5))
+
+    @pytest.mark.parametrize("q", [-0.1, 1.5])
+    def test_quantile_range_validated(self, q):
+        with pytest.raises(ValueError, match="quantile"):
+            histogram_quantile(self.two_regimes().snapshot(), q)
+
+    def test_takes_no_baseline_snapshot(self):
+        snapshot = self.two_regimes().snapshot()
+        with pytest.raises(TypeError):
+            histogram_quantile(snapshot, 0.5, baseline=snapshot)
 
 
 class TestRegistry:

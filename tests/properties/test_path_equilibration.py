@@ -10,8 +10,7 @@ code that shares nothing with the solver:
   commodities' shortest-path distances, and with a single commodity also
   ``network_wardrop_gap`` / ``network_optimality_gap`` of the summed flow;
 * the objective against a capped Frank–Wolfe run, whose iterates are
-  feasible and so bound the minimum from above;
-* ``all_simple_paths`` is never reached (it raises if called).
+  feasible and so bound the minimum from above.
 
 Instances: random grids and layered graphs up to 60 edges (``linear`` and
 ``bpr`` latencies), bidirected multicommodity grids and parallel-edge
@@ -43,7 +42,7 @@ from repro.instances import (
     random_multicommodity_instance,
 )
 from repro.network.builders import parallel_network_as_graph
-from repro.paths import dijkstra, enumeration
+from repro.paths import dijkstra
 from repro.paths.dijkstra import shortest_distances
 
 #: Certification tolerance of every property, relative.
@@ -86,16 +85,6 @@ def parallel_embeddings(draw):
     links = random_mixed_parallel(draw(st.integers(2, 12)),
                                   demand=draw(demands), seed=draw(seeds))
     return parallel_network_as_graph(links)
-
-
-@pytest.fixture(autouse=True)
-def _no_path_enumeration(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("path equilibration enumerated simple paths")
-
-    monkeypatch.setattr(enumeration, "all_simple_paths", forbidden)
-    import repro.paths
-    monkeypatch.setattr(repro.paths, "all_simple_paths", forbidden)
 
 
 def _conservation_residual(instance, commodity_flows) -> float:

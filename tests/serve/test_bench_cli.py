@@ -51,6 +51,19 @@ class TestRunBench:
         assert all(p.stats.consistent for p in result.passes)
         assert result.final_stats.requests == 300
 
+    def test_single_pass_is_cold(self):
+        result = run_bench(num_requests=20, num_distinct=5, passes=1,
+                           max_wait_ms=1.0)
+        assert len(result.passes) == 1
+        assert result.passes[0].stats.requests == 20
+        assert result.passes[0].stats.consistent
+        assert result.final_stats.requests == 20
+
+    @pytest.mark.parametrize("passes", [0, -3])
+    def test_rejects_non_positive_passes(self, passes):
+        with pytest.raises(ModelError, match="passes must be >= 1"):
+            run_bench(num_requests=20, num_distinct=5, passes=passes)
+
 
 class TestCli:
     def test_serve_bench_prints_table(self, capsys):
@@ -70,3 +83,19 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["final_stats"]["requests"] == 60
         assert payload["passes"][0]["stats"]["consistent"] is True
+
+    def test_serve_bench_rejects_zero_passes(self, capsys):
+        code = main(["serve", "bench", "--requests", "20", "--distinct",
+                     "5", "--passes", "0", "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "passes must be >= 1" in captured.err
+
+    @pytest.mark.parametrize("option", ["--cluster", "--max-inflight"])
+    def test_serve_bench_has_no_cluster_mode(self, option, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "bench", "--requests", "20", "--distinct", "5",
+                  option, "2"])
+        assert excinfo.value.code == 2
+        assert option in capsys.readouterr().err

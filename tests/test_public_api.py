@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import inspect
 
 import pytest
@@ -55,6 +56,33 @@ class TestPublicSurface:
         import repro.paths
         import repro.serialization
         import repro.utils
+
+
+class TestRetiredInterfaces:
+    """Deleted modules and names stay deleted: no compatibility shims.
+
+    ``repro.cluster.bench`` was a second cluster benchmark (perfbench's
+    ``cluster_stream`` workload is the one that remains) and
+    ``repro.paths.enumeration`` had no caller in the package.
+    """
+
+    @pytest.mark.parametrize("module", ["repro.cluster.bench",
+                                        "repro.paths.enumeration"])
+    def test_module_does_not_import(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    @pytest.mark.parametrize("package, name", [
+        ("repro.cluster", "run_cluster_bench"),
+        ("repro.cluster", "ClusterBenchPass"),
+        ("repro.cluster", "ClusterBenchResult"),
+        ("repro.paths", "all_simple_paths"),
+        ("repro.paths", "path_nodes"),
+    ])
+    def test_package_does_not_export(self, package, name):
+        module = importlib.import_module(package)
+        assert not hasattr(module, name)
+        assert name not in module.__all__
 
 
 class TestExceptionHierarchy:
