@@ -37,6 +37,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -68,33 +69,40 @@ def cache_stats() -> Dict[str, int]:
     A *hit* is a report served without running a solver (including
     duplicates inside one ``solve_many`` batch); a *miss* is a lookup that
     led to a solver call with caching enabled.  Counters are process-global
-    and reset by :func:`clear_cache`.  Reports additionally carry a
-    ``metadata["cache"]`` record (``hit`` flag plus the counters at serve
-    time).
+    and reset by :func:`clear_cache`.  Each report served through a cache
+    carries only its own outcome, ``metadata["cache"] == {"hit": ...}``.
     """
     stats = _RESULT_CACHE.stats()
     return {"hits": stats["hits"], "misses": stats["misses"]}
 
 
-def _with_cache_metadata(report: SolveReport, *, hit: bool,
-                         cache: Optional[LRUCache],
+def _with_cache_metadata(report: SolveReport, *, hit: Optional[bool],
                          wall_time: Optional[float] = None,
                          profile: Optional[dict] = None) -> SolveReport:
-    """Attach the cache outcome and the running counters to a report.
+    """Attach the cache outcome to a report.
 
     The one copy a served report goes through
     (:meth:`SolveReport.stamped`, which normalises only the new entries):
     a fresh solve also sets its ``wall_time`` and ``profile`` here.
-    ``cache=None`` leaves the cache record out.
+    ``hit=None`` (an uncached solve) leaves the cache record out.
     """
     entries = {}
     if profile is not None:
         entries["profile"] = profile
-    if cache is not None:
-        stats = cache.stats()
-        entries["cache"] = {"hit": hit, "hits": stats["hits"],
-                            "misses": stats["misses"]}
+    if hit is not None:
+        entries["cache"] = {"hit": hit}
     return report.stamped(wall_time=wall_time, **entries)
+
+
+def _result_cache(cache: Optional[LRUCache]) -> LRUCache:
+    """The cache a call uses: ``cache``, or the process-global one."""
+    if cache is None:
+        return _RESULT_CACHE
+    if not isinstance(cache, LRUCache):
+        raise ModelError(
+            f"cache must be None or an LRUCache, got {cache!r}; to solve "
+            f"without caching pass config=SolveConfig(cache=False)")
+    return cache
 
 #: Default strategy: the paper's Price-of-Optimum algorithm, which itself
 #: dispatches between OpTop (parallel links) and MOP (networks).
@@ -133,28 +141,29 @@ def _cache_key(name: str, instance, config: SolveConfig,
 
 
 def _execute(instance, name: str, config: SolveConfig,
-             cache: Optional[LRUCache]) -> SolveReport:
+             keyed: bool) -> SolveReport:
     """Run the strategy without touching any cache; times the call.
 
-    The report gets a ``hit=False`` record of ``cache``'s counters (none
-    for ``cache=None``).  With ``config.profile`` set, the strategy runs
-    under a fresh :class:`~repro.obs.profiling.PhaseRecorder` — installed
-    *here* because this function executes wherever the solve actually runs
-    (the calling thread, a service dispatcher, or a pool worker process) —
-    and the per-phase kernel timings land in ``metadata["profile"]``.
+    A ``keyed`` solve gets a ``hit=False`` cache record.  With
+    ``config.profile`` set, the strategy runs under a fresh
+    :class:`~repro.obs.profiling.PhaseRecorder` — installed *here* because
+    this function executes wherever the solve actually runs (the calling
+    thread, a service dispatcher, or a pool worker process) — and the
+    per-phase kernel timings land in ``metadata["profile"]``.
     """
     fn = get_strategy(name)
+    hit = False if keyed else None
     start = time.perf_counter()
     if not config.profile:
         report = fn(instance, config)
-        return _with_cache_metadata(report, hit=False, cache=cache,
+        return _with_cache_metadata(report, hit=hit,
                                     wall_time=time.perf_counter() - start)
     from repro.obs.profiling import profiled
     with profiled() as recorder:
         report = fn(instance, config)
     wall_time = time.perf_counter() - start
     return _with_cache_metadata(
-        report, hit=False, cache=cache, wall_time=wall_time,
+        report, hit=hit, wall_time=wall_time,
         profile=recorder.to_dict(total_seconds=wall_time))
 
 
@@ -173,7 +182,9 @@ def solve(instance, strategy: Optional[str] = None, *,
     config:
         Solver settings; defaults to ``SolveConfig()``.
     cache:
-        Result cache to consult/fill; defaults to the process-global one.
+        Result cache (an :class:`~repro.cache.LRUCache`) to consult/fill;
+        defaults to the process-global one.  To solve without caching,
+        pass ``config=SolveConfig(cache=False)``.
 
     Returns
     -------
@@ -183,14 +194,13 @@ def solve(instance, strategy: Optional[str] = None, *,
     config = SolveConfig() if config is None else config
     name = _resolve_name(strategy)
     get_strategy(name)  # fail fast on unknown strategies
-    result_cache = _RESULT_CACHE if cache is None else cache
+    result_cache = _result_cache(cache)
     key = _cache_key(name, instance, config) if config.cache else None
     if key is not None:
         cached = result_cache.get(key)  # counts the hit or the miss
         if cached is not None:
-            return _with_cache_metadata(cached, hit=True, cache=result_cache)
-    report = _execute(instance, name, config,
-                      None if key is None else result_cache)
+            return _with_cache_metadata(cached, hit=True)
+    report = _execute(instance, name, config, key is not None)
     if key is not None:
         result_cache.put(key, report)
     return report
@@ -260,8 +270,9 @@ def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
         ``1`` forces sequential in-process execution (required for strategies
         registered at runtime on non-fork platforms).
     cache:
-        Result cache to consult/fill; defaults to the process-global one.
-        Callers with their own caching discipline inject a private
+        Result cache (an :class:`~repro.cache.LRUCache`) to consult/fill;
+        defaults to the process-global one.  Callers with their own
+        caching discipline inject a private
         :class:`~repro.cache.LRUCache` instead — e.g.
         :class:`repro.serve.SolveService` runs its batches against one so
         serve traffic neither duplicates reports into the global cache nor
@@ -275,7 +286,7 @@ def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
     config = SolveConfig() if config is None else config
     name = _resolve_name(strategy)
     get_strategy(name)  # fail fast on unknown strategies, before forking
-    result_cache = _RESULT_CACHE if cache is None else cache
+    result_cache = _result_cache(cache)
     batch = list(instances)
     reports: List[Optional[SolveReport]] = [None] * len(batch)
 
@@ -294,37 +305,45 @@ def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
                 continue
             cached = result_cache.get(key) if key is not None else None
             if cached is not None:
-                reports[i] = _with_cache_metadata(cached, hit=True,
-                                                  cache=result_cache)
+                reports[i] = _with_cache_metadata(cached, hit=True)
             else:
                 if key is not None:
                     first_seen[key] = i
                 pending.append(i)
     else:
         pending = list(range(len(batch)))
-    # Cache of each fresh report's record (none without a digest).
-    stamp = [None if key is None else result_cache for key in keys]
+    # Whether each fresh report gets a cache record (none without a digest).
+    keyed = [key is not None for key in keys]
     fresh = list(pending)
 
-    if len(pending) > 1 and not config.profile:
+    if len(pending) > 1:
         # Whole-batch pre-pass: strategies with a registered batch solver
         # (e.g. aloof over one link system at many demands) take all the
-        # cache misses in one vectorized in-process call.  Profiled runs
-        # skip it so every report keeps its own per-phase recorder, and a
-        # declined batch (None) or a solver-level failure falls through to
-        # the ordinary per-instance path.
+        # cache misses in one vectorized in-process call.  A profiled
+        # batch runs under one recorder whose phases every report carries.
+        # A declined batch (None) or a solver-level failure falls through
+        # to the ordinary per-instance path.
         batch_fn = REGISTRY.batch_solver(name)
         if batch_fn is not None:
+            if config.profile:
+                from repro.obs.profiling import profiled
+                recording = profiled()
+            else:
+                recording = nullcontext()
             start = time.perf_counter()
             try:
-                solved = batch_fn([batch[i] for i in pending], config)
+                with recording as recorder:
+                    solved = batch_fn([batch[i] for i in pending], config)
             except (ModelError, ConvergenceError):
                 solved = None
             if solved is not None and len(solved) == len(pending):
-                each = (time.perf_counter() - start) / len(solved)
+                seconds = time.perf_counter() - start
+                profile = None if recorder is None \
+                    else recorder.to_dict(total_seconds=seconds)
                 for i, report in zip(pending, solved):
                     reports[i] = _with_cache_metadata(
-                        report, hit=False, cache=stamp[i], wall_time=each)
+                        report, hit=False if keyed[i] else None,
+                        wall_time=seconds / len(solved), profile=profile)
                 pending = []
 
     if pending:
@@ -341,17 +360,16 @@ def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
         if workers > 1 and len(pending) > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 solved = pool.map(_execute, [batch[i] for i in pending],
-                                  repeat(name), repeat(config), repeat(None))
+                                  repeat(name), repeat(config),
+                                  [keyed[i] for i in pending])
                 for i, report in zip(pending, solved):
-                    # Workers cannot see this session's cache: stamp here.
-                    reports[i] = report if stamp[i] is None else \
-                        _with_cache_metadata(report, hit=False, cache=stamp[i])
+                    reports[i] = report
         else:
             # The scan above already recorded these lookups as misses, so
             # run the strategy directly instead of re-probing through
             # solve() (which would double-count).
             for i in pending:
-                reports[i] = _execute(batch[i], name, config, stamp[i])
+                reports[i] = _execute(batch[i], name, config, keyed[i])
 
     for i in fresh:
         if keys[i] is not None:
@@ -363,8 +381,7 @@ def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
         # a hit=True cache record, exactly like a report served from the
         # cross-batch cache.
         result_cache.note(hits=1)
-        reports[i] = _with_cache_metadata(reports[j], hit=True,
-                                          cache=result_cache)
+        reports[i] = _with_cache_metadata(reports[j], hit=True)
     missing = [i for i, report in enumerate(reports) if report is None]
     assert not missing, f"solve_many left unfilled slots: {missing}"
     return reports

@@ -117,14 +117,6 @@ class LRUCache:
             self._evictions = 0
             return evicted
 
-    def reset_stats(self) -> None:
-        """Zero the counters while keeping every entry (benchmark use:
-        measure a fresh pass over a warm cache without rebuilding it)."""
-        with self._lock:
-            self._hits = 0
-            self._misses = 0
-            self._evictions = 0
-
     def stats(self) -> Dict[str, int]:
         """Atomic snapshot: ``hits``, ``misses``, ``evictions``, ``size``."""
         with self._lock:

@@ -874,9 +874,6 @@ def _command_serve_cluster(args: argparse.Namespace) -> int:
 
     from repro.cluster import start_cluster
 
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
     cluster = start_cluster(
         n_workers=args.workers, store_dir=args.store, host=args.host,
         max_inflight=args.max_inflight, max_batch=args.max_batch,

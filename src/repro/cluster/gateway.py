@@ -53,12 +53,14 @@ import json
 import logging
 import random
 import time
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.config import SolveConfig
 from repro.api.report import SolveReport
 from repro.api.session import resolve_strategy_name
 from repro.cluster import protocol
+from repro.cluster.protocol import _CONNECTION_ERRORS
 from repro.cluster.hashing import route
 from repro.exceptions import (
     ClusterError,
@@ -74,9 +76,6 @@ __all__ = ["ClusterGateway", "WorkerEndpoint"]
 
 logger = logging.getLogger("repro.cluster.gateway")
 
-#: Errors that mean "this worker is gone", triggering failover.
-_CONNECTION_ERRORS = (ConnectionError, OSError, asyncio.IncompleteReadError,
-                      protocol._WireError)
 
 
 class WorkerEndpoint:
@@ -93,6 +92,9 @@ class WorkerEndpoint:
     """
 
     def __init__(self, host: str, port: int, *, max_inflight: int = 8) -> None:
+        if int(max_inflight) < 1:  # the semaphore would admit nothing
+            raise ClusterError(
+                f"max_inflight must be >= 1, got {max_inflight!r}")
         self.host = host
         self.port = int(port)
         #: Stable routing identity — survives gateway restarts (and
@@ -194,6 +196,9 @@ class ClusterGateway:
                  obs: Optional[Observability] = None) -> None:
         if not endpoints:
             raise ClusterError("a cluster needs at least one worker")
+        if int(max_inflight) < 1:
+            raise ClusterError(
+                f"max_inflight must be >= 1, got {max_inflight!r}")
         self.workers: Dict[str, WorkerEndpoint] = {}
         for host, port in endpoints:
             endpoint = WorkerEndpoint(host, port, max_inflight=max_inflight)
@@ -639,7 +644,8 @@ class ClusterGateway:
                          port: int = 0) -> int:
         """Expose the gateway itself over HTTP; returns the bound port."""
         self._server = await asyncio.start_server(
-            self._handle_connection, host=host, port=port)
+            partial(protocol.serve_connection, dispatch=self._dispatch),
+            host=host, port=port)
         return self._server.sockets[0].getsockname()[1]
 
     async def stop_http(self) -> None:
@@ -647,39 +653,6 @@ class ClusterGateway:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                message = await protocol.read_request(reader)
-                if message is None:
-                    break
-                method, path, headers, body = message
-                result = await self._dispatch(method, path, headers, body)
-                # Routes answer (status, payload) or, for non-JSON bodies
-                # like the Prometheus exposition, (status, payload, type).
-                if len(result) == 3:
-                    status, payload, content_type = result
-                else:
-                    status, payload = result
-                    content_type = "application/json"
-                close = headers.get("connection", "").lower() == "close"
-                await protocol.write_response(writer, status, payload,
-                                              close=close,
-                                              content_type=content_type)
-                if close:
-                    break
-        except asyncio.CancelledError:
-            pass  # event-loop teardown at shutdown; drop the connection
-        except _CONNECTION_ERRORS:
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
 
     async def _dispatch(self, method: str, path: str,
                         headers: Dict[str, str], body: bytes):

@@ -470,6 +470,9 @@ def start_cluster(n_workers: int = 2, *, store_dir: Optional[str] = None,
     """
     if int(n_workers) < 1:
         raise ClusterError(f"n_workers must be >= 1, got {n_workers!r}")
+    if int(max_inflight) < 1:
+        raise ClusterError(
+            f"max_inflight must be >= 1, got {max_inflight!r}")
     if isinstance(fault_plan, str):
         fault_plan = FaultPlan.load(fault_plan)
     owned_tmp = None

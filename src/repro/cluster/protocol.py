@@ -14,6 +14,8 @@ The pieces:
 * request/response framing — :func:`read_request`, :func:`read_response`,
   :func:`write_request`, :func:`write_response`; ``Content-Length`` bodies
   only, persistent connections by default, ``Connection: close`` honoured;
+  :func:`serve_connection` is the one server-side connection loop, shared
+  by the worker and the gateway;
 * the solve wire format — :func:`encode_solve_request` /
   :func:`decode_solve_request` carry ``{instance, strategy, config,
   digest}``.  The digest rides both in the body and in the
@@ -59,6 +61,7 @@ __all__ = [
     "read_response",
     "write_request",
     "write_response",
+    "serve_connection",
     "encode_solve_request",
     "decode_solve_request",
     "encode_report",
@@ -93,6 +96,12 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 
 class _WireError(ClusterError):
     """Malformed HTTP framing from a peer (connection is dropped)."""
+
+
+#: Errors that mean "this peer is gone or speaks garbage": a server drops
+#: the connection, and the gateway fails the worker over.
+_CONNECTION_ERRORS = (ConnectionError, OSError, asyncio.IncompleteReadError,
+                      _WireError)
 
 
 async def _read_head(reader: asyncio.StreamReader,
@@ -189,6 +198,47 @@ async def write_response(writer: asyncio.StreamWriter, status: int,
             + "\r\n")
     writer.write(head.encode("latin-1") + body)
     await writer.drain()
+
+
+async def serve_connection(reader: asyncio.StreamReader,
+                           writer: asyncio.StreamWriter, dispatch, *,
+                           intercept=None) -> None:
+    """Answer keep-alive requests on one connection until EOF or close.
+
+    ``dispatch(method, path, headers, body)`` answers ``(status, payload)``
+    or, for non-JSON bodies, ``(status, payload, content_type)``.
+    ``intercept(writer, status, payload)`` (the worker's chaos hook) runs
+    before each write; ``True`` means it killed the connection.  A vanished
+    or malformed peer only costs its own connection.
+    """
+    try:
+        while True:
+            message = await read_request(reader)
+            if message is None:
+                break
+            method, path, headers, body = message
+            status, payload, *content_type = await dispatch(
+                method, path, headers, body)
+            if intercept is not None and await intercept(writer, status,
+                                                         payload):
+                break
+            close = headers.get("connection", "").lower() == "close"
+            await write_response(
+                writer, status, payload, close=close,
+                content_type=content_type[0] if content_type
+                else "application/json")
+            if close:
+                break
+    except asyncio.CancelledError:
+        pass  # event-loop teardown at shutdown; drop the connection
+    except _CONNECTION_ERRORS:
+        pass
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError, asyncio.CancelledError):
+            pass
 
 
 # ---------------------------------------------------------------------- #

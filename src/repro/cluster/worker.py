@@ -159,8 +159,10 @@ class WorkerServer:
         """Bind the socket and start the service; returns ``self``."""
         self.service.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, host=self.host,
-            port=self._requested_port)
+            partial(protocol.serve_connection, dispatch=self._dispatch,
+                    intercept=None if self._faults is None
+                    else self._inject_response_fault),
+            host=self.host, port=self._requested_port)
         return self
 
     async def serve_until_shutdown(self) -> None:
@@ -182,44 +184,6 @@ class WorkerServer:
     # ------------------------------------------------------------------ #
     # Connection handling
     # ------------------------------------------------------------------ #
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                message = await protocol.read_request(reader)
-                if message is None:
-                    break
-                method, path, headers, body = message
-                result = await self._dispatch(method, path, headers, body)
-                # Routes answer (status, payload) or, for non-JSON bodies
-                # like the Prometheus exposition, (status, payload, type).
-                if len(result) == 3:
-                    status, payload, content_type = result
-                else:
-                    status, payload = result
-                    content_type = "application/json"
-                if self._faults is not None \
-                        and await self._inject_response_fault(
-                            writer, status, payload):
-                    break
-                close = headers.get("connection", "").lower() == "close"
-                await protocol.write_response(writer, status, payload,
-                                              close=close,
-                                              content_type=content_type)
-                if close:
-                    break
-        except asyncio.CancelledError:
-            pass  # event-loop teardown at shutdown; drop the connection
-        except (ConnectionError, asyncio.IncompleteReadError,
-                protocol._WireError):
-            pass  # a vanished or malformed peer only costs its connection
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
     async def _inject_response_fault(self, writer: asyncio.StreamWriter,
                                      status: int, payload: bytes) -> bool:
         """Chaos hook on the response path; ``True`` = connection is dead.

@@ -14,8 +14,8 @@ Naming scheme (see ``docs/subsystems/obs.md`` for the full table):
 
 * ``repro_*`` — per-shard :class:`~repro.serve.SolveService` counters
   (``repro_requests_total``, ``repro_cache_hits_total{tier=...}``, ...);
-* ``repro_tiered_cache_*`` / ``repro_memory_cache_*`` /
-  ``repro_store_*`` — the cache tiers and the artifact store;
+* ``repro_memory_cache_*`` / ``repro_store_*`` — the in-memory LRU
+  tier and the artifact store;
 * ``repro_gateway_*`` — gateway retry/breaker accounting, plus per-node
   ``repro_worker_*{node="host:port"}`` series;
 * ``repro_supervisor_*`` — respawn budget accounting.
@@ -71,17 +71,6 @@ _SERVICE_SERIES = (
      "High-water mark of the batch queue"),
     ("pending", "repro_pending", "gauge",
      "Requests currently queued or executing"),
-)
-
-_TIERED_SERIES = (
-    ("lookups", "repro_tiered_cache_lookups_total",
-     "Tiered-cache lookups (memory probes + store probes that settled)"),
-    ("misses", "repro_tiered_cache_misses_total",
-     "Tiered-cache lookups that missed every tier"),
-    ("puts", "repro_tiered_cache_puts_total",
-     "Write-through puts into the tiered cache"),
-    ("store_errors", "repro_tiered_cache_store_errors_total",
-     "Store-tier probes that raised and were treated as misses"),
 )
 
 _MEMORY_SERIES = (
@@ -143,20 +132,12 @@ def collect_service_stats(stats: Any,
 
     cache = data.get("cache") or {}
     if cache:
-        _collect_tiered_cache(cache, registry)
+        _collect_cache_tiers(cache, registry)
     return registry
 
 
-def _collect_tiered_cache(cache: Mapping[str, Any],
-                          registry: MetricsRegistry) -> None:
-    for key, name, help_text in _TIERED_SERIES:
-        registry.counter(name, help_text).set_exact(cache.get(key, 0))
-    tier_hits = registry.counter(
-        "repro_tiered_cache_hits_total",
-        "Tiered-cache hits, by serving tier", labels=("tier",))
-    tier_hits.labels(tier="memory").set_exact(cache.get("memory_hits", 0))
-    tier_hits.labels(tier="store").set_exact(cache.get("store_hits", 0))
-
+def _collect_cache_tiers(cache: Mapping[str, Any],
+                         registry: MetricsRegistry) -> None:
     memory = cache.get("memory") or {}
     for key, name, kind in _MEMORY_SERIES:
         if kind == "counter":

@@ -145,18 +145,6 @@ class TraceReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
 
-def _stats_delta(before: ServiceStats, after: ServiceStats) -> ServiceStats:
-    """The per-replay difference of two cumulative stats snapshots."""
-    names = ("requests", "tier1_hits", "tier2_hits", "coalesced", "enqueued",
-             "rejected", "probing", "batches", "batched_requests",
-             "batch_failures", "cache_put_failures", "pool_restarts",
-             "worker_restarts")
-    diff = {name: getattr(after, name) - getattr(before, name)
-            for name in names}
-    return ServiceStats(queue_peak=after.queue_peak, pending=after.pending,
-                        cache={}, **diff)
-
-
 def replay_trace(instance: Any, trace: DemandTrace,
                  strategy: Optional[str] = None, *,
                  config: Optional[SolveConfig] = None,
@@ -216,7 +204,7 @@ def replay_trace(instance: Any, trace: DemandTrace,
         if own_service:
             service.shutdown(wait=True, timeout=timeout)
     report.seconds = time.perf_counter() - start
-    report.stats = _stats_delta(before, service.stats())
+    report.stats = service.stats().since(before)
     report.reports = solved
     report.steps = [
         TraceStep.from_report(i, level, step_report)

@@ -18,7 +18,8 @@ The pieces:
   bounded-queue backpressure and a start/drain/shutdown lifecycle;
 * :class:`TieredCache` — write-through tier-1 in-memory LRU
   (:class:`repro.cache.LRUCache`) above the tier-2 on-disk
-  :class:`repro.study.store.ArtifactStore`, with exact per-tier counters;
+  :class:`repro.study.store.ArtifactStore`; it keeps no counters of its
+  own — the two tiers count their probes;
 * :class:`ServiceStats` — an atomic snapshot whose buckets partition the
   request count exactly (``requests == tier1_hits + tier2_hits + coalesced
   + enqueued + rejected + probing``, the last transiently covering

@@ -126,9 +126,11 @@ def run_bench(*, num_requests: int = 5000, num_distinct: int = 200,
               trace=None) -> BenchResult:
     """Push the synthetic stream through a service ``passes`` times.
 
-    The per-pass stats are deltas against the previous pass, so the second
-    pass of a healthy service shows (almost) pure cache hits and zero new
-    batches.
+    The per-pass stats are deltas against the previous pass
+    (:meth:`~repro.serve.ServiceStats.since`), so the second pass of a
+    healthy service shows (almost) pure cache hits and zero new batches.
+    The cache tiers' own counters are cumulative: read them from
+    ``final_stats``.
 
     With a ``trace`` (a :class:`~repro.scenarios.trace.DemandTrace`) the
     stream becomes *time-varying*: request ``r`` of a pass is pinned to
@@ -174,7 +176,7 @@ def run_bench(*, num_requests: int = 5000, num_distinct: int = 200,
             now = service.stats()
             result.passes.append(BenchPass(
                 index=pass_index, seconds=seconds, requests=len(schedule),
-                stats=_delta(previous, now)))
+                stats=now.since(previous)))
             previous = now
     finally:
         if own_service:
@@ -182,27 +184,3 @@ def run_bench(*, num_requests: int = 5000, num_distinct: int = 200,
     result.final_stats = service.stats()
     return result
 
-
-def _delta(before: ServiceStats, after: ServiceStats) -> ServiceStats:
-    """Per-pass difference of the cumulative counters.
-
-    Every numeric bucket — including the flat tiered-cache counters — is
-    delta-ed, so a pass's stats reconcile internally (``hits + misses ==
-    lookups`` holds per pass).  The nested per-backend counters
-    (``cache["memory"]`` / ``cache["store"]``) are *cumulative* handles and
-    are therefore omitted from per-pass records; read them from
-    ``final_stats``.  ``queue_peak`` and ``pending`` are point-in-time
-    values, reported as observed at the end of the pass.
-    """
-    fields = ("requests", "tier1_hits", "tier2_hits", "coalesced", "enqueued",
-              "rejected", "probing", "batches", "batched_requests",
-              "batch_failures", "cache_put_failures", "pool_restarts",
-              "worker_restarts", "timeouts", "shutdown_timeouts")
-    diff = {name: getattr(after, name) - getattr(before, name)
-            for name in fields}
-    cache_delta = {
-        name: after.cache.get(name, 0) - before.cache.get(name, 0)
-        for name in ("lookups", "memory_hits", "store_hits", "misses",
-                     "puts", "store_errors")}
-    return ServiceStats(queue_peak=after.queue_peak, pending=after.pending,
-                        cache=cache_delta, **diff)

@@ -13,10 +13,10 @@ Semantics:
   repeated traffic for a hot key never touches the disk again.
 * **Write-through**: :meth:`TieredCache.put` lands a fresh report in both
   tiers, so a process restart loses only latency, never results.
-* **Per-tier accounting**: the cache keeps its own lock-guarded counters —
-  ``memory_hits + store_hits + misses == lookups`` holds exactly under
-  concurrency — and additionally exposes the raw counters of both backing
-  tiers.
+* **No counters of its own**: each event is counted once, by the layer
+  that decides it — the LRU and the store count their hits and misses,
+  :class:`~repro.serve.SolveService` counts the request buckets — and
+  :meth:`TieredCache.stats` nests the two backing tiers' snapshots.
 
 Entries are addressed by what determines the solver output: the instance
 digest, the strategy name and the canonical config JSON (the same triple the
@@ -25,7 +25,7 @@ session cache and the artifact store already key on).
 
 from __future__ import annotations
 
-import threading
+import logging
 from typing import Dict, Optional, Tuple
 
 from repro.api.config import SolveConfig
@@ -41,20 +41,19 @@ __all__ = ["TieredCache", "TIER_MEMORY", "TIER_STORE"]
 TIER_MEMORY = "memory"
 TIER_STORE = "store"
 
+logger = logging.getLogger(__name__)
+
 
 class TieredCache:
     """Write-through memory+disk cache for solve reports.
 
     Parameters
     ----------
-    memory:
-        The tier-1 LRU; a fresh bounded one is created when omitted.
     store:
         Optional tier-2 :class:`~repro.study.store.ArtifactStore`; without
         it the cache degrades gracefully to a single in-memory tier.
     max_entries:
-        Bound of the auto-created tier-1 cache (ignored when ``memory`` is
-        given).
+        Bound of the tier-1 LRU.
     shared_store:
         Mark the store as *shared* between several writers (cluster
         shards, a concurrent study run).  Write-throughs then use
@@ -64,18 +63,12 @@ class TieredCache:
         disk I/O.
     """
 
-    def __init__(self, *, memory: Optional[LRUCache] = None,
-                 store: Optional[ArtifactStore] = None,
+    def __init__(self, *, store: Optional[ArtifactStore] = None,
                  max_entries: int = 4096,
                  shared_store: bool = False) -> None:
-        self.memory = LRUCache(max_entries=max_entries) if memory is None \
-            else memory
+        self.memory = LRUCache(max_entries=max_entries)
         self.store = store
         self.shared_store = bool(shared_store)
-        self._lock = threading.Lock()
-        self._counters: Dict[str, int] = {
-            "lookups": 0, "memory_hits": 0, "store_hits": 0, "misses": 0,
-            "puts": 0, "store_errors": 0}
 
     @staticmethod
     def memory_key(digest: str, strategy: str,
@@ -116,48 +109,36 @@ class TieredCache:
                    ) -> Optional[SolveReport]:
         """Tier-1-only probe (pure in-memory, no disk I/O).
 
-        A hit completes the logical lookup (counted as ``memory_hits``); a
-        miss counts nothing yet — the caller is expected to finish the
-        lookup with :meth:`get_store` exactly once, which records either a
-        ``store_hits`` or a ``misses`` outcome.  :meth:`get` composes the
-        two; callers that must not touch the disk while holding their own
-        locks (the serving front-end) split them.
+        :meth:`get` composes it with :meth:`get_store`; callers that must
+        not touch the disk while holding their own locks (the serving
+        front-end) split the two.
         """
-        report = self.memory.get(self.memory_key(digest, strategy, config))
-        if report is not None:
-            self._count("memory_hits")
-        return report
+        return self.memory.get(self.memory_key(digest, strategy, config))
 
     def get_store(self, digest: str, strategy: str, config: SolveConfig,
                   ) -> Optional[SolveReport]:
         """Tier-2 probe, completing a lookup that missed tier 1.
 
-        A hit is promoted into tier 1 and counted as ``store_hits``;
-        anything else counts as a ``misses`` outcome.  A *corrupt*
-        artifact is quarantined by the store itself (visible as
+        A hit is promoted into tier 1.  A *corrupt* artifact is
+        quarantined by the store itself (visible as
         ``stats()["store"]["corrupt"]``) and surfaces here as a plain
-        miss, so the write-through of the fresh solve repairs it;
-        ``store_errors`` remains as a belt for a store that raises
-        anyway.
+        miss, so the write-through of the fresh solve repairs it; a store
+        that raises anyway is logged and treated as a miss too.
         """
-        if self.store is not None and self._storable(strategy):
-            try:
-                stored = self.store.get(
-                    artifact_key(digest, strategy, config))
-            except ModelError:
-                # A damaged artifact must not take the service down (or
-                # leak out of a lookup): treat it as a miss, count it, and
-                # let the write-through replace the bad file.
-                with self._lock:
-                    self._counters["store_errors"] += 1
-                stored = None
-            if stored is not None:
-                self.memory.put(self.memory_key(digest, strategy, config),
-                                stored)
-                self._count("store_hits")
-                return stored
-        self._count("misses")
-        return None
+        if self.store is None or not self._storable(strategy):
+            return None
+        try:
+            stored = self.store.get(artifact_key(digest, strategy, config))
+        except ModelError as exc:
+            # A damaged artifact must not take the service down (or leak
+            # out of a lookup): treat it as a miss and let the
+            # write-through replace the bad file.
+            logger.warning("artifact store lookup failed, treated as a "
+                           "miss: %s", exc)
+            return None
+        if stored is not None:
+            self.memory.put(self.memory_key(digest, strategy, config), stored)
+        return stored
 
     def put(self, digest: str, strategy: str, config: SolveConfig,
             report: SolveReport) -> None:
@@ -174,38 +155,16 @@ class TieredCache:
                 self.store.put_if_absent(key, report)
             else:
                 self.store.put(key, report)
-        with self._lock:
-            self._counters["puts"] += 1
 
-    def _count(self, outcome: str) -> None:
-        # Monotonicity audit: every mutation of self._counters happens
-        # inside self._lock, and ``lookups`` moves in the same critical
-        # section as its outcome bucket — so each counter is monotone
-        # non-decreasing under any interleaving and a stats() reader can
-        # never observe ``lookups`` ahead of the bucket sum (or behind
-        # it).  The only counter writes outside this helper (put's
-        # ``puts`` and get_store's ``store_errors``) take the same lock.
-        with self._lock:
-            self._counters["lookups"] += 1
-            self._counters[outcome] += 1
-
-    # ------------------------------------------------------------------ #
-    # Counters
-    # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
-        """Atomic tier-level counters plus the raw backing-tier stats.
+        """The backing tiers' counters: ``{"memory": ..., "store": ...}``.
 
-        ``memory_hits + store_hits + misses == lookups`` always holds for
-        the top-level counters of one :class:`TieredCache` handle.  (The
-        three sections are snapshotted under three different locks — the
-        cache's, the LRU's, the store's — so each section is internally
-        exact while cross-section comparisons can be transiently ahead or
-        behind by in-flight operations.)
+        ``store`` is ``None`` without a tier 2.  The two sections are
+        snapshotted under the two tiers' own locks, so each is internally
+        exact while cross-section sums can be transiently ahead or behind
+        by in-flight operations.
         """
-        with self._lock:
-            top = dict(self._counters)
         return {
-            **top,
             "memory": self.memory.stats(),
             "store": None if self.store is None else self.store.stats(),
         }
@@ -213,20 +172,3 @@ class TieredCache:
     def clear_memory(self) -> int:
         """Drop tier 1 (the artifacts stay); returns entries dropped."""
         return self.memory.clear()
-
-    def reset(self) -> None:
-        """Zero every counter — this cache's, tier 1's, and tier 2's —
-        while keeping all cached entries.
-
-        The benchmark seam: re-measuring a warm configuration previously
-        meant rebuilding the cache (and the store handle) just to start
-        from clean counters; ``reset()`` keeps the warmth and drops only
-        the accounting.  Each tier resets under its own lock, so the
-        per-tier invariants hold before and after.
-        """
-        with self._lock:
-            for key in self._counters:
-                self._counters[key] = 0
-        self.memory.reset_stats()
-        if self.store is not None:
-            self.store.reset_stats()

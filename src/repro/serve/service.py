@@ -59,7 +59,7 @@ from repro.exceptions import (
     ServiceTimeoutError,
 )
 from repro.serialization import instance_digest
-from repro.serve.cache import TIER_MEMORY, TIER_STORE, TieredCache
+from repro.serve.cache import TieredCache
 from repro.study.store import ArtifactStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -76,9 +76,11 @@ class ServiceStats:
     """Atomic snapshot of one :class:`SolveService`'s counters.
 
     ``requests`` partitions exactly into ``tier1_hits + tier2_hits +
-    coalesced + enqueued + rejected + probing`` (:attr:`consistent`);
-    ``cache`` nests the tiered-cache counters, whose own invariant is
-    ``memory_hits + store_hits + misses == lookups``.
+    coalesced + enqueued + rejected + probing`` (:attr:`consistent`).
+    ``cache`` nests the tiers' own probe counters
+    (:meth:`~repro.serve.cache.TieredCache.stats`): on an idle service the
+    LRU's ``hits`` equal ``tier1_hits``, and a private store's ``hits`` /
+    ``misses`` equal ``tier2_hits`` / ``enqueued`` (for keyed requests).
     """
 
     #: Total ``submit`` calls (including rejected ones).
@@ -124,7 +126,7 @@ class ServiceStats:
     queue_peak: int = 0
     #: Requests submitted but not yet resolved at snapshot time.
     pending: int = 0
-    #: Tiered-cache counters (top level plus per-tier backends).
+    #: The cache tiers' own counters: ``{"memory": ..., "store": ...}``.
     cache: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -194,8 +196,21 @@ class ServiceStats:
                     merged[f.name] += getattr(other, f.name)
         return ServiceStats(**merged)
 
+    def since(self, before: "ServiceStats") -> "ServiceStats":
+        """The counters accrued since the earlier snapshot ``before``.
 
-#: Declared fields of :class:`ServiceStats` (for from_dict/merge).
+        Additive fields are subtracted; ``queue_peak`` and ``pending`` are
+        point-in-time values, taken from this snapshot; ``cache`` is empty
+        (read the tiers' counters from a full snapshot).
+        """
+        diff = {f.name: getattr(self, f.name) - getattr(before, f.name)
+                for f in _STATS_FIELDS
+                if f.name not in ("queue_peak", "pending", "cache")}
+        return ServiceStats(queue_peak=self.queue_peak, pending=self.pending,
+                            **diff)
+
+
+#: Declared fields of :class:`ServiceStats` (for from_dict/merge/since).
 _STATS_FIELDS = tuple(ServiceStats.__dataclass_fields__.values())
 
 

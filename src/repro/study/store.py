@@ -122,10 +122,10 @@ class ArtifactStore:
                                        "skipped_writes": 0, "corrupt": 0}
 
     def _count(self, counter: str) -> None:
-        # Monotonicity audit: this is the only place the counters mutate
-        # (reset_stats aside), always under _stats_lock; stats() snapshots
-        # under the same lock.  Counters are therefore monotone
-        # non-decreasing between resets, under any thread interleaving.
+        # Monotonicity audit: this is the only place the counters mutate,
+        # always under _stats_lock; stats() snapshots under the same lock.
+        # Counters are therefore monotone non-decreasing under any thread
+        # interleaving.
         with self._stats_lock:
             self._stats[counter] += 1
 
@@ -305,9 +305,3 @@ class ArtifactStore:
         """
         with self._stats_lock:
             return dict(self._stats)
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/write counters (the artifacts stay)."""
-        with self._stats_lock:
-            for key in self._stats:
-                self._stats[key] = 0

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.api import SolveConfig, cache_stats, clear_cache, solve, solve_many
+from repro.cache import LRUCache
+from repro.exceptions import ModelError
 from repro.instances import pigou, random_linear_parallel
 
 
@@ -24,8 +26,7 @@ class TestSolveCounters:
 
         second = solve(instance, "optop")
         assert cache_stats() == {"hits": 1, "misses": 1}
-        assert second.metadata["cache"]["hit"] is True
-        assert second.metadata["cache"]["hits"] == 1
+        assert second.metadata["cache"] == {"hit": True}
         assert second.beta == pytest.approx(first.beta)
 
     def test_disabled_cache_counts_nothing(self):
@@ -77,3 +78,22 @@ class TestSolveManyCounters:
         report = solve(pigou(), "optop")
         clone = type(report).from_json(report.to_json())
         assert clone.metadata["cache"] == report.metadata["cache"]
+
+
+class TestCacheArgument:
+    @pytest.mark.parametrize("bad", [False, True, {}, "lru"])
+    def test_solve_rejects_a_non_cache(self, bad):
+        with pytest.raises(ModelError, match=r"SolveConfig\(cache=False\)"):
+            solve(pigou(), "optop", cache=bad)
+
+    @pytest.mark.parametrize("bad", [False, {}])
+    def test_solve_many_rejects_a_non_cache(self, bad):
+        with pytest.raises(ModelError, match=r"SolveConfig\(cache=False\)"):
+            solve_many([pigou()], "optop", max_workers=0, cache=bad)
+
+    def test_an_injected_cache_is_used(self):
+        private = LRUCache(max_entries=4)
+        solve(pigou(), "optop", cache=private)
+        solve(pigou(), "optop", cache=private)
+        assert private.stats()["hits"] == 1
+        assert cache_stats() == {"hits": 0, "misses": 0}

@@ -259,11 +259,14 @@ class TestBatchPrePass:
         assert reports[3].induced_cost == pytest.approx(single.induced_cost,
                                                         abs=1e-12)
 
-    def test_profiled_batch_skips_the_pre_pass(self):
-        # Profiling needs the per-solve PhaseRecorder; the pre-pass must
-        # step aside so each report carries its own kernel timings.
+    def test_profiled_batch_runs_the_pre_pass(self):
+        # Profiling does not change which code runs: the batch pre-pass
+        # runs under one recorder and every report carries its phases.
         instances = self._instances(3)
         reports = solve_many(instances, "aloof", max_workers=0,
                              config=SolveConfig(cache=False, profile=True))
-        assert all("profile" in r.metadata for r in reports)
-        assert all(r.metadata.get("batched") is None for r in reports)
+        assert [r.metadata.get("batched") for r in reports] == [3, 3, 3]
+        profiles = [r.metadata["profile"] for r in reports]
+        assert all(profile == profiles[0] for profile in profiles)
+        assert profiles[0]["phases"]
+        assert profiles[0]["total_seconds"] > 0.0

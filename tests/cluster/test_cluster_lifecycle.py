@@ -14,7 +14,7 @@ from repro.api.config import SolveConfig
 from repro.cluster import start_cluster
 from repro.cluster.hashing import route
 from repro.serialization import instance_digest
-from repro.serve.bench import _delta, build_workload
+from repro.serve.bench import build_workload
 from repro.serve.service import ServiceStats
 
 pytestmark = pytest.mark.slow
@@ -39,9 +39,9 @@ class TestTwoPassResume:
             for _ in range(2):
                 cluster.solve_many(stream, "optop", config=CONFIG)
                 after = cluster.stats()
-                merged.append(_delta(
-                    ServiceStats.from_dict(dict(before["merged"])),
-                    ServiceStats.from_dict(dict(after["merged"]))))
+                merged.append(
+                    ServiceStats.from_dict(dict(after["merged"])).since(
+                        ServiceStats.from_dict(dict(before["merged"]))))
                 shard_enqueued.append({
                     node: entry["stats"]["enqueued"]
                     - before["workers"][node]["stats"]["enqueued"]

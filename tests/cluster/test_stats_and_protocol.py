@@ -71,6 +71,38 @@ class TestServiceStatsRoundTrip:
         backward = parts[-1].merge(*parts[-2::-1])
         assert forward == backward
 
+    def test_since_subtracts_every_additive_field(self):
+        from dataclasses import fields
+
+        point = {"queue_peak", "pending", "cache"}
+        names = [f.name for f in fields(ServiceStats)]
+        before = ServiceStats(**{name: 10 + i for i, name in enumerate(names)
+                                 if name not in point},
+                              queue_peak=9, pending=4,
+                              cache={"memory": {"hits": 1}})
+        after = ServiceStats(**{name: 100 + 3 * i
+                                for i, name in enumerate(names)
+                                if name not in point},
+                             queue_peak=3, pending=1,
+                             cache={"memory": {"hits": 5}})
+        delta = after.since(before)
+        for i, name in enumerate(names):
+            if name not in point:
+                assert getattr(delta, name) == 90 + 2 * i, name
+        # Point-in-time values come from the later snapshot; the tiers'
+        # counters belong to the cache handles and are left out.
+        assert delta.queue_peak == 3 and delta.pending == 1
+        assert delta.cache == {}
+        assert set(names) - point - {"requests"} >= {"timeouts",
+                                                     "shutdown_timeouts"}
+
+    def test_since_of_a_snapshot_is_zero(self):
+        stats = ServiceStats(requests=5, enqueued=5, timeouts=2,
+                             queue_peak=4, pending=1)
+        delta = stats.since(stats)
+        assert delta == ServiceStats(queue_peak=4, pending=1)
+        assert delta.consistent
+
     def test_merge_keeps_inconsistency_visible(self):
         broken = ServiceStats(requests=5, tier1_hits=1)  # 4 unaccounted
         merged = ServiceStats(requests=2, tier1_hits=2).merge(broken)

@@ -120,15 +120,14 @@ def test_five_thousand_mixed_requests_with_cache_and_coalescing(tmp_path):
             f"hits")
         assert stats2.consistent, stats2.to_dict()
 
-        # Exact per-tier accounting of the tiered cache.
-        cache_stats = stats2.cache
-        assert (cache_stats["memory_hits"] + cache_stats["store_hits"]
-                + cache_stats["misses"]) == cache_stats["lookups"]
-        # Every keyed submission probes tier 1 exactly once (requests that
-        # coalesce onto an in-flight solve stop there, so they appear in
-        # the LRU probe count but not as completed tiered lookups).
-        memory = cache_stats["memory"]
+        # The tiers count their probes, the service its buckets: every
+        # keyed submission probes tier 1 exactly once, and only the
+        # misses that were not coalesced reach tier 2.
+        memory, store = stats2.cache["memory"], stats2.cache["store"]
         assert memory["hits"] + memory["misses"] == stats2.requests
+        assert memory["hits"] == stats2.tier1_hits
+        assert store["hits"] == stats2.tier2_hits
+        assert store["misses"] == stats2.enqueued
         assert stats2.rejected == 0 and stats2.batch_failures == 0
     finally:
         service.shutdown(wait=True, timeout=120)

@@ -3,16 +3,22 @@ tiered caching, failure containment and lifecycle."""
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 
 import pytest
 
-from repro.api import SolveConfig, clear_cache, solve_many
-from repro.exceptions import ServiceClosedError, ServiceOverloadedError
+from repro.api import SolveConfig, clear_cache, solve, solve_many
+from repro.exceptions import (
+    ModelError,
+    ServiceClosedError,
+    ServiceOverloadedError,
+)
 from repro.instances import pigou, random_linear_parallel
+from repro.serialization import instance_digest
 from repro.serve import SolveService, TieredCache
-from repro.study.store import ArtifactStore
+from repro.study.store import ArtifactStore, artifact_key
 
 QUICK = SolveConfig(compute_nash=False)
 
@@ -254,83 +260,63 @@ class TestTieredCache:
         assert cache_stats() == before, \
             "serve traffic must not skew repro.api.cache_stats()"
 
-    def test_per_tier_counters_are_consistent(self, tmp_path):
+    def test_each_event_is_counted_once_across_the_layers(self, tmp_path):
+        # The tiers count their probes, the service counts the request
+        # buckets; on an idle service they describe the same events.
         store = ArtifactStore(tmp_path / "artifacts")
+        instances = [random_linear_parallel(3, demand=1.0, seed=seed)
+                     for seed in range(6)]
+        for instance in instances[:2]:  # pre-stored: tier-2 hits
+            store.put(artifact_key(instance_digest(instance), "optop",
+                                   QUICK),
+                      solve(instance, "optop", config=QUICK))
         with SolveService(store=store, max_wait_ms=1.0) as service:
-            for seed in range(5):
-                inst = random_linear_parallel(3, demand=1.0, seed=seed)
-                service.solve(inst, "optop", config=QUICK, timeout=30)
-                service.solve(inst, "optop", config=QUICK, timeout=30)
-            cache_stats = service.stats().cache
-        assert (cache_stats["memory_hits"] + cache_stats["store_hits"]
-                + cache_stats["misses"]) == cache_stats["lookups"]
+            def client(offset):
+                for round_index in range(5):
+                    for i in range(len(instances)):
+                        instance = instances[(i + offset + round_index)
+                                             % len(instances)]
+                        service.solve(instance, "optop", config=QUICK,
+                                      timeout=30)
 
-    def test_counters_are_monotone_under_concurrent_lookups(self, tmp_path):
-        store = ArtifactStore(tmp_path / "artifacts")
-        cache = TieredCache(store=store)
-        config = QUICK
-        with SolveService(cache=cache, max_wait_ms=1.0) as service:
-            instance = random_linear_parallel(3, demand=1.0, seed=9)
-            service.solve(instance, "optop", config=config, timeout=30)
+            threads = [threading.Thread(target=client, args=(offset,))
+                       for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            service.drain()
+            stats = service.stats()
+        memory, tier2 = stats.cache["memory"], stats.cache["store"]
+        assert stats.consistent and stats.probing == 0, stats.to_dict()
+        assert stats.requests == 4 * 5 * len(instances)
+        assert stats.rejected == 0
+        assert stats.tier2_hits == 2 and stats.enqueued == 4
+        assert memory["hits"] == stats.tier1_hits
+        assert tier2["hits"] == stats.tier2_hits
+        assert tier2["misses"] == stats.enqueued
+        assert memory["misses"] == (stats.coalesced + stats.tier2_hits
+                                    + stats.enqueued)
 
-            snapshots = []
-            stop = threading.Event()
+    def test_a_raising_store_is_a_logged_miss(self, tmp_path, caplog):
+        class RaisingStore(ArtifactStore):
+            def get(self, key):
+                raise ModelError("synthetic store failure")
 
-            def reader():
-                while not stop.is_set():
-                    snapshots.append(cache.stats())
-
-            watcher = threading.Thread(target=reader)
-            watcher.start()
-            try:
-                threads = [
-                    threading.Thread(target=lambda: [
-                        service.solve(instance, "optop", config=config,
-                                      timeout=30) for _ in range(20)])
-                    for _ in range(4)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
-            finally:
-                stop.set()
-                watcher.join()
-            snapshots.append(cache.stats())
-        # Every counter observed by the concurrent reader is monotone
-        # non-decreasing, and lookups never runs ahead of its buckets.
-        for name in ("lookups", "memory_hits", "store_hits", "misses",
-                     "puts", "store_errors"):
-            values = [snap[name] for snap in snapshots]
-            assert values == sorted(values), name
-        for snap in snapshots:
-            assert snap["lookups"] == (snap["memory_hits"]
-                                       + snap["store_hits"] + snap["misses"])
-
-    def test_reset_zeroes_counters_but_keeps_the_warmth(self, tmp_path):
-        store = ArtifactStore(tmp_path / "artifacts")
-        cache = TieredCache(store=store)
         solver = CountingSolver()
-        instance = random_linear_parallel(4, demand=2.0, seed=5)
-        with SolveService(cache=cache, max_wait_ms=1.0,
-                          solver=solver) as service:
-            service.solve(instance, "optop", config=QUICK, timeout=30)
-            service.solve(instance, "optop", config=QUICK, timeout=30)
-            assert cache.stats()["lookups"] > 0
-
-            cache.reset()  # the bench seam: clean counters, warm entries
-
-            counters = cache.stats()
-            assert counters["lookups"] == 0
-            assert counters["memory_hits"] == 0
-            assert counters["memory"]["hits"] == 0
-            assert counters["store"]["hits"] == 0
-            before_calls = solver.calls
-            service.solve(instance, "optop", config=QUICK, timeout=30)
-            after = cache.stats()
-        assert solver.calls == before_calls, "reset must not drop entries"
-        assert after["memory_hits"] == 1
-        assert after["lookups"] == 1
-        assert len(cache.memory) == 1 and len(store) == 1
+        with caplog.at_level(logging.WARNING, logger="repro.serve.cache"):
+            with SolveService(store=RaisingStore(tmp_path / "artifacts"),
+                              max_wait_ms=1.0, solver=solver) as service:
+                report = service.solve(pigou(), "optop", config=QUICK,
+                                       timeout=30)
+                stats = service.stats()
+        assert report.beta == pytest.approx(0.5)
+        assert solver.instances == 1
+        assert stats.enqueued == 1 and stats.tier2_hits == 0
+        assert stats.consistent, stats.to_dict()
+        assert any(record.levelno == logging.WARNING
+                   and "synthetic store failure" in record.getMessage()
+                   for record in caplog.records)
 
 
 class TestFailureContainment:
