@@ -18,7 +18,8 @@ replay makes a solver call, the warm mixed-family ``water_fill`` speedup
 at ``m >= 1000`` drops below the 10x gate, a cold ``water_fill`` (a fresh
 ``LatencyBatch`` per call) is slower than the reference at any size, or a
 cold ``optop`` (``optop_cold``, a fresh instance per call) canonicalises
-its latencies more than once.  The ``solve_cold``
+its latencies more than once or builds a per-link latency object.  The
+``solve_cold``
 rows time whole cold ``solve`` calls (a fresh instance per call, cache on)
 and split out the work around the kernels: the instance digest (which
 canonicalises the links once), the ``LatencyBatch`` fill from those columns
@@ -73,12 +74,14 @@ from repro.instances import (  # noqa: E402
     random_mixed_parallel,
     random_multicommodity_instance,
 )
+from repro.latency import LatencyFunction, ShiftedLatency  # noqa: E402
+from repro.latency import batch as batch_module  # noqa: E402
 from repro.latency.batch import LatencyBatch  # noqa: E402
 from repro.latency.columns import LatencyColumns  # noqa: E402
 
 
 def _reference_water_fill(latencies, demand, kind, *, tol=1e-12, batch=None):
-    return water_fill_reference(latencies, demand, kind, tol=tol)
+    return water_fill_reference(latencies, demand, kind, tol=tol, batch=batch)
 
 
 @contextlib.contextmanager
@@ -266,6 +269,32 @@ def counting_batch_builds():
 
 
 @contextlib.contextmanager
+def counting_latency_objects():
+    """Count per-link latency objects: ``shifted`` calls and wrappers built.
+
+    The counted ``shifted`` methods stay the stock shifts a batch derives
+    with array operations, so the count does not change the code path.
+    """
+    calls = []
+
+    def counting(original):
+        def counted(self, *args):
+            calls.append(None)
+            return original(self, *args)
+        return counted
+
+    base_shifted = counting(LatencyFunction.shifted)
+    wrapper_shifted = counting(ShiftedLatency.shifted)
+    with mock.patch.object(LatencyFunction, "shifted", base_shifted), \
+            mock.patch.object(ShiftedLatency, "shifted", wrapper_shifted), \
+            mock.patch.object(ShiftedLatency, "__init__",
+                              counting(ShiftedLatency.__init__)), \
+            mock.patch.object(batch_module, "_STOCK_SHIFTS",
+                              (base_shifted, wrapper_shifted)):
+        yield calls
+
+
+@contextlib.contextmanager
 def timing(owner, name: str, into: list):
     """Append the seconds of every ``owner.name`` call to ``into``."""
     original = getattr(owner, name)
@@ -287,21 +316,27 @@ def bench_optop_cold(sizes, *, repeats: int):
     Each call pays the one ``LatencyBatch`` canonicalisation of its
     instance; every round's sub-instance and the Followers' shifted
     instance are derived from that batch.  ``batch_builds`` is the largest
-    number of canonicalisations any call made — the gate requires 1.
+    number of canonicalisations any call made — the gate requires 1 — and
+    ``latency_objects`` the most per-link latency objects (``shifted``
+    calls and ``ShiftedLatency`` wrappers) any call built, counted on a
+    separate untimed call per instance — the gate requires 0.
     """
     rows = []
     for family, generator in (("linear", random_linear_parallel),
                               ("mixed", random_mixed_parallel)):
         for m in sizes:
-            times, builds = [], 0
+            times, builds, objects = [], 0, 0
             for k in range(max(2, repeats)):
-                instance = generator(int(m), demand=0.2 * m,
-                                     seed=1000 * int(m) + k)
+                seed = 1000 * int(m) + k
+                instance = generator(int(m), demand=0.2 * m, seed=seed)
                 with counting_batch_builds() as calls:
                     start = time.perf_counter()
                     optop(instance)
                     times.append(time.perf_counter() - start)
                 builds = max(builds, len(calls))
+                with counting_latency_objects() as built:
+                    optop(generator(int(m), demand=0.2 * m, seed=seed))
+                objects = max(objects, len(built))
             rows.append({
                 "benchmark": "optop_cold",
                 "family": family,
@@ -309,10 +344,12 @@ def bench_optop_cold(sizes, *, repeats: int):
                 "seconds": min(times),
                 "median_seconds": float(np.median(times)),
                 "batch_builds": builds,
+                "latency_objects": objects,
             })
             print(f"optop_cold[{family}] m={m}: {min(times)*1e3:8.3f} ms "
                   f"(median {np.median(times)*1e3:8.3f} ms), "
-                  f"{builds} batch build(s) per call")
+                  f"{builds} batch build(s), {objects} latency object(s) "
+                  f"per call")
     return rows
 
 
@@ -614,6 +651,7 @@ def main(argv=None) -> int:
                 or row.get("beta_deviation", 0.0) > 1e-8
                 or row.get("warm_solver_calls", 0) > 0
                 or row.get("batch_builds", 1) > 1
+                or row.get("latency_objects", 0) > 0
                 or (row.get("benchmark") == "water_fill"
                     and row["family"] == "mixed" and row["size"] >= 1000
                     and row["speedup"] < 10.0)

@@ -10,9 +10,9 @@ when the number drifts:
    where per-request bookkeeping is the largest relative cost) through
    one long-lived :class:`~repro.serve.SolveService` with observability
    disabled and one with it enabled, interleaving trials so machine
-   noise hits both equally.  Counters are zeroed between trials with
-   :meth:`~repro.serve.cache.TieredCache.reset` — the bench reuses its
-   services instead of re-creating them.
+   noise hits both equally.  The bench reuses its services instead of
+   re-creating them; each trial reads its own pass as a
+   :meth:`~repro.serve.ServiceStats.since` delta.
 2. The disabled-path throughput is compared against the **recorded
    baseline** (``.github/obs-overhead-baseline.json``), scaled by a
    pure-Python calibration loop timed on both machines so the gate
@@ -20,7 +20,10 @@ when the number drifts:
    beyond ``--tolerance`` (default 3%) fails the run.
 3. The enabled-vs-disabled delta — the actual cost of tracing +
    histograms when you opt in — is recorded alongside, so the trajectory
-   of both numbers lands in ``BENCH_obs.json`` per commit.
+   of both numbers lands in ``BENCH_obs.json`` per commit, together with
+   every trial's req/s and each mode's spread across its trials
+   (``(max - min) / median``): a spread wider than ``--tolerance`` says
+   the gate's verdict on this run is within the noise.
 
 Usage::
 
@@ -38,6 +41,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -77,7 +81,7 @@ def calibration_seconds(repeats: int = 3) -> float:
 
 def measure_warm_throughput(*, num_requests: int, num_distinct: int,
                             trials: int) -> dict:
-    """Warm req/s with obs off and on, interleaved over ``trials``.
+    """Every trial's warm req/s with obs off and on, interleaved.
 
     Both services live for the whole measurement: the first (untimed)
     pass fills the tier-1 cache, then every timed pass is 100% warm.
@@ -89,7 +93,7 @@ def measure_warm_throughput(*, num_requests: int, num_distinct: int,
         "enabled": SolveService(max_wait_ms=1.0,
                                 obs=Observability(service="overhead-bench")),
     }
-    best = {"disabled": 0.0, "enabled": 0.0}
+    rates = {"disabled": [], "enabled": []}
     try:
         for mode, service in services.items():
             service.start()
@@ -105,11 +109,17 @@ def measure_warm_throughput(*, num_requests: int, num_distinct: int,
                     raise AssertionError(
                         f"{mode} warm pass was not all-hits: "
                         f"{record.stats.to_dict()}")
-                best[mode] = max(best[mode], record.requests_per_second)
+                rates[mode].append(record.requests_per_second)
     finally:
         for service in services.values():
             service.shutdown(wait=True, timeout=60.0)
-    return best
+    return rates
+
+
+def spread_pct(rates) -> float:
+    """``(max - min) / median`` of the trials' req/s, in percent."""
+    median = statistics.median(rates)
+    return 100.0 * (max(rates) - min(rates)) / median if median > 0 else 0.0
 
 
 def main(argv=None) -> int:
@@ -133,16 +143,19 @@ def main(argv=None) -> int:
         num_requests, num_distinct, trials = 2000, 100, 4
 
     calibration = calibration_seconds()
-    throughput = measure_warm_throughput(
+    rates = measure_warm_throughput(
         num_requests=num_requests, num_distinct=num_distinct, trials=trials)
-    disabled = throughput["disabled"]
-    enabled = throughput["enabled"]
+    disabled = max(rates["disabled"])
+    enabled = max(rates["enabled"])
+    spread = {mode: spread_pct(values) for mode, values in rates.items()}
     enabled_overhead_pct = (100.0 * (disabled - enabled) / disabled
                             if disabled > 0 else 0.0)
     print(f"calibration: {calibration * 1e3:.1f} ms")
     print(f"warm throughput: obs off {disabled:8.0f} req/s, "
           f"obs on {enabled:8.0f} req/s "
           f"(enabled overhead {enabled_overhead_pct:+.1f}%)")
+    print(f"trial spread: obs off {spread['disabled']:.1f}%, "
+          f"obs on {spread['enabled']:.1f}%")
 
     record = {
         "calibration_seconds": calibration,
@@ -152,6 +165,8 @@ def main(argv=None) -> int:
         "disabled_requests_per_second": disabled,
         "enabled_requests_per_second": enabled,
         "enabled_overhead_pct": enabled_overhead_pct,
+        "trial_requests_per_second": rates,
+        "trial_spread_pct": spread,
     }
 
     baseline_path = Path(args.baseline)

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, Optional
 
 from repro.exceptions import ModelError
+from repro.utils.numeric import REAL_TYPES
 
 __all__ = ["SolveConfig", "EQUILIBRIUM_BACKENDS"]
 
@@ -95,6 +96,13 @@ class SolveConfig:
             raise ModelError(
                 f"unknown equilibrium backend {self.backend!r}; expected one of "
                 f"{', '.join(EQUILIBRIUM_BACKENDS)}")
+        for name in ("tolerance", "water_fill_tol", "underload_atol",
+                     "shortest_path_atol", "max_iterations",
+                     "brute_force_resolution", "alpha"):
+            value = getattr(self, name)
+            if not (isinstance(value, REAL_TYPES)
+                    or (name == "alpha" and value is None)):
+                raise ModelError(f"{name} must be a number, got {value!r}")
         for name in ("tolerance", "water_fill_tol", "underload_atol",
                      "shortest_path_atol"):
             value = getattr(self, name)

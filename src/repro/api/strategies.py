@@ -14,7 +14,6 @@ default :data:`~repro.api.registry.REGISTRY`.  Adapters are responsible for
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -23,7 +22,6 @@ from repro.api.config import SolveConfig
 from repro.api.dispatch import NETWORK, PARALLEL, resolve_instance_kind
 from repro.api.registry import register_batch_strategy, register_strategy
 from repro.api.report import SolveReport
-from repro.serialization import latency_to_dict
 from repro.core.mop import mop
 from repro.core.optop import optop
 from repro.baselines.aloof import aloof
@@ -37,6 +35,7 @@ from repro.equilibrium.parallel import (parallel_nash, parallel_optimum,
                                         water_fill_many)
 from repro.equilibrium.result import ParallelFlowResult, StackelbergOutcome
 from repro.network.builders import parallel_network_as_graph
+from repro.network.parallel import ParallelLinkInstance
 
 __all__ = [
     "solve_optop",
@@ -261,17 +260,19 @@ def solve_aloof_many(instances: Sequence[object],
     in their demand, so their optima and Nash equilibria are a batched
     :func:`~repro.equilibrium.parallel.water_fill_many` over the per-instance
     demand vector instead of independent solves that each re-locate their
-    segments over the same sorted breakpoints.  Declines (returns ``None``) when any instance is not a
-    parallel-link system; singleton groups go through the scalar adapter.
+    segments over the same sorted breakpoints.  Declines (returns ``None``)
+    when any instance is not a :class:`ParallelLinkInstance` or holds a
+    link outside the stock latency classes; singleton groups go through the
+    scalar adapter.
     """
     instances = list(instances)
-    if any(resolve_instance_kind(inst) != PARALLEL for inst in instances):
+    if any(not isinstance(inst, ParallelLinkInstance)
+           or inst.latency_columns().others for inst in instances):
         return None
-    groups: Dict[str, List[int]] = {}
+    # Group on the bytes of the cached columns the digest hashes.
+    groups: Dict[bytes, List[int]] = {}
     for i, inst in enumerate(instances):
-        key = json.dumps([latency_to_dict(lat) for lat in inst.latencies],
-                         sort_keys=True)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(inst.latency_columns().to_bytes(), []).append(i)
     reports: List[Optional[SolveReport]] = [None] * len(instances)
     for idxs in groups.values():
         if len(idxs) == 1:
@@ -282,9 +283,9 @@ def solve_aloof_many(instances: Sequence[object],
         tol = config.water_fill_tol
         batch = lead.latency_batch()
         opt_flows, opt_levels = water_fill_many(
-            lead.latencies, demands, "optimum", tol=tol, batch=batch)
+            None, demands, "optimum", tol=tol, batch=batch)
         nash_flows, nash_levels = water_fill_many(
-            lead.latencies, demands, "nash", tol=tol, batch=batch)
+            None, demands, "nash", tol=tol, batch=batch)
         for j, i in enumerate(idxs):
             inst = instances[i]
             optimum = _parallel_flow_result(inst, opt_flows[j], opt_levels[j],

@@ -78,14 +78,15 @@ def _link_level_and_inverse(kind: str) -> Tuple[Callable[[LatencyFunction, float
     raise ModelError(f"unknown water-filling kind {kind!r}")
 
 
-def water_fill(latencies: Sequence[LatencyFunction], demand: float,
+def water_fill(latencies: Optional[Sequence[LatencyFunction]], demand: float,
                kind: str, *, tol: float = 1e-12,
                batch: Optional[LatencyBatch] = None) -> Tuple[np.ndarray, float]:
     """Distribute ``demand`` across ``latencies`` equalising the chosen level.
 
     ``kind`` is ``"nash"`` (equalise latencies) or ``"optimum"`` (equalise
     marginal costs).  A prebuilt ``batch`` over the same latencies avoids
-    re-grouping on repeated solves.
+    re-grouping on repeated solves; with one, ``latencies`` may be ``None``
+    (the solve reads the batch's columns only).
     Returns ``(flows, common_level)`` where ``common_level`` is the equalised
     value on loaded links; unloaded links have a level at least as large.
 
@@ -104,7 +105,7 @@ def water_fill(latencies: Sequence[LatencyFunction], demand: float,
         recorder.note(f"water_fill[{kind}]", time.perf_counter() - start)
 
 
-def water_fill_many(latencies: Sequence[LatencyFunction],
+def water_fill_many(latencies: Optional[Sequence[LatencyFunction]],
                     demands: Sequence[float], kind: str, *,
                     tol: float = 1e-12,
                     batch: Optional[LatencyBatch] = None,
@@ -116,7 +117,8 @@ def water_fill_many(latencies: Sequence[LatencyFunction],
     ``StudySpec`` demand axis or an elastic-demand trace.  Returns
     ``(flows, levels)`` with ``flows`` of shape ``(len(demands), m)`` and one
     common level per demand; row ``j`` equals
-    ``water_fill(latencies, demands[j], kind)`` to solver tolerance.
+    ``water_fill(latencies, demands[j], kind)`` to solver tolerance.  As
+    there, ``latencies`` may be ``None`` when a ``batch`` is given.
 
     All demand-independent structure is shared across the batch: the
     family grouping and the sorted activation breakpoints are computed once,
@@ -141,7 +143,7 @@ def water_fill_many(latencies: Sequence[LatencyFunction],
         recorder.note(f"water_fill_many[{kind}]", time.perf_counter() - start)
 
 
-def _water_fill_many(latencies: Sequence[LatencyFunction],
+def _water_fill_many(latencies: Optional[Sequence[LatencyFunction]],
                      demands: Sequence[float], kind: str, *,
                      tol: float = 1e-12,
                      batch: Optional[LatencyBatch] = None,
@@ -202,7 +204,7 @@ def _water_fill_many(latencies: Sequence[LatencyFunction],
     return flows, levels
 
 
-def _water_fill(latencies: Sequence[LatencyFunction], demand: float,
+def _water_fill(latencies: Optional[Sequence[LatencyFunction]], demand: float,
                 kind: str, *, tol: float = 1e-12,
                 batch: Optional[LatencyBatch] = None,
                 ) -> Tuple[np.ndarray, float]:
@@ -307,15 +309,17 @@ def _normalise_total(flows: np.ndarray, demand: float) -> np.ndarray:
     return np.clip(flows, 0.0, None)
 
 
-def water_fill_reference(latencies: Sequence[LatencyFunction], demand: float,
-                         kind: str, *, tol: float = 1e-12,
+def water_fill_reference(latencies: Optional[Sequence[LatencyFunction]],
+                         demand: float, kind: str, *, tol: float = 1e-12,
+                         batch: Optional[LatencyBatch] = None,
                          ) -> Tuple[np.ndarray, float]:
     """The scalar water-filling solver: per-link Python calls in a bisection.
 
-    A test and benchmark oracle for :func:`water_fill`: same arguments bar
-    ``batch``, same result to solver tolerance.
+    A test and benchmark oracle for :func:`water_fill`: same arguments,
+    same result to solver tolerance.  It reads the latency objects, from
+    ``batch.latencies`` when ``latencies`` is ``None``.
     """
-    latencies = list(latencies)
+    latencies = list(batch.latencies if latencies is None else latencies)
     m = len(latencies)
     if m == 0:
         raise ModelError("water_fill needs at least one link")
@@ -396,7 +400,7 @@ def parallel_nash(instance: ParallelLinkInstance, *, tol: "float | None" = None,
     from an explicit ``tol`` or a :class:`repro.api.SolveConfig`.
     """
     tol = _resolve_tol(tol, config)
-    flows, level = water_fill(instance.latencies, instance.demand, "nash",
+    flows, level = water_fill(None, instance.demand, "nash",
                               tol=tol, batch=instance.latency_batch())
     return ParallelFlowResult(
         flows=flows,
@@ -417,7 +421,7 @@ def parallel_optimum(instance: ParallelLinkInstance, *, tol: "float | None" = No
     :class:`repro.api.SolveConfig`.
     """
     tol = _resolve_tol(tol, config)
-    flows, level = water_fill(instance.latencies, instance.demand, "optimum",
+    flows, level = water_fill(None, instance.demand, "optimum",
                               tol=tol, batch=instance.latency_batch())
     return ParallelFlowResult(
         flows=flows,

@@ -123,6 +123,46 @@ def _power_level_flow_dflow(levels: np.ndarray, coeffs: np.ndarray,
     return flow, dflow
 
 
+class LazyTuple:
+    """A tuple derived from a parent tuple, built on its first :meth:`get`.
+
+    The items are ``parent[i] for i in index`` (all of the parent's
+    without an ``index``), each with a non-zero ``offsets`` entry then
+    replaced by ``item.shifted(offset)``.  ``parent`` is a tuple or another
+    :class:`LazyTuple`.  Derived batches and instances carry their
+    latencies and link names this way, so a view whose objects nobody
+    reads builds none.
+    """
+
+    __slots__ = ("_parent", "_index", "_offsets", "_items")
+
+    def __init__(self, parent, index: Optional[np.ndarray] = None,
+                 offsets: Optional[np.ndarray] = None) -> None:
+        self._parent, self._index, self._offsets = parent, index, offsets
+        self._items: Optional[tuple] = None
+
+    def get(self) -> tuple:
+        """The items, built once."""
+        if self._items is None:
+            items = LazyTuple.resolve(self._parent)
+            if self._index is not None:
+                items = tuple(map(items.__getitem__, self._index.tolist()))
+            if self._offsets is not None:
+                items = list(items)
+                values = self._offsets.tolist()
+                for i in np.flatnonzero(self._offsets).tolist():
+                    items[i] = items[i].shifted(values[i])
+                items = tuple(items)
+            self._items = items
+        return self._items
+
+    @staticmethod
+    def resolve(items) -> tuple:
+        """``items`` as a tuple: a :class:`LazyTuple` is built, a tuple
+        returned as it is."""
+        return items.get() if isinstance(items, LazyTuple) else items
+
+
 def _unwrap(lat: LatencyFunction) -> Tuple[LatencyFunction, float, float, bool]:
     """Strip ``ShiftedLatency``/``ScaledLatency`` wrappers.
 
@@ -185,14 +225,13 @@ class _Members:
             clone._after_take()
         return clone
 
-    def shift(self, offsets: np.ndarray,
-              latencies: Sequence[LatencyFunction]) -> "_Members":
+    def shift(self, offsets: np.ndarray) -> "_Members":
         """A frozen copy with row ``k`` shifted by ``offsets[k]`` more.
 
         Only the ``offsets`` column moves; :meth:`_after_take` re-derives
         every column that depends on it with the construction formula, so
         the copy holds the floats the canonicaliser gives the shifted
-        ``latencies``.  Buckets without an offset column are load-shift
+        latencies.  Buckets without an offset column are load-shift
         invariant and return themselves.
         """
         if "offsets" not in self._ARRAYS:
@@ -584,12 +623,12 @@ class _GenericFamily(_Members):
         clone.functions = [self.functions[r] for r in rows.tolist()]
         return clone
 
-    def shift(self, offsets: np.ndarray,
-              latencies: Sequence[LatencyFunction]) -> "_GenericFamily":
+    def shift(self, offsets: np.ndarray) -> "_GenericFamily":
         # Generic rows keep the wrapped object, so they take the shifted one.
         clone = type(self)()
         clone.indices = self.indices
-        clone.functions = [latencies[i] for i in self.index_array().tolist()]
+        clone.functions = [lat.shifted(s) if s else lat for lat, s
+                           in zip(self.functions, offsets.tolist())]
         return clone
 
     def _per_link(self, x, method: str) -> np.ndarray:
@@ -891,10 +930,12 @@ class LatencyBatch:
         return (self._linear, self._constant, self._power, self._mm1,
                 self._poly, self._generic)
 
-    def _assemble(self, latencies: Tuple[LatencyFunction, ...],
-                  is_constant: np.ndarray) -> None:
-        """Finish a batch whose family buckets are frozen."""
-        self.latencies = latencies
+    def _assemble(self, latencies, is_constant: np.ndarray) -> None:
+        """Finish a batch whose family buckets are frozen.
+
+        ``latencies`` is a tuple, or a :class:`LazyTuple` if derived.
+        """
+        self._latencies = latencies
         self._families = [fam for fam in self._buckets() if len(fam)]
         self._index_arrays = [fam.index_array() for fam in self._families]
         self.is_constant = is_constant
@@ -902,14 +943,13 @@ class LatencyBatch:
         self._domain_upper: Optional[np.ndarray] = None
         self._profiles: dict = {}
 
-    def _derive(self, latencies: Tuple[LatencyFunction, ...],
-                buckets: Sequence[_Members],
+    def _derive(self, latencies: LazyTuple, buckets: Sequence[_Members],
                 is_constant: np.ndarray) -> "LatencyBatch":
         """A batch assembled from frozen ``buckets`` without canonicalising."""
         new = object.__new__(LatencyBatch)
         (new._linear, new._constant, new._power, new._mm1, new._poly,
          new._generic) = buckets
-        new._derivable = self._derivable
+        new.derives_shifts = self.derives_shifts
         new._assemble(latencies, is_constant)
         return new
 
@@ -952,7 +992,10 @@ class LatencyBatch:
         (self._linear, self._constant, self._power, self._mm1, self._poly,
          self._generic) = [family.filled(*_merge(parts[family.name]))
                            for family in _FAMILIES]
-        self._derivable = bool(derivable)
+        #: Whether :meth:`shifted` derives its batch with array operations;
+        #: its columns, ``domain_upper`` included, then equal bit for bit
+        #: those of the shifted latencies.
+        self.derives_shifts = bool(derivable)
         is_constant = np.zeros(len(latencies), dtype=bool)
         is_constant[self._constant.indices] = True
         for i, lat in zip(generic, self._generic.functions):
@@ -963,8 +1006,15 @@ class LatencyBatch:
     # Introspection
     # ------------------------------------------------------------------ #
     @property
+    def latencies(self) -> Tuple[LatencyFunction, ...]:
+        """The latency functions, one per link (built on first read if
+        the batch was derived by :meth:`subset` or :meth:`shifted`)."""
+        self._latencies = LazyTuple.resolve(self._latencies)
+        return self._latencies
+
+    @property
     def size(self) -> int:
-        return len(self.latencies)
+        return len(self.is_constant)
 
     def __len__(self) -> int:
         return self.size
@@ -1053,7 +1103,7 @@ class LatencyBatch:
         but without re-running the per-link canonicaliser — the OpTop
         recursion derives each round's sub-instance batch this way.
         """
-        idx = np.asarray(indices).reshape(-1)
+        idx = np.array(indices).reshape(-1)  # a copy: the view keeps it
         if not idx.size:
             raise ModelError("subset needs at least one link index")
         if idx.dtype.kind not in "iu":
@@ -1072,8 +1122,8 @@ class LatencyBatch:
             new_positions = positions[fam.index_array()]
             rows = np.flatnonzero(new_positions >= 0)
             buckets.append(fam.take(rows, new_positions[rows]))
-        latencies = tuple(map(self.latencies.__getitem__, idx.tolist()))
-        return self._derive(latencies, buckets, self.is_constant[idx])
+        return self._derive(LazyTuple(self._latencies, idx), buckets,
+                            self.is_constant[idx])
 
     def shifted(self, offsets) -> "LatencyBatch":
         """The batch of the shifted latencies ``x -> l_i(x + offsets[i])``.
@@ -1088,21 +1138,20 @@ class LatencyBatch:
         latency class with its own ``shifted`` canonicalises the shifted
         latencies afresh.
         """
-        offsets = np.asarray(offsets, dtype=float)
+        offsets = np.array(offsets, dtype=float)  # a copy: the view keeps it
         if offsets.shape != (self.size,):
             raise ModelError(
                 f"expected {self.size} offsets, got shape {offsets.shape}")
         if not np.all(np.isfinite(offsets)):
             raise ModelError("shift offsets must be finite")
-        latencies = list(self.latencies)
-        values = offsets.tolist()
-        for i in np.flatnonzero(offsets).tolist():
-            latencies[i] = latencies[i].shifted(values[i])
-        if not self._derivable:
-            return LatencyBatch(latencies)
-        buckets = [fam.shift(offsets[fam.index_array()], latencies)
-                   if len(fam) else fam for fam in self._buckets()]
-        return self._derive(tuple(latencies), buckets, self.is_constant)
+        latencies = LazyTuple(self._latencies, offsets=offsets)
+        if not self.derives_shifts:
+            return LatencyBatch(latencies.get())
+        if (offsets < 0.0).any():
+            latencies.get()  # raises where the per-link shift would
+        buckets = [fam.shift(offsets[fam.index_array()]) if len(fam) else fam
+                   for fam in self._buckets()]
+        return self._derive(latencies, buckets, self.is_constant)
 
     # ------------------------------------------------------------------ #
     # Batched calculus

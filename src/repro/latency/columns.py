@@ -21,6 +21,7 @@ are kept as objects in :attr:`LatencyColumns.others`.
 from __future__ import annotations
 
 import operator
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -195,6 +196,16 @@ class LatencyColumns:
 
     def __len__(self) -> int:
         return len(self.latencies)
+
+    def to_bytes(self) -> bytes:
+        """The stock-class columns: the bytes of step 4 of
+        :func:`repro.serialization.instance_digest` (not :attr:`others`)."""
+        parts = []
+        for indices, params in self.groups:
+            parts.append(struct.pack("<qq", *params.shape))
+            parts.append(indices.astype("<i8", copy=False).tobytes())
+            parts.append(params.astype("<f8", copy=False).tobytes())
+        return b"".join(parts)
 
     def first_unserialisable(self) -> Optional[LatencyFunction]:
         """The first link outside the stock table, if any."""

@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.exceptions import InfeasibleFlowError, ModelError
 from repro.network.graph import Network
+from repro.utils.numeric import finite_real
 
 __all__ = ["Commodity", "NetworkInstance"]
 
@@ -27,7 +28,7 @@ class Commodity:
         if self.source == self.sink:
             raise ModelError(
                 f"commodity source and sink must differ, both are {self.source!r}")
-        if self.demand <= 0.0:
+        if finite_real(self.demand, "commodity demand") <= 0.0:
             raise ModelError(f"commodity demand must be > 0, got {self.demand!r}")
 
 

@@ -9,9 +9,9 @@ import numpy as np
 
 from repro.exceptions import InfeasibleFlowError, ModelError
 from repro.latency.base import LatencyFunction
-from repro.latency.batch import LatencyBatch
+from repro.latency.batch import LatencyBatch, LazyTuple
 from repro.latency.columns import STOCK_CLASSES, LatencyColumns, check_latencies
-from repro.utils.numeric import DEFAULT_ATOL
+from repro.utils.numeric import DEFAULT_ATOL, finite_real
 
 __all__ = ["ParallelLinkInstance"]
 
@@ -31,10 +31,12 @@ class ParallelLinkInstance:
 
     The instance is immutable; the OpTop recursion produces new, smaller
     instances via :meth:`sub_instance`, and the induced-equilibrium code
-    produces the Followers' view via :meth:`shifted`.
+    produces the Followers' view via :meth:`shifted`.  Those derived
+    instances carry their parent's columns, an index map and offsets:
+    their :attr:`latencies` and :attr:`names` are built on first read.
     """
 
-    __slots__ = ("latencies", "demand", "names", "_batch", "_uppers",
+    __slots__ = ("_latencies", "demand", "_names", "_batch", "_uppers",
                  "_columns")
 
     def __init__(self, latencies: Sequence[LatencyFunction], demand: float,
@@ -53,39 +55,53 @@ class ParallelLinkInstance:
         self._init(latencies, demand, names, _domain_uppers(latencies), None,
                    None)
 
-    def _init(self, latencies: Tuple[LatencyFunction, ...], demand: float,
-              names: Tuple[str, ...], uppers: np.ndarray,
+    def _init(self, latencies, demand: float, names, uppers: np.ndarray,
               batch: LatencyBatch | None,
               columns: LatencyColumns | None) -> None:
         """Set the fields after checking ``demand`` against the capacity.
 
         Derived instances come straight here: their links were validated
         when the parent was built, so only the new demand is checked.
+        They pass ``latencies=None`` (their batch builds them on first
+        read) and may pass ``names`` as a ``LazyTuple``.
         """
+        demand = finite_real(demand, "total demand")
         if demand < 0.0:
             raise ModelError(f"total demand must be >= 0, got {demand!r}")
-        # ``sum`` over Python floats: the same capacity, to the last bit, as
-        # summing the latencies' ``domain_upper`` one by one.
-        capacity = sum(uppers.tolist())
+        # ``cumsum`` adds left to right: the same capacity, to the last bit,
+        # as summing the latencies' ``domain_upper`` one by one.
+        capacity = float(np.cumsum(uppers)[-1])
         if demand >= capacity:
             raise ModelError(
                 f"demand {demand!r} exceeds the total link capacity {capacity!r}")
-        self.latencies = latencies
-        self.demand = float(demand)
-        self.names = names
+        self._latencies = latencies
+        self.demand = demand
+        self._names = names
         self._uppers = uppers
         self._batch = batch
         self._columns = columns
 
     @staticmethod
-    def _derived(latencies: Tuple[LatencyFunction, ...], demand: float,
-                 names: Tuple[str, ...], uppers: np.ndarray,
+    def _derived(latencies, demand: float, names, uppers: np.ndarray,
                  batch: LatencyBatch | None,
                  columns: LatencyColumns | None = None,
                  ) -> "ParallelLinkInstance":
         new = object.__new__(ParallelLinkInstance)
         new._init(latencies, demand, names, uppers, batch, columns)
         return new
+
+    @property
+    def latencies(self) -> Tuple[LatencyFunction, ...]:
+        """One latency function per link (built on first read if derived)."""
+        if self._latencies is None:
+            self._latencies = self._batch.latencies
+        return self._latencies
+
+    @property
+    def names(self) -> Tuple[str, ...]:
+        """The link names (built on first read if derived)."""
+        self._names = LazyTuple.resolve(self._names)
+        return self._names
 
     def latency_columns(self) -> LatencyColumns:
         """The per-class parameter columns of the link latencies (cached).
@@ -114,8 +130,8 @@ class ParallelLinkInstance:
         return (self.latencies, self.demand, self.names)
 
     def __setstate__(self, state) -> None:
-        self.latencies, self.demand, self.names = state
-        self._uppers = _domain_uppers(self.latencies)
+        self._latencies, self.demand, self._names = state
+        self._uppers = _domain_uppers(self._latencies)
         self._batch = None
         self._columns = None
 
@@ -125,12 +141,12 @@ class ParallelLinkInstance:
     @property
     def num_links(self) -> int:
         """Number of parallel links ``m``."""
-        return len(self.latencies)
+        return len(self._uppers)
 
     @property
     def has_constant_links(self) -> bool:
         """``True`` when at least one link has a constant latency."""
-        return any(lat.is_constant for lat in self.latencies)
+        return bool(self.latency_batch().is_constant.any())
 
     def __len__(self) -> int:
         return self.num_links
@@ -193,8 +209,8 @@ class ParallelLinkInstance:
         profiles): elastic-demand bisections and demand sweeps re-solve
         without re-grouping the families per trial demand.
         """
-        return self._derived(self.latencies, demand, self.names, self._uppers,
-                             self._batch, self._columns)
+        return self._derived(self._latencies, demand, self._names,
+                             self._uppers, self._batch, self._columns)
 
     def sub_instance(self, link_indices: Sequence[int],
                      demand: float) -> "ParallelLinkInstance":
@@ -208,10 +224,9 @@ class ParallelLinkInstance:
         if not len(link_indices):
             raise ModelError("sub_instance needs at least one link")
         batch = self.latency_batch().subset(link_indices)
-        idx = np.asarray(link_indices, dtype=np.intp)  # validated by subset
-        names = tuple(map(self.names.__getitem__, idx.tolist()))
-        return self._derived(batch.latencies, demand, names, self._uppers[idx],
-                             batch)
+        idx = np.array(link_indices, dtype=np.intp)  # validated by subset
+        return self._derived(None, demand, LazyTuple(self._names, idx),
+                             self._uppers[idx], batch)
 
     def shifted(self, strategy_flows: np.ndarray) -> "ParallelLinkInstance":
         """The Followers' view of the system under a Stackelberg pre-load.
@@ -221,7 +236,11 @@ class ParallelLinkInstance:
         from this instance's (:meth:`LatencyBatch.shifted`), so the links
         are neither re-canonicalised nor re-validated.
         """
-        strategy = np.asarray(strategy_flows, dtype=float)
+        try:
+            strategy = np.asarray(strategy_flows, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"Stackelberg strategy flows must be numbers: "
+                             f"{exc}") from None
         if strategy.shape != (self.num_links,):
             raise ModelError(
                 f"expected {self.num_links} strategy flows, got shape {strategy.shape}")
@@ -233,15 +252,19 @@ class ParallelLinkInstance:
             raise ModelError(
                 f"strategy routes {strategy.sum()!r} > total demand {self.demand!r}")
         remaining = max(0.0, remaining)
-        batch = self.latency_batch().shifted(strategy)
+        parent = self.latency_batch()
+        batch = parent.shifted(strategy)
         # A shift leaves an infinite domain infinite; only the finite domains
-        # of moved links need the shifted latency's own bound.
+        # of moved links need the shifted latency's own bound.  A derived
+        # batch's column holds it bit for bit; one canonicalised afresh
+        # (nested shifts accumulate in another order) reads the objects.
         uppers = self._uppers.copy()
         moved = np.flatnonzero((strategy != 0.0) & np.isfinite(uppers))
-        for i in moved.tolist():
-            uppers[i] = batch.latencies[i].domain_upper
-        return self._derived(batch.latencies, remaining, self.names, uppers,
-                             batch)
+        if moved.size:
+            uppers[moved] = (batch.domain_upper[moved] if parent.derives_shifts
+                             else [batch.latencies[i].domain_upper
+                                   for i in moved.tolist()])
+        return self._derived(None, remaining, self._names, uppers, batch)
 
 
 #: Stock classes with an unbounded domain: they inherit the class constant

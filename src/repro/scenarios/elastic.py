@@ -94,7 +94,7 @@ def wardrop_level(instance: Any, demand: float, *,
     if demand < 0.0:
         raise ModelError(f"demand must be >= 0, got {demand!r}")
     if resolve_instance_kind(instance) == PARALLEL:
-        _, level = water_fill(instance.latencies, demand, "nash",
+        _, level = water_fill(None, demand, "nash",
                               tol=config.water_fill_tol,
                               batch=instance.latency_batch())
         return float(level)

@@ -229,10 +229,7 @@ def instance_digest(instance: AnyInstance) -> str:
     digest.update(np.asarray(demands, dtype="<f8").tobytes())
     digest.update(struct.pack("<q", len(text)))
     digest.update(text)
-    for indices, params in columns.groups:
-        digest.update(struct.pack("<qq", *params.shape))
-        digest.update(indices.astype("<i8", copy=False).tobytes())
-        digest.update(params.astype("<f8", copy=False).tobytes())
+    digest.update(columns.to_bytes())
     return digest.hexdigest()
 
 

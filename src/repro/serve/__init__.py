@@ -29,15 +29,13 @@ The pieces:
 """
 
 from repro.serve.bench import BenchPass, BenchResult, build_workload, run_bench
-from repro.serve.cache import TIER_MEMORY, TIER_STORE, TieredCache
+from repro.serve.cache import TieredCache
 from repro.serve.service import ServiceStats, SolveService
 
 __all__ = [
     "SolveService",
     "ServiceStats",
     "TieredCache",
-    "TIER_MEMORY",
-    "TIER_STORE",
     "BenchPass",
     "BenchResult",
     "build_workload",

@@ -35,11 +35,7 @@ from repro.cache import LRUCache
 from repro.exceptions import ModelError
 from repro.study.store import ArtifactStore, artifact_key, storable_strategy
 
-__all__ = ["TieredCache", "TIER_MEMORY", "TIER_STORE"]
-
-#: Tier labels returned by :meth:`TieredCache.get`.
-TIER_MEMORY = "memory"
-TIER_STORE = "store"
+__all__ = ["TieredCache"]
 
 logger = logging.getLogger(__name__)
 
@@ -90,28 +86,13 @@ class TieredCache:
     # ------------------------------------------------------------------ #
     # Access
     # ------------------------------------------------------------------ #
-    def get(self, digest: str, strategy: str, config: SolveConfig,
-            ) -> Tuple[Optional[SolveReport], Optional[str]]:
-        """Look one cell up; returns ``(report, tier)``.
-
-        ``tier`` is :data:`TIER_MEMORY`, :data:`TIER_STORE` (the report was
-        promoted into memory) or ``None`` on a full miss.
-        """
-        report = self.get_memory(digest, strategy, config)
-        if report is not None:
-            return report, TIER_MEMORY
-        stored = self.get_store(digest, strategy, config)
-        if stored is not None:
-            return stored, TIER_STORE
-        return None, None
-
     def get_memory(self, digest: str, strategy: str, config: SolveConfig,
                    ) -> Optional[SolveReport]:
         """Tier-1-only probe (pure in-memory, no disk I/O).
 
-        :meth:`get` composes it with :meth:`get_store`; callers that must
-        not touch the disk while holding their own locks (the serving
-        front-end) split the two.
+        A lookup that misses goes on to :meth:`get_store`; the serving
+        front-end makes the two calls apart, so it never touches the disk
+        while holding its own locks.
         """
         return self.memory.get(self.memory_key(digest, strategy, config))
 
@@ -168,7 +149,3 @@ class TieredCache:
             "memory": self.memory.stats(),
             "store": None if self.store is None else self.store.stats(),
         }
-
-    def clear_memory(self) -> int:
-        """Drop tier 1 (the artifacts stay); returns entries dropped."""
-        return self.memory.clear()

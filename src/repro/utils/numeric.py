@@ -9,14 +9,28 @@ solvers that produce their inputs.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
+
+from repro.exceptions import ModelError
 
 #: Default absolute tolerance for flow / latency comparisons.
 DEFAULT_ATOL: float = 1e-9
 
 #: Default relative tolerance for cost comparisons.
 DEFAULT_RTOL: float = 1e-7
+
+
+#: ``isinstance`` tests ``float`` and ``int`` before the slower ABC.
+REAL_TYPES = (float, int, numbers.Real)
+
+
+def finite_real(value, what: str) -> float:
+    """``value`` as a float; :class:`ModelError` unless a finite real number."""
+    if not isinstance(value, REAL_TYPES) or not math.isfinite(value):
+        raise ModelError(f"{what} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def close(a: float, b: float, *, atol: float = DEFAULT_ATOL,

@@ -33,6 +33,12 @@ class TestValidation:
         {"alpha": 1.5},
         {"alpha": -0.1},
         {"brute_force_resolution": 0},
+        {"water_fill_tol": "x"},
+        {"tolerance": None},
+        {"underload_atol": float("nan")},
+        {"max_iterations": "many"},
+        {"alpha": "half"},
+        {"brute_force_resolution": [12]},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ModelError):

@@ -270,3 +270,42 @@ class TestBatchPrePass:
         assert all(profile == profiles[0] for profile in profiles)
         assert profiles[0]["phases"]
         assert profiles[0]["total_seconds"] > 0.0
+
+    def test_link_system_groups_match_the_json_grouping(self):
+        # The groups key on the bytes of the cached latency columns; they
+        # are the groups the JSON of every link's parameters gives.
+        import json
+
+        from repro.instances import random_mixed_parallel
+        from repro.network import ParallelLinkInstance
+        from repro.serialization import latency_to_dict
+
+        shared = random_mixed_parallel(30, demand=5.0, seed=4)
+        renamed = ParallelLinkInstance(shared.latencies, 2.0,
+                                       names=[f"L{i}" for i in range(30)])
+        instances = ([shared.with_demand(d) for d in (1.0, 3.0, 6.0)]
+                     + [random_mixed_parallel(30, demand=5.0, seed=s)
+                        for s in (5, 6)]
+                     + [renamed, random_linear_parallel(30, 5.0, seed=4),
+                        shared.with_demand(2.5)])
+        groups = {}
+        for i, inst in enumerate(instances):
+            key = json.dumps([latency_to_dict(lat) for lat in inst.latencies],
+                             sort_keys=True)
+            groups.setdefault(key, []).append(i)
+        sizes = [len(group) for i in range(len(instances))
+                 for group in groups.values() if i in group]
+        assert sizes == [5, 5, 5, 1, 1, 5, 1, 5]
+        reports = solve_many(instances, "aloof", max_workers=0,
+                             config=SolveConfig(cache=False))
+        assert [r.metadata.get("batched", 1) for r in reports] == sizes
+
+    def test_a_wrapped_link_declines_the_batch(self):
+        from repro.api.strategies import solve_aloof_many
+        from repro.latency import ShiftedLatency
+        from repro.network import ParallelLinkInstance
+
+        base = random_linear_parallel(4, demand=1.0, seed=8)
+        wrapped = ParallelLinkInstance(
+            [ShiftedLatency(lat, 0.1) for lat in base.latencies], 1.0)
+        assert solve_aloof_many([base, wrapped], SolveConfig()) is None

@@ -70,7 +70,8 @@ def reference_water_fill():
 
         def oracle(latencies, demand, kind, *, tol=1e-12, batch=None):
             calls.append(kind)
-            return water_fill_reference(latencies, demand, kind, tol=tol)
+            return water_fill_reference(latencies, demand, kind, tol=tol,
+                                        batch=batch)
 
         with mock.patch(target, oracle):
             yield calls

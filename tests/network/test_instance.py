@@ -46,6 +46,11 @@ class TestCommodity:
         with pytest.raises(ModelError):
             Commodity("s", "t", 0.0)
 
+    @pytest.mark.parametrize("demand", [float("nan"), float("inf"), "2", None])
+    def test_non_finite_or_non_numeric_demand_rejected(self, demand):
+        with pytest.raises(ModelError, match="finite real number"):
+            Commodity("s", "t", demand)
+
 
 class TestNetworkInstance:
     def test_single_commodity_properties(self, single_instance):

@@ -216,6 +216,24 @@ class TestDerivedInstanceErrors:
         with pytest.raises(ModelError):
             queues.with_demand(demand)
 
+    @pytest.mark.parametrize("demand", [np.nan, np.inf, "3", None, 1j])
+    def test_every_constructor_rejects_a_non_finite_demand(self, queues,
+                                                           demand):
+        builders = [
+            lambda: ParallelLinkInstance(queues.latencies, demand),
+            lambda: queues.with_demand(demand),
+            lambda: queues.sub_instance([0, 1], demand),
+        ]
+        for build in builders:
+            with pytest.raises(ModelError, match="finite real number"):
+                build()
+
+    @pytest.mark.parametrize("strategy", [["a"] * 3, [None, 0.0, 0.0],
+                                          [[0.1], [0.2], [0.3]]])
+    def test_shifted_rejects_malformed_flows(self, queues, strategy):
+        with pytest.raises(ModelError):
+            queues.shifted(strategy)
+
     def test_derived_instances_pickle(self, queues):
         import pickle
 

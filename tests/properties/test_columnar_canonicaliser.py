@@ -200,7 +200,7 @@ def assert_matches_reference(latencies):
     batch = LatencyBatch(latencies)
     buckets, is_constant, derivable, uppers = reference(latencies)
     assert batch.is_constant.tobytes() == is_constant.tobytes()
-    assert batch._derivable is derivable
+    assert batch.derives_shifts is derivable
     for fam in batch._buckets():
         indices, columns = buckets[fam.name]
         assert fam.index_array().tolist() == indices, fam.name

@@ -103,7 +103,7 @@ class TestDerivedBatch:
         offsets = np.linspace(0.0, 1.9, len(LINKS))
         offsets[::3] = 0.0
         batch = LatencyBatch(LINKS)
-        assert batch._derivable  # the array derivation, not the fallback
+        assert batch.derives_shifts  # the array derivation, not the fallback
         derived = batch.shifted(offsets)
         assert_same_batch(derived, rebuilt(LINKS, offsets))
 
@@ -134,7 +134,7 @@ class TestDerivedBatch:
         links = LINKS + [link]
         offsets = np.full(len(links), 0.35)
         batch = LatencyBatch(links)
-        assert not batch._derivable
+        assert not batch.derives_shifts
         derived = batch.shifted(offsets)
         assert_same_batch(derived, rebuilt(links, offsets))
 
@@ -145,7 +145,7 @@ class TestDerivedBatch:
                  LinearLatency(1.0, 0.0)]
         offsets = np.array([1e200, 0.0])
         batch = LatencyBatch(links)
-        assert not batch._derivable
+        assert not batch.derives_shifts
         derived = batch.shifted(offsets)
         assert_same_batch(derived, rebuilt(links, offsets))
 
@@ -158,7 +158,7 @@ class TestDerivedBatch:
         links = LINKS + [Reparametrised(2.0, 1.0)]
         offsets = np.full(len(links), 0.5)
         batch = LatencyBatch(links)
-        assert not batch._derivable
+        assert not batch.derives_shifts
         derived = batch.shifted(offsets)
         assert_same_batch(derived, rebuilt(links, offsets))
 
@@ -229,3 +229,61 @@ def test_induced_flows_match_canonicaliser(rows, followers):
             parallel_nash(derived)
         return
     assert parallel_nash(derived).flows.tobytes() == expected.tobytes()
+
+
+def assert_same_objects(got, want) -> None:
+    """``got`` and ``want`` hold equal latency objects, one for one."""
+    assert isinstance(got, tuple)
+    assert [type(lat) for lat in got] == [type(lat) for lat in want]
+    assert [repr(lat) for lat in got] == [repr(lat) for lat in want]
+
+
+def per_link_uppers(latencies) -> bytes:
+    return np.array([float(lat.domain_upper) for lat in latencies]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(link_specs, offset_values), min_size=1, max_size=12),
+       st.data())
+def test_lazy_latencies_match_the_eager_shift(rows, data):
+    links = [_link(spec) for spec, _ in rows]
+    offsets = np.array([s for _, s in rows])
+    eager = [lat.shifted(float(s)) for lat, s in zip(links, offsets)]
+    parent = LatencyBatch(links)
+    derived = parent.shifted(offsets)
+    keep = data.draw(st.lists(st.integers(0, len(links) - 1), min_size=1,
+                              unique=True))
+    subset = derived.subset(keep)
+    if parent.derives_shifts:
+        # The derived columns hold the shifted objects' domains bit for bit.
+        assert derived.domain_upper.tobytes() == per_link_uppers(eager)
+        assert subset.domain_upper.tobytes() == \
+            per_link_uppers([eager[i] for i in keep])
+    assert_same_objects(subset.latencies, [eager[i] for i in keep])
+    assert_same_objects(derived.latencies, eager)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["mixed", "mm1"]), st.integers(1, 300),
+       st.integers(0, 2**32 - 1), st.floats(min_value=0.0, max_value=0.9))
+def test_derived_instances_match_the_eager_objects(family, m, seed, share):
+    from repro.instances import random_mixed_parallel, random_mm1_parallel
+
+    instance = (random_mixed_parallel(m, 0.2 * m, seed=seed)
+                if family == "mixed" else random_mm1_parallel(m, seed=seed))
+    rng = np.random.default_rng(seed)
+    strategy = rng.dirichlet(np.ones(m)) * share * instance.demand
+    strategy[rng.random(m) < 0.5] = 0.0
+    strategy = np.minimum(strategy, 0.5 * instance._uppers)  # queues stay open
+    followers = instance.shifted(strategy)
+    eager = [lat.shifted(float(s))
+             for lat, s in zip(instance.latencies, strategy)]
+    # The capacity check ran on the column bounds; they are the objects'.
+    assert followers._uppers.tobytes() == per_link_uppers(eager)
+    assert_same_objects(followers.latencies, eager)
+    keep = np.flatnonzero(rng.random(m) < 0.5)
+    if keep.size:
+        sub = instance.sub_instance(keep, 0.0)
+        assert_same_objects(sub.latencies,
+                            [instance.latencies[i] for i in keep])
+        assert sub.names == tuple(instance.names[i] for i in keep)

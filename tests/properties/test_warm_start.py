@@ -274,7 +274,7 @@ def test_shifted_network_matches_a_rebuild(instance, seed, pattern):
             assert mine[name] == value, name
     batch = derived.latency_batch()
     assert_same_batch(batch, LatencyBatch([e.latency for e in rebuilt.edges]))
-    assert batch._derivable == rebuilt.latency_batch()._derivable
+    assert batch.derives_shifts == rebuilt.latency_batch().derives_shifts
 
 
 def test_shifted_network_stays_independent():
