@@ -26,8 +26,10 @@ canonicalises the links once), the ``LatencyBatch`` fill from those columns
 and the ``SolveReport`` build.  A cold network solve
 (``pathbased_cold``) that misses its path-cost residual raises
 ``ConvergenceError`` and so fails the run too.  The ``network_cold`` rows
-time whole cold ``solve`` calls (``optop``, ``llf``) on fresh graphs and
-count the rounds of their Nash, optimum and induced path solves.
+time whole cold ``solve`` calls (``optop``, ``llf``) on fresh graphs, from
+a 4x5 grid to a 20x20 one (760 edges; ``--quick`` stops at 7x7), with
+the median and interquartile range of the calls, and count the rounds of
+their Nash, optimum and induced path solves.
 
 Usage::
 
@@ -403,28 +405,45 @@ def bench_solve_cold(sizes, *, repeats: int, strategies=("aloof", "optop")):
     return rows
 
 
-def bench_network_cold(*, repeats: int):
+def bench_network_cold(*, repeats: int, large: bool = True):
     """Whole cold network ``solve`` calls and their path solves by role.
 
     One fresh graph per call, solved through ``solve`` with a fresh result
     cache.  Every path-equilibration solve of the call is recorded with its
     role — the instance's ``nash`` or ``optimum``, or the Followers'
     ``induced`` equilibrium (a solve on another instance) — and the rows
-    report the median call and the mean rounds per role.
+    report the fastest and median call, the interquartile range of the
+    calls and the mean rounds per role.  The 7x7 grid and the ``large``
+    graphs run ``optop`` only; the 20x20 grid takes three calls, to bound
+    the run time.
     """
     import repro.equilibrium.network as network_module
 
     original = network_module.path_based_flow
+    calls = max(3, repeats)
+    both = ("optop", "llf")
     cases = [
-        ("grid 5x6", lambda seed: grid_network(5, 6, seed=seed)),
-        ("grid 4x5", lambda seed: grid_network(4, 5, seed=seed)),
-        ("layered 4x4", lambda seed: layered_network(4, 4, seed=seed)),
+        ("grid 5x6", lambda seed: grid_network(5, 6, seed=seed), both, calls),
+        ("grid 4x5", lambda seed: grid_network(4, 5, seed=seed), both, calls),
+        ("layered 4x4", lambda seed: layered_network(4, 4, seed=seed), both,
+         calls),
+        ("grid 7x7", lambda seed: grid_network(7, 7, seed=seed), ("optop",),
+         calls),
     ]
+    if large:
+        cases += [
+            ("grid 10x10", lambda seed: grid_network(10, 10, seed=seed),
+             ("optop",), calls),
+            ("layered 12x12", lambda seed: layered_network(12, 12, seed=seed),
+             ("optop",), calls),
+            ("grid 20x20", lambda seed: grid_network(20, 20, seed=seed),
+             ("optop",), 3),
+        ]
     rows = []
-    for name, make in cases:
-        for strategy in ("optop", "llf"):
+    for name, make, strategies, count in cases:
+        for strategy in strategies:
             times, rounds = [], {"nash": [], "optimum": [], "induced": []}
-            for k in range(max(3, repeats)):
+            for k in range(count):
                 instance = make(3000 + k)
                 solves = []
 
@@ -439,22 +458,26 @@ def bench_network_cold(*, repeats: int):
                     start = time.perf_counter()
                     solve(instance, strategy, cache=LRUCache())
                     times.append(time.perf_counter() - start)
-                for role, count in solves:
-                    rounds[role].append(count)
+                for role, solved in solves:
+                    rounds[role].append(solved)
+            q25, q75 = np.percentile(times, [25, 75])
             rows.append({
                 "benchmark": "network_cold",
                 "family": name,
                 "strategy": strategy,
                 "size": int(instance.network.num_edges),
+                "calls": count,
                 "seconds": min(times),
                 "median_seconds": float(np.median(times)),
+                "iqr_seconds": float(q75 - q25),
                 **{f"rounds_{role}": float(np.mean(counts))
                    for role, counts in rounds.items()},
             })
             row = rows[-1]
             print(f"network_cold[{name}, {strategy}]: "
-                  f"{row['median_seconds']*1e3:7.3f} ms median; rounds "
-                  f"nash {row['rounds_nash']:.1f}, optimum "
+                  f"{row['median_seconds']*1e3:7.3f} ms median "
+                  f"(IQR {row['iqr_seconds']*1e3:.3f} ms, {count} calls); "
+                  f"rounds nash {row['rounds_nash']:.1f}, optimum "
                   f"{row['rounds_optimum']:.1f}, induced "
                   f"{row['rounds_induced']:.1f}")
     return rows
@@ -632,7 +655,7 @@ def main(argv=None) -> int:
     results += bench_solve_cold(optop_cold_sizes, repeats=repeats)
     results += bench_frank_wolfe(repeats=repeats, iterations=fw_iters)
     results += bench_pathbased_cold(repeats=repeats)
-    results += bench_network_cold(repeats=repeats)
+    results += bench_network_cold(repeats=repeats, large=not args.quick)
     results += bench_trace_replay(num_steps=trace_steps, num_links=16,
                                   repeats=repeats)
 

@@ -82,7 +82,8 @@ print(f"study_smoke OK: {spec.num_cells} cells, second run "
       f"{warm.solver_calls} solver calls")
 PY
 
-# Network smoke: one cold 5x6 grid through `solve` with optop (MOP) and llf.
+# Network smoke: one cold 5x6 grid through `solve` with optop (MOP) and llf,
+# then one cold 7x7 grid with optop under `auto`.
 # A path-equilibration solve that misses its path-cost residual (1e-12)
 # raises ConvergenceError and fails the script; each must also finish within
 # a round ceiling, and the solves of one strategy within a total that the
@@ -126,4 +127,27 @@ for strategy in ("optop", "llf"):
           f"<= {max(r.iterations for r in solves)} rounds ({total} in all), "
           f"residual <= "
           f"{max(r.relative_gap for r in solves):.1e}")
+
+# One cold 7x7 grid (84 edges) through `auto`: path equilibration runs at
+# every network size, so the solve is path-based and certified and never
+# reaches Frank-Wolfe.
+def refuse(*args, **kwargs):
+    raise AssertionError("auto ran Frank-Wolfe on a 7x7 grid")
+
+
+network_module.frank_wolfe = refuse
+del solves[:]
+instance = grid_network(7, 7, seed=11)
+report = solve(instance, "optop", cache=LRUCache())
+assert solves, "auto: no path-equilibration solve ran on a 7x7 grid"
+for result in solves:
+    assert result.solver == "path-based", result.solver
+    assert result.relative_gap <= 1e-12, result.relative_gap
+    assert result.iterations <= MAX_ROUNDS, (
+        f"7x7: {result.iterations} rounds > {MAX_ROUNDS}")
+assert report.attains_optimum, "MOP failed to induce C(O) on a 7x7 grid"
+print(f"network_smoke OK: optop on a 7x7 grid ({instance.network.num_edges} "
+      f"edges) under auto, {len(solves)} path solves, <= "
+      f"{max(r.iterations for r in solves)} rounds, residual <= "
+      f"{max(r.relative_gap for r in solves):.1e}")
 PY

@@ -21,8 +21,8 @@ __all__ = ["SolveConfig", "EQUILIBRIUM_BACKENDS"]
 
 #: Equilibrium backend identifiers accepted by :class:`SolveConfig`.
 #:
-#: * ``"auto"`` — water-filling on parallel links, path-based for small
-#:   networks, Frank–Wolfe otherwise (the seed behaviour);
+#: * ``"auto"`` — water-filling on parallel links, path-based on networks
+#:   of every size;
 #: * ``"parallel"`` — the exact water-filling solver (parallel links only);
 #: * ``"frank_wolfe"`` — the Frank–Wolfe iterative solver;
 #: * ``"pathbased"`` — path equilibration plus column generation, stopped
@@ -44,14 +44,14 @@ class SolveConfig:
     Attributes
     ----------
     tolerance:
-        Convergence tolerance of the network flow solvers (Frank–Wolfe /
-        path-based).
+        Convergence tolerance of the Frank–Wolfe network solver.  The
+        path-based solver stops on its own certified residual (``1e-12``).
     water_fill_tol:
         Tolerance of the exact water-filling solver on parallel links.
     backend:
         Equilibrium backend, one of :data:`EQUILIBRIUM_BACKENDS`.
     max_iterations:
-        Iteration cap of the iterative network solvers.
+        Iteration cap of the Frank–Wolfe network solver.
     underload_atol:
         Absolute slack OpTop uses to classify a link as under-loaded.
     shortest_path_atol:

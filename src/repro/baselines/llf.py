@@ -36,15 +36,19 @@ def llf(instance: ParallelLinkInstance, alpha: float, *,
     opt_flows = optimum.flows
     latencies = instance.latencies_at(opt_flows)
 
-    budget = alpha * instance.demand
     strategy = np.zeros(instance.num_links, dtype=float)
     # Saturate links by decreasing optimal latency; ties broken by index for
     # determinism.
     order = np.argsort(-latencies, kind="stable")
-    for i in order.tolist():
-        if budget <= 0.0:
-            break
-        take = min(float(opt_flows[i]), budget)
-        strategy[i] = take
-        budget -= take
+    caps = opt_flows[order]
+    # The budget left before each link when all earlier ones are full,
+    # rounded as a running ``budget -= cap``.  The first link it cannot fill
+    # takes what is left, unless nothing is.
+    left = np.subtract.accumulate(
+        np.concatenate(([alpha * instance.demand], caps)))[:-1]
+    full = (left > 0.0) & (caps < left)
+    stop = len(caps) if full.all() else int(full.argmin())
+    strategy[order[:stop]] = caps[:stop]
+    if stop < len(caps) and left[stop] > 0.0:
+        strategy[order[stop]] = left[stop]
     return ParallelStackelbergStrategy(flows=strategy, total_demand=instance.demand)

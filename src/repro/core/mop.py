@@ -91,7 +91,8 @@ def mop(instance: NetworkInstance, *, solver: Optional[str] = None,
         forwarded to :func:`repro.equilibrium.network_optimum`.  Defaults to
         ``"auto"``.
     tolerance:
-        Convergence tolerance of the flow solvers.  Defaults to 1e-9.
+        Convergence tolerance of Frank–Wolfe (the path-based solver stops
+        on its certified residual).  Defaults to 1e-9.
     shortest_path_atol:
         Slack used when classifying an edge as lying on a shortest path; it
         absorbs the numerical error of the optimum flow (the default 1e-5 is

@@ -8,11 +8,11 @@ Two regimes:
   root-finding problem in the common level.  Constant latencies are handled as
   flow sinks at their fixed level (the documented model extension).
 * **General networks** — iterative solvers.  :func:`network_nash` minimises the
-  Beckmann potential, :func:`network_optimum` minimises the total cost, either
-  with Frank–Wolfe (all-or-nothing direction + golden-section line search) or,
-  on networks up to the ``auto`` switch, with path equilibration plus column
-  generation (:func:`path_based_flow`), which stops once the relative
-  path-cost residual of every commodity is at most ``1e-12``.
+  Beckmann potential, :func:`network_optimum` minimises the total cost, under
+  ``auto`` with path equilibration plus column generation
+  (:func:`path_based_flow`), which stops once the relative path-cost residual
+  of every commodity is at most ``1e-12``, or, when asked for by name, with
+  Frank–Wolfe (all-or-nothing direction + golden-section line search).
 
 :func:`induced_parallel_equilibrium` / :func:`induced_network_equilibrium`
 compute the Followers' reaction to a Stackelberg strategy by shifting every

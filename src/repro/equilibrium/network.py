@@ -1,9 +1,11 @@
 """High-level entry points for network Nash and optimum flows.
 
-These wrappers choose between the certified path-equilibration solver
-(networks with at most ``_AUTO_PATH_EDGE_LIMIT`` edges) and Frank–Wolfe
-(everything else).  A ``start`` (the ``path_flows`` of an earlier
+``"auto"`` and ``"path"`` run the certified path-equilibration solver at
+every network size; Frank–Wolfe runs only when asked for by name
+(``"frank-wolfe"``).  A ``start`` (the ``path_flows`` of an earlier
 path-based result) seeds path equilibration only; Frank–Wolfe takes none.
+``tolerance`` and ``max_iterations`` are Frank–Wolfe settings: the path
+solver stops on its own certified residual (``1e-12``).
 """
 
 from __future__ import annotations
@@ -23,19 +25,13 @@ __all__ = ["network_nash", "network_optimum"]
 
 Solver = Literal["auto", "frank-wolfe", "path"]
 
-#: Networks with at most this many edges are considered "small enough" for the
-#: path-equilibration solver when ``solver="auto"``.
-_AUTO_PATH_EDGE_LIMIT = 60
-
 
 def _solve(instance: NetworkInstance, kind: str, solver: Solver,
            tolerance: float, max_iterations: int,
            start: Optional[PathFlows]) -> NetworkFlowResult:
     if solver not in ("auto", "frank-wolfe", "path"):
         raise ModelError(f"unknown solver {solver!r}")
-    if solver == "path" or (
-            solver == "auto"
-            and instance.network.num_edges <= _AUTO_PATH_EDGE_LIMIT):
+    if solver != "frank-wolfe":
         return path_based_flow(instance, kind, start=start)
     if start is not None:
         raise ModelError("a start seeds path equilibration only; this solve "
@@ -72,7 +68,7 @@ def network_nash(instance: NetworkInstance, *, solver: Optional[Solver] = None,
     Settings may come from explicit keywords or a
     :class:`repro.api.SolveConfig`.  ``start`` seeds path equilibration
     (see :func:`~repro.equilibrium.pathbased.path_based_flow`); it raises
-    :class:`ModelError` when the solve runs Frank–Wolfe.
+    :class:`ModelError` under ``solver="frank-wolfe"``.
     """
     solver, tolerance, max_iterations = _resolve_settings(
         solver, tolerance, max_iterations, config)

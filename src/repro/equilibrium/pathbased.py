@@ -1,4 +1,4 @@
-"""Certified path equilibration for networks at or below the ``auto`` switch.
+"""Certified path equilibration: the network solver behind ``auto``.
 
 Both the Nash equilibrium (minimise the Beckmann potential) and the system
 optimum (minimise the total cost) are solved over path flows, without
@@ -16,15 +16,16 @@ enumerating any paths:
   costs (optimum).  One :class:`~repro.paths.dijkstra.ShortestPathEngine`,
   repriced in place, answers every commodity source with a single Dijkstra
   call; a shortest path cheaper than every path of its commodity's working
-  set joins that set (column generation).  One equality-constrained Newton
-  step then re-balances the restricted master problem, which holds each
-  commodity's used paths plus its cheapest one and one demand row per
-  commodity: flow moves from costly to cheap paths (Dafermos & Sparrow
-  1969) with the step scaled by the path Hessian ``A_S diag(g') A_S^T``
-  (the projected Newton method of Jayakrishnan et al. 1994), where ``g'``
-  is the derivative of the edge prices.  Grids make path columns linearly
-  dependent, so the step is the minimum-norm solution; a ratio test keeps
-  path flows non-negative, a derivative test along the step guards against
+  set joins that set (column generation).  One Newton step then re-balances
+  the restricted master problem, each commodity's used paths plus its
+  cheapest one: flow moves from costly to cheap paths (Dafermos & Sparrow
+  1969) with the step scaled by the path Hessian (the projected Newton
+  method of Jayakrishnan et al. 1994), in reduced-gradient form (Bertsekas
+  & Gafni 1983): each commodity's cheapest member, its basic path, absorbs
+  the shifts of the others, and the reduced Hessian is factored by
+  Cholesky.  Grids make path columns linearly dependent, so a singular one
+  takes the minimum-norm solution instead.  A ratio test keeps path flows
+  non-negative, a derivative test along the step guards against
   overshooting, and a degenerate step falls back to one pairwise shift per
   commodity, from its costliest used path to its cheapest one.
 * **Stop.** The solve is certified when the relative path-cost residual
@@ -42,7 +43,10 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from scipy.linalg.blas import dsyrk as _rank_k_update
 from scipy.linalg.lapack import dgelss as _min_norm_solve
+from scipy.linalg.lapack import dpotrf as _cholesky
+from scipy.linalg.lapack import dpotrs as _cholesky_solve
 
 from repro.exceptions import ConvergenceError, ModelError
 from repro.network.graph import Network
@@ -62,7 +66,8 @@ _LINE_SEARCH_STEPS = 30
 #: a secant step would barely leave the lower end.
 _SECANT_SLOPE_RATIO = 1e6
 #: Singular values below this fraction of the largest are dropped by the
-#: minimum-norm Newton solve.
+#: minimum-norm Newton solve, which also replaces a Cholesky factor whose
+#: smallest squared pivot is below this fraction of the largest diagonal.
 _RCOND = 1e-12
 #: Shortest-path steps the start may take per commodity before it gives up
 #: on fitting the demand inside the latency domains.
@@ -88,7 +93,11 @@ class _WorkingSet:
         self.incidence = self._rows[:0]
         self.flows = self._flows[:0]
 
-    def add(self, path: List[int], max_paths: int) -> None:
+    def add(self, path: List[int], max_paths: int) -> int:
+        """Add ``path`` unless it is a member already; return its index."""
+        key = tuple(path)
+        if key in self.keys:
+            return self.keys[key]
         size = len(self.keys)
         if size >= max_paths:
             raise ModelError(
@@ -97,10 +106,11 @@ class _WorkingSet:
         if size == len(self._flows):
             self._rows = np.concatenate([self._rows, np.zeros_like(self._rows)])
             self._flows = np.concatenate([self._flows, np.zeros(size)])
-        self.keys[tuple(path)] = size
+        self.keys[key] = size
         self._rows[size, path] = 1.0
         self.incidence = self._rows[:size + 1]
         self.flows = self._flows[:size + 1]
+        return size
 
 
 class _Prices:
@@ -257,9 +267,6 @@ def _load_seed(sets: List[_WorkingSet], start: PathFlows, network: Network,
     if len(start) != len(sets):
         raise ModelError(f"start has {len(start)} entries for "
                          f"{len(sets)} commodities")
-    structure = network.csr_structure()
-    tails, heads = structure["tail_idx"], structure["head_idx"]
-    node_index = structure["node_index"]
     flows = np.zeros(network.num_edges)
     for ws, entry in zip(sets, start):
         label = f"start of commodity ({ws.source!r} -> {ws.sink!r})"
@@ -267,20 +274,7 @@ def _load_seed(sets: List[_WorkingSet], start: PathFlows, network: Network,
             pairs = [(np.asarray(path), float(flow)) for path, flow in entry]
         except (TypeError, ValueError) as exc:
             raise ModelError(f"{label}: expected (path, flow) pairs") from exc
-        for edges, flow in pairs:
-            if (edges.ndim != 1 or not edges.size
-                    or edges.dtype.kind not in "iu"
-                    or edges.min() < 0 or edges.max() >= network.num_edges):
-                raise ModelError(
-                    f"{label}: {edges.tolist()!r} is not a sequence of edge "
-                    f"indices")
-            nodes = np.append(tails[edges], heads[edges[-1]])
-            if (nodes[0] != node_index[ws.source]
-                    or nodes[-1] != node_index[ws.sink]
-                    or np.any(heads[edges[:-1]] != tails[edges[1:]])
-                    or len(np.unique(nodes)) != len(nodes)):
-                raise ModelError(f"{label}: {edges.tolist()!r} is not a "
-                                 f"simple source-sink path")
+        for _, flow in pairs:
             if not (math.isfinite(flow) and flow >= 0.0):
                 raise ModelError(f"{label}: path flow {flow!r} is not a "
                                  f"finite non-negative number")
@@ -288,14 +282,53 @@ def _load_seed(sets: List[_WorkingSet], start: PathFlows, network: Network,
         if not abs(total - ws.demand) <= _START_RTOL * ws.demand:
             raise ModelError(f"{label}: path flows sum to {total!r}, not to "
                              f"the demand {ws.demand!r}")
+        paths = [edges for edges, _ in pairs]
+        _check_paths(paths, ws, network, label)
+        indices = [ws.add(edges.tolist(), max_paths) for edges in paths]
         scale = ws.demand / total
-        for edges, flow in pairs:
-            path = edges.tolist()
-            if tuple(path) not in ws.keys:
-                ws.add(path, max_paths)
-            ws.flows[ws.keys[tuple(path)]] += flow * scale
+        np.add.at(ws.flows, indices, [flow * scale for _, flow in pairs])
         flows += ws.flows @ ws.incidence
     return flows
+
+
+def _check_paths(paths: List[np.ndarray], ws: _WorkingSet, network: Network,
+                 label: str) -> None:
+    """Raise :class:`ModelError` unless every one of ``paths`` is a simple
+    path from ``ws``'s source to its sink, given by its edge indices.
+
+    The paths are checked together, on their concatenated edges: each
+    starts at the source, each edge's head is the next edge's tail (the
+    sink after its path's last edge), and no head is the source or repeats
+    in its path (one sort of the keys ``(path, head)``).
+    """
+    for edges in paths:
+        if edges.ndim != 1 or not edges.size or edges.dtype.kind not in "iu":
+            raise ModelError(f"{label}: {edges.tolist()!r} is not a sequence "
+                             f"of edge indices")
+    lengths = [len(edges) for edges in paths]
+    owner = np.repeat(np.arange(len(paths)), lengths)
+    # Indices past the int64 range wrap to negative ones.
+    edges = np.concatenate(paths, dtype=np.intp, casting="same_kind")
+    outside = (edges < 0) | (edges >= network.num_edges)
+    if outside.any():
+        raise ModelError(f"{label}: {paths[owner[outside.argmax()]].tolist()!r}"
+                         f" is not a sequence of edge indices")
+    structure = network.csr_structure()
+    source, sink = (structure["node_index"][n] for n in (ws.source, ws.sink))
+    tails = structure["tail_idx"][edges]
+    heads = structure["head_idx"][edges]
+    lasts = np.cumsum(lengths) - 1
+    firsts = lasts + 1 - lengths
+    following = np.append(tails[1:], sink)
+    following[lasts] = sink
+    wrong = (heads != following) | (heads == source)
+    wrong[firsts] |= tails[firsts] != source
+    keys = np.sort(owner * network.num_nodes + heads)
+    bad = np.concatenate((owner[wrong], keys[1:][keys[1:] == keys[:-1]]
+                          // network.num_nodes))
+    if len(bad):
+        raise ModelError(f"{label}: {paths[bad.min()].tolist()!r} is not a "
+                         f"simple source-sink path")
 
 
 def _load_start(ws: _WorkingSet, engine: ShortestPathEngine,
@@ -310,10 +343,7 @@ def _load_start(ws: _WorkingSet, engine: ShortestPathEngine,
     remaining = ws.demand
     for _ in range(_START_STEPS):
         engine.run([ws.source])
-        path = engine.path_edges(ws.source, ws.sink)
-        if tuple(path) not in ws.keys:
-            ws.add(path, max_paths)
-        index = ws.keys[tuple(path)]
+        index = ws.add(engine.path_edges(ws.source, ws.sink), max_paths)
         row = ws.incidence[index]
         amount = min(remaining, 0.5 * prices.headroom(flows, row, np.inf))
         ws.flows[index] += amount
@@ -336,33 +366,13 @@ def _rebalance(blocks: List[Tuple[_WorkingSet, np.ndarray, np.ndarray]],
 
     ``blocks`` holds, per commodity with a choice, its working set, the
     member paths of the problem (its used paths plus its cheapest one) and
-    the prices of all its paths.  The Newton system has one demand row per
-    commodity.  Returns the new ``(flows, costs, curvature)``; the path
-    flows are updated in place.
+    the prices of all its paths.  Returns the new ``(flows, costs,
+    curvature)``; the path flows are updated in place.
     """
-    curvature = point[2]
     problem = blocks
     while problem:
-        sizes = np.array([len(m) for _, m, _ in problem])
-        owner = np.repeat(np.arange(len(problem)), sizes)
-        rows = np.concatenate([ws.incidence[m] for ws, m, _ in problem])
-        member_costs = np.concatenate([c[m] for _, m, c in problem])
+        problem, delta, direction, slope = _newton_step(problem, point[2])
         member_flows = np.concatenate([ws.flows[m] for ws, m, _ in problem])
-        demand_rows = owner[:, None] == np.arange(len(problem))
-        n = len(member_costs)
-        kkt = np.zeros((n + len(problem), n + len(problem)))
-        kkt[:n, :n] = (rows * curvature) @ rows.T
-        kkt[:n, n:] = demand_rows
-        kkt[n:, :n] = demand_rows.T
-        rhs = np.zeros(len(kkt))
-        rhs[:n] = -member_costs
-        # Minimum-norm solve plus one step of iterative refinement.
-        solution = _min_norm_solve(kkt, rhs, cond=_RCOND)[1]
-        solution += _min_norm_solve(kkt, rhs - kkt @ solution,
-                                    cond=_RCOND)[1]
-        delta = solution[:n]
-        # Each commodity's shifts sum to zero exactly.
-        delta -= demand_rows @ ((delta @ demand_rows) / sizes)
         # An empty path the step would drain leaves the problem.
         blocked = (member_flows <= 0.0) & (delta < 0.0)
         if blocked.any():
@@ -370,13 +380,12 @@ def _rebalance(blocks: List[Tuple[_WorkingSet, np.ndarray, np.ndarray]],
                     in _spans(problem))
             problem = [block for block in kept if len(block[1]) > 1]
             continue
-        slope = float(member_costs @ delta)
         shrinking = delta < 0.0
         limits = member_flows[shrinking] / -delta[shrinking]
         t_max = min(1.0, limits.min()) if len(limits) else 1.0
         if not (slope < 0.0 and t_max > 0.0):
             break
-        step, moved = _line_step(point, delta @ rows, slope, t_max, prices)
+        step, moved = _line_step(point, direction, slope, t_max, prices)
         if step <= 0.0:
             break
         member_flows += step * delta
@@ -392,6 +401,53 @@ def _rebalance(blocks: List[Tuple[_WorkingSet, np.ndarray, np.ndarray]],
     for ws, _, _ in blocks:
         point = _pairwise_shift(ws, point, ws.incidence @ point[1], prices)
     return point
+
+
+def _newton_step(problem: List[Tuple[_WorkingSet, np.ndarray, np.ndarray]],
+                 curvature: np.ndarray):
+    """The reduced-gradient Newton step of the restricted master problem.
+
+    With each block's cheapest member as its basic path, the shifts ``s``
+    of the other members solve ``D diag(g') D^T s = -(c_j - c_basic)`` over
+    the reduced rows ``D = a_j - a_basic``; the basic path takes minus the
+    sum of its block's shifts.  Returns the blocks with their basic paths
+    moved first, the shifts of all members in that order, the edge
+    direction ``s . D`` and the objective's slope along it.
+    """
+    blocks, rows, gradient = [], [], []
+    for ws, members, costs in problem:
+        order = members.copy()
+        cheapest = costs[order].argmin()
+        order[0], order[cheapest] = order[cheapest], order[0]
+        blocks.append((ws, order, costs))
+        paths, path_costs = ws.incidence[order], costs[order]
+        rows.append(paths[1:] - paths[0])
+        gradient.append(path_costs[1:] - path_costs[0])
+    if len(blocks) == 1:
+        rows, gradient = rows[0], gradient[0]
+    else:
+        # Where each block's shifts start among all the shifts.
+        cuts = np.cumsum([0] + [len(g) for g in gradient[:-1]])
+        rows, gradient = np.concatenate(rows), np.concatenate(gradient)
+    # The upper triangle of ``W W^T``, ``W = D diag(sqrt(g'))``, which is all
+    # ``dpotrf`` reads.  It runs on scipy's BLAS, as the factorisation does:
+    # numpy and scipy can link separate BLAS builds, whose thread pools
+    # contend when their calls alternate.
+    hessian = _rank_k_update(1.0, (rows * np.sqrt(curvature)).T, trans=1)
+    factor, info = _cholesky(hessian)
+    # A singular Hessian can also factor with a pivot at rounding level,
+    # which would blow the step up along its null space.
+    if info == 0 and (factor.diagonal().min() ** 2
+                      > _RCOND * hessian.diagonal().max()):
+        shifts = _cholesky_solve(factor, -gradient)[0]
+    else:
+        shifts = _min_norm_solve(hessian + np.triu(hessian, 1).T, -gradient,
+                                 cond=_RCOND)[1]
+    if len(blocks) == 1:
+        delta = np.concatenate(([-shifts.sum()], shifts))
+    else:
+        delta = np.insert(shifts, cuts, -np.add.reduceat(shifts, cuts))
+    return blocks, delta, shifts @ rows, float(gradient @ shifts)
 
 
 def _spans(problem):

@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from types import SimpleNamespace
+
 from repro.exceptions import StrategyError
 from repro.baselines import llf
 from repro.core import optop
 from repro.equilibrium import parallel_optimum, parallel_nash
 from repro.instances import pigou, random_linear_parallel, random_polynomial_parallel
+from repro.latency import ConstantLatency
+from repro.network.parallel import ParallelLinkInstance
 
 
 class TestLLFConstruction:
@@ -49,6 +53,62 @@ class TestLLFConstruction:
         for alpha in (0.2, 0.5, 0.9):
             strategy = llf(random_linear_instance, alpha)
             assert np.all(strategy.flows <= optimum.flows + 1e-9)
+
+
+def _llf_loop(instance, alpha, opt_flows):
+    """LLF as a per-link loop over the saturation order: the reference of
+    the array form."""
+    latencies = instance.latencies_at(opt_flows)
+    budget = alpha * instance.demand
+    strategy = np.zeros(instance.num_links)
+    for i in np.argsort(-latencies, kind="stable").tolist():
+        if budget <= 0.0:
+            break
+        take = min(float(opt_flows[i]), budget)
+        strategy[i] = take
+        budget -= take
+    return strategy
+
+
+class TestLLFMatchesTheLoop:
+    """The array form gives the loop's flows bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 10_000),
+           st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    def test_random_instances(self, m, seed, alpha):
+        instance = random_linear_parallel(m, demand=0.3 * m, seed=seed)
+        optimum = parallel_optimum(instance)
+        expected = _llf_loop(instance, alpha, optimum.flows)
+        got = llf(instance, alpha, optimum=optimum).flows
+        assert got.tobytes() == np.clip(expected, 0.0, None).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([1.0, 2.0, 3.0]),
+                              st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0,
+                                               -1e-13])),
+                    min_size=1, max_size=12),
+           st.data())
+    def test_ties_and_a_budget_spent_on_a_link(self, links, data):
+        """Tied latencies (constant links sharing a value), empty links, a
+        rounding-level negative flow and budgets equal to a prefix of the
+        saturation order, so the budget runs out exactly on a link."""
+        flows = np.array([flow for _, flow in links])
+        if flows.sum() <= 0.0:
+            flows[0] = 1.0
+        demand = float(flows.sum())
+        instance = ParallelLinkInstance(
+            [ConstantLatency(c) for c, _ in links], demand)
+        order = np.argsort(-instance.latencies_at(flows), kind="stable")
+        prefix = np.concatenate(([0.0], np.cumsum(flows[order])))
+        alpha = data.draw(st.one_of(
+            st.sampled_from([0.0, 1.0]),
+            st.sampled_from(np.clip(prefix / demand, 0.0, 1.0).tolist()),
+            st.floats(0.0, 1.0)))
+        optimum = SimpleNamespace(flows=flows)
+        expected = _llf_loop(instance, alpha, flows)
+        got = llf(instance, alpha, optimum=optimum).flows
+        assert got.tobytes() == np.clip(expected, 0.0, None).tobytes()
 
 
 class TestLLFGuarantees:

@@ -137,9 +137,11 @@ class TestNetworkEntryPoints:
         instance = grid_network(3, 3, demand=2.0, seed=9)
         assert network_nash(instance).cost >= network_optimum(instance).cost - 1e-6
 
-    def test_auto_falls_back_to_frank_wolfe_on_larger_networks(self):
-        # A 7x7 grid has 84 edges, beyond the auto path-solver threshold.
+    def test_auto_runs_path_equilibration_on_larger_networks(self):
+        # A 7x7 grid has 84 edges; auto runs the certified path solver at
+        # every size.
         instance = grid_network(7, 7, demand=2.0, seed=0)
+        assert instance.network.num_edges == 84
         result = network_nash(instance, tolerance=1e-4)
-        assert result.solver == "frank-wolfe"
-        assert result.converged
+        assert result.solver == "path-based"
+        assert result.converged and result.relative_gap <= 1e-12

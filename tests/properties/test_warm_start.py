@@ -147,6 +147,8 @@ MALFORMED = {
                       _first_path(lambda p, f, m: ((-1,) + p[1:], f))),
     "float edges": ("edge indices",
                     _first_path(lambda p, f, m: (tuple(map(float, p)), f))),
+    "edge past int64": ("edge indices", _first_path(lambda p, f, m: (
+        np.array(p + (2**64 - 1,), dtype=np.uint64), f))),
     "not from the source": ("simple", _first_path(lambda p, f, m: (p[1:], f))),
     "not to the sink": ("simple", _first_path(lambda p, f, m: (p[:-1], f))),
     "not contiguous": ("simple",
@@ -169,17 +171,56 @@ def test_malformed_start_raises(seeded_grid, case):
             path_based_flow(instance, kind, start=bad)
 
 
+#: The cases that break one path of a start.
+PATH_CASES = ("empty path", "edge out of range", "negative edge",
+              "float edges", "edge past int64", "not from the source",
+              "not to the sink", "not contiguous")
+
+
+@pytest.mark.parametrize("case", PATH_CASES)
+def test_malformed_last_path_raises(seeded_grid, case):
+    """A commodity's paths are checked together: a malformed path after
+    valid ones is rejected too."""
+    instance, start = seeded_grid
+    assert len(start[0]) > 1
+    message, build = MALFORMED[case]
+    last_first = (tuple(reversed(start[0])),) + start[1:]
+    bad = build(last_first, instance.network.num_edges,
+                instance.total_demand)
+    bad = (tuple(reversed(bad[0])),) + bad[1:]
+    with pytest.raises(ModelError, match=message):
+        path_based_flow(instance, "nash", start=bad)
+
+
 def test_start_with_a_cycle_raises():
     instance = random_multicommodity_instance(3, 3, num_commodities=1, seed=2)
     network = instance.network
-    (path, flow), *_ = path_based_flow(instance, "nash").path_flows[0]
+    path_flows = path_based_flow(instance, "nash").path_flows[0]
+    (path, flow), *_ = path_flows
     first = network.edge(path[0])
     back = next(i for i in network.out_edges(first.head)
                 if network.edge(i).head == first.tail)
     looped = (path[0], back) + path
-    with pytest.raises(ModelError, match="simple"):
-        path_based_flow(instance, "nash",
-                        start=(((looped, instance.total_demand),),))
+    # A loop from the source through a node off the path.
+    out = next(i for i in network.out_edges(first.tail)
+               if network.edge(i).head != first.head)
+    home = next(i for i in network.out_edges(network.edge(out).head)
+                if network.edge(i).head == first.tail)
+    # A detour from a longer path's second node and back: a cycle that
+    # misses the source.
+    longer = max((p for p, _ in path_flows), key=len)
+    second = network.edge(longer[0]).head
+    detour = next(i for i in network.out_edges(second)
+                  if network.edge(i).head not in (
+                      network.edge(longer[0]).tail,
+                      network.edge(longer[1]).head))
+    ret = next(i for i in network.out_edges(network.edge(detour).head)
+               if network.edge(i).head == second)
+    for bad in (looped, (out, home) + path,
+                (longer[0], detour, ret) + longer[1:]):
+        with pytest.raises(ModelError, match="simple"):
+            path_based_flow(instance, "nash",
+                            start=(((bad, instance.total_demand),),))
 
 
 def test_start_is_rescaled_to_the_demand(seeded_grid):
@@ -217,9 +258,8 @@ def test_frank_wolfe_takes_no_start():
 @pytest.mark.parametrize("strategy", ["optop", "llf"])
 @pytest.mark.parametrize("instance, backend", [
     (grid_network(3, 4, 2.0, seed=5), "frank_wolfe"),
-    # Above the 60-edge switch ``auto`` runs Frank-Wolfe too.
-    (grid_network(5, 8, seed=1), "auto"),
-], ids=["frank_wolfe", "auto-67-edges"])
+    (grid_network(5, 8, seed=1), "frank_wolfe"),
+], ids=["frank_wolfe", "frank_wolfe-67-edges"])
 def test_solve_under_frank_wolfe_passes_no_start(strategy, instance,
                                                  backend):
     """A network ``solve`` whose path solves all run Frank-Wolfe seeds
