@@ -29,7 +29,12 @@ and the ``SolveReport`` build.  A cold network solve
 time whole cold ``solve`` calls (``optop``, ``llf``) on fresh graphs, from
 a 4x5 grid to a 20x20 one (760 edges; ``--quick`` stops at 7x7), with
 the median and interquartile range of the calls, and count the rounds of
-their Nash, optimum and induced path solves.
+their Nash, optimum and induced path solves.  The ``shortest_path`` rows
+time one ``ShortestPathEngine`` round (``reprice`` + ``run`` +
+``path_edges``) in each branch, Python heap Dijkstra and ``csgraph``, on
+grids from 4x4 to 20x20 and layered graphs from 3x3 to 12x12; the
+``shortest_path_crossover`` row records where ``csgraph`` starts to win,
+which sets ``repro.paths.dijkstra.HEAP_MAX_NODES``.
 
 Usage::
 
@@ -80,6 +85,7 @@ from repro.latency import LatencyFunction, ShiftedLatency  # noqa: E402
 from repro.latency import batch as batch_module  # noqa: E402
 from repro.latency.batch import LatencyBatch  # noqa: E402
 from repro.latency.columns import LatencyColumns  # noqa: E402
+from repro.paths import dijkstra  # noqa: E402
 
 
 def _reference_water_fill(latencies, demand, kind, *, tol=1e-12, batch=None):
@@ -483,6 +489,93 @@ def bench_network_cold(*, repeats: int, large: bool = True):
     return rows
 
 
+def bench_shortest_path(*, samples: int, quick: bool = False):
+    """One engine round per call, in each branch, by network size.
+
+    A call reprices the engine (cycling through four random cost vectors),
+    runs the instance's source and walks the path to its sink, which is
+    what a path-equilibration round asks of it.  The branches alternate
+    sample by sample; each sample is the mean of a block of calls sized to
+    about 5 ms.  The rows give the median and interquartile range of the
+    samples, in microseconds per call, and the largest distance gap between
+    the branches (which must be zero).  The crossover row names the largest
+    network on which Python wins and the smallest on which ``csgraph``
+    does, next to the engine's cut.
+    """
+    branches = {"python": 10**9, "csgraph": 0}
+    grids = (4, 8, 10) if quick else (4, 5, 6, 7, 8, 9, 10, 12, 16, 20)
+    layers = (3, 6) if quick else (3, 4, 5, 6, 7, 8, 10, 12)
+    cases = ([(f"grid {k}x{k}", grid_network(k, k, seed=1)) for k in grids]
+             + [(f"layered {k}x{k}", layered_network(k, k, seed=1))
+                for k in layers])
+    rng = np.random.default_rng(0)
+    rows = []
+    for name, instance in cases:
+        network = instance.network
+        source, sink = instance.source, instance.sink
+        vectors = [rng.uniform(0.1, 2.0, network.num_edges) for _ in range(4)]
+        engines = {}
+        for branch, limit in branches.items():
+            with mock.patch.object(dijkstra, "HEAP_MAX_NODES", limit):
+                engines[branch] = dijkstra.ShortestPathEngine(network,
+                                                              vectors[0])
+
+        def rounds(engine, count):
+            for i in range(count):
+                engine.reprice(vectors[i & 3], validated=True)
+                engine.run([source])
+                engine.path_edges(source, sink)
+
+        start = time.perf_counter()
+        rounds(engines["python"], 20)
+        block = max(1, int(0.005 / ((time.perf_counter() - start) / 20)))
+        times = {branch: [] for branch in branches}
+        for _ in range(samples):
+            for branch, engine in engines.items():
+                start = time.perf_counter()
+                rounds(engine, block)
+                times[branch].append((time.perf_counter() - start) / block)
+        gap = 0.0
+        for costs in vectors:
+            distances = []
+            for engine in engines.values():
+                engine.reprice(costs)
+                engine.run([source])
+                distances.append(engine.distance(source, sink))
+            gap = max(gap, abs(distances[0] - distances[1]))
+        row = {"benchmark": "shortest_path", "family": name,
+               "nodes": int(network.num_nodes),
+               "size": int(network.num_edges), "calls_per_sample": block,
+               "samples": samples, "max_distance_deviation": gap}
+        for branch, values in times.items():
+            q25, q50, q75 = np.percentile(values, [25, 50, 75])
+            row[f"{branch}_median_us"] = float(q50 * 1e6)
+            row[f"{branch}_iqr_us"] = float((q75 - q25) * 1e6)
+        row["faster"] = min(branches, key=lambda b: row[f"{b}_median_us"])
+        row["engine_branch"] = ("python" if network.num_nodes
+                                <= dijkstra.HEAP_MAX_NODES else "csgraph")
+        rows.append(row)
+        print(f"shortest_path[{name}] n={row['nodes']} m={row['size']}: "
+              f"python {row['python_median_us']:7.1f} us "
+              f"(IQR {row['python_iqr_us']:.1f}), csgraph "
+              f"{row['csgraph_median_us']:7.1f} us "
+              f"(IQR {row['csgraph_iqr_us']:.1f}); engine runs "
+              f"{row['engine_branch']}")
+    python_wins = [r["nodes"] for r in rows if r["faster"] == "python"]
+    csgraph_wins = [r["nodes"] for r in rows if r["faster"] == "csgraph"]
+    rows.append({
+        "benchmark": "shortest_path_crossover",
+        "python_wins_up_to_nodes": max(python_wins, default=None),
+        "csgraph_wins_from_nodes": min(csgraph_wins, default=None),
+        "heap_max_nodes": dijkstra.HEAP_MAX_NODES,
+    })
+    print(f"shortest_path crossover: python wins up to "
+          f"{rows[-1]['python_wins_up_to_nodes']} nodes, csgraph from "
+          f"{rows[-1]['csgraph_wins_from_nodes']}; HEAP_MAX_NODES = "
+          f"{dijkstra.HEAP_MAX_NODES}")
+    return rows
+
+
 def bench_frank_wolfe(*, repeats: int, iterations: int):
     """Frank–Wolfe on the E5 network families (grids and layered DAGs).
 
@@ -656,6 +749,8 @@ def main(argv=None) -> int:
     results += bench_frank_wolfe(repeats=repeats, iterations=fw_iters)
     results += bench_pathbased_cold(repeats=repeats)
     results += bench_network_cold(repeats=repeats, large=not args.quick)
+    results += bench_shortest_path(samples=5 if args.quick else 15,
+                                   quick=args.quick)
     results += bench_trace_replay(num_steps=trace_steps, num_links=16,
                                   repeats=repeats)
 
@@ -671,6 +766,7 @@ def main(argv=None) -> int:
 
     failures = [row for row in results
                 if row.get("max_flow_deviation", 0.0) > 1e-9
+                or row.get("max_distance_deviation", 0.0) > 0.0
                 or row.get("beta_deviation", 0.0) > 1e-8
                 or row.get("warm_solver_calls", 0) > 0
                 or row.get("batch_builds", 1) > 1

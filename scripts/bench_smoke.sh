@@ -83,7 +83,8 @@ print(f"study_smoke OK: {spec.num_cells} cells, second run "
 PY
 
 # Network smoke: one cold 5x6 grid through `solve` with optop (MOP) and llf,
-# then one cold 7x7 grid with optop under `auto`.
+# then one cold 7x7 grid with optop under `auto`, then one cold 5x5 grid
+# whose shortest-path trees must all run in Python (no csgraph call).
 # A path-equilibration solve that misses its path-cost residual (1e-12)
 # raises ConvergenceError and fails the script; each must also finish within
 # a round ceiling, and the solves of one strategy within a total that the
@@ -150,4 +151,28 @@ print(f"network_smoke OK: optop on a 7x7 grid ({instance.network.num_edges} "
       f"edges) under auto, {len(solves)} path solves, <= "
       f"{max(r.iterations for r in solves)} rounds, residual <= "
       f"{max(r.relative_gap for r in solves):.1e}")
+
+# One cold 5x5 grid (25 nodes) through `auto`: below the engine's node cut,
+# every shortest-path tree of its three path solves is a Python heap
+# Dijkstra, so `csgraph.dijkstra` is never called.
+from repro.paths import dijkstra
+
+csgraph_calls = []
+sparse_dijkstra = dijkstra._sparse_dijkstra
+
+
+def counted(*args, **kwargs):
+    csgraph_calls.append(1)
+    return sparse_dijkstra(*args, **kwargs)
+
+
+dijkstra._sparse_dijkstra = counted
+del solves[:]
+report = solve(grid_network(5, 5, seed=11), "optop", cache=LRUCache())
+assert len(solves) == 3, f"5x5: expected 3 path solves, got {len(solves)}"
+assert not csgraph_calls, (
+    f"5x5: {len(csgraph_calls)} csgraph.dijkstra calls, expected 0")
+assert report.attains_optimum, "MOP failed to induce C(O) on a 5x5 grid"
+print(f"network_smoke OK: optop on a 5x5 grid under auto, {len(solves)} path "
+      f"solves, {len(csgraph_calls)} csgraph.dijkstra calls")
 PY

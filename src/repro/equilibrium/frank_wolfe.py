@@ -18,8 +18,10 @@ sub-optimality and is the stopping criterion.
 The hot loop is vectorized end to end:
 
 * the all-or-nothing step groups commodities by source and answers all
-  distinct sources with one `scipy.sparse.csgraph.dijkstra` call over the
-  network's cached CSR adjacency (:class:`repro.paths.dijkstra.ShortestPathEngine`);
+  distinct sources over the network's cached CSR adjacency
+  (:class:`repro.paths.dijkstra.ShortestPathEngine`: a heap Dijkstra in
+  Python per source on small networks, one `scipy.sparse.csgraph.dijkstra`
+  call for all of them on large ones);
 * edge costs are validated once per solve, not once per iteration;
 * the line search solves ``g'(s) = 0`` by safeguarded Newton on the batched
   analytic derivatives whenever every edge family provides them
@@ -97,8 +99,9 @@ def all_or_nothing(instance: NetworkInstance, edge_costs: np.ndarray,
     """Route every commodity entirely along its shortest path under ``edge_costs``.
 
     Commodities sharing a source reuse one shortest-path tree, and all
-    distinct sources are answered by a single
-    `scipy.sparse.csgraph.dijkstra` call.  ``validated=True`` marks the costs
+    distinct sources are answered by one
+    :class:`~repro.paths.dijkstra.ShortestPathEngine` run.  A NaN cost raises
+    :class:`ModelError`.  ``validated=True`` marks the costs
     as already checked by :func:`repro.paths.dijkstra.validate_edge_costs`
     (the Frank–Wolfe loop validates once per solve, not per iteration).
     """

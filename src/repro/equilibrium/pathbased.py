@@ -13,9 +13,11 @@ enumerating any paths:
   sets begin with those paths and flows (the warm start of path-based
   assignment, Jayakrishnan et al. 1994).
 * **Round.** The edges are priced with their latencies (Nash) or marginal
-  costs (optimum).  One :class:`~repro.paths.dijkstra.ShortestPathEngine`,
-  repriced in place, answers every commodity source with a single Dijkstra
-  call; a shortest path cheaper than every path of its commodity's working
+  costs (optimum); prices that are not finite raise ``ModelError``.  One
+  :class:`~repro.paths.dijkstra.ShortestPathEngine`, repriced in place,
+  grows one shortest-path tree per commodity source (a heap Dijkstra in
+  Python on small networks, one ``csgraph`` call for all sources on large
+  ones); a shortest path cheaper than every path of its commodity's working
   set joins that set (column generation).  One Newton step then re-balances
   the restricted master problem, each commodity's used paths plus its
   cheapest one: flow moves from costly to cheap paths (Dafermos & Sparrow
@@ -51,7 +53,7 @@ from scipy.linalg.lapack import dpotrs as _cholesky_solve
 from repro.exceptions import ConvergenceError, ModelError
 from repro.network.graph import Network
 from repro.network.instance import NetworkInstance
-from repro.paths.dijkstra import ShortestPathEngine, validate_edge_costs
+from repro.paths.dijkstra import ShortestPathEngine
 from repro.equilibrium.result import NetworkFlowResult, PathFlows
 
 __all__ = ["path_based_flow"]
@@ -178,8 +180,9 @@ def path_based_flow(instance: NetworkInstance, kind: str,
     demand; a repeated path adds up); the edge prices at the start must be
     finite.  A seeded solve stops on the same residual test as a cold one.
     Raises :class:`ModelError` for a malformed ``start``, when a working set
-    would exceed ``max_paths`` (use Frank–Wolfe for such instances) or a
-    sink is unreachable, and :class:`ConvergenceError` when the residual is
+    would exceed ``max_paths`` (use Frank–Wolfe for such instances), a sink
+    is unreachable or the edge prices at the start or at an accepted
+    iterate are not finite, and :class:`ConvergenceError` when the residual is
     still above ``tol`` after ``max_iterations`` rounds.
     """
     if kind not in ("nash", "optimum"):
@@ -189,29 +192,20 @@ def path_based_flow(instance: NetworkInstance, kind: str,
     sets = [_WorkingSet(c.source, c.sink, c.demand, network.num_edges)
             for c in instance.commodities]
     sources = list(dict.fromkeys(c.source for c in instance.commodities))
+    flows = np.zeros(network.num_edges) if start is None \
+        else _load_seed(sets, start, network, max_paths)
+    # A load past an M/M/1 capacity raises LatencyDomainError here.
+    costs, curvature = prices.at(flows)
+    engine = ShortestPathEngine(network, _finite(costs, 0))
     if start is None:
-        flows = np.zeros(network.num_edges)
-        costs, _ = prices.at(flows)
-        engine = ShortestPathEngine(network,
-                                    validate_edge_costs(network, costs),
-                                    validated=True)
         engine.run(sources)
         for ws in sets:
             _load_start(ws, engine, flows, prices, max_paths)
         costs, curvature = prices.at(flows)
-    else:
-        flows = _load_seed(sets, start, network, max_paths)
-        # A load past an M/M/1 capacity raises LatencyDomainError here.
-        costs, curvature = prices.at(flows)
-        if not np.all(np.isfinite(costs)):
-            raise ModelError("the edge prices at the start are not finite")
-        engine = ShortestPathEngine(network,
-                                    validate_edge_costs(network, costs),
-                                    validated=True)
 
     residual = np.inf
     for iteration in range(1, max_iterations + 1):
-        engine.reprice(costs, validated=True)
+        engine.reprice(_finite(costs, iteration), validated=True)
         engine.run(sources)
         residual = 0.0
         blocks = []
@@ -254,6 +248,16 @@ def path_based_flow(instance: NetworkInstance, kind: str,
                   if flow > 0.0)
             for ws in sets),
     )
+
+
+def _finite(costs: np.ndarray, iteration: int) -> np.ndarray:
+    """``costs``, unless a price is NaN or infinite: such a price would drop
+    out of the residual and of the column test, and certify a flow nobody
+    priced."""
+    if not np.isfinite(costs).all():
+        where = "start" if iteration <= 1 else f"round {iteration}"
+        raise ModelError(f"the edge prices at the {where} are not finite")
+    return costs
 
 
 def _load_seed(sets: List[_WorkingSet], start: PathFlows, network: Network,

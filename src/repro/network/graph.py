@@ -178,10 +178,17 @@ class Network:
           representative before a shortest-path run);
         * ``pair_tail`` / ``pair_head`` — per-pair endpoint indices;
         * ``pair_lookup`` — ``(tail_idx, head_idx) -> pair id``;
+        * ``pair_edge`` — per pair, one of its edges (on a simple graph,
+          its only edge);
+        * ``indptr`` — CSR row pointers of the pairs, sorted by
+          ``(tail, head)``;
+        * ``out_pairs`` — per node, its ``(head_idx, pair id)`` list (the
+          adjacency of the Python Dijkstra);
         * ``has_parallel`` — whether any node pair carries multiple edges.
 
         The structure depends only on the topology, never on costs, so one
-        cache serves every shortest-path call on this network.
+        cache serves every shortest-path call on this network and on its
+        :meth:`shifted` Followers' network.
         """
         structure = self._derived.get("csr")
         if structure is None:
@@ -198,6 +205,13 @@ class Network:
             else:
                 pair_id = np.zeros(0, dtype=np.int64)
                 pair_tail = pair_head = np.zeros(0, dtype=np.int64)
+            pair_edge = np.empty(len(pair_tail), dtype=np.int64)
+            pair_edge[pair_id] = np.arange(len(self._edges), dtype=np.int64)
+            indptr = np.zeros(len(self._nodes) + 1, dtype=np.int32)
+            np.cumsum(np.bincount(pair_tail, minlength=len(self._nodes)),
+                      out=indptr[1:])
+            heads = pair_head.tolist()
+            bounds = indptr.tolist()
             structure = {
                 "node_index": node_index,
                 "tail_idx": tail_idx,
@@ -208,6 +222,10 @@ class Network:
                 "pair_lookup": {(int(t), int(h)): int(p)
                                 for p, (t, h) in enumerate(zip(pair_tail,
                                                                pair_head))},
+                "pair_edge": pair_edge,
+                "indptr": indptr,
+                "out_pairs": [[(heads[k], k) for k in range(lo, hi)]
+                              for lo, hi in zip(bounds, bounds[1:])],
                 "has_parallel": len(pair_tail) != len(self._edges),
             }
             self._derived["csr"] = structure

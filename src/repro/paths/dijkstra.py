@@ -6,10 +6,13 @@ induced by the optimum flow), and the union of all edges lying on some
 shortest s–t path forms the subgraph the free Followers are allowed to use.
 
 Two engines are provided: the pure-Python binary-heap implementation
-(:func:`shortest_distances`, the reference), and
-:class:`ShortestPathEngine`, which runs `scipy.sparse.csgraph.dijkstra` over
-the network's cached CSR adjacency — one C-level call covers *all* requested
-sources at once, which is what the Frank–Wolfe all-or-nothing step uses.
+(:func:`shortest_distances`, the reference and the oracle of the
+certificates in :mod:`repro.equilibrium.verify`), and
+:class:`ShortestPathEngine`, which the solvers use over the network's cached
+CSR adjacency.  On networks of at most :data:`HEAP_MAX_NODES` nodes it runs
+a binary-heap Dijkstra per source over cached adjacency lists, which costs
+less there than scipy's argument checks; larger networks answer *all*
+requested sources with one `scipy.sparse.csgraph.dijkstra` call.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.exceptions import ModelError
 from repro.network.graph import Network
 
 __all__ = [
+    "HEAP_MAX_NODES",
     "shortest_distances",
     "shortest_path_edges",
     "shortest_path_edge_set",
@@ -36,10 +40,22 @@ __all__ = [
 
 Node = Hashable
 
+#: :class:`ShortestPathEngine` runs Dijkstra in Python on networks with at
+#: most this many nodes and one ``csgraph.dijkstra`` call above.  Set from
+#: the ``shortest_path`` rows of ``scripts/bench_perf.py`` (``reprice`` +
+#: ``run`` + ``path_edges`` per call): Python is ahead up to an 8x8 grid
+#: (64 nodes), csgraph from a 9x9 grid (81 nodes) and a layered 8x8 graph
+#: (66 nodes).  Denser graphs cross earlier: on a layered 7x7 graph (51
+#: nodes, 189 edges) the two are level.
+HEAP_MAX_NODES = 64
+
 
 def validate_edge_costs(network: Network,
                         edge_costs: Sequence[float]) -> np.ndarray:
-    """Check shape and non-negativity; return the clipped cost array.
+    """Check shape, NaN and non-negativity; return the clipped cost array.
+
+    A ``+inf`` cost marks an unusable edge; a NaN cost raises
+    :class:`ModelError`.
 
     Callers that evaluate the same latency functions every iteration (the
     Frank–Wolfe loop) validate once per solve and then pass
@@ -49,9 +65,16 @@ def validate_edge_costs(network: Network,
     if costs.shape != (network.num_edges,):
         raise ModelError(
             f"expected {network.num_edges} edge costs, got shape {costs.shape}")
+    _reject_nan(costs)
     if np.any(costs < -1e-12):
         raise ModelError("Dijkstra requires non-negative edge costs")
     return np.clip(costs, 0.0, None)
+
+
+def _reject_nan(costs: np.ndarray) -> None:
+    if np.isnan(costs).any():
+        raise ModelError(
+            f"edge cost of edge {int(np.isnan(costs).argmax())} is NaN")
 
 
 def shortest_distances(network: Network, source: Node,
@@ -162,65 +185,76 @@ def shortest_path_edge_set(network: Network, source: Node, sink: Node,
 class ShortestPathEngine:
     """Batched shortest paths over a network's cached CSR adjacency.
 
-    One engine wraps a network and its current edge costs.  The
-    ``scipy.sparse.csr_matrix`` over the network's node pairs is assembled
-    once, from the structure arrays cached on the network; :meth:`reprice`
-    rewrites its ``data`` in place for new costs, reducing parallel edges to
-    their cheapest representative (shortest paths never take a costlier
-    parallel copy).  :meth:`run` then answers *all* requested sources with a
-    single `scipy.sparse.csgraph.dijkstra` call, and :meth:`path_edges`
-    walks the predecessor matrix back into canonical edge indices.
+    One engine wraps a network and its current edge costs.  The topology
+    (node pairs in CSR order, per-node adjacency lists) is cached on the
+    network; :meth:`reprice` reduces the edge costs to one cost per node
+    pair, parallel edges to their cheapest representative (shortest paths
+    never take a costlier parallel copy).  :meth:`run` then answers the
+    requested sources: one binary-heap Dijkstra in Python per source on a
+    network of at most :data:`HEAP_MAX_NODES` nodes, one
+    `scipy.sparse.csgraph.dijkstra` call for all of them on a larger one
+    (whose ``csr_matrix`` only this branch builds).  Both fill the same
+    distance and predecessor rows, which :meth:`path_edges` walks back into
+    canonical edge indices.
 
-    Zero-cost edges are kept as explicit entries of the sparse matrix, which
-    ``csgraph`` treats as genuine zero-weight edges, so free-flow links route
-    exactly like in the reference implementation.
+    Zero-cost edges are genuine zero-weight edges in both branches (explicit
+    entries of the sparse matrix), so free-flow links route exactly like in
+    the reference implementation; a ``+inf`` cost leaves its edge unusable
+    and a NaN cost raises :class:`ModelError`.
     """
 
     def __init__(self, network: Network, edge_costs: Sequence[float],
                  *, validated: bool = False) -> None:
         self.network = network
         self._structure = structure = network.csr_structure()
-        n = network.num_nodes
-        # Pairs are sorted by (tail, head) node index, which is CSR order.
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(structure["pair_tail"], minlength=n),
-                  out=indptr[1:])
-        num_pairs = len(structure["pair_tail"])
-        self._graph = _csr_matrix(
-            (np.zeros(num_pairs), structure["pair_head"].astype(np.int32),
-             indptr), shape=(n, n))
-        # Scatter edge ids into the pair ordering (pairs are sorted by
-        # node-index key, not by edge insertion order); on a simple graph
-        # this is final, on a multigraph :meth:`reprice` picks per pair.
-        self._representatives = np.empty(num_pairs, dtype=np.int64)
-        self._representatives[structure["pair_id"]] = np.arange(
-            network.num_edges, dtype=np.int64)
+        self._graph = None
+        #: Per-pair costs; the sparse matrix's ``data`` in the csgraph branch.
+        self._pair_costs = np.zeros(len(structure["pair_tail"]))
+        if network.num_nodes > HEAP_MAX_NODES:
+            n = network.num_nodes
+            self._graph = _csr_matrix(
+                (self._pair_costs, structure["pair_head"].astype(np.int32),
+                 structure["indptr"]), shape=(n, n))
+            self._pair_costs = self._graph.data
+        # Per pair, the edge that stands for it; on a simple graph this is
+        # topology, on a multigraph :meth:`reprice` picks per pair.
+        self._representatives = structure["pair_edge"]
+        if structure["has_parallel"]:
+            self._representatives = self._representatives.copy()
+        #: The per-pair costs as a list, which the Python branch reads.
+        self._weights: List[float] = []
         #: Per-source results: node index -> (distance row, predecessor row).
-        self._trees: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._trees: Dict[int, Tuple[Sequence[float], Sequence[int]]] = {}
         self.reprice(edge_costs, validated=validated)
 
     def reprice(self, edge_costs: Sequence[float], *,
                 validated: bool = False) -> None:
         """Replace the edge costs and forget every solved source.
 
-        The sparse matrix's ``data`` is rewritten in place; where several
-        edges join the same node pair the cheapest one (ties: lowest index)
-        stands for the pair.
+        Where several edges join the same node pair the cheapest one (ties:
+        lowest index) stands for the pair.  ``validated=True`` skips the
+        shape and sign checks of :func:`validate_edge_costs`; NaN costs are
+        rejected either way.
         """
-        costs = np.asarray(edge_costs, dtype=float) if validated \
-            else validate_edge_costs(self.network, edge_costs)
+        if validated:
+            costs = np.asarray(edge_costs, dtype=float)
+            _reject_nan(costs)
+        else:
+            costs = validate_edge_costs(self.network, edge_costs)
         structure = self._structure
-        pair_id = structure["pair_id"]
-        data = self._graph.data
+        weights = self._pair_costs
         if structure["has_parallel"]:
-            data.fill(math.inf)
-            np.minimum.at(data, pair_id, costs)
+            pair_id = structure["pair_id"]
+            weights.fill(math.inf)
+            np.minimum.at(weights, pair_id, costs)
             # Representative edge per pair: scatter in descending cost order
             # so the cheapest edge (ties: lowest index) wins the final write.
             order = np.lexsort((np.arange(len(costs)), costs))[::-1]
             self._representatives[pair_id[order]] = order
         else:
-            data[pair_id] = costs
+            np.take(costs, self._representatives, out=weights)
+        if self._graph is None:
+            self._weights = weights.tolist()
         self._trees.clear()
 
     def _node_index(self, node: Node) -> int:
@@ -232,9 +266,8 @@ class ShortestPathEngine:
     def run(self, sources: Sequence[Node]) -> None:
         """Solve single-source shortest paths from every distinct source.
 
-        One ``csgraph.dijkstra`` call covers all not-yet-solved sources;
-        results accumulate on the engine (repeated calls only compute the new
-        sources) for :meth:`distance` / :meth:`path_edges` lookups.
+        Results accumulate on the engine (repeated calls only compute the
+        new sources) for :meth:`distance` / :meth:`path_edges` lookups.
         """
         pending: List[int] = []
         for source in sources:
@@ -242,6 +275,11 @@ class ShortestPathEngine:
             if idx not in self._trees and idx not in pending:
                 pending.append(idx)
         if not pending:
+            return
+        if self._graph is None:
+            out_pairs = self._structure["out_pairs"]
+            for idx in pending:
+                self._trees[idx] = _heap_tree(out_pairs, self._weights, idx)
             return
         dist, pred = _sparse_dijkstra(self._graph, directed=True,
                                       indices=pending,
@@ -251,7 +289,7 @@ class ShortestPathEngine:
         for row, idx in enumerate(pending):
             self._trees[idx] = (dist[row], pred[row])
 
-    def _tree(self, source: Node) -> Tuple[np.ndarray, np.ndarray]:
+    def _tree(self, source: Node) -> Tuple[Sequence[float], Sequence[int]]:
         idx = self._node_index(source)
         try:
             return self._trees[idx]
@@ -269,7 +307,7 @@ class ShortestPathEngine:
         dist, pred_row = self._tree(source)
         source_idx = self._node_index(source)
         sink_idx = self._node_index(sink)
-        if not np.isfinite(dist[sink_idx]):
+        if math.isinf(dist[sink_idx]):
             raise ModelError(f"node {sink!r} is unreachable from {source!r}")
         pair_lookup = self._structure["pair_lookup"]
         representatives = self._representatives
@@ -284,3 +322,30 @@ class ShortestPathEngine:
             node = prev
         path.reverse()
         return path
+
+
+def _heap_tree(out_pairs: List[List[Tuple[int, int]]], weights: List[float],
+               source: int) -> Tuple[List[float], List[int]]:
+    """One binary-heap Dijkstra tree over per-node ``(head, pair)`` lists.
+
+    Returns the distance and predecessor rows in ``csgraph``'s layout: node
+    indices, ``inf`` and ``-9999`` where a node is unreachable.  A stale
+    heap entry is recognised by its distance; a node's distance only ever
+    drops strictly, so a settled node is never pushed again.
+    """
+    dist = [math.inf] * len(out_pairs)
+    pred = [-9999] * len(out_pairs)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        d, node = pop(heap)
+        if d > dist[node]:
+            continue
+        for head, pair in out_pairs[node]:
+            candidate = d + weights[pair]
+            if candidate < dist[head]:
+                dist[head] = candidate
+                pred[head] = node
+                push(heap, (candidate, head))
+    return dist, pred

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
-from repro.latency import ConstantLatency, LinearLatency, MM1Latency
+from repro.latency import ConstantLatency, LatencyFunction, LinearLatency, MM1Latency
 from repro.network import Commodity, Network, NetworkInstance
 from repro.equilibrium import (
     frank_wolfe,
@@ -112,6 +112,43 @@ class TestPathBasedSolver:
         instance = NetworkInstance(net, [Commodity("s", "t", 3.0)])
         with pytest.raises(ModelError, match="latency domains"):
             path_based_flow(instance, "nash")
+
+
+class _CliffLatency(LatencyFunction):
+    """Constant ``0.1`` up to a load of ``0.5``, NaN above: a generic latency
+    whose prices stop being numbers once the start loads it."""
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 0.5, np.nan, 0.1)
+
+    def derivative(self, x):
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+    def integral(self, x):
+        return 0.1 * np.asarray(x, dtype=float)
+
+
+class TestNonFinitePrices:
+    @staticmethod
+    def cliff_instance():
+        net = Network()
+        net.add_edge("s", "t", _CliffLatency())
+        net.add_edge("s", "m", LinearLatency(1.0, 0.5))
+        net.add_edge("m", "t", LinearLatency(1.0, 0.5))
+        return NetworkInstance(net, [Commodity("s", "t", 2.0)])
+
+    @pytest.mark.parametrize("kind", ["nash", "optimum"])
+    def test_nan_prices_at_the_start_raise(self, kind):
+        """The cold start loads all of the demand on ``s -> t``, where the
+        price is NaN: no certificate may be issued for that flow."""
+        with pytest.raises(ModelError, match="not finite"):
+            path_based_flow(self.cliff_instance(), kind)
+
+    def test_nan_prices_at_a_seeded_start_raise(self):
+        instance = self.cliff_instance()
+        with pytest.raises(ModelError, match="not finite"):
+            path_based_flow(instance, "nash", start=[[([0], 2.0)]])
 
 
 class TestNetworkEntryPoints:

@@ -4,13 +4,21 @@ from __future__ import annotations
 
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.equilibrium.frank_wolfe import all_or_nothing, all_or_nothing_reference
 from repro.exceptions import ModelError
+from repro.instances import grid_network
 from repro.latency import LinearLatency
 from repro.network import Network
+from repro.paths import dijkstra
 from repro.paths import shortest_distances, shortest_path_edge_set, shortest_path_edges
+
+#: Patches that force each branch of the engine on a small network.
+BRANCHES = {"python": 10**9, "csgraph": 0}
 
 
 def build_diamond():
@@ -107,3 +115,67 @@ class TestShortestPathEdgeSet:
         costs = np.array([1.0, 1.0 + 1e-12, 1.0, 1.0, 5.0])
         edge_set = shortest_path_edge_set(net, "s", "t", costs, atol=1e-9)
         assert {0, 1, 2, 3} <= edge_set
+
+
+class TestEngineBranches:
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_tiny_improvement_wins(self, branch):
+        """``a`` settles before ``b`` at the same distance, so ``t`` first
+        gets the tiny cost via ``a`` and must then drop to zero via ``b``."""
+        net = build_diamond()
+        costs = np.array([0.0, 0.0, 2.0**-30, 0.0, 1.0])
+        with mock.patch.object(dijkstra, "HEAP_MAX_NODES", BRANCHES[branch]):
+            engine = dijkstra.ShortestPathEngine(net, costs)
+        engine.run(["s"])
+        assert engine.distance("s", "t") == 0.0
+        assert engine.path_edges("s", "t") == [1, 3]
+
+
+class TestNonFiniteCosts:
+    """A NaN cost raises everywhere; a ``+inf`` cost is an unusable edge."""
+
+    @staticmethod
+    def nan_costs():
+        instance = grid_network(3, 3, seed=1)
+        costs = np.ones(instance.network.num_edges)
+        costs[0] = math.nan
+        return instance, costs
+
+    def test_reference_rejects_nan(self):
+        instance, costs = self.nan_costs()
+        with pytest.raises(ModelError, match="NaN"):
+            shortest_distances(instance.network, instance.source, costs)
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_engine_rejects_nan(self, branch):
+        instance, costs = self.nan_costs()
+        network = instance.network
+        with mock.patch.object(dijkstra, "HEAP_MAX_NODES", BRANCHES[branch]):
+            with pytest.raises(ModelError, match="NaN"):
+                dijkstra.ShortestPathEngine(network, costs)
+            with pytest.raises(ModelError, match="NaN"):
+                dijkstra.ShortestPathEngine(network, costs, validated=True)
+            engine = dijkstra.ShortestPathEngine(network,
+                                                 np.ones(network.num_edges))
+            with pytest.raises(ModelError, match="NaN"):
+                engine.reprice(costs, validated=True)
+
+    @pytest.mark.parametrize("validated", [False, True])
+    def test_all_or_nothing_rejects_nan(self, validated):
+        instance, costs = self.nan_costs()
+        with pytest.raises(ModelError, match="NaN"):
+            all_or_nothing(instance, costs, validated=validated)
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_infinite_cost_is_an_unusable_edge(self, branch):
+        net = build_diamond()
+        costs = np.array([math.inf, 4.0, 1.0, 1.0, 1.0])
+        dist, _ = shortest_distances(net, "s", costs)
+        with mock.patch.object(dijkstra, "HEAP_MAX_NODES", BRANCHES[branch]):
+            engine = dijkstra.ShortestPathEngine(net, costs)
+        engine.run(["s"])
+        assert engine.distance("s", "t") == dist["t"] == 5.0
+        assert engine.path_edges("s", "t") == [1, 3]
+        assert math.isinf(engine.distance("s", "a")) and math.isinf(dist["a"])
+        with pytest.raises(ModelError, match="unreachable"):
+            engine.path_edges("s", "a")

@@ -15,12 +15,18 @@ code that shares nothing with the solver:
 Instances: random grids and layered graphs up to 60 edges (``linear`` and
 ``bpr`` latencies), bidirected multicommodity grids and parallel-edge
 embeddings of parallel-link instances.
+
+The two branches of ``ShortestPathEngine`` (a Python heap Dijkstra up to
+``HEAP_MAX_NODES`` nodes, one ``csgraph`` call above) are each forced by
+patching the constant and checked against ``shortest_distances`` on cyclic
+graphs with parallel, zero-cost and unusable edges and unreachable nodes.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,9 +47,14 @@ from repro.instances import (
     random_mixed_parallel,
     random_multicommodity_instance,
 )
+from repro.api import solve
+from repro.cache import LRUCache
+from repro.exceptions import ModelError
+from repro.latency import LinearLatency
+from repro.network import Network
 from repro.network.builders import parallel_network_as_graph
 from repro.paths import dijkstra
-from repro.paths.dijkstra import shortest_distances
+from repro.paths.dijkstra import shortest_distances, walk_tree_path
 
 #: Certification tolerance of every property, relative.
 RTOL = 1e-9
@@ -186,3 +197,108 @@ def test_engine_reprice_matches_a_fresh_engine():
             reference, _ = shortest_distances(network, instance.source, costs)
             assert math.isclose(engine.distance(instance.source, instance.sink),
                                 reference[instance.sink], rel_tol=1e-12)
+
+
+#: ``HEAP_MAX_NODES`` values that force each engine branch on these graphs.
+BRANCHES = {"python": 10**9, "csgraph": 0}
+#: Edge costs with many exact ties, zero-cost edges and a tiny cost that
+#: only an exact relaxation tells from zero; ``inf`` marks an unusable edge.
+edge_costs = st.one_of(st.sampled_from((0.0, 2.0**-30, 0.5, 1.0, 2.0,
+                                        math.inf)),
+                       st.floats(0.0, 10.0))
+
+
+@st.composite
+def engine_cases(draw):
+    """A bidirected grid (cyclic) with extra parallel copies of some edges,
+    an isolated node, a sink-only node, and two cost vectors: the engine is
+    built on the first and repriced to the second."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    network = Network()
+    for r in range(rows):
+        for c in range(cols):
+            for rr, cc in ((r, c + 1), (r + 1, c)):
+                if rr < rows and cc < cols:
+                    network.add_edge((r, c), (rr, cc), LinearLatency(1.0))
+                    network.add_edge((rr, cc), (r, c), LinearLatency(1.0))
+    network.add_edge((rows - 1, cols - 1), "sink only", LinearLatency(1.0))
+    network.add_node("isolated")
+    for idx in draw(st.lists(st.integers(0, network.num_edges - 1),
+                             max_size=6)):
+        edge = network.edge(idx)
+        network.add_edge(edge.tail, edge.head, LinearLatency(1.0))
+    vectors = st.lists(edge_costs, min_size=network.num_edges,
+                       max_size=network.num_edges)
+    grid_nodes = [(r, c) for r in range(rows) for c in range(cols)]
+    sources = draw(st.lists(st.sampled_from(grid_nodes + ["sink only"]),
+                            min_size=1, max_size=4))
+    return network, np.array(draw(vectors)), np.array(draw(vectors)), sources
+
+
+def _check_engine(network, engine, costs, sources) -> None:
+    """Distances against the reference; every path a valid shortest path on
+    the cheapest, lowest-index copy of each node pair."""
+    for source in sources:
+        reference, pred = shortest_distances(network, source, costs)
+        for sink in network.nodes:
+            distance = engine.distance(source, sink)
+            if math.isinf(reference[sink]):
+                assert math.isinf(distance)
+                with pytest.raises(ModelError) as got:
+                    engine.path_edges(source, sink)
+                with pytest.raises(ModelError) as expected:
+                    walk_tree_path(network, reference, pred, source, sink)
+                assert str(got.value) == str(expected.value)
+                continue
+            # The reference skips improvements below 1e-15 absolute.
+            assert math.isclose(distance, reference[sink], rel_tol=1e-12,
+                                abs_tol=1e-15 * network.num_nodes)
+            path = engine.path_edges(source, sink)
+            node = source
+            for idx in path:
+                edge = network.edge(idx)
+                assert edge.tail == node
+                node = edge.head
+                copies = [k for k in network.out_edges(edge.tail)
+                          if network.edge(k).head == edge.head]
+                assert min(copies, key=lambda k: (costs[k], k)) == idx
+            assert node == sink
+            assert math.isclose(math.fsum(costs[path]), distance,
+                                rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("branch", sorted(BRANCHES))
+@settings(max_examples=60, deadline=None)
+@given(case=engine_cases())
+def test_engine_branches_match_the_reference(branch, case):
+    network, first, costs, sources = case
+    with mock.patch.object(dijkstra, "HEAP_MAX_NODES", BRANCHES[branch]):
+        engine = dijkstra.ShortestPathEngine(network, first)
+        engine.run(sources[:1])
+        engine.reprice(costs)
+        engine.run(sources[:2])
+        engine.run(sources)  # accumulates: only new sources are solved
+    _check_engine(network, engine, costs, dict.fromkeys(sources))
+
+
+def _count_csgraph_calls(instance) -> int:
+    calls = []
+    sparse = dijkstra._sparse_dijkstra
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sparse(*args, **kwargs)
+
+    with mock.patch.object(dijkstra, "_sparse_dijkstra", counted):
+        solve(instance, "optop", cache=LRUCache())
+    return len(calls)
+
+
+def test_small_networks_make_no_csgraph_call():
+    """A cold 5x5 ``optop`` (three path solves) runs every shortest-path
+    tree in Python; a cold 10x10 one is above the cut."""
+    small, large = grid_network(5, 5, seed=3), grid_network(10, 10, seed=3)
+    assert small.network.num_nodes <= dijkstra.HEAP_MAX_NODES \
+        < large.network.num_nodes
+    assert _count_csgraph_calls(small) == 0
+    assert _count_csgraph_calls(large) > 0
