@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.study.runner import run_study
 from repro.study.spec import GeneratorAxis, StudySpec
 

@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.reporting import ExperimentRecord
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.baselines.brute_force import brute_force_strategy
 from repro.core.commodity_split import commodity_control_split
 from repro.core.frozen import induced_flow_on_frozen_links, is_useless_strategy

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.api.dispatch import PARALLEL, resolve_instance_kind
 from repro.api.registry import REGISTRY
 from repro.core.linear_optimal import optimal_restricted_strategy

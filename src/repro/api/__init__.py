@@ -25,7 +25,7 @@ The pieces:
   instance-digest result cache and process-pool fan-out.
 """
 
-from repro.api.config import EQUILIBRIUM_BACKENDS, SolveConfig
+from repro.config import EQUILIBRIUM_BACKENDS, SolveConfig
 from repro.api.dispatch import resolve_instance_kind
 from repro.api.report import SolveReport
 from repro.api.registry import (

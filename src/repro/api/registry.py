@@ -21,7 +21,7 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 from repro.exceptions import StrategyError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.config import SolveConfig
+    from repro.config import SolveConfig
     from repro.api.report import SolveReport
 
 __all__ = [

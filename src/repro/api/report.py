@@ -20,7 +20,7 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 
 __all__ = ["SolveReport"]
 
@@ -81,7 +81,7 @@ class SolveReport:
     wall_time:
         Wall-clock seconds spent inside the strategy call.
     config:
-        The :class:`~repro.api.config.SolveConfig` that produced the report.
+        The :class:`~repro.config.SolveConfig` that produced the report.
     metadata:
         Strategy-specific, JSON-serialisable solver details (round traces,
         backend names, evaluation counts, ...).

@@ -41,7 +41,7 @@ from contextlib import nullcontext
 from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig, resolve_config
 from repro.api.registry import REGISTRY, get_strategy
 from repro.api.report import SolveReport
 from repro.cache import LRUCache
@@ -191,7 +191,7 @@ def solve(instance, strategy: Optional[str] = None, *,
     SolveReport
         The unified, JSON-serialisable result record.
     """
-    config = SolveConfig() if config is None else config
+    config = resolve_config(config)
     name = _resolve_name(strategy)
     get_strategy(name)  # fail fast on unknown strategies
     result_cache = _result_cache(cache)
@@ -283,7 +283,7 @@ def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
     list[SolveReport]
         Reports aligned with the input order.
     """
-    config = SolveConfig() if config is None else config
+    config = resolve_config(config)
     name = _resolve_name(strategy)
     get_strategy(name)  # fail fast on unknown strategies, before forking
     result_cache = _result_cache(cache)

@@ -8,7 +8,7 @@ default :data:`~repro.api.registry.REGISTRY`.  Adapters are responsible for
 * dispatching on the instance kind (every strategy accepts both parallel-link
   and network instances; ``optop`` delegates to MOP on networks and ``mop``
   embeds parallel links into the graph model),
-* resolving solver settings from the :class:`~repro.api.config.SolveConfig`,
+* passing the :class:`~repro.config.SolveConfig` to every solve they run,
 * assembling the flat, JSON-serialisable :class:`~repro.api.report.SolveReport`.
 """
 
@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.api.dispatch import NETWORK, PARALLEL, resolve_instance_kind
 from repro.api.registry import register_batch_strategy, register_strategy
 from repro.api.report import SolveReport
@@ -86,38 +86,22 @@ def _build_report(*, name: str, kind: str, config: SolveConfig,
     )
 
 
-def _parallel_baseline_report(name: str, instance, config: SolveConfig,
-                              strategy, metadata: Dict[str, Any],
-                              outcome=None, optimum=None) -> SolveReport:
-    """Report for a budgeted/null strategy on a parallel-link instance."""
+def _baseline_report(name: str, kind: str, instance, config: SolveConfig,
+                     strategy, metadata: Dict[str, Any], *, outcome=None,
+                     optimum=None, nash=None) -> SolveReport:
+    """Report for a budgeted/null strategy; solves, under ``config``, the
+    optimum, the Nash flow and the induced outcome the caller did not pass."""
+    optimum_of, nash_of = ((parallel_optimum, parallel_nash) if kind == PARALLEL
+                           else (network_optimum, network_nash))
     if optimum is None:
-        optimum = parallel_optimum(instance, config=config)
-    nash = parallel_nash(instance, config=config) if config.compute_nash else None
-    if outcome is None:
-        outcome = strategy.induce(instance, tol=config.water_fill_tol)
-    return _build_report(
-        name=name, kind=PARALLEL, config=config, alpha=strategy.alpha,
-        beta=None, leader_flows=strategy.flows,
-        induced_flows=outcome.combined_flows, induced_cost=float(outcome.cost),
-        optimum=optimum, nash=nash, metadata=metadata)
-
-
-def _network_baseline_report(name: str, instance, config: SolveConfig,
-                             strategy, metadata: Dict[str, Any],
-                             outcome=None, optimum=None,
-                             nash=None) -> SolveReport:
-    """Report for a budgeted/null strategy on a network instance."""
-    solver = config.network_solver()
-    if optimum is None:
-        optimum = network_optimum(instance, config=config)
+        optimum = optimum_of(instance, config=config)
     if nash is None and config.compute_nash:
-        nash = network_nash(instance, config=config)
+        nash = nash_of(instance, config=config)
     if outcome is None:
-        outcome = strategy.induce(instance, solver=solver,
-                                  tolerance=config.tolerance)
+        outcome = strategy.induce(instance, config=config)
     return _build_report(
-        name=name, kind=NETWORK, config=config, alpha=strategy.alpha,
-        beta=None, leader_flows=strategy.edge_flows,
+        name=name, kind=kind, config=config, alpha=strategy.alpha,
+        beta=None, leader_flows=_flows_of(strategy),
         induced_flows=outcome.combined_flows, induced_cost=float(outcome.cost),
         optimum=optimum, nash=nash, metadata=metadata)
 
@@ -195,15 +179,15 @@ def solve_mop(instance, config: SolveConfig) -> SolveReport:
 def solve_llf(instance, config: SolveConfig) -> SolveReport:
     """Roughgarden's Largest-Latency-First with budget ``config.budget()``."""
     alpha = config.budget()
-    kind = resolve_instance_kind(instance)
     metadata = {"algorithm": "llf", "requested_alpha": alpha}
     # One optimum, solved with the config's settings, feeds both the
     # strategy and the report.
+    kind = resolve_instance_kind(instance)
     if kind == PARALLEL:
         optimum = parallel_optimum(instance, config=config)
         strategy = llf(instance, alpha, optimum=optimum)
-        return _parallel_baseline_report("llf", instance, config, strategy,
-                                         metadata, optimum=optimum)
+        return _baseline_report("llf", kind, instance, config, strategy,
+                                metadata, optimum=optimum)
     # On networks the Nash flow, when wanted, is solved first: its path flows
     # seed the optimum.
     nash = network_nash(instance, config=config) if config.compute_nash else None
@@ -211,8 +195,8 @@ def solve_llf(instance, config: SolveConfig) -> SolveReport:
                               start=None if nash is None else nash.path_flows)
     strategy = network_llf(instance, alpha, optimum=optimum)
     metadata["path_generalisation"] = True
-    return _network_baseline_report("llf", instance, config, strategy, metadata,
-                                    optimum=optimum, nash=nash)
+    return _baseline_report("llf", kind, instance, config, strategy, metadata,
+                            optimum=optimum, nash=nash)
 
 
 @register_strategy("scale")
@@ -220,27 +204,17 @@ def solve_scale(instance, config: SolveConfig) -> SolveReport:
     """The SCALE strategy ``S = alpha * O`` with budget ``config.budget()``."""
     alpha = config.budget()
     kind = resolve_instance_kind(instance)
-    metadata = {"algorithm": "scale", "requested_alpha": alpha}
-    if kind == PARALLEL:
-        strategy = scale(instance, alpha)
-        return _parallel_baseline_report("scale", instance, config, strategy,
-                                         metadata)
-    strategy = scale(instance, alpha, solver=config.network_solver())
-    return _network_baseline_report("scale", instance, config, strategy,
-                                    metadata)
+    return _baseline_report("scale", kind, instance, config,
+                            scale(instance, alpha, config=config),
+                            {"algorithm": "scale", "requested_alpha": alpha})
 
 
 @register_strategy("aloof")
 def solve_aloof(instance, config: SolveConfig) -> SolveReport:
     """The null strategy: the Leader routes nothing, Followers reach Nash."""
     kind = resolve_instance_kind(instance)
-    strategy = aloof(instance)
-    metadata = {"algorithm": "aloof"}
-    if kind == PARALLEL:
-        return _parallel_baseline_report("aloof", instance, config, strategy,
-                                         metadata)
-    return _network_baseline_report("aloof", instance, config, strategy,
-                                    metadata)
+    return _baseline_report("aloof", kind, instance, config, aloof(instance),
+                            {"algorithm": "aloof"})
 
 
 def _parallel_flow_result(instance, flows, level: float,
@@ -329,18 +303,19 @@ def solve_exact(instance, config: SolveConfig) -> SolveReport:
     """
     alpha = config.budget()
     kind = resolve_instance_kind(instance)
+    metadata = {"algorithm": "exact", "requested_alpha": alpha}
     if kind == PARALLEL:
-        result = exact_strategy(instance, alpha, tol=config.water_fill_tol)
-        metadata = {"algorithm": "exact", "requested_alpha": alpha,
-                    "certification": result.certification}
-        return _parallel_baseline_report("exact", instance, config,
-                                         result.strategy, metadata,
-                                         outcome=result.outcome)
+        result = exact_strategy(instance, alpha, config=config)
+        metadata["certification"] = result.certification
+        return _baseline_report("exact", kind, instance, config,
+                                result.strategy, metadata,
+                                outcome=result.outcome)
     result = network_brute_force(
         instance, alpha, resolution=config.brute_force_resolution,
-        solver=config.network_solver(), tolerance=config.tolerance)
-    optimum_cost = float(network_optimum(instance, config=config).cost)
-    certification = {
+        config=config)
+    optimum = network_optimum(instance, config=config)
+    optimum_cost = float(optimum.cost)
+    metadata["certification"] = {
         "method": "network_brute_force",
         "lower_bound": optimum_cost,
         "certified_cost": float(result.outcome.cost),
@@ -350,11 +325,8 @@ def solve_exact(instance, config: SolveConfig) -> SolveReport:
         "evaluated": result.evaluated,
         "alpha": float(alpha),
     }
-    metadata = {"algorithm": "exact", "requested_alpha": alpha,
-                "certification": certification}
-    return _network_baseline_report("exact", instance, config,
-                                    result.strategy, metadata,
-                                    outcome=result.outcome)
+    return _baseline_report("exact", kind, instance, config, result.strategy,
+                            metadata, outcome=result.outcome, optimum=optimum)
 
 
 @register_strategy("brute_force")
@@ -365,23 +337,13 @@ def solve_brute_force(instance, config: SolveConfig) -> SolveReport:
     (single-commodity) networks it covers the path support of the optimum.
     """
     alpha = config.budget()
+    resolution = config.brute_force_resolution
     kind = resolve_instance_kind(instance)
-    if kind == PARALLEL:
-        result = brute_force_strategy(
-            instance, alpha, resolution=config.brute_force_resolution)
-        metadata = {"algorithm": "brute_force", "requested_alpha": alpha,
-                    "evaluated": result.evaluated,
-                    "resolution": config.brute_force_resolution}
-        return _parallel_baseline_report("brute_force", instance, config,
-                                         result.strategy, metadata,
-                                         outcome=result.outcome)
-    result = network_brute_force(
-        instance, alpha, resolution=config.brute_force_resolution,
-        solver=config.network_solver(), tolerance=config.tolerance)
+    search = brute_force_strategy if kind == PARALLEL else network_brute_force
+    result = search(instance, alpha, resolution=resolution, config=config)
     metadata = {"algorithm": "brute_force", "requested_alpha": alpha,
-                "evaluated": result.evaluated,
-                "resolution": config.brute_force_resolution,
-                "path_generalisation": True}
-    return _network_baseline_report("brute_force", instance, config,
-                                    result.strategy, metadata,
-                                    outcome=result.outcome)
+                "evaluated": result.evaluated, "resolution": resolution}
+    if kind == NETWORK:
+        metadata["path_generalisation"] = True
+    return _baseline_report("brute_force", kind, instance, config,
+                            result.strategy, metadata, outcome=result.outcome)

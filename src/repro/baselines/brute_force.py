@@ -18,6 +18,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
+from repro.config import SolveConfig
 from repro.exceptions import StrategyError
 from repro.network.parallel import ParallelLinkInstance
 from repro.core.strategy import ParallelStackelbergStrategy
@@ -65,26 +66,37 @@ class BruteForceResult:
 
 
 def brute_force_strategy(instance: ParallelLinkInstance, alpha: float,
-                         *, resolution: int = 24) -> BruteForceResult:
+                         *, resolution: int = 24,
+                         config: SolveConfig = SolveConfig(),
+                         ) -> BruteForceResult:
     """Exhaustive grid search for the best strategy controlling ``alpha * r``.
 
     Intended for instances with at most ~5 links; the number of evaluated
-    strategies grows as ``O(resolution^(m-1))``.
+    strategies grows as ``O(resolution^(m-1))``.  Candidates that load a
+    link up to its capacity (``domain_upper``, e.g. an M/M/1 link) are
+    skipped; :class:`StrategyError` is raised when no candidate is left.
+    Every induced solve runs under ``config``.
     """
+    uppers = instance.latency_batch().domain_upper
     best_cost = float("inf")
     best_flows: np.ndarray | None = None
     best_outcome: StackelbergOutcome | None = None
     count = 0
     for flows in enumerate_strategies(instance, alpha, resolution):
+        if np.any(flows >= uppers):
+            continue
         strategy = ParallelStackelbergStrategy(flows=flows,
                                                total_demand=instance.demand)
-        outcome = strategy.induce(instance)
+        outcome = strategy.induce(instance, config=config)
         count += 1
         if outcome.cost < best_cost:
             best_cost = outcome.cost
             best_flows = flows
             best_outcome = outcome
-    assert best_flows is not None and best_outcome is not None
+    if best_outcome is None:
+        raise StrategyError(
+            f"no grid strategy at resolution {resolution} keeps every link "
+            f"below its capacity")
     return BruteForceResult(
         strategy=ParallelStackelbergStrategy(flows=best_flows,
                                              total_demand=instance.demand),

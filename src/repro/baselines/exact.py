@@ -54,6 +54,7 @@ from scipy import optimize as sciopt
 
 from repro.baselines.llf import llf
 from repro.baselines.scale import scale
+from repro.config import SolveConfig
 from repro.core.strategy import ParallelStackelbergStrategy
 from repro.equilibrium.parallel import parallel_nash
 from repro.equilibrium.result import StackelbergOutcome
@@ -324,25 +325,27 @@ def _project_leader(flows: np.ndarray, budget: float,
 
 
 def _induced_cost(instance: ParallelLinkInstance, s: np.ndarray,
-                  tol: float) -> Tuple[float, Optional[StackelbergOutcome]]:
+                  config: SolveConfig,
+                  ) -> Tuple[float, Optional[StackelbergOutcome]]:
     try:
         strategy = ParallelStackelbergStrategy(s, instance.demand)
-        outcome = strategy.induce(instance, tol=tol)
+        outcome = strategy.induce(instance, config=config)
         return float(outcome.cost), outcome
     except ReproError:
         return float("inf"), None
 
 
 def exact_strategy(instance: ParallelLinkInstance, alpha: float, *,
-                   num_segments: int = DEFAULT_SEGMENTS, tol: float = 1e-12,
-                   polish: bool = True,
-                   polish_maxiter: int = 40) -> ExactResult:
+                   num_segments: int = DEFAULT_SEGMENTS, polish: bool = True,
+                   polish_maxiter: int = 40,
+                   config: SolveConfig = SolveConfig()) -> ExactResult:
     """Certified (near-)exact leader strategy with budget ``alpha``.
 
     Solves the piecewise-linearised MILP for a certified lower bound, then
     returns the best of the MILP split, the budgeted heuristics and an
     optional SLSQP polish of the true induced cost — so the certified cost
     is never worse than ``llf`` / ``scale`` / ``aloof`` at the same budget.
+    Every equilibrium, optimum and induced solve runs under ``config``.
     """
     if not 0.0 <= alpha <= 1.0:
         raise StrategyError(f"alpha must lie in [0, 1], got {alpha!r}")
@@ -353,7 +356,7 @@ def exact_strategy(instance: ParallelLinkInstance, alpha: float, *,
     r = instance.demand
     budget = alpha * r
 
-    nash = parallel_nash(instance, tol=tol)
+    nash = parallel_nash(instance, config=config)
     cost_ref = float(nash.cost) * (1.0 + 1e-9) + 1e-9
     pwl = [_linearise(lat, _link_cap(lat, cost_ref, r), num_segments)
            for lat in instance.latencies]
@@ -362,8 +365,8 @@ def exact_strategy(instance: ParallelLinkInstance, alpha: float, *,
 
     candidates: Dict[str, np.ndarray] = {
         "mimic_nash": alpha * np.asarray(nash.flows, dtype=float),
-        "llf": llf(instance, alpha).flows,
-        "scale": scale(instance, alpha).flows,
+        "llf": llf(instance, alpha, config=config).flows,
+        "scale": scale(instance, alpha, config=config).flows,
     }
     if combined is not None:
         candidates["milp"] = combined - followers
@@ -372,7 +375,7 @@ def exact_strategy(instance: ParallelLinkInstance, alpha: float, *,
     best_name, best_cost, best_s, best_outcome = "", float("inf"), None, None
     for name, raw in candidates.items():
         s = _project_leader(raw, budget, caps)
-        cost, outcome = _induced_cost(instance, s, tol)
+        cost, outcome = _induced_cost(instance, s, config)
         evaluated[name] = cost
         if cost < best_cost:
             best_name, best_cost, best_s, best_outcome = name, cost, s, outcome
@@ -382,7 +385,7 @@ def exact_strategy(instance: ParallelLinkInstance, alpha: float, *,
     if polish and budget > 0.0 and n > 1:
         def objective(s: np.ndarray) -> float:
             return _induced_cost(instance, _project_leader(s, budget, caps),
-                                 tol)[0]
+                                 config)[0]
 
         bounds = [(0.0, float(min(budget, cap))) for cap in caps]
         res = sciopt.minimize(
@@ -391,7 +394,7 @@ def exact_strategy(instance: ParallelLinkInstance, alpha: float, *,
                           "fun": lambda s: float(s.sum()) - budget}],
             options={"maxiter": polish_maxiter, "ftol": 1e-12})
         s = _project_leader(res.x, budget, caps)
-        cost, outcome = _induced_cost(instance, s, tol)
+        cost, outcome = _induced_cost(instance, s, config)
         evaluated["polish"] = cost
         if cost < best_cost - 1e-15:
             best_name, best_cost, best_s, best_outcome = ("polish", cost, s,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config import SolveConfig
 from repro.exceptions import StrategyError
 from repro.network.parallel import ParallelLinkInstance
 from repro.equilibrium.parallel import parallel_optimum
@@ -23,16 +24,17 @@ __all__ = ["llf"]
 
 
 def llf(instance: ParallelLinkInstance, alpha: float, *,
-        optimum: ParallelFlowResult | None = None) -> ParallelStackelbergStrategy:
+        optimum: ParallelFlowResult | None = None,
+        config: SolveConfig = SolveConfig()) -> ParallelStackelbergStrategy:
     """The Largest-Latency-First strategy controlling an ``alpha`` portion.
 
     ``optimum`` is the instance's system optimum when the caller already
-    solved it; otherwise it is solved here at the default tolerance.
+    solved it; otherwise it is solved here under ``config``.
     """
     if not 0.0 <= alpha <= 1.0:
         raise StrategyError(f"alpha must lie in [0, 1], got {alpha!r}")
     if optimum is None:
-        optimum = parallel_optimum(instance)
+        optimum = parallel_optimum(instance, config=config)
     opt_flows = optimum.flows
     latencies = instance.latencies_at(opt_flows)
 

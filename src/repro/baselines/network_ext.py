@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config import SolveConfig
 from repro.exceptions import StrategyError
 from repro.network.instance import NetworkInstance
 from repro.core.strategy import NetworkStackelbergStrategy
@@ -46,13 +47,14 @@ def network_llf(instance: NetworkInstance, alpha: float, *,
     loads) until her budget ``alpha * demand_i`` is exhausted, taking the last
     path partially.  With every edge a distinct s–t path this reduces to the
     parallel-link LLF.  ``optimum`` is the instance's system optimum when the
-    caller already solved it; otherwise it is solved here with ``solver``
-    and ``tolerance``.
+    caller already solved it; otherwise it is solved here under
+    ``SolveConfig(backend=solver, tolerance=tolerance)``.
     """
     if not 0.0 <= alpha <= 1.0:
         raise StrategyError(f"alpha must lie in [0, 1], got {alpha!r}")
     if optimum is None:
-        optimum = network_optimum(instance, solver=solver, tolerance=tolerance)
+        optimum = network_optimum(
+            instance, config=SolveConfig(backend=solver, tolerance=tolerance))
     costs = instance.latencies_at(optimum.edge_flows)
 
     remaining = optimum.edge_flows.copy()
@@ -94,15 +96,18 @@ class NetworkBruteForceResult:
 
 
 def network_brute_force(instance: NetworkInstance, alpha: float, *,
-                        resolution: int = 8, solver: str = "auto",
-                        tolerance: float = 1e-9) -> NetworkBruteForceResult:
+                        resolution: int = 8,
+                        config: SolveConfig = SolveConfig(),
+                        ) -> NetworkBruteForceResult:
     """Grid search over Leader assignments on the optimum's path support.
 
     The budget ``alpha * r`` is split into ``resolution`` quanta distributed
     over the paths of an optimum flow decomposition in every possible way;
     each candidate strategy is evaluated by its induced equilibrium cost.
+    Candidates that load an edge up to its capacity (``domain_upper``) are
+    skipped; :class:`StrategyError` is raised when no candidate is left.
     Single-commodity instances only (the grid over per-commodity splits would
-    explode combinatorially).
+    explode combinatorially).  Every flow solve runs under ``config``.
     """
     if not 0.0 <= alpha <= 1.0:
         raise StrategyError(f"alpha must lie in [0, 1], got {alpha!r}")
@@ -111,7 +116,7 @@ def network_brute_force(instance: NetworkInstance, alpha: float, *,
     if not instance.is_single_commodity:
         raise StrategyError(
             "network_brute_force supports single-commodity instances only")
-    optimum = network_optimum(instance, solver=solver, tolerance=tolerance)
+    optimum = network_optimum(instance, config=config)
     paths = decompose_flow(instance.network, optimum.edge_flows,
                            instance.source, instance.sink)
     if not paths:
@@ -124,10 +129,11 @@ def network_brute_force(instance: NetworkInstance, alpha: float, *,
         strategy = NetworkStackelbergStrategy(
             edge_flows=np.zeros(num_edges), controlled_demands=(0.0,),
             total_demand=demand)
-        outcome = strategy.induce(instance, solver=solver, tolerance=tolerance)
+        outcome = strategy.induce(instance, config=config)
         return NetworkBruteForceResult(strategy=strategy, outcome=outcome,
                                        cost=float(outcome.cost), evaluated=1)
     quantum = budget / resolution
+    uppers = instance.network.latency_batch().domain_upper
 
     best: NetworkBruteForceResult | None = None
     count = 0
@@ -139,17 +145,22 @@ def network_brute_force(instance: NetworkInstance, alpha: float, *,
             amount = units * quantum
             for idx in path:
                 flows[idx] += amount
+        if np.any(flows >= uppers):
+            continue
         strategy = NetworkStackelbergStrategy(
             edge_flows=flows,
             controlled_demands=(budget,),
             total_demand=demand,
         )
-        outcome = strategy.induce(instance, solver=solver, tolerance=tolerance)
+        outcome = strategy.induce(instance, config=config)
         count += 1
         if best is None or outcome.cost < best.cost:
             best = NetworkBruteForceResult(strategy=strategy, outcome=outcome,
                                            cost=float(outcome.cost),
                                            evaluated=count)
-    assert best is not None
+    if best is None:
+        raise StrategyError(
+            f"no grid strategy at resolution {resolution} keeps every edge "
+            f"below its capacity")
     return NetworkBruteForceResult(strategy=best.strategy, outcome=best.outcome,
                                    cost=best.cost, evaluated=count)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Union
 
+from repro.config import SolveConfig
 from repro.exceptions import StrategyError
 from repro.network.instance import NetworkInstance
 from repro.network.parallel import ParallelLinkInstance
@@ -22,17 +23,20 @@ __all__ = ["scale"]
 
 
 def scale(instance: Union[ParallelLinkInstance, NetworkInstance], alpha: float,
-          *, solver: str = "auto",
+          *, config: SolveConfig = SolveConfig(),
           ) -> Union[ParallelStackelbergStrategy, NetworkStackelbergStrategy]:
-    """The SCALE strategy controlling an ``alpha`` portion of the flow."""
+    """The SCALE strategy controlling an ``alpha`` portion of the flow.
+
+    The optimum it scales is solved under ``config``.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise StrategyError(f"alpha must lie in [0, 1], got {alpha!r}")
     if isinstance(instance, ParallelLinkInstance):
-        optimum = parallel_optimum(instance)
+        optimum = parallel_optimum(instance, config=config)
         return ParallelStackelbergStrategy(
             flows=alpha * optimum.flows, total_demand=instance.demand)
     if isinstance(instance, NetworkInstance):
-        optimum = network_optimum(instance, solver=solver)
+        optimum = network_optimum(instance, config=config)
         controlled = tuple(alpha * com.demand for com in instance.commodities)
         return NetworkStackelbergStrategy(
             edge_flows=alpha * optimum.edge_flows,

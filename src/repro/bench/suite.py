@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.exceptions import ModelError
 from repro.serialization import instance_digest as _instance_digest
 from repro.study.generators import get_generator

@@ -56,7 +56,7 @@ import time
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.api.report import SolveReport
 from repro.api.session import resolve_strategy_name
 from repro.cluster import protocol

@@ -43,7 +43,7 @@ from concurrent.futures import Future
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.api.report import SolveReport
 from repro.cluster.gateway import ClusterGateway
 from repro.exceptions import ClusterError

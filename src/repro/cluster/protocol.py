@@ -37,7 +37,7 @@ import asyncio
 import json
 from typing import Any, Dict, Optional, Tuple
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.api.report import SolveReport
 from repro.exceptions import (
     ClusterError,

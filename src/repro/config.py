@@ -1,11 +1,13 @@
-"""Solver configuration shared by every `repro.api` strategy.
+"""Solver configuration: the one carrier of solver settings.
 
-:class:`SolveConfig` replaces the ad-hoc keyword arguments the algorithm
-functions used to grow independently (``tol``/``atol``/``tolerance``/
-``solver``/``shortest_path_atol``/...).  One frozen dataclass is threaded from
-:func:`repro.api.solve` down through :mod:`repro.core` and
-:mod:`repro.equilibrium`, so a batch run is reproducible from its config alone
-and a report can embed the exact settings that produced it.
+:class:`SolveConfig` is the only way settings reach a solve.  Every function
+between :func:`repro.api.solve` and the numeric kernels takes one optional
+``config`` (defaulting to ``SolveConfig()``) and reads its tolerances,
+iteration cap and backend from it, so the optimum, the strategy built from
+it and the Followers' induced equilibrium are all solved under the same
+settings, and a report can embed the exact settings that produced it.  The
+module imports only :mod:`repro.exceptions` and :mod:`repro.utils`, so every
+layer can import it.
 """
 
 from __future__ import annotations
@@ -17,24 +19,16 @@ from typing import Any, Dict, Optional
 from repro.exceptions import ModelError
 from repro.utils.numeric import REAL_TYPES
 
-__all__ = ["SolveConfig", "EQUILIBRIUM_BACKENDS"]
+__all__ = ["SolveConfig", "EQUILIBRIUM_BACKENDS", "resolve_config"]
 
 #: Equilibrium backend identifiers accepted by :class:`SolveConfig`.
 #:
-#: * ``"auto"`` — water-filling on parallel links, path-based on networks
-#:   of every size;
-#: * ``"parallel"`` — the exact water-filling solver (parallel links only);
-#: * ``"frank_wolfe"`` — the Frank–Wolfe iterative solver;
-#: * ``"pathbased"`` — path equilibration plus column generation, stopped
-#:   at a relative path-cost residual of ``1e-12``.
-EQUILIBRIUM_BACKENDS = ("auto", "parallel", "frank_wolfe", "pathbased")
-
-#: Map from the api backend names to the solver names the network layer uses.
-_NETWORK_SOLVER_NAMES = {
-    "auto": "auto",
-    "frank_wolfe": "frank-wolfe",
-    "pathbased": "path",
-}
+#: * ``"auto"`` — water-filling on parallel links, path equilibration plus
+#:   column generation (stopped at a relative path-cost residual of
+#:   ``1e-12``) on networks of every size;
+#: * ``"frank_wolfe"`` — the Frank–Wolfe iterative solver on networks
+#:   (parallel links still use water-filling).
+EQUILIBRIUM_BACKENDS = ("auto", "frank_wolfe")
 
 
 @dataclass(frozen=True)
@@ -121,12 +115,8 @@ class SolveConfig:
     # Derived views consumed by the lower layers
     # ------------------------------------------------------------------ #
     def network_solver(self) -> str:
-        """The solver name to pass to the :mod:`repro.equilibrium.network` layer."""
-        if self.backend == "parallel":
-            raise ModelError(
-                "backend 'parallel' is the water-filling solver for parallel "
-                "links; it cannot solve a network instance")
-        return _NETWORK_SOLVER_NAMES[self.backend]
+        """The network backend name (:attr:`backend`)."""
+        return self.backend
 
     def budget(self) -> float:
         """The Leader budget used by alpha-parameterised strategies."""
@@ -172,3 +162,14 @@ class SolveConfig:
     def from_json(cls, text: str) -> "SolveConfig":
         """Reconstruct a config serialised by :meth:`to_json`."""
         return cls.from_dict(json.loads(text))
+
+
+def resolve_config(config: Optional[SolveConfig]) -> SolveConfig:
+    """``config``, or ``SolveConfig()`` for ``None``; :class:`ModelError`
+    for anything else that is not a :class:`SolveConfig`."""
+    if config is None:
+        return SolveConfig()
+    if not isinstance(config, SolveConfig):
+        raise ModelError(
+            f"config must be a SolveConfig, got {type(config).__name__}")
+    return config

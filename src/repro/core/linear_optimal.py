@@ -27,6 +27,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.config import SolveConfig
 from repro.exceptions import ModelError, StrategyError
 from repro.latency.linear import LinearLatency
 from repro.network.parallel import ParallelLinkInstance
@@ -100,27 +101,30 @@ def _require_common_slope(instance: ParallelLinkInstance) -> Tuple[float, np.nda
     return slope, np.asarray(intercepts, dtype=float)
 
 
-def _nash_cost_on(latencies, flow: float) -> Tuple[float, float, np.ndarray]:
+def _nash_cost_on(latencies, flow: float,
+                  tol: float) -> Tuple[float, float, np.ndarray]:
     """Nash cost of routing ``flow`` on a sub-collection of links.
 
     Returns ``(cost, common_latency, flows)``; for ``flow == 0`` the cost is 0
     and the common latency is the smallest free-flow latency.
     """
-    flows, level = water_fill(list(latencies), flow, "nash")
+    flows, level = water_fill(list(latencies), flow, "nash", tol=tol)
     cost = float(sum(x * float(lat.value(x)) for lat, x in zip(latencies, flows)))
     return cost, level, flows
 
 
-def _optimum_cost_on(latencies, flow: float) -> Tuple[float, np.ndarray]:
+def _optimum_cost_on(latencies, flow: float,
+                     tol: float) -> Tuple[float, np.ndarray]:
     """Optimum cost of routing ``flow`` on a sub-collection of links."""
-    flows, _ = water_fill(list(latencies), flow, "optimum")
+    flows, _ = water_fill(list(latencies), flow, "optimum", tol=tol)
     cost = float(sum(x * float(lat.value(x)) for lat, x in zip(latencies, flows)))
     return cost, flows
 
 
 def optimal_restricted_strategy(instance: ParallelLinkInstance, alpha: float,
                                 *, grid_points: int = 257,
-                                tol: float = 1e-12) -> RestrictedStrategyResult:
+                                config: SolveConfig = SolveConfig(),
+                                ) -> RestrictedStrategyResult:
     """Optimal Stackelberg strategy controlling an ``alpha`` portion of the flow.
 
     Implements the Theorem 2.4 / Section 6.1 algorithm for parallel links with
@@ -140,6 +144,7 @@ def optimal_restricted_strategy(instance: ParallelLinkInstance, alpha: float,
                                         i)))
     latencies_sorted = [instance.latencies[i] for i in order]
     m = instance.num_links
+    tol = config.water_fill_tol
 
     best: Optional[Tuple[float, int, float]] = None  # (cost, split, eps)
 
@@ -152,13 +157,14 @@ def optimal_restricted_strategy(instance: ParallelLinkInstance, alpha: float,
                 return _INFEASIBLE
             eps = min(max(eps, 0.0), leader_budget)
             nash_cost, common_latency, nash_flows = _nash_cost_on(
-                appealing, follower_flow + eps)
+                appealing, follower_flow + eps, tol)
             # Admissibility: every appealing link is loaded ...
             if np.any(nash_flows <= 1e-12) and follower_flow + eps > 1e-12:
                 return _INFEASIBLE
             reserved_flow = leader_budget - eps
             if reserved:
-                opt_cost, reserved_flows = _optimum_cost_on(reserved, reserved_flow)
+                opt_cost, reserved_flows = _optimum_cost_on(reserved,
+                                                            reserved_flow, tol)
                 # ... and no reserved link undercuts the common latency,
                 # otherwise Followers would deviate onto it.
                 reserved_latencies = [float(lat.value(x))
@@ -193,19 +199,20 @@ def optimal_restricted_strategy(instance: ParallelLinkInstance, alpha: float,
     # s_i <= combined Nash flow works; we use a proportional share).
     appealing = latencies_sorted[:split]
     reserved = latencies_sorted[split:]
-    _, _, appealing_flows = _nash_cost_on(appealing, follower_flow + eps)
+    _, _, appealing_flows = _nash_cost_on(appealing, follower_flow + eps, tol)
     strategy_flows = np.zeros(instance.num_links, dtype=float)
     if eps > 0.0 and float(appealing_flows.sum()) > 0.0:
         share = eps / float(appealing_flows.sum())
         for pos, orig in enumerate(order[:split]):
             strategy_flows[orig] = share * float(appealing_flows[pos])
     if reserved:
-        _, reserved_flows = _optimum_cost_on(reserved, leader_budget - eps)
+        _, reserved_flows = _optimum_cost_on(reserved, leader_budget - eps,
+                                             tol)
         for pos, orig in enumerate(order[split:]):
             strategy_flows[orig] = float(reserved_flows[pos])
 
     strategy = ParallelStackelbergStrategy(flows=strategy_flows, total_demand=demand)
-    outcome = strategy.induce(instance, tol=tol)
+    outcome = strategy.induce(instance, config=config)
     return RestrictedStrategyResult(
         strategy=strategy,
         predicted_cost=float(cost_best),

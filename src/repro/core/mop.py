@@ -21,13 +21,11 @@ a Wardrop equilibrium of the shifted instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.config import SolveConfig
-
+from repro.config import SolveConfig
 from repro.network.instance import NetworkInstance
 from repro.paths.dijkstra import shortest_path_edge_set
 from repro.paths.maxflow import max_flow
@@ -75,29 +73,15 @@ class MOPResult:
         return self.outcome.cost
 
 
-def mop(instance: NetworkInstance, *, solver: Optional[str] = None,
-        tolerance: Optional[float] = None,
-        shortest_path_atol: Optional[float] = None,
-        compute_induced: bool = True, compute_nash: bool = False,
-        config: "SolveConfig | None" = None) -> MOPResult:
+def mop(instance: NetworkInstance, *, compute_induced: bool = True,
+        compute_nash: bool = False,
+        config: SolveConfig = SolveConfig()) -> MOPResult:
     """Run algorithm MOP on a network instance.
 
     Parameters
     ----------
     instance:
         Single- or multi-commodity routing instance ``(G, r)``.
-    solver:
-        Flow solver selection (``"auto"``, ``"path"`` or ``"frank-wolfe"``),
-        forwarded to :func:`repro.equilibrium.network_optimum`.  Defaults to
-        ``"auto"``.
-    tolerance:
-        Convergence tolerance of Frank–Wolfe (the path-based solver stops
-        on its certified residual).  Defaults to 1e-9.
-    shortest_path_atol:
-        Slack used when classifying an edge as lying on a shortest path; it
-        absorbs the numerical error of the optimum flow (the default 1e-5 is
-        comfortably above the path-based/Frank-Wolfe flow accuracy while far
-        below any genuine latency difference in the benchmark instances).
     compute_induced:
         Whether to also compute the induced Stackelberg equilibrium (costs a
         Nash solve on the shifted network).
@@ -106,25 +90,19 @@ def mop(instance: NetworkInstance, *, solver: Optional[str] = None,
         instance (used by reporting code to show the anarchy gap MOP closes).
         It is solved first, and its path flows seed the optimum solve.
     config:
-        A :class:`repro.api.SolveConfig` supplying the solver backend,
-        tolerance and ``shortest_path_atol``; explicit keywords take
-        precedence.
+        Supplies the equilibrium backend and its settings for every flow
+        solve, and ``shortest_path_atol``, the slack used when classifying
+        an edge as lying on a shortest path; it absorbs the numerical error
+        of the optimum flow (the default 1e-5 is comfortably above the
+        path-based/Frank-Wolfe flow accuracy while far below any genuine
+        latency difference in the benchmark instances).
     """
-    if config is not None:
-        solver = config.network_solver() if solver is None else solver
-        tolerance = config.tolerance if tolerance is None else tolerance
-        shortest_path_atol = (config.shortest_path_atol
-                              if shortest_path_atol is None
-                              else shortest_path_atol)
-    solver = "auto" if solver is None else solver
-    tolerance = 1e-9 if tolerance is None else tolerance
-    shortest_path_atol = 1e-5 if shortest_path_atol is None else shortest_path_atol
     # The Nash flow, when wanted, is solved first: its certified path flows
     # seed the optimum.
     nash = None
     if compute_nash:
-        nash = network_nash(instance, solver=solver, tolerance=tolerance)
-    optimum = network_optimum(instance, solver=solver, tolerance=tolerance,
+        nash = network_nash(instance, config=config)
+    optimum = network_optimum(instance, config=config,
                               start=None if nash is None else nash.path_flows)
     opt_flows = optimum.edge_flows
     costs = instance.latencies_at(opt_flows)
@@ -136,7 +114,7 @@ def mop(instance: NetworkInstance, *, solver: Optional[str] = None,
     for commodity in instance.commodities:
         edge_set = shortest_path_edge_set(
             instance.network, commodity.source, commodity.sink, costs,
-            atol=shortest_path_atol)
+            atol=config.shortest_path_atol)
         shortest_sets.append(frozenset(edge_set))
         value, routing = max_flow(instance.network, commodity.source,
                                   commodity.sink, remaining_capacity,
@@ -160,7 +138,7 @@ def mop(instance: NetworkInstance, *, solver: Optional[str] = None,
 
     outcome = None
     if compute_induced:
-        outcome = strategy.induce(instance, solver=solver, tolerance=tolerance)
+        outcome = strategy.induce(instance, config=config)
 
     return MOPResult(
         instance=instance,

@@ -22,13 +22,11 @@ makes — hence the portion it returns is minimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, TYPE_CHECKING, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.config import SolveConfig
-
+from repro.config import SolveConfig
 from repro.network.parallel import ParallelLinkInstance
 from repro.equilibrium.parallel import parallel_nash, parallel_optimum
 from repro.equilibrium.result import ParallelFlowResult, StackelbergOutcome
@@ -100,24 +98,19 @@ class OpTopResult:
         return self.initial_nash.cost
 
 
-def optop(instance: ParallelLinkInstance, *, atol: Optional[float] = None,
-          tol: Optional[float] = None,
-          config: "SolveConfig | None" = None) -> OpTopResult:
+def optop(instance: ParallelLinkInstance, *,
+          config: SolveConfig = SolveConfig()) -> OpTopResult:
     """Run algorithm OpTop on a parallel-link instance.
 
     Parameters
     ----------
     instance:
         The scheduling instance ``(M, r)``.
-    atol:
-        Absolute tolerance used to decide whether a link is under-loaded
-        (``n_i < o_i - atol``); needed because Nash and optimum flows are
-        computed numerically.  Defaults to 1e-8.
-    tol:
-        Tolerance passed to the water-filling solvers.  Defaults to 1e-12.
     config:
-        A :class:`repro.api.SolveConfig` supplying ``underload_atol`` and
-        ``water_fill_tol``; explicit keywords take precedence.
+        Supplies ``underload_atol``, the absolute tolerance used to decide
+        whether a link is under-loaded (``n_i < o_i - atol``; needed because
+        Nash and optimum flows are computed numerically), and
+        ``water_fill_tol``, the tolerance of every water-filling solve.
 
     Returns
     -------
@@ -125,17 +118,12 @@ def optop(instance: ParallelLinkInstance, *, atol: Optional[float] = None,
         With the Price of Optimum ``beta``, the optimal strategy, the round
         trace and the induced equilibrium.
     """
-    if config is not None:
-        atol = config.underload_atol if atol is None else atol
-        tol = config.water_fill_tol if tol is None else tol
-    atol = 1e-8 if atol is None else atol
-    tol = 1e-12 if tol is None else tol
-    optimum = parallel_optimum(instance, tol=tol)
-    initial_nash = parallel_nash(instance, tol=tol)
+    optimum = parallel_optimum(instance, config=config)
+    initial_nash = parallel_nash(instance, config=config)
     opt_flows = optimum.flows
 
     demand = instance.demand
-    threshold = atol * max(1.0, demand)
+    threshold = config.underload_atol * max(1.0, demand)
     active = np.arange(instance.num_links)
     remaining = demand
     strategy_flows = np.zeros(instance.num_links, dtype=float)
@@ -148,7 +136,7 @@ def optop(instance: ParallelLinkInstance, *, atol: Optional[float] = None,
             nash = initial_nash
         else:
             sub = instance.sub_instance(active, max(0.0, remaining))
-            nash = parallel_nash(sub, tol=tol)
+            nash = parallel_nash(sub, config=config)
         under_mask = nash.flows < opt_flows[active] - threshold
         under = active[under_mask]
         rounds.append(OpTopRound(
@@ -168,7 +156,7 @@ def optop(instance: ParallelLinkInstance, *, atol: Optional[float] = None,
     remaining = max(0.0, remaining)
     beta = (demand - remaining) / demand if demand > 0.0 else 0.0
     strategy = ParallelStackelbergStrategy(flows=strategy_flows, total_demand=demand)
-    outcome = strategy.induce(instance, tol=tol)
+    outcome = strategy.induce(instance, config=config)
     return OpTopResult(
         instance=instance,
         beta=float(beta),

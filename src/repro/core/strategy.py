@@ -13,6 +13,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro.config import SolveConfig
 from repro.exceptions import StrategyError
 from repro.network.instance import NetworkInstance
 from repro.network.parallel import ParallelLinkInstance
@@ -68,13 +69,14 @@ class ParallelStackelbergStrategy:
         return int(self.flows.shape[0])
 
     def induce(self, instance: ParallelLinkInstance, *,
-               tol: float = 1e-12) -> StackelbergOutcome:
+               config: SolveConfig = SolveConfig()) -> StackelbergOutcome:
         """Compute the equilibrium the Followers reach against this strategy."""
         if instance.num_links != self.num_links:
             raise StrategyError(
                 f"strategy has {self.num_links} links but the instance has "
                 f"{instance.num_links}")
-        return induced_parallel_equilibrium(instance, self.flows, tol=tol)
+        return induced_parallel_equilibrium(instance, self.flows,
+                                            config=config)
 
 
 @dataclass(frozen=True)
@@ -129,9 +131,9 @@ class NetworkStackelbergStrategy:
         return tuple(max(0.0, com.demand - c)
                      for com, c in zip(instance.commodities, self.controlled_demands))
 
-    def induce(self, instance: NetworkInstance, *, solver: str = "auto",
-               tolerance: float = 1e-9) -> StackelbergOutcome:
+    def induce(self, instance: NetworkInstance, *,
+               config: SolveConfig = SolveConfig()) -> StackelbergOutcome:
         """Compute the equilibrium the Followers reach against this strategy."""
         return induced_network_equilibrium(
             instance, self.edge_flows, self.remaining_demands(instance),
-            solver=solver, tolerance=tolerance)
+            config=config)

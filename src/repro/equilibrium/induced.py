@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.config import SolveConfig
 from repro.exceptions import StrategyError
 from repro.network.instance import NetworkInstance
 from repro.network.parallel import ParallelLinkInstance
@@ -42,8 +43,9 @@ def _validate_parallel_strategy(instance: ParallelLinkInstance,
 
 
 def induced_parallel_equilibrium(instance: ParallelLinkInstance,
-                                 strategy_flows: Sequence[float],
-                                 *, tol: float = 1e-12) -> StackelbergOutcome:
+                                 strategy_flows: Sequence[float], *,
+                                 config: SolveConfig = SolveConfig(),
+                                 ) -> StackelbergOutcome:
     """The Followers' reaction ``T`` to a Leader strategy on parallel links.
 
     Returns the full Stackelberg equilibrium ``S + T`` with its cost.  The
@@ -54,7 +56,7 @@ def induced_parallel_equilibrium(instance: ParallelLinkInstance,
     """
     strategy = _validate_parallel_strategy(instance, strategy_flows)
     followers_instance = instance.shifted(strategy)
-    follower_result = parallel_nash(followers_instance, tol=tol)
+    follower_result = parallel_nash(followers_instance, config=config)
     follower_flows = follower_result.flows
     combined = strategy + follower_flows
     cost = instance.cost(combined)
@@ -71,9 +73,9 @@ def induced_parallel_equilibrium(instance: ParallelLinkInstance,
 
 def induced_network_equilibrium(instance: NetworkInstance,
                                 strategy_edge_flows: Sequence[float],
-                                remaining_demands: Sequence[float],
-                                *, solver: str = "auto",
-                                tolerance: float = 1e-9) -> StackelbergOutcome:
+                                remaining_demands: Sequence[float], *,
+                                config: SolveConfig = SolveConfig(),
+                                ) -> StackelbergOutcome:
     """The Followers' reaction to a Leader edge pre-load on a network instance.
 
     ``strategy_edge_flows`` is the Leader's edge-flow vector (it must itself be
@@ -92,8 +94,7 @@ def induced_network_equilibrium(instance: NetworkInstance,
                 f"for commodity ({commodity.source!r} -> {commodity.sink!r})")
 
     followers_instance = instance.shifted(strategy, remaining_demands)
-    follower_result = network_nash(followers_instance, solver=solver,
-                                   tolerance=tolerance)
+    follower_result = network_nash(followers_instance, config=config)
     follower_flows = follower_result.edge_flows
     combined = strategy + follower_flows
     cost = instance.cost(combined)

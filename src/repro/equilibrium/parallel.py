@@ -41,13 +41,11 @@ fixed latency.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Sequence, TYPE_CHECKING, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.config import SolveConfig
-
+from repro.config import SolveConfig
 from repro.exceptions import ConvergenceError, ModelError
 from repro.latency.base import LatencyFunction
 from repro.latency.batch import LatencyBatch
@@ -381,27 +379,18 @@ def water_fill_reference(latencies: Optional[Sequence[LatencyFunction]],
     return _normalise_total(flows, demand), float(level)
 
 
-def _resolve_tol(tol: "float | None", config: "SolveConfig | None") -> float:
-    """Water-filling tolerance: explicit ``tol`` wins, then config, then default."""
-    if tol is not None:
-        return tol
-    if config is not None:
-        return config.water_fill_tol
-    return 1e-12
-
-
-def parallel_nash(instance: ParallelLinkInstance, *, tol: "float | None" = None,
-                  config: "SolveConfig | None" = None) -> ParallelFlowResult:
+def parallel_nash(instance: ParallelLinkInstance, *,
+                  config: SolveConfig = SolveConfig()) -> ParallelFlowResult:
     """The Nash (Wardrop) equilibrium ``N`` of a parallel-link instance.
 
     All loaded links share the common latency ``L_N`` returned in
     ``common_value``; empty links have latency at least ``L_N`` (Remark 4.1).
-    The flow is unique on strictly increasing links.  The tolerance may come
-    from an explicit ``tol`` or a :class:`repro.api.SolveConfig`.
+    The flow is unique on strictly increasing links.  Water filling runs at
+    ``config.water_fill_tol``.
     """
-    tol = _resolve_tol(tol, config)
     flows, level = water_fill(None, instance.demand, "nash",
-                              tol=tol, batch=instance.latency_batch())
+                              tol=config.water_fill_tol,
+                              batch=instance.latency_batch())
     return ParallelFlowResult(
         flows=flows,
         common_value=level,
@@ -411,18 +400,17 @@ def parallel_nash(instance: ParallelLinkInstance, *, tol: "float | None" = None,
     )
 
 
-def parallel_optimum(instance: ParallelLinkInstance, *, tol: "float | None" = None,
-                     config: "SolveConfig | None" = None) -> ParallelFlowResult:
+def parallel_optimum(instance: ParallelLinkInstance, *,
+                     config: SolveConfig = SolveConfig()) -> ParallelFlowResult:
     """The system optimum ``O`` of a parallel-link instance.
 
     All loaded links share the common marginal cost returned in
     ``common_value``; empty links have marginal cost at least that value.
-    The tolerance may come from an explicit ``tol`` or a
-    :class:`repro.api.SolveConfig`.
+    Water filling runs at ``config.water_fill_tol``.
     """
-    tol = _resolve_tol(tol, config)
     flows, level = water_fill(None, instance.demand, "optimum",
-                              tol=tol, batch=instance.latency_batch())
+                              tol=config.water_fill_tol,
+                              batch=instance.latency_batch())
     return ParallelFlowResult(
         flows=flows,
         common_value=level,

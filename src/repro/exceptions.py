@@ -73,7 +73,7 @@ class StrategyError(ReproError):
     """
 
 
-class InstanceError(ReproError):
+class InstanceError(ModelError):
     """Raised by instance generators when parameters are out of range."""
 
 

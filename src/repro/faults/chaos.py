@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.api import solve
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.exceptions import ServiceError
 from repro.faults.spec import FaultPlan
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from typing import List
 
 import numpy as np
@@ -27,6 +28,17 @@ def _random_latency(rng: np.random.Generator, family: str) -> LatencyFunction:
     raise InstanceError(f"unknown latency family {family!r}")
 
 
+def _check_size(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int``; :class:`InstanceError` (a
+    :class:`~repro.exceptions.ModelError`) unless it is an integer of at
+    least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InstanceError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InstanceError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def grid_network(rows: int, cols: int, demand: float = 1.0, *, seed: SeedLike = 0,
                  latency_family: str = "linear") -> NetworkInstance:
     """A directed grid routed from the top-left to the bottom-right corner.
@@ -36,8 +48,8 @@ def grid_network(rows: int, cols: int, demand: float = 1.0, *, seed: SeedLike = 
     drawn from the requested family.  A standard stand-in for "city grid"
     traffic instances.
     """
-    if rows < 2 or cols < 2:
-        raise InstanceError("grid_network needs at least a 2x2 grid")
+    rows = _check_size("rows", rows, 2)
+    cols = _check_size("cols", cols, 2)
     rng = resolve_rng(seed)
     network = Network()
     for r in range(rows):
@@ -61,8 +73,8 @@ def layered_network(num_layers: int, width: int, demand: float = 1.0, *,
     s–t networks with many short paths, a good stress test for MOP's
     shortest-path classification.
     """
-    if num_layers < 1 or width < 1:
-        raise InstanceError("layered_network needs num_layers >= 1 and width >= 1")
+    num_layers = _check_size("num_layers", num_layers, 1)
+    width = _check_size("width", width, 1)
     rng = resolve_rng(seed)
     network = Network()
     source, sink = "s", "t"
@@ -94,10 +106,9 @@ def random_multicommodity_instance(rows: int = 3, cols: int = 3, *,
     corner-to-corner commodities are routable; commodity endpoints are drawn
     from the grid's border nodes.
     """
-    if rows < 2 or cols < 2:
-        raise InstanceError("random_multicommodity_instance needs at least a 2x2 grid")
-    if num_commodities < 1:
-        raise InstanceError("need at least one commodity")
+    rows = _check_size("rows", rows, 2)
+    cols = _check_size("cols", cols, 2)
+    num_commodities = _check_size("num_commodities", num_commodities, 1)
     rng = resolve_rng(seed)
     network = Network()
     for r in range(rows):

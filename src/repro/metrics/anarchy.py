@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Union
 
+from repro.config import SolveConfig
 from repro.exceptions import ModelError
 from repro.network.instance import NetworkInstance
 from repro.network.parallel import ParallelLinkInstance
@@ -21,18 +22,18 @@ __all__ = ["price_of_anarchy", "coordination_ratio"]
 
 
 def price_of_anarchy(instance: Union[ParallelLinkInstance, NetworkInstance],
-                     *, solver: str = "auto") -> float:
-    """The ratio ``C(N) / C(O)`` of the instance.
+                     *, config: SolveConfig = SolveConfig()) -> float:
+    """The ratio ``C(N) / C(O)`` of the instance, both solved under ``config``.
 
     Returns 1.0 when the optimum cost is zero (which only happens for zero
     demand).
     """
     if isinstance(instance, ParallelLinkInstance):
-        nash_cost = parallel_nash(instance).cost
-        optimum_cost = parallel_optimum(instance).cost
+        nash_cost = parallel_nash(instance, config=config).cost
+        optimum_cost = parallel_optimum(instance, config=config).cost
     elif isinstance(instance, NetworkInstance):
-        nash_cost = network_nash(instance, solver=solver).cost
-        optimum_cost = network_optimum(instance, solver=solver).cost
+        nash_cost = network_nash(instance, config=config).cost
+        optimum_cost = network_optimum(instance, config=config).cost
     else:
         raise ModelError(
             f"price_of_anarchy expects a ParallelLinkInstance or NetworkInstance, "
@@ -43,6 +44,6 @@ def price_of_anarchy(instance: Union[ParallelLinkInstance, NetworkInstance],
 
 
 def coordination_ratio(instance: Union[ParallelLinkInstance, NetworkInstance],
-                       *, solver: str = "auto") -> float:
+                       *, config: SolveConfig = SolveConfig()) -> float:
     """Alias of :func:`price_of_anarchy` (the paper uses both terms)."""
-    return price_of_anarchy(instance, solver=solver)
+    return price_of_anarchy(instance, config=config)

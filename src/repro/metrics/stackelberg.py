@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Union
 
+from repro.config import SolveConfig
 from repro.exceptions import ModelError, StrategyError
 from repro.network.instance import NetworkInstance
 from repro.network.parallel import ParallelLinkInstance
@@ -34,18 +35,21 @@ __all__ = [
 def a_posteriori_ratio(instance: Union[ParallelLinkInstance, NetworkInstance],
                        strategy: Union[ParallelStackelbergStrategy,
                                        NetworkStackelbergStrategy],
-                       *, solver: str = "auto") -> float:
-    """The factor ``C(S+T) / C(O)`` induced by ``strategy`` on ``instance``."""
+                       *, config: SolveConfig = SolveConfig()) -> float:
+    """The factor ``C(S+T) / C(O)`` induced by ``strategy`` on ``instance``.
+
+    The induced equilibrium and the optimum are both solved under ``config``.
+    """
     if isinstance(instance, ParallelLinkInstance):
         if not isinstance(strategy, ParallelStackelbergStrategy):
             raise StrategyError("parallel-link instances need a parallel strategy")
-        outcome = strategy.induce(instance)
-        optimum_cost = parallel_optimum(instance).cost
+        outcome = strategy.induce(instance, config=config)
+        optimum_cost = parallel_optimum(instance, config=config).cost
     elif isinstance(instance, NetworkInstance):
         if not isinstance(strategy, NetworkStackelbergStrategy):
             raise StrategyError("network instances need a network strategy")
-        outcome = strategy.induce(instance, solver=solver)
-        optimum_cost = network_optimum(instance, solver=solver).cost
+        outcome = strategy.induce(instance, config=config)
+        optimum_cost = network_optimum(instance, config=config).cost
     else:
         raise ModelError(
             f"a_posteriori_ratio expects a ParallelLinkInstance or NetworkInstance, "

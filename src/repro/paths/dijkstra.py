@@ -114,7 +114,7 @@ def shortest_distances(network: Network, source: Node,
             edge = network.edge(idx)
             neighbor = edge.tail if reverse else edge.head
             candidate = d + costs[idx]
-            if candidate < dist[neighbor] - 1e-15:
+            if candidate < dist[neighbor]:
                 dist[neighbor] = candidate
                 pred[neighbor] = idx
                 counter += 1

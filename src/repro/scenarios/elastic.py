@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, TYPE_CHECKING
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.api.dispatch import PARALLEL, resolve_instance_kind
 from repro.api.report import SolveReport
 from repro.equilibrium.network import network_nash

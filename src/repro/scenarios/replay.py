@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.api.report import SolveReport
 from repro.exceptions import ModelError
 from repro.scenarios.elastic import with_total_demand

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.exceptions import ModelError
 from repro.instances.random_parallel import random_linear_parallel
 from repro.serve.service import ServiceStats, SolveService

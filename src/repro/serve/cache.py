@@ -28,7 +28,7 @@ from __future__ import annotations
 import logging
 from typing import Dict, Optional, Tuple
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.api.registry import REGISTRY
 from repro.api.report import SolveReport
 from repro.cache import LRUCache

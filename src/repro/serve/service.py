@@ -47,7 +47,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig, resolve_config
 from repro.api.registry import get_strategy
 from repro.api.report import SolveReport
 from repro.api.session import resolve_strategy_name, solve_many
@@ -493,7 +493,7 @@ class SolveService:
         handle, the executing batch records a ``service.batch`` span
         under this id.  Ignored (at zero cost) otherwise.
         """
-        config = SolveConfig() if config is None else config
+        config = resolve_config(config)
         name = resolve_strategy_name(strategy)
         get_strategy(name)  # fail fast on unknown strategies
         if deadline is not None and time.monotonic() > deadline:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.exceptions import ModelError
 from repro.study.spec import GeneratorAxis, StudySpec
 
@@ -57,7 +57,7 @@ def backend_agreement_study(*, seeds: int = 2) -> StudySpec:
                        seeds=range(int(seeds)), label="grid")],
         strategies=("mop",),
         configs=(SolveConfig(backend="frank_wolfe", compute_nash=False),
-                 SolveConfig(backend="pathbased", compute_nash=False)),
+                 SolveConfig(backend="auto", compute_nash=False)),
         description="MOP under the Frank-Wolfe and path-based backends.")
 
 

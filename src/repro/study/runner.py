@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.api.session import cache_stats, solve, solve_many
 from repro.exceptions import ModelError
 from repro.obs.metrics import MetricsRegistry

@@ -3,7 +3,7 @@
 A :class:`StudySpec` is the declarative description of an entire experiment
 campaign: one or more :class:`GeneratorAxis` entries (an instance generator
 plus a parameter grid and a seed list) crossed with a strategy grid and a
-:class:`~repro.api.config.SolveConfig` grid.  ``expand()`` turns the spec
+:class:`~repro.config.SolveConfig` grid.  ``expand()`` turns the spec
 into a deterministic, lazily generated plan of :class:`StudyCell` work items
 — nothing is materialised until the runner walks the iterator, so a spec
 describing millions of cells costs nothing to hold.
@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.exceptions import ModelError
 from repro.study.generators import get_generator
 
@@ -231,7 +231,7 @@ class StudySpec:
         cell-free spec — useful for studies whose summarising logic consumes
         the instances directly.
     configs:
-        :class:`~repro.api.config.SolveConfig` grid applied to every
+        :class:`~repro.config.SolveConfig` grid applied to every
         ``(instance, strategy)`` pair (an axis may override).
     description:
         One-line human-readable summary.

@@ -34,7 +34,7 @@ import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, Optional, Union
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.api.registry import REGISTRY
 from repro.api.report import SolveReport
 from repro.exceptions import ModelError

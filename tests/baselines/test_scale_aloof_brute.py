@@ -5,11 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import SolveConfig, solve
 from repro.exceptions import StrategyError
-from repro.baselines import aloof, brute_force_strategy, enumerate_strategies, scale
+from repro.baselines import (aloof, brute_force_strategy, enumerate_strategies,
+                             network_brute_force, scale)
 from repro.core import optop
 from repro.equilibrium import network_nash, parallel_nash, parallel_optimum
-from repro.instances import pigou, random_linear_parallel, roughgarden_example
+from repro.instances import (pigou, random_linear_parallel,
+                             random_mm1_parallel, roughgarden_example)
+from repro.latency import MM1Latency
+from repro.network import Network, NetworkInstance, ParallelLinkInstance
 
 
 class TestScale:
@@ -95,3 +100,46 @@ class TestBruteForce:
         brute = brute_force_strategy(instance, full.beta, resolution=20)
         # The grid strategy can only be as good as the true optimum cost.
         assert brute.cost >= full.optimum_cost - 1e-9
+
+
+class TestBruteForceCapacities:
+    """Grid candidates that load a link up to its capacity are skipped."""
+
+    @staticmethod
+    def two_queues():
+        return ParallelLinkInstance([MM1Latency(1.0), MM1Latency(1.0)], 1.5)
+
+    @staticmethod
+    def two_queue_network():
+        network = Network()
+        network.add_edge("s", "t", MM1Latency(1.0))
+        network.add_edge("s", "t", MM1Latency(1.0))
+        return NetworkInstance.single_commodity(network, "s", "t", 1.5)
+
+    @pytest.mark.parametrize("resolution", [2, 4])
+    def test_mm1_parallel_solves(self, resolution):
+        instance = random_mm1_parallel(6, seed=1)
+        config = SolveConfig(brute_force_resolution=resolution, cache=False)
+        report = solve(instance, "brute_force", config=config)
+        assert report.metadata["evaluated"] >= 1
+        assert np.isfinite(report.induced_cost)
+        assert report.induced_cost >= report.optimum_cost - 1e-9
+
+    def test_skips_only_the_overloaded_candidates(self):
+        result = brute_force_strategy(self.two_queues(), 1.0, resolution=4)
+        assert result.evaluated == 1
+        assert result.strategy.flows == pytest.approx([0.75, 0.75])
+
+    def test_no_feasible_candidate_raises(self):
+        with pytest.raises(StrategyError, match="capacity"):
+            brute_force_strategy(self.two_queues(), 1.0, resolution=1)
+
+    def test_network_skips_the_overloaded_candidates(self):
+        result = network_brute_force(self.two_queue_network(), 1.0,
+                                     resolution=4)
+        assert result.evaluated == 1
+        assert result.strategy.edge_flows == pytest.approx([0.75, 0.75])
+
+    def test_network_no_feasible_candidate_raises(self):
+        with pytest.raises(StrategyError, match="capacity"):
+            network_brute_force(self.two_queue_network(), 1.0, resolution=1)

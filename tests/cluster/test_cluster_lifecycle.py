@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.cluster import start_cluster
 from repro.cluster.hashing import route
 from repro.serialization import instance_digest

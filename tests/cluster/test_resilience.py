@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.cluster import start_cluster
 from repro.exceptions import ServiceTimeoutError
 from repro.serve.bench import build_workload

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.cluster import protocol
 from repro.exceptions import (
     ClusterError,

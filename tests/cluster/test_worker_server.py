@@ -5,7 +5,7 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.cluster import WorkerServer, protocol
 from repro.cluster.worker import build_worker_service
 from repro.instances import pigou

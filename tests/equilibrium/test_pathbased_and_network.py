@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.config import SolveConfig
 from repro.exceptions import ModelError
 from repro.latency import ConstantLatency, LatencyFunction, LinearLatency, MM1Latency
 from repro.network import Commodity, Network, NetworkInstance
@@ -157,18 +158,14 @@ class TestNetworkEntryPoints:
         assert result.solver == "path-based"
 
     def test_explicit_frank_wolfe(self):
-        result = network_nash(braess_paradox(), solver="frank-wolfe",
-                              tolerance=1e-7)
+        config = SolveConfig(backend="frank_wolfe", tolerance=1e-7)
+        result = network_nash(braess_paradox(), config=config)
         assert result.solver == "frank-wolfe"
         assert result.cost == pytest.approx(2.0, abs=1e-3)
 
-    def test_explicit_path(self):
-        result = network_optimum(braess_paradox(), solver="path")
-        assert result.solver == "path-based"
-
     def test_unknown_solver_rejected(self):
-        with pytest.raises(ModelError):
-            network_nash(braess_paradox(), solver="bogus")
+        with pytest.raises(ModelError, match="backend"):
+            network_nash(braess_paradox(), config=SolveConfig(backend="path"))
 
     def test_nash_cost_at_least_optimum(self):
         instance = grid_network(3, 3, demand=2.0, seed=9)
@@ -179,6 +176,6 @@ class TestNetworkEntryPoints:
         # every size.
         instance = grid_network(7, 7, demand=2.0, seed=0)
         assert instance.network.num_edges == 84
-        result = network_nash(instance, tolerance=1e-4)
+        result = network_nash(instance, config=SolveConfig(tolerance=1e-4))
         assert result.solver == "path-based"
         assert result.converged and result.relative_gap <= 1e-12

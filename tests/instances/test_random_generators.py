@@ -6,7 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.exceptions import InstanceError
+from repro.exceptions import InstanceError, ModelError
 from repro.instances import (
     grid_network,
     layered_network,
@@ -159,3 +159,27 @@ class TestNetworkGenerators:
             random_multicommodity_instance(1, 1)
         with pytest.raises(InstanceError):
             random_multicommodity_instance(3, 3, num_commodities=0)
+
+
+@pytest.mark.parametrize("generator, args", [
+    (grid_network, (2.5, 2)),
+    (grid_network, (2, 3.0)),
+    (grid_network, (0, 2)),
+    (grid_network, (2, -1)),
+    (grid_network, ("3", 3)),
+    (grid_network, (True, 3)),
+    (layered_network, (1.5, 2)),
+    (layered_network, (2, 0.5)),
+    (layered_network, (0, 2)),
+    (layered_network, (2, -3)),
+    (layered_network, (None, 2)),
+    (random_multicommodity_instance, (2.5, 3)),
+    (random_multicommodity_instance, (3, 0)),
+])
+def test_network_generator_sizes_raise_model_error(generator, args):
+    with pytest.raises(ModelError):
+        generator(*args, seed=1)
+
+
+def test_network_generators_accept_numpy_integers():
+    assert grid_network(np.int64(3), np.int32(2), seed=1).network.num_edges == 7

@@ -15,7 +15,7 @@ from collections import deque
 
 import pytest
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.cluster import protocol
 from repro.cluster.gateway import ClusterGateway
 from repro.cluster.hashing import route

@@ -73,6 +73,18 @@ class TestShortestDistances:
         with pytest.raises(ModelError):
             shortest_distances(net, "s", np.zeros(3))
 
+    @pytest.mark.parametrize("tiny", [6.9e-189, 2.0**-60, 1e-16])
+    def test_tiny_improvement_wins(self, tiny):
+        """``t`` first gets the tiny direct cost and must then drop to the
+        exact zero of the detour through ``a``."""
+        net = Network()
+        net.add_edge("s", "t", LinearLatency(1.0))
+        net.add_edge("s", "a", LinearLatency(1.0))
+        net.add_edge("a", "t", LinearLatency(1.0))
+        dist, pred = shortest_distances(net, "s", np.array([tiny, 0.0, 0.0]))
+        assert dist["t"] == 0.0
+        assert pred["t"] == 2
+
 
 class TestShortestPathEdges:
     def test_recovers_cheapest_path(self):

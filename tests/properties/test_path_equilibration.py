@@ -250,9 +250,8 @@ def _check_engine(network, engine, costs, sources) -> None:
                     walk_tree_path(network, reference, pred, source, sink)
                 assert str(got.value) == str(expected.value)
                 continue
-            # The reference skips improvements below 1e-15 absolute.
             assert math.isclose(distance, reference[sink], rel_tol=1e-12,
-                                abs_tol=1e-15 * network.num_nodes)
+                                abs_tol=0.0)
             path = engine.path_edges(source, sink)
             node = source
             for idx in path:

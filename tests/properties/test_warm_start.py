@@ -248,11 +248,11 @@ def test_start_past_an_mm1_capacity_raises():
 def test_frank_wolfe_takes_no_start():
     instance = grid_network(3, 4, 2.0, seed=5)
     start = path_based_flow(instance, "nash").path_flows
-    assert network_nash(instance, solver="frank-wolfe",
-                        max_iterations=20).path_flows is None
+    config = SolveConfig(backend="frank_wolfe", max_iterations=20)
+    assert network_nash(instance, config=config).path_flows is None
     for solve in (network_nash, network_optimum):
         with pytest.raises(ModelError):
-            solve(instance, solver="frank-wolfe", start=start)
+            solve(instance, config=config, start=start)
 
 
 @pytest.mark.parametrize("strategy", ["optop", "llf"])

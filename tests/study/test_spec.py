@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from repro.api.config import SolveConfig
+from repro.config import SolveConfig
 from repro.exceptions import ModelError
 from repro.study import GeneratorAxis, StudySpec
 
