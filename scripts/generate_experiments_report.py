@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate the measured-results section of EXPERIMENTS.md.
 
-Runs every declarative experiment plan (E1-E14, and the ablations with
+Runs every declarative experiment plan (E1-E16, and the ablations with
 ``--ablations``) through the study pipeline and prints the regenerated
 tables together with the paper-vs-measured claim lists.  The output of this
 script is pasted into EXPERIMENTS.md (section "Measured results"); re-run it

@@ -1,4 +1,4 @@
-"""Study-backed definitions of the paper experiments (E1-E14, A1-A3).
+"""Study-backed definitions of the paper experiments (E1-E16, A1-A3).
 
 Every evidence-producing function of the repo is defined here as an
 :class:`ExperimentPlan`: a declarative :class:`~repro.study.spec.StudySpec`
@@ -67,7 +67,6 @@ class ExperimentPlan:
     """A declarative experiment: its study spec plus the summarising step."""
 
     experiment_id: str
-    title: str
     spec: StudySpec
     summarize: Callable[[StudyReport, Optional[ArtifactStore]],
                         ExperimentRecord]
@@ -127,7 +126,7 @@ def _build_e1() -> ExperimentPlan:
                                       report.optimum_cost) < 1e-9)
         return record
 
-    return ExperimentPlan("E1", "Pigou example (Figs 1-3)", spec, summarize)
+    return ExperimentPlan("E1", spec, summarize)
 
 
 # --------------------------------------------------------------------------- #
@@ -177,8 +176,7 @@ def _build_e2() -> ExperimentPlan:
             relative_gap(report.induced_cost, report.optimum_cost) < 1e-9)
         return record
 
-    return ExperimentPlan("E2", "Five-link OpTop walk-through (Figs 4-6)",
-                          spec, summarize)
+    return ExperimentPlan("E2", spec, summarize)
 
 
 # --------------------------------------------------------------------------- #
@@ -233,8 +231,7 @@ def _build_e3(epsilon: float = 0.0) -> ExperimentPlan:
             nash_cost > report.optimum_cost + 1e-9)
         return record
 
-    return ExperimentPlan("E3", "Roughgarden Example 6.5.1 graph (Fig 7)",
-                          spec, summarize)
+    return ExperimentPlan("E3", spec, summarize)
 
 
 # --------------------------------------------------------------------------- #
@@ -307,8 +304,7 @@ def _build_e4(*, num_instances: int = 5, num_links: int = 6,
             minimality_holds)
         return record
 
-    return ExperimentPlan("E4", "OpTop on random parallel-link families",
-                          spec, summarize)
+    return ExperimentPlan("E4", spec, summarize)
 
 
 # --------------------------------------------------------------------------- #
@@ -360,7 +356,7 @@ def _build_e5(*, seeds: Sequence[int] = (0, 1, 2)) -> ExperimentPlan:
             abs(braess_report.beta - 1.0) < 1e-9)
         return record
 
-    return ExperimentPlan("E5", "MOP on random networks", spec, summarize)
+    return ExperimentPlan("E5", spec, summarize)
 
 
 # --------------------------------------------------------------------------- #
@@ -419,8 +415,7 @@ def _build_e6(*, num_links: int = 4, demand: float = 2.0, seed: int = 3,
             relative_gap(full.cost, optimum_cost) < 1e-6)
         return record
 
-    return ExperimentPlan("E6", "Optimal restricted strategies (Thm 2.4)",
-                          spec, summarize)
+    return ExperimentPlan("E6", spec, summarize)
 
 
 # --------------------------------------------------------------------------- #
@@ -493,8 +488,7 @@ def _build_e7(*, num_links: int = 6, demand: float = 3.0, seed: int = 7,
             llf_at_beta >= optop_report.optimum_cost - 1e-9)
         return record
 
-    return ExperimentPlan("E7", "A-posteriori anarchy cost vs alpha",
-                          spec, summarize)
+    return ExperimentPlan("E7", spec, summarize)
 
 
 # --------------------------------------------------------------------------- #
@@ -545,8 +539,7 @@ def _build_e8() -> ExperimentPlan:
             results["identical links"] < 1e-9)
         return record
 
-    return ExperimentPlan("E8", "Price of Optimum on M/M/1 server farms",
-                          spec, summarize)
+    return ExperimentPlan("E8", spec, summarize)
 
 
 # --------------------------------------------------------------------------- #
@@ -594,8 +587,7 @@ def _build_e9(*, num_links: int = 6, seed: int = 5,
                          worst_overall < 1e-6)
         return record
 
-    return ExperimentPlan("E9", "Monotonicity of Nash flows in the demand",
-                          spec, summarize)
+    return ExperimentPlan("E9", spec, summarize)
 
 
 # --------------------------------------------------------------------------- #
@@ -658,8 +650,7 @@ def _build_e10(*, num_links: int = 5, seed: int = 9,
             "max leak below 1e-6", frozen_ok)
         return record
 
-    return ExperimentPlan("E10", "Useless strategies and frozen links",
-                          spec, summarize)
+    return ExperimentPlan("E10", spec, summarize)
 
 
 # --------------------------------------------------------------------------- #
@@ -706,8 +697,7 @@ def _build_e11(*, optop_sizes: Sequence[int] = (8, 16, 32, 64),
             all(row[2] < 10.0 for row in record.rows))
         return record
 
-    return ExperimentPlan("E11", "Runtime scaling of OpTop and MOP",
-                          spec, summarize)
+    return ExperimentPlan("E11", spec, summarize)
 
 
 # --------------------------------------------------------------------------- #
@@ -749,8 +739,7 @@ def _build_e12(*, num_links: int = 5,
             pigou_threshold.flow < 1e-12 and pigou_threshold.is_improvable)
         return record
 
-    return ExperimentPlan("E12", "Minimum useful control vs beta",
-                          spec, summarize)
+    return ExperimentPlan("E12", spec, summarize)
 
 
 # --------------------------------------------------------------------------- #
@@ -807,8 +796,7 @@ def _build_e13(*, seeds: Sequence[int] = (0, 1, 2, 3)) -> ExperimentPlan:
             abs(single.coordination_gain) < 1e-9)
         return record
 
-    return ExperimentPlan("E13", "Weak vs strong Stackelberg strategies",
-                          spec, summarize)
+    return ExperimentPlan("E13", spec, summarize)
 
 
 # --------------------------------------------------------------------------- #
@@ -849,8 +837,7 @@ def _build_e14(*, num_points: int = 8) -> ExperimentPlan:
             "holds at every sampled demand", consistent)
         return record
 
-    return ExperimentPlan("E14", "Price of Optimum vs total demand",
-                          spec, summarize)
+    return ExperimentPlan("E14", spec, summarize)
 
 
 # --------------------------------------------------------------------------- #
@@ -908,8 +895,7 @@ def _build_e15(*, price_offsets: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
             "holds on every instance and intercept step", surplus_ok)
         return record
 
-    return ExperimentPlan("E15", "Elastic demand: PoA and beta across "
-                          "demand curves", spec, summarize)
+    return ExperimentPlan("E15", spec, summarize)
 
 
 # --------------------------------------------------------------------------- #
@@ -956,8 +942,7 @@ def _build_e16(*, num_steps: int = 24, base: float = 2.0,
             len(by_demand) < len(trace))
         return record
 
-    return ExperimentPlan("E16", "Diurnal demand trace replay", spec,
-                          summarize)
+    return ExperimentPlan("E16", spec, summarize)
 
 
 # --------------------------------------------------------------------------- #
@@ -996,8 +981,7 @@ def _build_a1(*, seeds: Sequence[int] = (0, 1, 2),
             f"worst relative cost gap {worst:.2e}", worst < 1e-4)
         return record
 
-    return ExperimentPlan("A1", "Ablation: path-based vs Frank-Wolfe",
-                          spec, summarize)
+    return ExperimentPlan("A1", spec, summarize)
 
 
 # --------------------------------------------------------------------------- #
@@ -1082,7 +1066,7 @@ def _build_a2(*, seeds: Sequence[int] = (0, 1, 2)) -> ExperimentPlan:
                          "holds on every instance", induced_ok)
         return record
 
-    return ExperimentPlan("A2", "Ablation: free-flow rule", spec, summarize)
+    return ExperimentPlan("A2", spec, summarize)
 
 
 # --------------------------------------------------------------------------- #
@@ -1127,8 +1111,7 @@ def _build_a3(*, tolerances: Sequence[float] = (1e-6, 1e-5, 1e-4, 1e-3),
             "tolerance", "holds on every instance", stable)
         return record
 
-    return ExperimentPlan("A3", "Ablation: shortest-path tolerance",
-                          spec, summarize)
+    return ExperimentPlan("A3", spec, summarize)
 
 
 # --------------------------------------------------------------------------- #
@@ -1186,7 +1169,7 @@ def _sort_key(experiment_id: str) -> Tuple[str, int]:
 
 
 def experiment_ids() -> List[str]:
-    """All experiment ids in canonical order (E1..E14, then A1..A3)."""
+    """All experiment ids in canonical order (E1..E16, then A1..A3)."""
     ordered = sorted((eid for eid in EXPERIMENTS if eid.startswith("E")),
                      key=_sort_key)
     ordered += sorted((eid for eid in EXPERIMENTS if eid.startswith("A")),

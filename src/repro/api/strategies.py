@@ -1,7 +1,7 @@
 """Built-in strategy adapters: the paper's algorithms behind one protocol.
 
-Each adapter wraps one of the seed's solver functions — ``optop``, ``mop``,
-``llf``, ``scale``, ``aloof``, ``brute_force`` — behind the uniform
+Each adapter wraps one of the solver functions — ``optop``, ``mop``,
+``llf``, ``scale``, ``aloof``, ``exact``, ``brute_force`` — behind the uniform
 ``(instance, config) -> SolveReport`` protocol and registers it in the
 default :data:`~repro.api.registry.REGISTRY`.  Adapters are responsible for
 
@@ -9,6 +9,9 @@ default :data:`~repro.api.registry.REGISTRY`.  Adapters are responsible for
   and network instances; ``optop`` delegates to MOP on networks and ``mop``
   embeds parallel links into the graph model),
 * passing the :class:`~repro.config.SolveConfig` to every solve they run,
+* solving a baseline report's optimum and Nash flow once
+  (:func:`_reference_flows`) and handing them to the baseline, so the
+  strategy and the report share one ``C(O)``,
 * assembling the flat, JSON-serialisable :class:`~repro.api.report.SolveReport`.
 """
 
@@ -33,7 +36,7 @@ from repro.baselines.scale import scale
 from repro.equilibrium.network import network_nash, network_optimum
 from repro.equilibrium.parallel import (parallel_nash, parallel_optimum,
                                         water_fill_many)
-from repro.equilibrium.result import ParallelFlowResult, StackelbergOutcome
+from repro.equilibrium.result import ParallelFlowResult
 from repro.network.builders import parallel_network_as_graph
 from repro.network.parallel import ParallelLinkInstance
 
@@ -86,24 +89,45 @@ def _build_report(*, name: str, kind: str, config: SolveConfig,
     )
 
 
-def _baseline_report(name: str, kind: str, instance, config: SolveConfig,
-                     strategy, metadata: Dict[str, Any], *, outcome=None,
-                     optimum=None, nash=None) -> SolveReport:
-    """Report for a budgeted/null strategy; solves, under ``config``, the
-    optimum, the Nash flow and the induced outcome the caller did not pass."""
-    optimum_of, nash_of = ((parallel_optimum, parallel_nash) if kind == PARALLEL
-                           else (network_optimum, network_nash))
-    if optimum is None:
-        optimum = optimum_of(instance, config=config)
-    if nash is None and config.compute_nash:
-        nash = nash_of(instance, config=config)
+def _reference_flows(instance, kind: str, config: SolveConfig, *,
+                     need_nash: bool = False):
+    """The optimum and Nash flow of a baseline report, each solved once.
+
+    The strategy is built from the same optimum the report shows.  The Nash
+    flow is solved when the report shows it (``config.compute_nash``) or the
+    strategy needs it (``need_nash``); on networks it is solved first and
+    its path flows seed the optimum.
+    """
+    solve_nash = need_nash or config.compute_nash
+    if kind == PARALLEL:
+        optimum = parallel_optimum(instance, config=config)
+        return optimum, (parallel_nash(instance, config=config)
+                         if solve_nash else None)
+    nash = network_nash(instance, config=config) if solve_nash else None
+    optimum = network_optimum(instance, config=config,
+                              start=None if nash is None else nash.path_flows)
+    return optimum, nash
+
+
+def _baseline_report(name: str, kind: str, config: SolveConfig, strategy,
+                     metadata: Dict[str, Any], *, optimum, nash,
+                     outcome=None) -> SolveReport:
+    """Report for a budgeted/null strategy from the flows its adapter solved.
+
+    ``outcome`` is the Stackelberg outcome the strategy induces.  The null
+    strategy passes none: its Followers route the whole demand on the plain
+    instance, so its induced outcome is the Nash flow itself.
+    """
     if outcome is None:
-        outcome = strategy.induce(instance, config=config)
+        induced_flows, induced_cost = _flows_of(nash), nash.cost
+    else:
+        induced_flows, induced_cost = outcome.combined_flows, outcome.cost
     return _build_report(
         name=name, kind=kind, config=config, alpha=strategy.alpha,
         beta=None, leader_flows=_flows_of(strategy),
-        induced_flows=outcome.combined_flows, induced_cost=float(outcome.cost),
-        optimum=optimum, nash=nash, metadata=metadata)
+        induced_flows=induced_flows, induced_cost=float(induced_cost),
+        optimum=optimum, nash=nash if config.compute_nash else None,
+        metadata=metadata)
 
 
 # --------------------------------------------------------------------------- #
@@ -179,24 +203,17 @@ def solve_mop(instance, config: SolveConfig) -> SolveReport:
 def solve_llf(instance, config: SolveConfig) -> SolveReport:
     """Roughgarden's Largest-Latency-First with budget ``config.budget()``."""
     alpha = config.budget()
-    metadata = {"algorithm": "llf", "requested_alpha": alpha}
-    # One optimum, solved with the config's settings, feeds both the
-    # strategy and the report.
     kind = resolve_instance_kind(instance)
+    optimum, nash = _reference_flows(instance, kind, config)
+    metadata = {"algorithm": "llf", "requested_alpha": alpha}
     if kind == PARALLEL:
-        optimum = parallel_optimum(instance, config=config)
         strategy = llf(instance, alpha, optimum=optimum)
-        return _baseline_report("llf", kind, instance, config, strategy,
-                                metadata, optimum=optimum)
-    # On networks the Nash flow, when wanted, is solved first: its path flows
-    # seed the optimum.
-    nash = network_nash(instance, config=config) if config.compute_nash else None
-    optimum = network_optimum(instance, config=config,
-                              start=None if nash is None else nash.path_flows)
-    strategy = network_llf(instance, alpha, optimum=optimum)
-    metadata["path_generalisation"] = True
-    return _baseline_report("llf", kind, instance, config, strategy, metadata,
-                            optimum=optimum, nash=nash)
+    else:
+        strategy = network_llf(instance, alpha, optimum=optimum)
+        metadata["path_generalisation"] = True
+    return _baseline_report("llf", kind, config, strategy, metadata,
+                            optimum=optimum, nash=nash,
+                            outcome=strategy.induce(instance, config=config))
 
 
 @register_strategy("scale")
@@ -204,17 +221,21 @@ def solve_scale(instance, config: SolveConfig) -> SolveReport:
     """The SCALE strategy ``S = alpha * O`` with budget ``config.budget()``."""
     alpha = config.budget()
     kind = resolve_instance_kind(instance)
-    return _baseline_report("scale", kind, instance, config,
-                            scale(instance, alpha, config=config),
-                            {"algorithm": "scale", "requested_alpha": alpha})
+    optimum, nash = _reference_flows(instance, kind, config)
+    strategy = scale(instance, alpha, optimum=optimum)
+    return _baseline_report("scale", kind, config, strategy,
+                            {"algorithm": "scale", "requested_alpha": alpha},
+                            optimum=optimum, nash=nash,
+                            outcome=strategy.induce(instance, config=config))
 
 
 @register_strategy("aloof")
 def solve_aloof(instance, config: SolveConfig) -> SolveReport:
     """The null strategy: the Leader routes nothing, Followers reach Nash."""
     kind = resolve_instance_kind(instance)
-    return _baseline_report("aloof", kind, instance, config, aloof(instance),
-                            {"algorithm": "aloof"})
+    optimum, nash = _reference_flows(instance, kind, config, need_nash=True)
+    return _baseline_report("aloof", kind, config, aloof(instance),
+                            {"algorithm": "aloof"}, optimum=optimum, nash=nash)
 
 
 def _parallel_flow_result(instance, flows, level: float,
@@ -266,26 +287,10 @@ def solve_aloof_many(instances: Sequence[object],
                                             "optimum")
             nash = _parallel_flow_result(inst, nash_flows[j], nash_levels[j],
                                          "nash")
-            # Against the null strategy the Followers reach plain Nash, so
-            # the induced outcome *is* the Nash result (induce() with a zero
-            # pre-load solves exactly this system).
-            strategy = aloof(inst)
-            outcome = StackelbergOutcome(
-                leader_flows=strategy.flows,
-                follower_flows=nash.flows,
-                combined_flows=nash.flows,
-                cost=nash.cost,
-                follower_common_latency=nash.common_value
-                if nash.demand > 0.0 else None,
-                follower_result=nash,
-            )
-            reports[i] = _build_report(
-                name="aloof", kind=PARALLEL, config=config,
-                alpha=strategy.alpha, beta=None, leader_flows=strategy.flows,
-                induced_flows=outcome.combined_flows,
-                induced_cost=float(outcome.cost), optimum=optimum,
-                nash=nash if config.compute_nash else None,
-                metadata={"algorithm": "aloof", "batched": len(idxs)})
+            reports[i] = _baseline_report(
+                "aloof", PARALLEL, config, aloof(inst),
+                {"algorithm": "aloof", "batched": len(idxs)},
+                optimum=optimum, nash=nash)
     return reports
 
 
@@ -304,29 +309,29 @@ def solve_exact(instance, config: SolveConfig) -> SolveReport:
     alpha = config.budget()
     kind = resolve_instance_kind(instance)
     metadata = {"algorithm": "exact", "requested_alpha": alpha}
+    optimum, nash = _reference_flows(instance, kind, config,
+                                     need_nash=kind == PARALLEL)
     if kind == PARALLEL:
-        result = exact_strategy(instance, alpha, config=config)
+        result = exact_strategy(instance, alpha, optimum=optimum, nash=nash,
+                                config=config)
         metadata["certification"] = result.certification
-        return _baseline_report("exact", kind, instance, config,
-                                result.strategy, metadata,
-                                outcome=result.outcome)
-    result = network_brute_force(
-        instance, alpha, resolution=config.brute_force_resolution,
-        config=config)
-    optimum = network_optimum(instance, config=config)
-    optimum_cost = float(optimum.cost)
-    metadata["certification"] = {
-        "method": "network_brute_force",
-        "lower_bound": optimum_cost,
-        "certified_cost": float(result.outcome.cost),
-        "optimality_gap": float(max(0.0, float(result.outcome.cost)
-                                    - optimum_cost)),
-        "resolution": config.brute_force_resolution,
-        "evaluated": result.evaluated,
-        "alpha": float(alpha),
-    }
-    return _baseline_report("exact", kind, instance, config, result.strategy,
-                            metadata, outcome=result.outcome, optimum=optimum)
+    else:
+        result = network_brute_force(
+            instance, alpha, resolution=config.brute_force_resolution,
+            optimum=optimum, config=config)
+        cost = float(result.outcome.cost)
+        metadata["certification"] = {
+            "method": "network_brute_force",
+            "lower_bound": float(optimum.cost),
+            "certified_cost": cost,
+            "optimality_gap": float(max(0.0, cost - float(optimum.cost))),
+            "resolution": config.brute_force_resolution,
+            "evaluated": result.evaluated,
+            "alpha": float(alpha),
+        }
+    return _baseline_report("exact", kind, config, result.strategy, metadata,
+                            optimum=optimum, nash=nash,
+                            outcome=result.outcome)
 
 
 @register_strategy("brute_force")
@@ -339,11 +344,17 @@ def solve_brute_force(instance, config: SolveConfig) -> SolveReport:
     alpha = config.budget()
     resolution = config.brute_force_resolution
     kind = resolve_instance_kind(instance)
-    search = brute_force_strategy if kind == PARALLEL else network_brute_force
-    result = search(instance, alpha, resolution=resolution, config=config)
+    optimum, nash = _reference_flows(instance, kind, config)
+    if kind == PARALLEL:
+        result = brute_force_strategy(instance, alpha, resolution=resolution,
+                                      config=config)
+    else:
+        result = network_brute_force(instance, alpha, resolution=resolution,
+                                     optimum=optimum, config=config)
     metadata = {"algorithm": "brute_force", "requested_alpha": alpha,
                 "evaluated": result.evaluated, "resolution": resolution}
     if kind == NETWORK:
         metadata["path_generalisation"] = True
-    return _baseline_report("brute_force", kind, instance, config,
-                            result.strategy, metadata, outcome=result.outcome)
+    return _baseline_report("brute_force", kind, config, result.strategy,
+                            metadata, optimum=optimum, nash=nash,
+                            outcome=result.outcome)

@@ -56,8 +56,8 @@ from repro.baselines.llf import llf
 from repro.baselines.scale import scale
 from repro.config import SolveConfig
 from repro.core.strategy import ParallelStackelbergStrategy
-from repro.equilibrium.parallel import parallel_nash
-from repro.equilibrium.result import StackelbergOutcome
+from repro.equilibrium.parallel import parallel_nash, parallel_optimum
+from repro.equilibrium.result import ParallelFlowResult, StackelbergOutcome
 from repro.exceptions import ReproError, StrategyError
 from repro.network.parallel import ParallelLinkInstance
 
@@ -338,6 +338,8 @@ def _induced_cost(instance: ParallelLinkInstance, s: np.ndarray,
 def exact_strategy(instance: ParallelLinkInstance, alpha: float, *,
                    num_segments: int = DEFAULT_SEGMENTS, polish: bool = True,
                    polish_maxiter: int = 40,
+                   optimum: Optional[ParallelFlowResult] = None,
+                   nash: Optional[ParallelFlowResult] = None,
                    config: SolveConfig = SolveConfig()) -> ExactResult:
     """Certified (near-)exact leader strategy with budget ``alpha``.
 
@@ -345,7 +347,10 @@ def exact_strategy(instance: ParallelLinkInstance, alpha: float, *,
     returns the best of the MILP split, the budgeted heuristics and an
     optional SLSQP polish of the true induced cost — so the certified cost
     is never worse than ``llf`` / ``scale`` / ``aloof`` at the same budget.
-    Every equilibrium, optimum and induced solve runs under ``config``.
+    ``optimum`` and ``nash`` are the instance's system optimum and Nash
+    flow when the caller already solved them; the optimum feeds the
+    ``llf`` and ``scale`` candidates.  Every equilibrium, optimum and
+    induced solve runs under ``config``.
     """
     if not 0.0 <= alpha <= 1.0:
         raise StrategyError(f"alpha must lie in [0, 1], got {alpha!r}")
@@ -356,7 +361,10 @@ def exact_strategy(instance: ParallelLinkInstance, alpha: float, *,
     r = instance.demand
     budget = alpha * r
 
-    nash = parallel_nash(instance, config=config)
+    if optimum is None:
+        optimum = parallel_optimum(instance, config=config)
+    if nash is None:
+        nash = parallel_nash(instance, config=config)
     cost_ref = float(nash.cost) * (1.0 + 1e-9) + 1e-9
     pwl = [_linearise(lat, _link_cap(lat, cost_ref, r), num_segments)
            for lat in instance.latencies]
@@ -365,8 +373,8 @@ def exact_strategy(instance: ParallelLinkInstance, alpha: float, *,
 
     candidates: Dict[str, np.ndarray] = {
         "mimic_nash": alpha * np.asarray(nash.flows, dtype=float),
-        "llf": llf(instance, alpha, config=config).flows,
-        "scale": scale(instance, alpha, config=config).flows,
+        "llf": llf(instance, alpha, optimum=optimum).flows,
+        "scale": scale(instance, alpha, optimum=optimum).flows,
     }
     if combined is not None:
         candidates["milp"] = combined - followers

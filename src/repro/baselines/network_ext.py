@@ -97,6 +97,7 @@ class NetworkBruteForceResult:
 
 def network_brute_force(instance: NetworkInstance, alpha: float, *,
                         resolution: int = 8,
+                        optimum: NetworkFlowResult | None = None,
                         config: SolveConfig = SolveConfig(),
                         ) -> NetworkBruteForceResult:
     """Grid search over Leader assignments on the optimum's path support.
@@ -107,7 +108,9 @@ def network_brute_force(instance: NetworkInstance, alpha: float, *,
     Candidates that load an edge up to its capacity (``domain_upper``) are
     skipped; :class:`StrategyError` is raised when no candidate is left.
     Single-commodity instances only (the grid over per-commodity splits would
-    explode combinatorially).  Every flow solve runs under ``config``.
+    explode combinatorially).  ``optimum`` is the instance's system optimum
+    when the caller already solved it; otherwise it is solved here.  Every
+    flow solve runs under ``config``.
     """
     if not 0.0 <= alpha <= 1.0:
         raise StrategyError(f"alpha must lie in [0, 1], got {alpha!r}")
@@ -116,7 +119,8 @@ def network_brute_force(instance: NetworkInstance, alpha: float, *,
     if not instance.is_single_commodity:
         raise StrategyError(
             "network_brute_force supports single-commodity instances only")
-    optimum = network_optimum(instance, config=config)
+    if optimum is None:
+        optimum = network_optimum(instance, config=config)
     paths = decompose_flow(instance.network, optimum.edge_flows,
                            instance.source, instance.sink)
     if not paths:

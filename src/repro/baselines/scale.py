@@ -17,26 +17,31 @@ from repro.network.instance import NetworkInstance
 from repro.network.parallel import ParallelLinkInstance
 from repro.equilibrium.network import network_optimum
 from repro.equilibrium.parallel import parallel_optimum
+from repro.equilibrium.result import NetworkFlowResult, ParallelFlowResult
 from repro.core.strategy import NetworkStackelbergStrategy, ParallelStackelbergStrategy
 
 __all__ = ["scale"]
 
 
 def scale(instance: Union[ParallelLinkInstance, NetworkInstance], alpha: float,
-          *, config: SolveConfig = SolveConfig(),
+          *, optimum: Union[ParallelFlowResult, NetworkFlowResult, None] = None,
+          config: SolveConfig = SolveConfig(),
           ) -> Union[ParallelStackelbergStrategy, NetworkStackelbergStrategy]:
     """The SCALE strategy controlling an ``alpha`` portion of the flow.
 
-    The optimum it scales is solved under ``config``.
+    ``optimum`` is the instance's system optimum when the caller already
+    solved it; otherwise it is solved here under ``config``.
     """
     if not 0.0 <= alpha <= 1.0:
         raise StrategyError(f"alpha must lie in [0, 1], got {alpha!r}")
     if isinstance(instance, ParallelLinkInstance):
-        optimum = parallel_optimum(instance, config=config)
+        if optimum is None:
+            optimum = parallel_optimum(instance, config=config)
         return ParallelStackelbergStrategy(
             flows=alpha * optimum.flows, total_demand=instance.demand)
     if isinstance(instance, NetworkInstance):
-        optimum = network_optimum(instance, config=config)
+        if optimum is None:
+            optimum = network_optimum(instance, config=config)
         controlled = tuple(alpha * com.demand for com in instance.commodities)
         return NetworkStackelbergStrategy(
             edge_flows=alpha * optimum.edge_flows,

@@ -3,20 +3,24 @@
 Three subcommands cover the typical workflows, all running through the
 unified :mod:`repro.api` solver-session layer:
 
-``repro analyze``
+``repro solve`` (alias ``repro analyze``)
     Load an instance from a JSON file (see :mod:`repro.serialization`) or pick
     a named canonical instance, and print the Nash equilibrium, the optimum,
     the price of anarchy, the Price of Optimum and the optimal Leader
     strategy.  ``--strategy`` selects any registered strategy (default: the
     Price-of-Optimum algorithm); ``--json`` dumps the raw
-    :class:`~repro.api.report.SolveReport`.
+    :class:`~repro.api.report.SolveReport`.  ``--elastic`` switches to the
+    elastic-demand fixed point of :mod:`repro.scenarios`
+    (``--intercept``/``--slope``/``--curve`` describe the inverse-demand
+    curve) and reports the realised rate, the market price and the consumer
+    surplus next to the usual solve report.
 
 ``repro sweep``
     Sweep the Leader's share alpha on a parallel-link instance and print the
     cost ratios of the LLF and SCALE baselines against the theoretical bounds.
 
 ``repro experiments``
-    Re-run the paper-reproduction experiments (E1–E14) and print their tables
+    Re-run the paper-reproduction experiments (E1–E16) and print their tables
     — the same output the benchmark harness produces.
 
 ``repro study``
@@ -26,13 +30,6 @@ unified :mod:`repro.api` solver-session layer:
     through the content-addressed artifact store); ``repro study resume
     <name> --store DIR`` re-runs against an existing store and reports how
     much was served from artifacts.
-
-``repro solve``
-    One solve through the unified API — like ``analyze`` but scenario-aware:
-    ``--elastic`` switches to the elastic-demand fixed point of
-    :mod:`repro.scenarios` (``--intercept``/``--slope``/``--curve`` describe
-    the inverse-demand curve) and reports the realised rate, the market
-    price and the consumer surplus next to the usual solve report.
 
 ``repro trace``
     Time-varying demand: ``repro trace list`` shows the registered demand
@@ -137,23 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "(Kaporis & Spirakis, SPAA 2006)")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    analyze = subparsers.add_parser(
-        "analyze", help="compute Nash, optimum, PoA and the Price of Optimum")
-    source = analyze.add_mutually_exclusive_group(required=True)
-    source.add_argument("--instance", choices=sorted(NAMED_INSTANCES),
-                        help="a canonical instance from the paper")
-    source.add_argument("--file", help="JSON instance file (see repro.serialization)")
-    analyze.add_argument("--strategy", choices=available_strategies(),
-                         default="optop",
-                         help="registered strategy to run (default: optop)")
-    analyze.add_argument("--alpha", type=float, default=None,
-                         help="Leader budget for the budgeted strategies "
-                              "(llf/scale/brute_force)")
-    analyze.add_argument("--json", action="store_true",
-                         help="print the SolveReport as JSON instead of tables")
-
     solve_cmd = subparsers.add_parser(
-        "solve", help="one solve through the unified API (scenario-aware)")
+        "solve", aliases=["analyze"],
+        help="compute Nash, optimum, PoA and the Price of Optimum "
+             "(scenario-aware)")
     solve_source = solve_cmd.add_mutually_exclusive_group(required=True)
     solve_source.add_argument("--instance", choices=sorted(NAMED_INSTANCES),
                               help="a canonical instance from the paper")
@@ -238,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="values of alpha to evaluate")
 
     experiments = subparsers.add_parser(
-        "experiments", help="re-run the paper-reproduction experiments (E1-E14)")
+        "experiments", help="re-run the paper-reproduction experiments (E1-E16)")
     experiments.add_argument("--only", nargs="+",
                              choices=sorted(e for e in EXPERIMENTS
                                             if e.startswith("E")),
@@ -259,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run_arguments(sub: argparse.ArgumentParser, *,
                           store_required: bool) -> None:
         sub.add_argument("name",
-                         help="an experiment id (E1-E14, A1-A3) or a named "
+                         help="an experiment id (E1-E16, A1-A3) or a named "
                               "study (see 'repro study list')")
         sub.add_argument("--store", required=store_required, default=None,
                          help="artifact-store directory"
@@ -481,60 +465,29 @@ def _load(args: argparse.Namespace):
     return load_instance(args.file)
 
 
-def _print_parallel_report(instance, report: SolveReport) -> None:
-    rows = []
-    for i in range(instance.num_links):
-        rows.append((instance.names[i],
-                     report.nash_flows[i],
-                     report.optimum_flows[i],
-                     report.leader_flows[i],
-                     report.induced_flows[i]))
-    print(format_table(("link", "nash flow", "optimum flow", "leader flow",
-                        "induced flow"), rows,
-                       title="Parallel-link instance analysis"))
-    print(f"C(N) = {report.nash_cost:.6f}  C(O) = {report.optimum_cost:.6f}  "
-          f"price of anarchy = {report.price_of_anarchy:.6f}")
-    if report.beta is not None:
-        print(f"price of optimum beta = {report.beta:.6f}  "
-              f"induced cost = {report.induced_cost:.6f}")
-    else:
-        print(f"strategy {report.strategy} (alpha = {report.alpha:.6f})  "
-              f"induced cost = {report.induced_cost:.6f}  "
-              f"ratio = {report.cost_ratio:.6f}")
-
-
-def _print_network_report(instance, report: SolveReport) -> None:
-    rows = []
-    for i, edge in enumerate(instance.network.edges):
-        rows.append((f"{edge.tail}->{edge.head}",
-                     report.nash_flows[i],
-                     report.optimum_flows[i],
-                     report.leader_flows[i]))
-    print(format_table(("edge", "nash flow", "optimum flow", "leader flow"), rows,
-                       title="Network instance analysis"))
-    print(f"C(N) = {report.nash_cost:.6f}  C(O) = {report.optimum_cost:.6f}  "
-          f"price of anarchy = {report.price_of_anarchy:.6f}")
-    if report.beta is not None:
-        print(f"price of optimum beta = {report.beta:.6f}  "
-              f"induced cost = {report.induced_cost:.6f}")
-    else:
-        print(f"strategy {report.strategy} (alpha = {report.alpha:.6f})  "
-              f"induced cost = {report.induced_cost:.6f}  "
-              f"ratio = {report.cost_ratio:.6f}")
-
-
-def _command_analyze(args: argparse.Namespace) -> int:
-    instance = _load(args)
-    config = SolveConfig() if args.alpha is None else SolveConfig(alpha=args.alpha)
-    report = solve(instance, args.strategy, config=config)
-    if args.json:
-        print(report.to_json(indent=2))
-        return 0
+def _print_report(instance, report: SolveReport) -> None:
+    headers = ["nash flow", "optimum flow", "leader flow"]
+    columns = [report.nash_flows, report.optimum_flows, report.leader_flows]
     if report.instance_kind == PARALLEL:
-        _print_parallel_report(instance, report)
+        title, labels = "Parallel-link instance analysis", instance.names
+        headers = ["link", *headers, "induced flow"]
+        columns.append(report.induced_flows)
     else:
-        _print_network_report(instance, report)
-    return 0
+        title = "Network instance analysis"
+        labels = [f"{edge.tail}->{edge.head}"
+                  for edge in instance.network.edges]
+        headers = ["edge", *headers]
+    print(format_table(tuple(headers), list(zip(labels, *columns)),
+                       title=title))
+    print(f"C(N) = {report.nash_cost:.6f}  C(O) = {report.optimum_cost:.6f}  "
+          f"price of anarchy = {report.price_of_anarchy:.6f}")
+    if report.beta is not None:
+        print(f"price of optimum beta = {report.beta:.6f}  "
+              f"induced cost = {report.induced_cost:.6f}")
+    else:
+        print(f"strategy {report.strategy} (alpha = {report.alpha:.6f})  "
+              f"induced cost = {report.induced_cost:.6f}  "
+              f"ratio = {report.cost_ratio:.6f}")
 
 
 def _command_solve(args: argparse.Namespace) -> int:
@@ -544,10 +497,8 @@ def _command_solve(args: argparse.Namespace) -> int:
         report = solve(instance, args.strategy, config=config)
         if args.json:
             print(report.to_json(indent=2))
-        elif report.instance_kind == PARALLEL:
-            _print_parallel_report(instance, report)
         else:
-            _print_network_report(instance, report)
+            _print_report(instance, report)
         return 0
     from repro.scenarios import (
         ExponentialDemandCurve,
@@ -565,10 +516,7 @@ def _command_solve(args: argparse.Namespace) -> int:
     if args.json:
         print(elastic.to_json(indent=2))
         return 0
-    if elastic.report.instance_kind == PARALLEL:
-        _print_parallel_report(instance, elastic.report)
-    else:
-        _print_network_report(instance, elastic.report)
+    _print_report(instance, elastic.report)
     print(f"elastic demand {curve!r}: realised rate = "
           f"{elastic.realised_rate:.6f}  market price = "
           f"{elastic.price:.6f}  consumer surplus = "
@@ -1047,7 +995,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         handler = study_handlers[args.study_command]
     else:
         handlers = {
-            "analyze": _command_analyze,
+            "analyze": _command_solve,
             "solve": _command_solve,
             "sweep": _command_sweep,
             "experiments": _command_experiments,

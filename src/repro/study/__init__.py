@@ -29,7 +29,7 @@ this package answers "produce all the evidence for this campaign":
 >>> all(r.report.attains_optimum for r in study)
 True
 
-The paper-reproduction experiments E1-E14 are defined on this pipeline in
+The paper-reproduction experiments E1-E16 are defined on this pipeline in
 :mod:`repro.analysis.studies`; ``repro study run/list/resume`` exposes both
 layers on the command line.
 """

@@ -2,7 +2,7 @@
 
 Small, self-contained :class:`~repro.study.spec.StudySpec` definitions that
 are useful on their own and double as living documentation of the study API.
-The paper-reproduction experiments (E1-E14) and the design ablations
+The paper-reproduction experiments (E1-E16) and the design ablations
 (A1-A3) live in :mod:`repro.analysis.studies`, which builds on this layer.
 """
 

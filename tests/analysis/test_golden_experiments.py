@@ -1,4 +1,4 @@
-"""Golden regression fixtures for the paper experiments E1-E14.
+"""Golden regression fixtures for the paper experiments E1-E16.
 
 Every experiment table is pinned to a checked-in JSON snapshot under
 ``tests/fixtures/golden/``.  Future refactors diff against the paper's

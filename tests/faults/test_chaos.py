@@ -20,18 +20,19 @@ class TestRunChaos:
     def test_smoke_plan_holds_degradation_contract(self, tmp_path):
         report = run_chaos("smoke", steps=50, n_workers=2, seed=0,
                            store_dir=tmp_path / "store")
-        assert report.violations == []
-        assert report.passed
+        why = f"{report.summary()}\nviolations: {report.violations}"
+        assert report.violations == [], why
+        assert report.passed, why
         # Every request resolved: either a correct report or a typed error.
-        assert report.ok + report.failed == report.steps == 50
+        assert report.ok + report.failed == report.steps == 50, why
         # The SIGKILLed worker came back and the store survived the damage.
-        assert report.respawns >= 1
-        assert report.quarantined >= 1
+        assert report.respawns >= 1, why
+        assert report.quarantined >= 1, why
         # Merged stats still partition exactly under chaos.
-        assert report.merged.get("consistent") is True
+        assert report.merged.get("consistent") is True, why
         # The warm sweep after the storm hits cache (respawned workers
         # reattach to the shared store, so reheat is immediate).
-        assert report.warm_sweep_hits > 0
+        assert report.warm_sweep_hits > 0, why
 
     def test_report_serialises_and_summarises(self, tmp_path):
         report = run_chaos("bad_disk", steps=10, n_workers=1, seed=1,

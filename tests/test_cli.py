@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+from unittest import mock
+
 import pytest
 
+from repro.api import clear_cache
+from repro.api import session
 from repro.cli import NAMED_INSTANCES, build_parser, main
 from repro.instances import pigou
 from repro.serialization import save_instance
@@ -43,6 +48,25 @@ class TestAnalyzeCommand:
     def test_analyze_missing_file(self, capsys):
         assert main(["analyze", "--file", "/nonexistent/instance.json"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--instance", "pigou"],
+        ["--instance", "roughgarden"],
+        ["--instance", "braess", "--strategy", "scale", "--alpha", "0.5",
+         "--json"],
+    ])
+    def test_analyze_is_an_alias_of_solve(self, argv, capsys):
+        # Each run starts from an empty cache with a frozen clock, so the
+        # JSON report's cache stamp and wall time match too.
+        outputs = []
+        with mock.patch.object(session, "time",
+                               SimpleNamespace(perf_counter=lambda: 0.0)):
+            for command in ("analyze", "solve"):
+                clear_cache()
+                assert main([command, *argv]) == 0
+                outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0]
 
 
 class TestSweepCommand:
