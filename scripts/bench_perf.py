@@ -1,11 +1,10 @@
 #!/usr/bin/env python
 """Performance trajectory of the vectorized kernel layer.
 
-Times the hot paths — warm and cold ``water_fill``, the batched
-``water_fill_many``, warm and cold ``optop`` and ``frank_wolfe`` — with the
-vectorized kernels against the scalar oracles ``water_fill_reference`` and
-``all_or_nothing_reference`` (or a per-demand loop, for the batched entry
-point) on sized instances.  The whole-algorithm rows (``optop``,
+Times the hot paths — warm and cold ``water_fill``, warm and cold ``optop``
+and ``frank_wolfe`` — with the vectorized kernels against the scalar
+oracles ``water_fill_reference`` and ``all_or_nothing_reference`` on sized
+instances.  The whole-algorithm rows (``optop``,
 ``frank_wolfe``) swap the oracles in with ``unittest.mock.patch`` on the
 module attribute the solver calls; the Frank–Wolfe row also forces the
 golden-section line search.  The serving-layer series follows:
@@ -70,7 +69,6 @@ from repro.equilibrium.frank_wolfe import (  # noqa: E402
 from repro.equilibrium.parallel import (  # noqa: E402
     parallel_nash,
     water_fill,
-    water_fill_many,
     water_fill_reference,
 )
 from repro.equilibrium.pathbased import path_based_flow  # noqa: E402
@@ -191,49 +189,6 @@ def bench_water_fill_cold(sizes, *, repeats: int):
         })
         print(f"water_fill_cold[mixed] m={m}: {cold*1e3:8.3f} ms vs "
               f"{ref*1e3:8.3f} ms -> {ref/cold:6.1f}x")
-    return rows
-
-
-def bench_water_fill_many(sizes, *, num_demands: int, repeats: int):
-    """water_fill_many vs a per-demand water_fill loop (same kernels).
-
-    The shape of a coalesced serving micro-batch or a study demand axis:
-    ``num_demands`` demands over one shared link system.  The batched entry
-    point evaluates the segment-locator probes of all demands in shared
-    calls and runs every Newton iteration vectorized across the batch; the
-    loop pays the per-solve dispatch each time.  Both sides reuse the
-    instance-cached latency batch.
-    """
-    rows = []
-    for m in sizes:
-        instance = random_mixed_parallel(int(m), demand=0.2 * m, seed=int(m))
-        batch = instance.latency_batch()
-        rng = np.random.default_rng(int(m))
-        demands = rng.uniform(0.05 * m, 0.4 * m, size=num_demands)
-        many = best_of(lambda: water_fill_many(instance.latencies, demands,
-                                               "nash", batch=batch),
-                       repeats=repeats)
-        loop = best_of(lambda: [water_fill(instance.latencies, float(d),
-                                           "nash", batch=batch)
-                                for d in demands],
-                       repeats=max(2, repeats // 2))
-        flows_b, _ = water_fill_many(instance.latencies, demands, "nash",
-                                     batch=batch)
-        flows_l = np.stack([water_fill(instance.latencies, float(d), "nash",
-                                       batch=batch)[0] for d in demands])
-        rows.append({
-            "benchmark": "water_fill_many",
-            "family": "mixed",
-            "size": int(m),
-            "num_demands": int(num_demands),
-            "batched_seconds": many,
-            "loop_seconds": loop,
-            "speedup": loop / many,
-            "max_flow_deviation": float(np.max(np.abs(flows_b - flows_l))),
-        })
-        print(f"water_fill_many[mixed] m={m} x{num_demands}: "
-              f"{many*1e3:8.3f} ms vs {loop*1e3:8.3f} ms -> "
-              f"{loop/many:6.1f}x")
     return rows
 
 
@@ -723,12 +678,10 @@ def main(argv=None) -> int:
 
     if args.quick:
         wf_sizes, optop_sizes, repeats, fw_iters = (100, 1000), (100, 500), 3, 200
-        wfm_demands = 32
         trace_steps = 24
     else:
         wf_sizes, optop_sizes, repeats, fw_iters = ((100, 1000, 5000),
                                                     (100, 1000), 5, 500)
-        wfm_demands = 64
         trace_steps = 96
 
     cold_sizes = sorted(set(wf_sizes) | {4000})
@@ -741,8 +694,6 @@ def main(argv=None) -> int:
     results = []
     results += bench_water_fill(wf_sizes, repeats=repeats)
     results += bench_water_fill_cold(cold_sizes, repeats=repeats)
-    results += bench_water_fill_many(wf_sizes, num_demands=wfm_demands,
-                                     repeats=repeats)
     results += bench_optop(optop_sizes, repeats=repeats)
     results += bench_optop_cold(optop_cold_sizes, repeats=repeats)
     results += bench_solve_cold(optop_cold_sizes, repeats=repeats)

@@ -22,8 +22,12 @@ when the number drifts:
    histograms when you opt in — is recorded alongside, so the trajectory
    of both numbers lands in ``BENCH_obs.json`` per commit, together with
    every trial's req/s and each mode's spread across its trials
-   (``(max - min) / median``): a spread wider than ``--tolerance`` says
-   the gate's verdict on this run is within the noise.
+   (``(max - min) / median``).
+4. The record's ``verdict`` is ``fail`` when the disabled-path
+   throughput is below the floor, ``inconclusive`` when it is not but
+   either mode's trial spread is wider than ``--tolerance`` (the run is
+   too noisy to judge a difference that small), and ``pass`` otherwise.
+   Only ``fail`` exits non-zero.
 
 Usage::
 
@@ -170,7 +174,7 @@ def main(argv=None) -> int:
     }
 
     baseline_path = Path(args.baseline)
-    status = 0
+    below_floor = False
     if args.record:
         baseline_path.write_text(json.dumps({
             "calibration_seconds": calibration,
@@ -199,23 +203,27 @@ def main(argv=None) -> int:
         print(f"baseline: {expected:8.0f} req/s expected on this machine "
               f"(recorded {baseline['warm_requests_per_second']:.0f} "
               f"x scale {scale:.2f}) -> delta {delta_pct:+.1f}%")
-        if disabled < floor:
+        below_floor = disabled < floor
+        if below_floor:
             print(f"FAIL: disabled-path throughput {disabled:.0f} req/s is "
                   f"more than {args.tolerance:.1f}% below the recorded "
                   f"baseline ({floor:.0f} req/s floor)")
-            status = 1
-        else:
-            print(f"OK: disabled path within {args.tolerance:.1f}% "
-                  f"of the recorded baseline")
     else:
         print(f"no baseline at {baseline_path}; reporting only "
               f"(run with --record to create one)")
         record["baseline"] = None
 
-    record["passed"] = status == 0
+    if below_floor:
+        verdict = "fail"
+    elif max(spread.values()) > args.tolerance:
+        verdict = "inconclusive"  # too noisy to judge a tolerance-sized gap
+    else:
+        verdict = "pass"
+    print(f"verdict: {verdict}")
+    record["verdict"] = verdict
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {args.output}")
-    return status
+    return 1 if verdict == "fail" else 0
 
 
 if __name__ == "__main__":

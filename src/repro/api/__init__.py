@@ -30,12 +30,10 @@ from repro.api.dispatch import resolve_instance_kind
 from repro.api.report import SolveReport
 from repro.api.registry import (
     REGISTRY,
-    BatchStrategy,
     Strategy,
     StrategyRegistry,
     available_strategies,
     get_strategy,
-    register_batch_strategy,
     register_strategy,
 )
 from repro.api import strategies as _builtin_strategies  # noqa: F401  (registers built-ins)
@@ -53,11 +51,9 @@ __all__ = [
     "EQUILIBRIUM_BACKENDS",
     "SolveReport",
     "Strategy",
-    "BatchStrategy",
     "StrategyRegistry",
     "REGISTRY",
     "register_strategy",
-    "register_batch_strategy",
     "get_strategy",
     "available_strategies",
     "resolve_instance_kind",

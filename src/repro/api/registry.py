@@ -15,8 +15,7 @@ code can plug in its own strategies:
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    TYPE_CHECKING)
+from typing import Callable, Dict, Iterator, List, Optional, TYPE_CHECKING
 
 from repro.exceptions import StrategyError
 
@@ -26,11 +25,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "Strategy",
-    "BatchStrategy",
     "StrategyRegistry",
     "REGISTRY",
     "register_strategy",
-    "register_batch_strategy",
     "get_strategy",
     "available_strategies",
 ]
@@ -39,20 +36,12 @@ __all__ = [
 #: :class:`~repro.api.report.SolveReport`.
 Strategy = Callable[[object, "SolveConfig"], "SolveReport"]
 
-#: The whole-batch protocol: ``(instances, config)`` to a list of reports
-#: aligned with the input, or ``None`` when the batch cannot be taken as a
-#: whole (the caller then falls back to per-instance dispatch).
-BatchStrategy = Callable[[Sequence[object], "SolveConfig"],
-                         "Optional[List[SolveReport]]"]
-
-
 class StrategyRegistry:
     """Name -> :data:`Strategy` mapping with a decorator-based registration API."""
 
     def __init__(self) -> None:
         self._strategies: Dict[str, Strategy] = {}
         self._generations: Dict[str, int] = {}
-        self._batch_solvers: Dict[str, BatchStrategy] = {}
 
     def register(self, name: str,
                  strategy: Optional[Strategy] = None) -> Callable:
@@ -82,55 +71,12 @@ class StrategyRegistry:
             return decorator(strategy)
         return decorator
 
-    def register_batch(self, name: str,
-                       solver: Optional[BatchStrategy] = None) -> Callable:
-        """Attach a whole-batch solver to the strategy registered as ``name``.
-
-        A batch solver receives ``(instances, config)`` — the cache-missing
-        portion of a :func:`repro.api.solve_many` call — and either returns a
-        list of reports aligned with the input or ``None`` to decline the
-        batch (the caller then falls back to per-instance dispatch).  It must
-        produce the same reports the scalar strategy would, up to solver
-        tolerance; it exists purely so strategies with shared structure
-        across instances (one link system, many demands) can amortise it in
-        one vectorized solve.  Usable directly or as a decorator, exactly
-        like :meth:`register`.
-        """
-
-        def decorator(fn: BatchStrategy) -> BatchStrategy:
-            if name not in self._strategies:
-                raise StrategyError(
-                    f"cannot attach a batch solver to unregistered strategy "
-                    f"{name!r}")
-            if name in self._batch_solvers:
-                raise StrategyError(
-                    f"strategy {name!r} already has a batch solver")
-            if not callable(fn):
-                raise StrategyError(
-                    f"batch solver for {name!r} must be callable, "
-                    f"got {type(fn).__name__}")
-            self._batch_solvers[name] = fn
-            return fn
-
-        if solver is not None:
-            return decorator(solver)
-        return decorator
-
-    def batch_solver(self, name: str) -> Optional[BatchStrategy]:
-        """The whole-batch solver attached to ``name``, or ``None``."""
-        return self._batch_solvers.get(name)
-
     def unregister(self, name: str) -> Strategy:
-        """Remove and return the strategy registered under ``name``.
-
-        Any attached batch solver is removed with it — a replacement
-        implementation must not inherit the old batch shortcut.
-        """
+        """Remove and return the strategy registered under ``name``."""
         try:
             strategy = self._strategies.pop(name)
         except KeyError:
             raise StrategyError(f"strategy {name!r} is not registered") from None
-        self._batch_solvers.pop(name, None)
         return strategy
 
     def get(self, name: str) -> Strategy:
@@ -173,12 +119,6 @@ REGISTRY = StrategyRegistry()
 def register_strategy(name: str, strategy: Optional[Strategy] = None) -> Callable:
     """Register a strategy in the default registry (decorator-friendly)."""
     return REGISTRY.register(name, strategy)
-
-
-def register_batch_strategy(name: str,
-                            solver: Optional[BatchStrategy] = None) -> Callable:
-    """Attach a whole-batch solver in the default registry (decorator-friendly)."""
-    return REGISTRY.register_batch(name, solver)
 
 
 def get_strategy(name: str) -> Strategy:

@@ -12,11 +12,6 @@ over a batch with two production conveniences:
   The cache is a thread-safe :class:`repro.cache.LRUCache`; the process
   global is shared by default and both entry points accept an injected
   ``cache`` (the serving layer passes its own tier-1 instance);
-* a **whole-batch pre-pass**: a strategy with a registered batch solver
-  (:func:`repro.api.registry.register_batch_strategy`) takes all the cache
-  misses in one vectorized in-process call — e.g. ``aloof`` groups instances
-  sharing a link system and solves every demand at once through
-  :func:`repro.equilibrium.parallel.water_fill_many`;
 * **process-pool fan-out** via :class:`concurrent.futures.ProcessPoolExecutor`
   for cache misses, since the solvers are CPU-bound and release no GIL.
 
@@ -33,11 +28,11 @@ explicitly.
 from __future__ import annotations
 
 import multiprocessing
+import numbers
 import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -45,11 +40,11 @@ from repro.config import SolveConfig, resolve_config
 from repro.api.registry import REGISTRY, get_strategy
 from repro.api.report import SolveReport
 from repro.cache import LRUCache
-from repro.exceptions import ConvergenceError, ModelError
+from repro.exceptions import ModelError
 from repro.serialization import instance_digest
 
 __all__ = ["solve", "solve_many", "clear_cache", "cache_size", "cache_stats",
-           "resolve_strategy_name", "CACHE_MAX_ENTRIES"]
+           "resolve_strategy_name", "check_max_workers", "CACHE_MAX_ENTRIES"]
 
 #: Upper bound on cached reports; the least recently used entry is evicted
 #: first, so long-running sweeps cannot grow memory without limit.
@@ -246,6 +241,21 @@ def _pool_unsafe_reason(name: str) -> Optional[str]:
             f"to {method!r}-started worker processes")
 
 
+def check_max_workers(max_workers: Optional[int]) -> Optional[int]:
+    """``max_workers`` when it is ``None`` or an int >= 0.
+
+    Anything else (a negative int, a float, a string, a bool) raises
+    :class:`ModelError` instead of failing later inside the process pool.
+    """
+    if max_workers is None:
+        return None
+    if (isinstance(max_workers, numbers.Integral)
+            and not isinstance(max_workers, bool) and max_workers >= 0):
+        return int(max_workers)
+    raise ModelError(
+        f"max_workers must be None or an int >= 0, got {max_workers!r}")
+
+
 def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
                config: Optional[SolveConfig] = None,
                max_workers: Optional[int] = None,
@@ -266,9 +276,10 @@ def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
         cache.
     max_workers:
         Size of the :class:`~concurrent.futures.ProcessPoolExecutor` used for
-        cache misses.  ``None`` picks ``min(pending, cpu_count)``; ``0`` or
-        ``1`` forces sequential in-process execution (required for strategies
-        registered at runtime on non-fork platforms).
+        cache misses: ``None`` or an int >= 0 (anything else raises
+        :class:`ModelError`).  ``None`` picks ``min(pending, cpu_count)``;
+        ``0`` or ``1`` forces sequential in-process execution (required for
+        strategies registered at runtime on non-fork platforms).
     cache:
         Result cache (an :class:`~repro.cache.LRUCache`) to consult/fill;
         defaults to the process-global one.  Callers with their own
@@ -284,6 +295,7 @@ def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
         Reports aligned with the input order.
     """
     config = resolve_config(config)
+    max_workers = check_max_workers(max_workers)
     name = _resolve_name(strategy)
     get_strategy(name)  # fail fast on unknown strategies, before forking
     result_cache = _result_cache(cache)
@@ -314,64 +326,32 @@ def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
         pending = list(range(len(batch)))
     # Whether each fresh report gets a cache record (none without a digest).
     keyed = [key is not None for key in keys]
-    fresh = list(pending)
 
-    if len(pending) > 1:
-        # Whole-batch pre-pass: strategies with a registered batch solver
-        # (e.g. aloof over one link system at many demands) take all the
-        # cache misses in one vectorized in-process call.  A profiled
-        # batch runs under one recorder whose phases every report carries.
-        # A declined batch (None) or a solver-level failure falls through
-        # to the ordinary per-instance path.
-        batch_fn = REGISTRY.batch_solver(name)
-        if batch_fn is not None:
-            if config.profile:
-                from repro.obs.profiling import profiled
-                recording = profiled()
-            else:
-                recording = nullcontext()
-            start = time.perf_counter()
-            try:
-                with recording as recorder:
-                    solved = batch_fn([batch[i] for i in pending], config)
-            except (ModelError, ConvergenceError):
-                solved = None
-            if solved is not None and len(solved) == len(pending):
-                seconds = time.perf_counter() - start
-                profile = None if recorder is None \
-                    else recorder.to_dict(total_seconds=seconds)
-                for i, report in zip(pending, solved):
-                    reports[i] = _with_cache_metadata(
-                        report, hit=False if keyed[i] else None,
-                        wall_time=seconds / len(solved), profile=profile)
-                pending = []
+    workers = max_workers
+    if workers is None:
+        workers = min(len(pending), os.cpu_count() or 1)
+    if workers > 1 and len(pending) > 1:
+        unsafe = _pool_unsafe_reason(name)
+        if unsafe is not None:
+            warnings.warn(
+                f"solve_many: falling back to sequential in-process "
+                f"execution; {unsafe}", RuntimeWarning, stacklevel=2)
+            workers = 1
+    if workers > 1 and len(pending) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            solved = pool.map(_execute, [batch[i] for i in pending],
+                              repeat(name), repeat(config),
+                              [keyed[i] for i in pending])
+            for i, report in zip(pending, solved):
+                reports[i] = report
+    else:
+        # The scan above already recorded these lookups as misses, so
+        # run the strategy directly instead of re-probing through
+        # solve() (which would double-count).
+        for i in pending:
+            reports[i] = _execute(batch[i], name, config, keyed[i])
 
-    if pending:
-        workers = max_workers
-        if workers is None:
-            workers = min(len(pending), os.cpu_count() or 1)
-        if workers > 1 and len(pending) > 1:
-            unsafe = _pool_unsafe_reason(name)
-            if unsafe is not None:
-                warnings.warn(
-                    f"solve_many: falling back to sequential in-process "
-                    f"execution; {unsafe}", RuntimeWarning, stacklevel=2)
-                workers = 1
-        if workers > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                solved = pool.map(_execute, [batch[i] for i in pending],
-                                  repeat(name), repeat(config),
-                                  [keyed[i] for i in pending])
-                for i, report in zip(pending, solved):
-                    reports[i] = report
-        else:
-            # The scan above already recorded these lookups as misses, so
-            # run the strategy directly instead of re-probing through
-            # solve() (which would double-count).
-            for i in pending:
-                reports[i] = _execute(batch[i], name, config, keyed[i])
-
-    for i in fresh:
+    for i in pending:
         if keys[i] is not None:
             result_cache.put(keys[i], reports[i])
 

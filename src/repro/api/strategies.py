@@ -17,13 +17,11 @@ default :data:`~repro.api.registry.REGISTRY`.  Adapters are responsible for
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Any, Dict, Optional
 
 from repro.config import SolveConfig
 from repro.api.dispatch import NETWORK, PARALLEL, resolve_instance_kind
-from repro.api.registry import register_batch_strategy, register_strategy
+from repro.api.registry import register_strategy
 from repro.api.report import SolveReport
 from repro.core.mop import mop
 from repro.core.optop import optop
@@ -34,11 +32,8 @@ from repro.baselines.llf import llf
 from repro.baselines.network_ext import network_brute_force, network_llf
 from repro.baselines.scale import scale
 from repro.equilibrium.network import network_nash, network_optimum
-from repro.equilibrium.parallel import (parallel_nash, parallel_optimum,
-                                        water_fill_many)
-from repro.equilibrium.result import ParallelFlowResult
+from repro.equilibrium.parallel import parallel_nash, parallel_optimum
 from repro.network.builders import parallel_network_as_graph
-from repro.network.parallel import ParallelLinkInstance
 
 __all__ = [
     "solve_optop",
@@ -46,7 +41,6 @@ __all__ = [
     "solve_llf",
     "solve_scale",
     "solve_aloof",
-    "solve_aloof_many",
     "solve_brute_force",
     "solve_exact",
 ]
@@ -236,62 +230,6 @@ def solve_aloof(instance, config: SolveConfig) -> SolveReport:
     optimum, nash = _reference_flows(instance, kind, config, need_nash=True)
     return _baseline_report("aloof", kind, config, aloof(instance),
                             {"algorithm": "aloof"}, optimum=optimum, nash=nash)
-
-
-def _parallel_flow_result(instance, flows, level: float,
-                          kind: str) -> ParallelFlowResult:
-    return ParallelFlowResult(
-        flows=flows, common_value=float(level), cost=instance.cost(flows),
-        beckmann=instance.beckmann(flows), kind=kind)
-
-
-@register_batch_strategy("aloof")
-def solve_aloof_many(instances: Sequence[object],
-                     config: SolveConfig) -> Optional[List[SolveReport]]:
-    """Whole-batch aloof solver: one vectorized water filling per link system.
-
-    Instances sharing structurally identical latencies (the shape of a
-    coalesced service micro-batch or a ``StudySpec`` demand axis) differ only
-    in their demand, so their optima and Nash equilibria are a batched
-    :func:`~repro.equilibrium.parallel.water_fill_many` over the per-instance
-    demand vector instead of independent solves that each re-locate their
-    segments over the same sorted breakpoints.  Declines (returns ``None``)
-    when any instance is not a :class:`ParallelLinkInstance` or holds a
-    link outside the stock latency classes; singleton groups go through the
-    scalar adapter.
-    """
-    instances = list(instances)
-    if any(not isinstance(inst, ParallelLinkInstance)
-           or inst.latency_columns().others for inst in instances):
-        return None
-    # Group on the bytes of the cached columns the digest hashes.
-    groups: Dict[bytes, List[int]] = {}
-    for i, inst in enumerate(instances):
-        groups.setdefault(inst.latency_columns().to_bytes(), []).append(i)
-    reports: List[Optional[SolveReport]] = [None] * len(instances)
-    for idxs in groups.values():
-        if len(idxs) == 1:
-            reports[idxs[0]] = solve_aloof(instances[idxs[0]], config)
-            continue
-        lead = instances[idxs[0]]
-        demands = np.array([instances[i].demand for i in idxs])
-        tol = config.water_fill_tol
-        batch = lead.latency_batch()
-        opt_flows, opt_levels = water_fill_many(
-            None, demands, "optimum", tol=tol, batch=batch)
-        nash_flows, nash_levels = water_fill_many(
-            None, demands, "nash", tol=tol, batch=batch)
-        for j, i in enumerate(idxs):
-            inst = instances[i]
-            optimum = _parallel_flow_result(inst, opt_flows[j], opt_levels[j],
-                                            "optimum")
-            nash = _parallel_flow_result(inst, nash_flows[j], nash_levels[j],
-                                         "nash")
-            reports[i] = _baseline_report(
-                "aloof", PARALLEL, config, aloof(inst),
-                {"algorithm": "aloof", "batched": len(idxs)},
-                optimum=optimum, nash=nash)
-    return reports
 
 
 @register_strategy("exact")

@@ -50,7 +50,7 @@ from repro.exceptions import ClusterError
 from repro.faults.spec import PROCESS_FATAL_KINDS, FaultPlan
 from repro.obs import Observability
 from repro.obs.collect import merged_snapshot, render_merged
-from repro.serve.service import ServiceStats
+from repro.serve.service import ServiceStats, check_batching
 
 __all__ = ["ClusterHandle", "EventLoopThread", "WorkerProcess",
            "WorkerSupervisor", "start_cluster"]
@@ -473,6 +473,8 @@ def start_cluster(n_workers: int = 2, *, store_dir: Optional[str] = None,
     if int(max_inflight) < 1:
         raise ClusterError(
             f"max_inflight must be >= 1, got {max_inflight!r}")
+    # Each worker's SolveService would reject these only after its spawn.
+    check_batching(max_batch, max_wait_ms, max_queue)
     if isinstance(fault_plan, str):
         fault_plan = FaultPlan.load(fault_plan)
     owned_tmp = None

@@ -147,6 +147,8 @@ class SolveConfig:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SolveConfig":
         """Reconstruct a config serialised by :meth:`to_dict`."""
+        if not isinstance(data, dict):
+            raise ModelError(f"a SolveConfig must be an object, got {data!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:

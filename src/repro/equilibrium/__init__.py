@@ -29,7 +29,6 @@ from repro.equilibrium.parallel import (
     parallel_nash,
     parallel_optimum,
     water_fill,
-    water_fill_many,
 )
 from repro.equilibrium.frank_wolfe import FrankWolfeOptions, frank_wolfe
 from repro.equilibrium.pathbased import path_based_flow
@@ -53,7 +52,6 @@ __all__ = [
     "parallel_nash",
     "parallel_optimum",
     "water_fill",
-    "water_fill_many",
     "FrankWolfeOptions",
     "frank_wolfe",
     "path_based_flow",

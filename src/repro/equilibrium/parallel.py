@@ -26,12 +26,6 @@ Python calls inside the bisection).  Nothing in the solver stack calls it; it
 is the oracle the kernel equivalence tests and ``scripts/bench_perf.py``
 compare against.
 
-:func:`water_fill_many` solves a whole batch of demands over one link system
-(a coalesced service micro-batch, a ``StudySpec`` demand axis, an elastic
-trace) in a single vectorized pass sharing the sorted breakpoints across
-demands.  Both entry points route their solved levels through one shared
-tail, so row ``j`` of :func:`water_fill_many` equals :func:`water_fill`.
-
 Constant-latency links (the documented extension; Pigou's example uses one)
 act as flow sinks: once the common level of the increasing links would exceed
 the smallest constant, the corresponding links absorb the excess flow at that
@@ -53,15 +47,10 @@ from repro.network.parallel import ParallelLinkInstance
 from repro.obs.profiling import active as _profiling_active
 from repro.equilibrium.result import ParallelFlowResult
 from repro.utils.rootfind import bisect_root, expand_upper_bracket
-from repro.utils.vectorized import (
-    piecewise_linear_level,
-    piecewise_linear_levels,
-    sorted_breakpoint_level,
-    sorted_breakpoint_levels,
-)
+from repro.utils.vectorized import piecewise_linear_level, sorted_breakpoint_level
 
 __all__ = ["parallel_nash", "parallel_optimum", "water_fill",
-           "water_fill_many", "water_fill_reference"]
+           "water_fill_reference"]
 
 
 def _link_level_and_inverse(kind: str) -> Tuple[Callable[[LatencyFunction, float], float],
@@ -101,105 +90,6 @@ def water_fill(latencies: Optional[Sequence[LatencyFunction]], demand: float,
         return _water_fill(latencies, demand, kind, tol=tol, batch=batch)
     finally:
         recorder.note(f"water_fill[{kind}]", time.perf_counter() - start)
-
-
-def water_fill_many(latencies: Optional[Sequence[LatencyFunction]],
-                    demands: Sequence[float], kind: str, *,
-                    tol: float = 1e-12,
-                    batch: Optional[LatencyBatch] = None,
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`water_fill`: many demands over one link system at once.
-
-    Solves the water-filling problem for every entry of ``demands`` over the
-    *same* latencies — the shape of a coalesced service micro-batch, a
-    ``StudySpec`` demand axis or an elastic-demand trace.  Returns
-    ``(flows, levels)`` with ``flows`` of shape ``(len(demands), m)`` and one
-    common level per demand; row ``j`` equals
-    ``water_fill(latencies, demands[j], kind)`` to solver tolerance.  As
-    there, ``latencies`` may be ``None`` when a ``batch`` is given.
-
-    All demand-independent structure is shared across the batch: the
-    family grouping and the sorted activation breakpoints are computed once,
-    each segment-locator round evaluates the probe levels of all pending
-    demands in one call, and the safeguarded Newton iterations run for all
-    pending demands simultaneously.  Instances whose links need a numeric
-    fallback (generic bucket, non-closed-form rows) fall back to a
-    per-demand loop.
-
-    Raises :class:`~repro.exceptions.ModelError` if *any* demand cannot be
-    routed (no constant links and the increasing links saturate below it).
-    """
-    recorder = _profiling_active()
-    if recorder is None:
-        return _water_fill_many(latencies, demands, kind, tol=tol,
-                                batch=batch)
-    start = time.perf_counter()
-    try:
-        return _water_fill_many(latencies, demands, kind, tol=tol,
-                                batch=batch)
-    finally:
-        recorder.note(f"water_fill_many[{kind}]", time.perf_counter() - start)
-
-
-def _water_fill_many(latencies: Optional[Sequence[LatencyFunction]],
-                     demands: Sequence[float], kind: str, *,
-                     tol: float = 1e-12,
-                     batch: Optional[LatencyBatch] = None,
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    demands = np.asarray(demands, dtype=float)
-    if demands.ndim != 1:
-        raise ModelError(
-            f"water_fill_many needs a 1-d demand array, got shape "
-            f"{demands.shape}")
-    if np.any(demands < 0.0):
-        raise ModelError("demands must be >= 0")
-    _link_level_and_inverse(kind)  # validate ``kind`` before any work
-    if batch is None:
-        batch = LatencyBatch(latencies)
-    m = batch.size
-    if m == 0:
-        raise ModelError("water_fill needs at least one link")
-    count = demands.shape[0]
-    flows = np.zeros((count, m), dtype=float)
-    levels = np.empty(count, dtype=float)
-    if count == 0:
-        return flows, levels
-
-    # Per-demand common level of the increasing links, solved batched when
-    # every link admits a closed form; otherwise one scalar solve per demand.
-    level_star = np.full(count, np.inf)
-    positive = demands > 0.0
-    if not batch.is_constant.all() and positive.any():
-        batched = False
-        linear = batch.linear_increasing_params()
-        if linear is not None:
-            slopes, intercepts, _ = linear
-            weights = 1.0 / slopes if kind == "nash" else 1.0 / (2.0 * slopes)
-            level_star[positive] = piecewise_linear_levels(
-                weights, intercepts, demands[positive])
-            batched = True
-        else:
-            profile = batch.level_profile(kind)
-            if profile is not None and not profile.has_numeric:
-                try:
-                    level_star[positive] = sorted_breakpoint_levels(
-                        profile.breakpoints, demands[positive],
-                        profile.flow_grid, profile.flow_dflow_grid, tol=tol)
-                    batched = True
-                except (ModelError, ConvergenceError):
-                    batched = False  # e.g. one demand saturates the links
-        if not batched:
-            # Numeric/generic rows (or a failed shared bracket): per-demand
-            # scalar solves, bit-identical to water_fill.
-            for j in range(count):
-                flows[j], levels[j] = _water_fill(
-                    latencies, float(demands[j]), kind, tol=tol, batch=batch)
-            return flows, levels
-
-    for j in range(count):
-        flows[j], levels[j] = _route(batch, kind, float(demands[j]),
-                                     float(level_star[j]))
-    return flows, levels
 
 
 def _water_fill(latencies: Optional[Sequence[LatencyFunction]], demand: float,
@@ -263,9 +153,8 @@ def _route(batch: LatencyBatch, kind: str, demand: float,
     """Flows and common level, given the increasing links' solved level.
 
     ``level_star`` is the level at which the strictly increasing links
-    alone absorb ``demand`` (``inf`` when they cannot).  Shared by
-    :func:`water_fill` and every row of :func:`water_fill_many`, so the two
-    route identically.
+    alone absorb ``demand`` (``inf`` when they cannot); constant links
+    absorb whatever is left at the cheapest constant latency.
     """
     level_at_zero = batch.values_at_zero  # marginal cost at 0 equals l(0)
     flows = np.zeros(batch.size, dtype=float)

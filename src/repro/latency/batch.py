@@ -752,26 +752,6 @@ class _LevelProfile:
             contrib = np.where(active & (denom > 0.0), 1.0 / denom, 0.0)
         return float(contrib.sum())
 
-    def flow_dflow_grid(self, levels) -> Tuple[np.ndarray, np.ndarray]:
-        """Fused batched ``(flow, dflow)`` at an array of levels.
-
-        The array analogue of :meth:`flow_dflow` for the analytic rows: one
-        pass per family sharing the ``np.power`` intermediates between the
-        flow and its derivative, so each of the batched engine's Newton
-        iterations costs one family sweep.
-        """
-        levels = np.asarray(levels, dtype=float)
-        flow = np.zeros(levels.shape[0])
-        dflow = np.zeros(levels.shape[0])
-        chunk = max(1, self._CHUNK_ELEMENTS // max(self._rows, 1))
-        for start in range(0, levels.shape[0], chunk):
-            block = levels[start:start + chunk]
-            for fam in self._analytic:
-                f, d = fam.level_flow_dflow_sum(block, self.kind)
-                flow[start:start + chunk] += f
-                dflow[start:start + chunk] += d
-        return flow, dflow
-
     def flow_dflow(self, level: float) -> Tuple[float, float]:
         """Fused ``(filled flow, d flow/dL)`` at a scalar level.
 

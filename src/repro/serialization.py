@@ -39,7 +39,7 @@ import hashlib
 import json
 import struct
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 import numpy as np
 
@@ -87,18 +87,63 @@ def latency_to_dict(latency: LatencyFunction) -> Dict[str, Any]:
 
 def latency_from_dict(data: Dict[str, Any]) -> LatencyFunction:
     """Deserialise a latency function from a dictionary."""
-    if not isinstance(data, dict) or "type" not in data:
-        raise ModelError(f"invalid latency specification: {data!r}")
-    kind = data["type"]
+    return _latency_from_dict(data, "latency")
+
+
+def _latency_from_dict(data: Any, where: str) -> LatencyFunction:
+    """:func:`latency_from_dict`, with ``where`` naming ``data`` in errors."""
+    kind = data.get("type") if isinstance(data, dict) else None
     entry = _BY_TAG.get(kind) if isinstance(kind, str) else None
     if entry is None:
-        raise ModelError(f"unknown latency type {kind!r}")
-    if entry.ragged:
-        return entry.cls([float(c) for c in data["coefficients"]])
+        _field(data, "type", where)  # names a non-object or a missing type
+        raise ModelError(f"{where}: unknown latency type {kind!r}")
     defaults = entry.defaults
-    return entry.cls(*[float(data[key] if key not in defaults
-                             else data.get(key, defaults[key]))
-                       for key in entry.keys])
+    try:
+        if entry.ragged:
+            return entry.cls([float(c) for c in data["coefficients"]])
+        return entry.cls(*[float(data[key] if key not in defaults
+                                 else data.get(key, defaults[key]))
+                           for key in entry.keys])
+    except (KeyError, TypeError, ValueError):
+        pass
+    # Off the hot path: name the first missing or non-numeric field.
+    convert = (lambda v: [float(c) for c in _as_list(v)]) if entry.ragged \
+        else float
+    for key in entry.keys:
+        _field(data, key, where, convert, defaults.get(key))
+    raise ModelError(f"{where}: invalid latency specification: {data!r}")
+
+
+def _field(spec: Any, key: Any, where: str,
+           convert: Optional[Callable[[Any], Any]] = None,
+           default: Any = None) -> Any:
+    """``convert(spec[key])``, or ``default`` when the key is absent.
+
+    ``where`` names ``spec`` in the :class:`ModelError` raised when ``spec``
+    is not an object, a required field (``default is None``) is missing, or
+    ``convert`` rejects the value with a ``TypeError``/``ValueError``.
+    """
+    if not isinstance(spec, dict):
+        raise ModelError(f"{where} must be an object, got {spec!r}")
+    if key not in spec:
+        if default is None:
+            raise ModelError(f"{where} is missing field {key!r}")
+        return default
+    value = spec[key]
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ModelError(
+            f"{where} field {key!r} is invalid: {value!r}") from None
+
+
+def _as_list(value: Any) -> list:
+    """``value`` as a list; a JSON array is the only accepted form."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return list(value)
 
 
 # --------------------------------------------------------------------------- #
@@ -145,31 +190,45 @@ def _node_name(name: Any) -> Any:
     Tuple node names (e.g. the ``(row, col)`` nodes of grid networks)
     serialise to JSON arrays; converting them back keeps the topology JSON
     — and therefore :func:`instance_digest` — stable across a round trip.
+    An unhashable name (a JSON object) raises ``TypeError``.
     """
     if isinstance(name, list):
         return tuple(_node_name(item) for item in name)
+    hash(name)
     return name
 
 
 def instance_from_dict(data: Dict[str, Any]) -> AnyInstance:
-    """Deserialise an instance description produced by :func:`instance_to_dict`."""
-    if not isinstance(data, dict) or "type" not in data:
-        raise ModelError(f"invalid instance specification: {data!r}")
-    kind = data["type"]
+    """Deserialise an instance description produced by :func:`instance_to_dict`.
+
+    A malformed description raises :class:`ModelError` naming the bad field.
+    """
+    kind = _field(data, "type", "instance")
     if kind == "parallel":
-        links = [latency_from_dict(spec) for spec in data.get("links", [])]
-        names = data.get("names")
-        return ParallelLinkInstance(links, float(data["demand"]), names=names)
+        # One label for every link: a per-link label would cost a string
+        # format per link on every decode.
+        links = [_latency_from_dict(spec, "a link") for spec
+                 in _field(data, "links", "instance", _as_list, [])]
+        return ParallelLinkInstance(
+            links, _field(data, "demand", "instance", float),
+            names=data.get("names"))
     if kind == "network":
         network = Network()
-        for edge_spec in data.get("edges", []):
-            network.add_edge(_node_name(edge_spec["tail"]),
-                             _node_name(edge_spec["head"]),
-                             latency_from_dict(edge_spec["latency"]))
-        commodities = [Commodity(_node_name(spec["source"]),
-                                 _node_name(spec["sink"]),
-                                 float(spec["demand"]))
-                       for spec in data.get("commodities", [])]
+        edges = _field(data, "edges", "instance", _as_list, [])
+        for i, spec in enumerate(edges):
+            where = f"edges[{i}]"
+            network.add_edge(_field(spec, "tail", where, _node_name),
+                             _field(spec, "head", where, _node_name),
+                             _latency_from_dict(_field(spec, "latency", where),
+                                                f"{where}.latency"))
+        commodities = []
+        for i, spec in enumerate(
+                _field(data, "commodities", "instance", _as_list, [])):
+            where = f"commodities[{i}]"
+            commodities.append(Commodity(
+                _field(spec, "source", where, _node_name),
+                _field(spec, "sink", where, _node_name),
+                _field(spec, "demand", where, float)))
         return NetworkInstance(network, commodities)
     raise ModelError(f"unknown instance type {kind!r}")
 

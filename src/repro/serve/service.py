@@ -12,11 +12,9 @@ path; this module turns it into a *service*:
   ``max_wait_ms`` to accumulate up to ``max_batch`` requests, groups them by
   ``(strategy, config)`` and executes each group with one
   :func:`repro.api.solve_many` call — so a thousand concurrent callers cost
-  a handful of batch invocations, not a thousand solver round trips.  For
-  strategies with a registered whole-batch solver (``aloof``), ``solve_many``
-  additionally collapses each micro-batch into a single vectorized
-  :func:`~repro.equilibrium.parallel.water_fill_many` pass over the
-  coalesced demands — the service inherits the batched kernel for free.
+  a handful of batch invocations, not a thousand solver round trips.  Each
+  request in a micro-batch is still solved on its own, so its report does
+  not depend on the batch it arrived in.
 * Concurrent requests for the same ``(instance digest, strategy, config)``
   are **coalesced**: the first enters the queue, the rest attach their
   futures to the in-flight entry and are all resolved by the single solve.
@@ -39,6 +37,8 @@ at any instant, under any interleaving.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 import queue
 import threading
 import time
@@ -50,7 +50,8 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 from repro.config import SolveConfig, resolve_config
 from repro.api.registry import get_strategy
 from repro.api.report import SolveReport
-from repro.api.session import resolve_strategy_name, solve_many
+from repro.api.session import (check_max_workers, resolve_strategy_name,
+                               solve_many)
 from repro.cache import LRUCache
 from repro.exceptions import (
     ModelError,
@@ -66,9 +67,32 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.faults.injector import FaultInjector
     from repro.obs import Observability
 
-__all__ = ["SolveService", "ServiceStats"]
+__all__ = ["SolveService", "ServiceStats", "check_batching"]
 
 logger = logging.getLogger(__name__)
+
+
+def check_batching(max_batch: int, max_wait_ms: float,
+                   max_queue: int) -> Tuple[int, float, int]:
+    """Validated ``(max_batch, max_wait_ms, max_queue)`` of a service.
+
+    ``max_batch`` must be an int >= 1, ``max_queue`` an int >= 0 (0 =
+    unbounded) and ``max_wait_ms`` a finite number >= 0; anything else
+    raises :class:`ModelError`.  :func:`repro.cluster.start_cluster` runs
+    it before it spawns a worker.
+    """
+    for name, value, least in (("max_batch", max_batch, 1),
+                               ("max_queue", max_queue, 0)):
+        if (not isinstance(value, numbers.Integral)
+                or isinstance(value, bool) or value < least):
+            raise ModelError(f"{name} must be an int >= {least}, "
+                             f"got {value!r}")
+    if (not isinstance(max_wait_ms, numbers.Real)
+            or isinstance(max_wait_ms, bool)
+            or not 0.0 <= max_wait_ms < math.inf):
+        raise ModelError(f"max_wait_ms must be a finite number >= 0, "
+                         f"got {max_wait_ms!r}")
+    return int(max_batch), float(max_wait_ms), int(max_queue)
 
 
 @dataclass(frozen=True)
@@ -317,18 +341,10 @@ class SolveService:
                  solver=None,
                  fault_injector: "Optional[FaultInjector]" = None,
                  obs: "Optional[Observability]" = None) -> None:
-        if int(max_batch) < 1:
-            raise ModelError(f"max_batch must be >= 1, got {max_batch!r}")
-        if float(max_wait_ms) < 0.0:
-            raise ModelError(
-                f"max_wait_ms must be >= 0, got {max_wait_ms!r}")
-        if int(max_queue) < 0:
-            raise ModelError(f"max_queue must be >= 0, got {max_queue!r}")
+        self.max_batch, self.max_wait_ms, self.max_queue = check_batching(
+            max_batch, max_wait_ms, max_queue)
+        self.max_workers = check_max_workers(max_workers)
         self.cache = TieredCache(store=store) if cache is None else cache
-        self.max_batch = int(max_batch)
-        self.max_wait_ms = float(max_wait_ms)
-        self.max_queue = int(max_queue)
-        self.max_workers = max_workers
         if solver is None:
             # Give the default solver a private session-layer cache so the
             # service's batches neither duplicate hot reports into the

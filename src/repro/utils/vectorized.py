@@ -6,18 +6,17 @@ instead of one scalar at a time.  They carry the vectorized water-filling
 solver (:func:`repro.equilibrium.parallel.water_fill`) and the batched latency
 inverses of :class:`repro.latency.batch.LatencyBatch`.
 
-* :func:`piecewise_linear_level` / :func:`piecewise_linear_levels` — the exact
-  O(m log m) sorted-breakpoint solve for the common level of an all-linear
-  water-filling problem (no bisection at all), for one demand or a batch of
-  demands over the same links;
-* :func:`sorted_breakpoint_level` / :func:`sorted_breakpoint_levels` — the
-  generic sorted-breakpoint *level engine*: the same segment-location idea for
-  any monotone "total filled flow at level L" function built from closed-form
-  family inverses.  One segment locator serves both: it narrows an index
-  range over the sorted breakpoints in a few vectorized flow evaluations
-  (O(m log m), never the O(m^2) grid of every link at every breakpoint),
-  and a few safeguarded Newton steps finish inside the active segment
-  instead of 40+ full-array bisection passes;
+* :func:`piecewise_linear_level` — the exact O(m log m) sorted-breakpoint
+  solve for the common level of an all-linear water-filling problem (no
+  bisection at all);
+* :func:`sorted_breakpoint_level` — the generic sorted-breakpoint *level
+  engine*: the same segment-location idea for any monotone "total filled
+  flow at level L" function built from closed-form family inverses.  A
+  segment locator narrows an index range over the sorted breakpoints in a
+  few vectorized flow evaluations (O(m log m), never the O(m^2) grid of
+  every link at every breakpoint), and a few safeguarded Newton steps
+  finish inside the active segment instead of 40+ full-array bisection
+  passes;
 * :func:`vectorized_bisect` — guarded bisection on arrays of brackets, one
   array op per step for all components simultaneously;
 * :func:`expand_upper_brackets` — geometric bracket expansion, masked so that
@@ -35,33 +34,10 @@ from repro.exceptions import ConvergenceError, ModelError
 
 __all__ = [
     "piecewise_linear_level",
-    "piecewise_linear_levels",
     "sorted_breakpoint_level",
-    "sorted_breakpoint_levels",
     "vectorized_bisect",
     "expand_upper_brackets",
 ]
-
-
-def _linear_prefix(weights: np.ndarray, breakpoints: np.ndarray):
-    """Sorted breakpoints with the prefix sums of the affine level closed form."""
-    weights = np.asarray(weights, dtype=float)
-    breakpoints = np.asarray(breakpoints, dtype=float)
-    if weights.shape != breakpoints.shape or weights.ndim != 1 or weights.size == 0:
-        raise ModelError(
-            "piecewise_linear_level needs matching 1-d weights/breakpoints")
-    if np.any(weights <= 0.0):
-        raise ModelError("piecewise_linear_level weights must be > 0")
-    order = np.argsort(breakpoints, kind="stable")
-    b = breakpoints[order]
-    w = weights[order]
-    cum_w = np.cumsum(w)
-    cum_wb = np.cumsum(w * b)
-    # Total filled flow evaluated at each breakpoint (0 at the smallest one).
-    # Note filled_at_breaks[j] uses the prefix sums *including* link j, whose
-    # own contribution at its breakpoint is zero, so the formula is exact.
-    filled_at_breaks = cum_w * b - cum_wb
-    return cum_w, cum_wb, filled_at_breaks
 
 
 def piecewise_linear_level(weights: np.ndarray, breakpoints: np.ndarray,
@@ -81,49 +57,35 @@ def piecewise_linear_level(weights: np.ndarray, breakpoints: np.ndarray,
     """
     if demand < 0.0:
         raise ModelError(f"demand must be >= 0, got {demand!r}")
-    cum_w, cum_wb, filled_at_breaks = _linear_prefix(weights, breakpoints)
+    weights = np.asarray(weights, dtype=float)
+    breakpoints = np.asarray(breakpoints, dtype=float)
+    if weights.shape != breakpoints.shape or weights.ndim != 1 or weights.size == 0:
+        raise ModelError(
+            "piecewise_linear_level needs matching 1-d weights/breakpoints")
+    if np.any(weights <= 0.0):
+        raise ModelError("piecewise_linear_level weights must be > 0")
+    order = np.argsort(breakpoints, kind="stable")
+    b = breakpoints[order]
+    w = weights[order]
+    cum_w = np.cumsum(w)
+    cum_wb = np.cumsum(w * b)
+    # Total filled flow evaluated at each breakpoint (0 at the smallest one).
+    # Note filled_at_breaks[j] uses the prefix sums *including* link j, whose
+    # own contribution at its breakpoint is zero, so the formula is exact.
+    filled_at_breaks = cum_w * b - cum_wb
     k = int(np.searchsorted(filled_at_breaks, demand, side="right")) - 1
     k = max(k, 0)
     return float((demand + cum_wb[k]) / cum_w[k])
-
-
-def piecewise_linear_levels(weights: np.ndarray, breakpoints: np.ndarray,
-                            demands: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`piecewise_linear_level` over a batch of demands.
-
-    Solves ``sum_i w_i * max(0, L_j - b_i) = demand_j`` for every entry of
-    ``demands`` at once: the sort and prefix sums are shared across the batch,
-    so ``K`` demands over ``m`` links cost O(m log m + K log m) total instead
-    of ``K`` independent O(m log m) solves.
-    """
-    demands = np.asarray(demands, dtype=float)
-    if demands.ndim != 1:
-        raise ModelError("piecewise_linear_levels needs a 1-d demand array")
-    if np.any(demands < 0.0):
-        raise ModelError("demands must be >= 0")
-    cum_w, cum_wb, filled_at_breaks = _linear_prefix(weights, breakpoints)
-    k = np.searchsorted(filled_at_breaks, demands, side="right") - 1
-    np.maximum(k, 0, out=k)
-    return (demands + cum_wb[k]) / cum_w[k]
-
-
-def _validated_breakpoints(breakpoints: np.ndarray) -> np.ndarray:
-    bp = np.unique(np.asarray(breakpoints, dtype=float))
-    if bp.size == 0:
-        raise ModelError("the breakpoint engine needs at least one breakpoint")
-    if not (math.isfinite(bp[0]) and math.isfinite(bp[-1])):  # NaN sorts last
-        raise ModelError("activation breakpoints must be finite")
-    return bp
 
 
 #: Cap on probe levels x breakpoints evaluated per segment-locator round.
 _LOCATE_ELEMENTS = 8192
 
 
-def _locate_segments(bp: np.ndarray, demands: np.ndarray,
-                     total: Callable[[np.ndarray], np.ndarray], budget: int,
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Active breakpoint segment of every demand.
+def _locate_segment(bp: np.ndarray, demand: float,
+                    total: Callable[[np.ndarray], np.ndarray], budget: int,
+                    ) -> Tuple[int, float, float]:
+    """Active breakpoint segment of ``demand``.
 
     ``bp`` holds sorted unique breakpoints and ``total`` maps an array of
     levels to the total filled flow at each.  Returns ``(k, f_lo, f_hi)``:
@@ -132,51 +94,29 @@ def _locate_segments(bp: np.ndarray, demands: np.ndarray,
     flow at ``bp[k + 1]`` (NaN when unknown: ``k`` is the last index, or
     ``bp[0]`` already overfills).
 
-    Every round narrows each demand's open index range ``(lo, hi)`` by
-    probing evenly spaced interior breakpoints in one ``total`` call:
-    ``budget // bp.size`` levels shared among the open demands, but never
-    fewer than one per demand, so every round makes progress.  All ranges
-    start as the whole index line, so round one probes the same levels for
-    every demand.  The cost is O(m log m) per demand instead of the O(m^2)
-    grid of every link at every breakpoint.
+    Every round narrows the open index range ``(lo, hi)``, which starts as
+    the whole index line, by probing ``budget // bp.size`` evenly spaced
+    interior breakpoints (at least one) in one ``total`` call.  The cost is
+    O(m log m) instead of the O(m^2) grid of every link at every breakpoint.
     """
     n = bp.size
-    probes = min(max(1, budget // n), n)
-    at = np.arange(1, probes + 1) * (n + 1) // (probes + 1) - 1
-    flows = np.asarray(total(bp[at]), dtype=float)
-    # Probes at or below each demand (NaN flows count as above).
-    below = np.searchsorted(flows, demands, side="right")
-    at = np.concatenate(([-1], at, [n]))
-    flows = np.concatenate(([np.nan], flows, [np.nan]))
-    lo, hi = at[below], at[below + 1]
-    f_lo, f_hi = flows[below], flows[below + 1]
-    rows = np.flatnonzero(hi - lo > 1)
-    while rows.size:
-        width = hi[rows] - lo[rows]
-        probes = min(max(1, budget // (n * rows.size)), int(width.min()) - 1)
-        # Each row runs lo, the probes, hi; with probes < width the evenly
-        # spaced probes are strictly increasing and inside the open range.
-        at = np.empty((rows.size, probes + 2), dtype=np.intp)
-        at[:, 0] = lo[rows]
-        at[:, -1] = hi[rows]
-        at[:, 1:-1] = at[:, :1] + (
-            np.arange(1, probes + 1) * width[:, None] // (probes + 1))
-        flows = np.empty(at.shape)
-        flows[:, 0] = f_lo[rows]
-        flows[:, -1] = f_hi[rows]
-        # Ranges still overlap early on: evaluate each level once.
-        levels, inverse = np.unique(at[:, 1:-1], return_inverse=True)
-        flows[:, 1:-1] = np.asarray(total(bp[levels]))[
-            inverse.reshape(at[:, 1:-1].shape)]
-        below = (flows[:, 1:-1] <= demands[rows, None]).sum(axis=1)
-        pick = np.arange(rows.size)
-        lo[rows], hi[rows] = at[pick, below], at[pick, below + 1]
-        f_lo[rows], f_hi[rows] = flows[pick, below], flows[pick, below + 1]
-        rows = rows[hi[rows] - lo[rows] > 1]
-    first = lo < 0
-    f_lo[first] = f_hi[first]
-    f_hi[first] = np.nan
-    return np.maximum(lo, 0), f_lo, f_hi
+    per_round = max(1, budget // n)
+    lo, hi, f_lo, f_hi = -1, n, math.nan, math.nan
+    while hi - lo > 1:
+        width = hi - lo
+        probes = min(per_round, width - 1)
+        # lo, the probes, hi; with probes < width the evenly spaced probes
+        # are strictly increasing and inside the open range.
+        at = lo + np.arange(probes + 2) * width // (probes + 1)
+        flows = np.concatenate(
+            ([f_lo], np.asarray(total(bp[at[1:-1]]), dtype=float), [f_hi]))
+        # Probes at or below the demand (NaN flows count as above).
+        below = int((flows[1:-1] <= demand).sum())
+        lo, hi = int(at[below]), int(at[below + 1])
+        f_lo, f_hi = float(flows[below]), float(flows[below + 1])
+    if lo < 0:
+        return 0, f_hi, math.nan
+    return lo, f_lo, f_hi
 
 
 def sorted_breakpoint_level(breakpoints: np.ndarray, demand: float,
@@ -212,7 +152,11 @@ def sorted_breakpoint_level(breakpoints: np.ndarray, demand: float,
     """
     if demand < 0.0:
         raise ModelError(f"demand must be >= 0, got {demand!r}")
-    bp = _validated_breakpoints(breakpoints)
+    bp = np.unique(np.asarray(breakpoints, dtype=float))
+    if bp.size == 0:
+        raise ModelError("the breakpoint engine needs at least one breakpoint")
+    if not (math.isfinite(bp[0]) and math.isfinite(bp[-1])):  # NaN sorts last
+        raise ModelError("activation breakpoints must be finite")
 
     def totals(levels: np.ndarray) -> np.ndarray:
         flows = np.asarray(flow_grid(levels), dtype=float)
@@ -225,18 +169,16 @@ def sorted_breakpoint_level(breakpoints: np.ndarray, demand: float,
 
     # Each ``extra`` level costs a scalar bisected inverse, so the locator
     # then probes a single breakpoint per round.
-    k, f_lo, f_hi = _locate_segments(
-        bp, np.array([demand]), totals,
-        _LOCATE_ELEMENTS if extra is None else 0)
-    k = int(k[0])
+    k, f_lo, f_hi = _locate_segment(
+        bp, demand, totals, _LOCATE_ELEMENTS if extra is None else 0)
     lo = float(bp[k])
-    g_lo = float(f_lo[0]) - demand
+    g_lo = f_lo - demand
     if g_lo >= 0.0:
         # Only possible through rounding at the smallest breakpoint: the
         # filled flow there is already (numerically) the demand.
         return lo
 
-    g_hi = float(f_hi[0]) - demand
+    g_hi = f_hi - demand
     if k + 1 < bp.size:
         hi = float(bp[k + 1])
     else:
@@ -291,81 +233,6 @@ def sorted_breakpoint_level(breakpoints: np.ndarray, demand: float,
         else:
             x = 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
-
-
-def sorted_breakpoint_levels(breakpoints: np.ndarray, demands: np.ndarray,
-                             flow_grid: Callable[[np.ndarray], np.ndarray],
-                             flow_dflow_grid: Callable[
-                                 [np.ndarray], Tuple[np.ndarray, np.ndarray]],
-                             *, tol: float = 1e-12, max_expansions: int = 200,
-                             max_iter: int = 200) -> np.ndarray:
-    """Batched :func:`sorted_breakpoint_level` over many demands at once.
-
-    Solves ``flow_grid(L_j) = demand_j`` for every entry of ``demands`` over
-    the same links: the segment locator narrows every demand's index range
-    in shared flow evaluations, and all the safeguarded Newton iterations
-    run vectorized across the batch (only rows that have not converged are
-    re-evaluated).  Requires closed forms throughout — callers with numeric
-    (``extra``) links fall back to the scalar engine.  Each Newton
-    iteration is one fused ``flow_dflow_grid`` call returning
-    ``(flows, d flows/dL)`` at the pending levels.
-    """
-    demands = np.asarray(demands, dtype=float)
-    if demands.ndim != 1:
-        raise ModelError("sorted_breakpoint_levels needs a 1-d demand array")
-    if np.any(demands < 0.0):
-        raise ModelError("demands must be >= 0")
-    bp = _validated_breakpoints(breakpoints)
-    if demands.size == 0:
-        return np.empty(0, dtype=float)
-    k, f_lo, f_hi = _locate_segments(bp, demands, flow_grid, _LOCATE_ELEMENTS)
-    lo = bp[k]
-    hi = np.empty_like(lo)
-    inner = k + 1 < bp.size
-    hi[inner] = bp[k[inner] + 1]
-    top = ~inner
-    if np.any(top):
-        hi[top] = expand_upper_brackets(
-            lambda h: np.asarray(flow_grid(h), dtype=float) - demands[top],
-            lo[top], initial=1.0, max_expansions=max_expansions)
-
-    scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    # Secant start from the two flows the locator found at each active
-    # segment's endpoints (NaN, so no secant, where one is unknown).
-    g_lo = f_lo - demands
-    g_hi = f_hi - demands
-    with np.errstate(divide="ignore", invalid="ignore"):
-        secant = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-    use = (g_hi > g_lo) & (secant > lo) & (secant < hi)
-    x = np.where(use, secant, 0.5 * (lo + hi))
-    active = np.ones(demands.size, dtype=bool)
-    for _ in range(max_iter):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        flows, d = flow_dflow_grid(x[idx])
-        g = np.asarray(flows, dtype=float) - demands[idx]
-        d = np.asarray(d, dtype=float)
-        if np.any(np.isnan(g)):
-            raise ConvergenceError(
-                "water-filling flow evaluated to NaN during the level solve")
-        below = g < 0.0
-        lo_i = np.where(below, x[idx], lo[idx])
-        hi_i = np.where(below, hi[idx], x[idx])
-        lo[idx] = lo_i
-        hi[idx] = hi_i
-        exact = g == 0.0
-        done = exact | (hi_i - lo_i <= tol * scale[idx])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = np.where(d > 0.0, -g / d, np.nan)
-        nxt = x[idx] + step
-        ok = np.isfinite(nxt) & (nxt > lo_i) & (nxt < hi_i)
-        small = ok & (np.abs(step) <= 0.5 * tol * scale[idx]) & ~done
-        new_x = np.where(ok, nxt, 0.5 * (lo_i + hi_i))
-        new_x = np.where(exact, x[idx], new_x)
-        x[idx] = new_x
-        active[idx] = ~(done | small)
-    return x
 
 
 def vectorized_bisect(func: Callable[[np.ndarray], np.ndarray],

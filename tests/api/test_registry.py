@@ -142,42 +142,3 @@ class TestSolveOnLoadedInstances:
     def test_garbage_rejected_with_a_typed_error(self):
         with pytest.raises(ModelError):
             solve("not an instance")
-
-
-class TestBatchSolverRegistration:
-    def test_builtin_aloof_has_batch_solver(self):
-        assert REGISTRY.batch_solver("aloof") is not None
-
-    def test_unattached_strategies_return_none(self):
-        assert REGISTRY.batch_solver("optop") is None
-        assert REGISTRY.batch_solver("never_registered") is None
-
-    def test_register_batch_requires_base_strategy(self):
-        registry = StrategyRegistry()
-        with pytest.raises(StrategyError, match="unregistered"):
-            registry.register_batch("ghost", lambda instances, config: None)
-
-    def test_register_batch_rejects_duplicates(self):
-        registry = StrategyRegistry()
-        registry.register("s", lambda instance, config: None)
-        registry.register_batch("s", lambda instances, config: None)
-        with pytest.raises(StrategyError):
-            registry.register_batch("s", lambda instances, config: None)
-
-    def test_register_batch_decorator_form(self):
-        registry = StrategyRegistry()
-        registry.register("s", lambda instance, config: None)
-
-        @registry.register_batch("s")
-        def batched(instances, config):
-            return None
-
-        assert registry.batch_solver("s") is batched
-
-    def test_unregister_drops_batch_solver(self):
-        registry = StrategyRegistry()
-        registry.register("s", lambda instance, config: None)
-        registry.register_batch("s", lambda instances, config: None)
-        registry.unregister("s")
-        registry.register("s", lambda instance, config: None)
-        assert registry.batch_solver("s") is None

@@ -18,7 +18,6 @@ import repro.core
 import repro.equilibrium
 import repro.metrics
 from repro.api import SolveConfig, solve, solve_many
-from repro.api import strategies as api_strategies
 from repro.equilibrium import network as network_module
 from repro.equilibrium import parallel as parallel_module
 from repro.exceptions import ModelError
@@ -75,22 +74,14 @@ def test_frank_wolfe_calls_get_the_config_settings(strategy):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_water_fill_calls_get_the_config_tolerance(strategy):
-    single, batched = [], []
+    calls = []
     config = SolveConfig(water_fill_tol=1e-6, brute_force_resolution=4,
                          cache=False)
     with mock.patch.object(parallel_module, "water_fill",
-                           _recording(parallel_module.water_fill, single)), \
-            mock.patch.object(api_strategies, "water_fill_many",
-                              _recording(parallel_module.water_fill_many,
-                                         batched)):
+                           _recording(parallel_module.water_fill, calls)):
         solve(figure_4_example(), strategy, config=config)
-        if strategy == "aloof":
-            # Two instances over one link system run the batched kernel.
-            solve_many([pigou(), pigou().with_demand(0.5)], strategy,
-                       config=config, max_workers=0)
-            assert batched
-    assert single
-    assert all(kwargs.get("tol") == 1e-6 for _, kwargs in single + batched)
+    assert calls
+    assert all(kwargs.get("tol") == 1e-6 for _, kwargs in calls)
 
 
 # --------------------------------------------------------------------------- #
@@ -106,7 +97,6 @@ SETTINGS = frozenset({"solver", "tolerance", "max_iterations", "tol",
 #: keeps ``solver``/``tolerance`` for callers that pass them by keyword.
 EXEMPT = {
     "repro.equilibrium.parallel.water_fill": {"tol"},
-    "repro.equilibrium.parallel.water_fill_many": {"tol"},
     "repro.equilibrium.pathbased.path_based_flow": {"tol", "max_iterations"},
     "repro.baselines.network_ext.network_llf": {"solver", "tolerance"},
 }

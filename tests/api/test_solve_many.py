@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -14,7 +15,7 @@ from repro.api import (
     solve,
     solve_many,
 )
-from repro.exceptions import StrategyError
+from repro.exceptions import ModelError, StrategyError
 from repro.instances import pigou, random_linear_parallel
 
 
@@ -215,8 +216,30 @@ class TestSpawnStartMethodFallback:
             REGISTRY.unregister("fork_ok_stub")
 
 
-class TestBatchPrePass:
-    """The whole-batch solver shortcut in sequential solve_many."""
+class TestMaxWorkersCheck:
+    """``max_workers`` is None or an int >= 0, checked before any solve."""
+
+    @pytest.mark.parametrize("bad", ["x", 2.5, -3, True, [2]])
+    def test_solve_many_rejects(self, bad):
+        # One instance: the check must not depend on a pool being needed.
+        with pytest.raises(ModelError, match="max_workers"):
+            solve_many([pigou()], "optop", max_workers=bad)
+
+    @pytest.mark.parametrize("bad", ["x", 2.5, -3])
+    def test_service_rejects(self, bad):
+        from repro.serve import SolveService
+
+        with pytest.raises(ModelError, match="max_workers"):
+            SolveService(max_workers=bad)
+
+    @pytest.mark.parametrize("good", [None, 0, 1, np.int64(1)])
+    def test_accepted(self, good):
+        reports = solve_many([pigou()], "optop", max_workers=good)
+        assert reports[0].beta == pytest.approx(0.5)
+
+
+class TestOneLinkSystemBatch:
+    """aloof over one link system at many demands, in sequential solve_many."""
 
     def _instances(self, n=6):
         base = random_linear_parallel(5, demand=1.0, seed=3)
@@ -240,72 +263,3 @@ class TestBatchPrePass:
         assert all(not r.metadata["cache"]["hit"] for r in first)
         second = solve_many(instances, "aloof", max_workers=0)
         assert all(r.metadata["cache"]["hit"] for r in second)
-
-    def test_batch_metadata_records_group_size(self):
-        instances = self._instances(4)
-        reports = solve_many(instances, "aloof", max_workers=0,
-                             config=SolveConfig(cache=False))
-        assert all(r.metadata.get("batched") == 4 for r in reports)
-
-    def test_mixed_latency_groups_and_singletons(self):
-        shared = random_linear_parallel(4, demand=1.0, seed=8)
-        group = [shared.with_demand(d) for d in (0.4, 1.3, 2.2)]
-        loner = random_linear_parallel(4, demand=1.5, seed=9)
-        reports = solve_many(group + [loner], "aloof", max_workers=0,
-                             config=SolveConfig(cache=False))
-        assert [r.metadata.get("batched") for r in reports[:3]] == [3, 3, 3]
-        assert reports[3].metadata.get("batched") is None
-        single = solve(loner, "aloof", config=SolveConfig(cache=False))
-        assert reports[3].induced_cost == pytest.approx(single.induced_cost,
-                                                        abs=1e-12)
-
-    def test_profiled_batch_runs_the_pre_pass(self):
-        # Profiling does not change which code runs: the batch pre-pass
-        # runs under one recorder and every report carries its phases.
-        instances = self._instances(3)
-        reports = solve_many(instances, "aloof", max_workers=0,
-                             config=SolveConfig(cache=False, profile=True))
-        assert [r.metadata.get("batched") for r in reports] == [3, 3, 3]
-        profiles = [r.metadata["profile"] for r in reports]
-        assert all(profile == profiles[0] for profile in profiles)
-        assert profiles[0]["phases"]
-        assert profiles[0]["total_seconds"] > 0.0
-
-    def test_link_system_groups_match_the_json_grouping(self):
-        # The groups key on the bytes of the cached latency columns; they
-        # are the groups the JSON of every link's parameters gives.
-        import json
-
-        from repro.instances import random_mixed_parallel
-        from repro.network import ParallelLinkInstance
-        from repro.serialization import latency_to_dict
-
-        shared = random_mixed_parallel(30, demand=5.0, seed=4)
-        renamed = ParallelLinkInstance(shared.latencies, 2.0,
-                                       names=[f"L{i}" for i in range(30)])
-        instances = ([shared.with_demand(d) for d in (1.0, 3.0, 6.0)]
-                     + [random_mixed_parallel(30, demand=5.0, seed=s)
-                        for s in (5, 6)]
-                     + [renamed, random_linear_parallel(30, 5.0, seed=4),
-                        shared.with_demand(2.5)])
-        groups = {}
-        for i, inst in enumerate(instances):
-            key = json.dumps([latency_to_dict(lat) for lat in inst.latencies],
-                             sort_keys=True)
-            groups.setdefault(key, []).append(i)
-        sizes = [len(group) for i in range(len(instances))
-                 for group in groups.values() if i in group]
-        assert sizes == [5, 5, 5, 1, 1, 5, 1, 5]
-        reports = solve_many(instances, "aloof", max_workers=0,
-                             config=SolveConfig(cache=False))
-        assert [r.metadata.get("batched", 1) for r in reports] == sizes
-
-    def test_a_wrapped_link_declines_the_batch(self):
-        from repro.api.strategies import solve_aloof_many
-        from repro.latency import ShiftedLatency
-        from repro.network import ParallelLinkInstance
-
-        base = random_linear_parallel(4, demand=1.0, seed=8)
-        wrapped = ParallelLinkInstance(
-            [ShiftedLatency(lat, 0.1) for lat in base.latencies], 1.0)
-        assert solve_aloof_many([base, wrapped], SolveConfig()) is None

@@ -14,8 +14,7 @@ from repro.equilibrium import (
     parallel_optimality_gap,
     parallel_wardrop_gap,
 )
-from repro.equilibrium.parallel import (water_fill, water_fill_many,
-                                        water_fill_reference)
+from repro.equilibrium.parallel import water_fill, water_fill_reference
 
 
 class TestPigouFlows:
@@ -167,8 +166,7 @@ class TestWaterFillFunction:
     @pytest.mark.parametrize("solver", [
         lambda lats, demand, kind: water_fill(lats, demand, kind),
         lambda lats, demand, kind: water_fill_reference(lats, demand, kind),
-        lambda lats, demand, kind: water_fill_many(lats, [1.0, demand], kind),
-    ], ids=["water_fill", "water_fill_reference", "water_fill_many"])
+    ], ids=["water_fill", "water_fill_reference"])
     def test_saturating_links_without_a_constant_rejected(self, solver, kind):
         # Capacities 1 + 2 < 5: no level routes the demand, and with no
         # constant link to take the excess the call must fail, not return

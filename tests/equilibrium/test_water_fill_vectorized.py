@@ -16,7 +16,6 @@ from repro.equilibrium.parallel import (
     parallel_nash,
     parallel_optimum,
     water_fill,
-    water_fill_many,
     water_fill_reference,
 )
 from repro.exceptions import ModelError
@@ -198,109 +197,3 @@ class TestMM1NearCapacity:
         vec_flows, _ = water_fill(self.LINKS, self.DEMAND, kind)
         ref_flows, _ = water_fill_reference(self.LINKS, self.DEMAND, kind)
         np.testing.assert_allclose(vec_flows, ref_flows, atol=1e-6)
-
-
-class TestWaterFillMany:
-    @pytest.mark.parametrize("kind", ["nash", "optimum"])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_per_instance_loop(self, kind, seed):
-        links = random_family_links(seed)
-        rng = np.random.default_rng(1000 + seed)
-        demands = np.concatenate([[0.0], rng.uniform(0.1, 8.0, size=7)])
-        flows, levels = water_fill_many(links, demands, kind)
-        assert flows.shape == (demands.size, len(links))
-        for j, demand in enumerate(demands):
-            f, level = water_fill(links, float(demand), kind)
-            np.testing.assert_allclose(flows[j], f, atol=EQ_TOL)
-            if np.isfinite(level):
-                assert levels[j] == pytest.approx(level, abs=EQ_TOL,
-                                                  rel=EQ_TOL)
-            else:
-                assert levels[j] == level
-
-    @pytest.mark.parametrize("kind", ["nash", "optimum"])
-    def test_reference_backend_agrees(self, kind):
-        links = random_family_links(3)
-        demands = np.array([0.5, 2.0, 5.0])
-        vec_flows, vec_levels = water_fill_many(links, demands, kind)
-        ref = [water_fill_reference(links, float(d), kind) for d in demands]
-        ref_flows = np.stack([flows for flows, _ in ref])
-        ref_levels = np.array([level for _, level in ref])
-        np.testing.assert_allclose(vec_flows, ref_flows, atol=EQ_TOL)
-        np.testing.assert_allclose(vec_levels, ref_levels, atol=EQ_TOL)
-
-    @pytest.mark.parametrize("kind", ["nash", "optimum"])
-    def test_all_linear_closed_form(self, kind):
-        links = [LinearLatency(1.0, 0.0), LinearLatency(0.5, 1.0),
-                 LinearLatency(2.0, 0.3)]
-        demands = np.array([0.0, 1.0, 4.0, 9.5])
-        flows, levels = water_fill_many(links, demands, kind)
-        for j, demand in enumerate(demands):
-            f, level = water_fill(links, float(demand), kind)
-            np.testing.assert_allclose(flows[j], f, atol=EQ_TOL)
-            assert levels[j] == pytest.approx(level, abs=EQ_TOL)
-
-    @pytest.mark.parametrize("kind", ["nash", "optimum"])
-    def test_generic_fallback_rows(self, kind):
-        # A generic (no closed-form inverse) link forces the per-demand
-        # scalar fallback; results must still match the scalar solver.
-        from repro.latency.base import LatencyFunction
-
-        class _WeirdLatency(LatencyFunction):
-            def value(self, x):
-                return 1.0 + x + 0.1 * np.sinh(x)
-
-            def derivative(self, x):
-                return 1.0 + 0.1 * np.cosh(x)
-
-            def integral(self, x):
-                return x + 0.5 * x * x + 0.1 * (np.cosh(x) - 1.0)
-
-        links = [_WeirdLatency(), LinearLatency(1.0, 0.5), MM1Latency(4.0)]
-        demands = np.array([0.3, 1.5, 3.0])
-        flows, levels = water_fill_many(links, demands, kind)
-        for j, demand in enumerate(demands):
-            f, level = water_fill(links, float(demand), kind)
-            np.testing.assert_allclose(flows[j], f, atol=EQ_TOL)
-            assert levels[j] == pytest.approx(level, abs=EQ_TOL)
-
-    def test_single_link(self):
-        flows, levels = water_fill_many([MM1Latency(3.0)],
-                                        np.array([0.0, 1.0, 2.5]), "nash")
-        np.testing.assert_allclose(flows[:, 0], [0.0, 1.0, 2.5], atol=EQ_TOL)
-
-    @pytest.mark.parametrize("kind", ["nash", "optimum"])
-    def test_duplicate_breakpoints(self, kind):
-        # Identical links share one activation breakpoint; the engine must
-        # deduplicate the grid without losing a segment.
-        links = [LinearLatency(1.0, 1.0), LinearLatency(1.0, 1.0),
-                 MonomialLatency(0.5, 3, 1.0), ConstantLatency(1.0)]
-        demands = np.array([0.0, 0.5, 2.0, 6.0])
-        flows, _ = water_fill_many(links, demands, kind)
-        for j, demand in enumerate(demands):
-            f, _ = water_fill(links, float(demand), kind)
-            np.testing.assert_allclose(flows[j], f, atol=EQ_TOL)
-
-    def test_empty_demands(self):
-        flows, levels = water_fill_many([LinearLatency(1.0)], np.empty(0),
-                                        "nash")
-        assert flows.shape == (0, 1)
-        assert levels.shape == (0,)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ModelError):
-            water_fill_many([LinearLatency(1.0)], np.array([-1.0]), "nash")
-        with pytest.raises(ModelError):
-            water_fill_many([LinearLatency(1.0)], np.array([[1.0]]), "nash")
-        with pytest.raises(ModelError):
-            water_fill_many([LinearLatency(1.0)], np.array([1.0]), "nope")
-
-    def test_prebuilt_batch_reused(self):
-        from repro.latency.batch import LatencyBatch
-
-        links = random_family_links(7)
-        batch = LatencyBatch(links)
-        demands = np.array([1.0, 3.0])
-        flows_a, _ = water_fill_many(links, demands, "nash", batch=batch)
-        flows_b, _ = water_fill_many(links, demands, "nash")
-        np.testing.assert_allclose(flows_a, flows_b, atol=EQ_TOL)

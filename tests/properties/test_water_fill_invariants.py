@@ -85,26 +85,3 @@ def test_backends_agree(family, seed, kind):
                                             instance.demand, kind)
     assert np.allclose(fast, slow, atol=1e-7)
     assert fast_level == pytest.approx(slow_level, abs=1e-7)
-
-
-@pytest.mark.parametrize("seed", SEEDS[:5])
-@pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("kind", KINDS)
-def test_water_fill_many_matches_scalar_loop(family, seed, kind):
-    """The batched entry point equals one water_fill call per demand."""
-    from repro.equilibrium.parallel import water_fill_many
-
-    instance = make_instance(family, seed)
-    demands = np.array([0.0, 0.3 * instance.demand, instance.demand,
-                        2.5 * instance.demand])
-    flows, levels = water_fill_many(instance.latencies, demands, kind)
-    assert flows.shape == (demands.size, len(instance.latencies))
-    for j, demand in enumerate(demands):
-        scalar_flows, scalar_level = water_fill(instance.latencies,
-                                                float(demand), kind)
-        assert np.allclose(flows[j], scalar_flows, atol=1e-9)
-        if np.isfinite(scalar_level):
-            assert levels[j] == pytest.approx(scalar_level, abs=1e-9,
-                                              rel=1e-9)
-        else:
-            assert levels[j] == scalar_level

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from types import SimpleNamespace
 from unittest import mock
 
@@ -48,6 +49,17 @@ class TestAnalyzeCommand:
     def test_analyze_missing_file(self, capsys):
         assert main(["analyze", "--file", "/nonexistent/instance.json"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_malformed_instance_file_is_a_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"type": "parallel", "demand": "x",
+                                    "links": [{"type": "constant",
+                                               "value": 1.0}]}))
+        assert main(["solve", "--file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'demand'" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["--instance", "pigou"],

@@ -108,6 +108,56 @@ class TestInstanceRoundTrip:
             instance_from_dict("not-a-dict")
 
 
+_PIGOU = {"type": "parallel", "demand": 1.0,
+          "links": [{"type": "linear", "slope": 1.0},
+                    {"type": "constant", "value": 1.0}]}
+_EDGE = {"tail": "s", "head": "t", "latency": {"type": "linear", "slope": 1.0}}
+
+
+def _network(**edge):
+    return {"type": "network", "edges": [{**_EDGE, **edge}],
+            "commodities": [{"source": "s", "sink": "t", "demand": 1.0}]}
+
+
+#: Malformed descriptions and the field each error must name.
+MALFORMED = [
+    ({**_PIGOU, "demand": "x"}, "'demand'"),
+    ({**_PIGOU, "demand": None}, "'demand'"),
+    ({k: v for k, v in _PIGOU.items() if k != "demand"}, "'demand'"),
+    ({**_PIGOU, "links": 5}, "'links'"),
+    ({**_PIGOU, "links": [{"type": "linear", "slope": "a"}]}, "'slope'"),
+    ({**_PIGOU, "links": [{"type": "constant"}]}, "'value'"),
+    ({**_PIGOU, "links": ["linear"]}, "a link must be an object"),
+    ({**_PIGOU, "links": [{"type": "polynomial", "coefficients": 3}]},
+     "'coefficients'"),
+    ({**_PIGOU, "links": [{"type": "polynomial", "coefficients": ["a"]}]},
+     "'coefficients'"),
+    ({**_network(), "edges": [{"tail": "s", "latency": _EDGE["latency"]}]},
+     "'head'"),
+    (_network(tail={"a": 1}), "'tail'"),
+    (_network(latency={"type": "linear", "slope": []}), "edges[0].latency"),
+    ({**_network(), "commodities": [{"source": "s", "sink": "t",
+                                     "demand": "lots"}]}, "commodities[0]"),
+    ({**_network(), "commodities": {"source": "s"}}, "'commodities'"),
+]
+
+
+@pytest.mark.parametrize("data, field", MALFORMED,
+                         ids=[f"case{i}" for i in range(len(MALFORMED))])
+def test_malformed_instance_raises_model_error_naming_the_field(data, field):
+    with pytest.raises(ModelError) as excinfo:
+        instance_from_dict(data)
+    assert field in str(excinfo.value)
+
+
+@pytest.mark.parametrize("data", [[1, 2], "alpha", None])
+def test_malformed_config_raises_model_error(data):
+    from repro.config import SolveConfig
+
+    with pytest.raises(ModelError, match="SolveConfig"):
+        SolveConfig.from_dict(data)
+
+
 class TestFileIO:
     def test_save_and_load(self, tmp_path):
         path = tmp_path / "pigou.json"

@@ -1,8 +1,7 @@
 """Tests for the vectorized numeric kernels (`repro.utils.vectorized`).
 
-Covers the sorted-breakpoint level engine (scalar and batched) and its
-segment locator, the exact all-linear closed form, and the two kernel bug
-regressions: the NaN guard in
+Covers the sorted-breakpoint level engine and its segment locator, and the
+two kernel bug regressions: the NaN guard in
 ``vectorized_bisect`` and the frozen-row probing of ``expand_upper_brackets``.
 """
 
@@ -19,34 +18,9 @@ from repro.utils import vectorized
 from repro.utils.vectorized import (
     expand_upper_brackets,
     piecewise_linear_level,
-    piecewise_linear_levels,
     sorted_breakpoint_level,
-    sorted_breakpoint_levels,
     vectorized_bisect,
 )
-
-
-# --------------------------------------------------------------------------- #
-# The affine closed form
-# --------------------------------------------------------------------------- #
-class TestPiecewiseLinearLevels:
-    def test_matches_scalar_solve_per_demand(self):
-        rng = np.random.default_rng(0)
-        weights = rng.uniform(0.2, 3.0, size=15)
-        breaks = rng.uniform(0.0, 2.0, size=15)
-        demands = np.array([0.0, 0.3, 1.7, 8.0, 42.0])
-        levels = piecewise_linear_levels(weights, breaks, demands)
-        for demand, level in zip(demands, levels):
-            assert level == pytest.approx(
-                piecewise_linear_level(weights, breaks, float(demand)),
-                rel=1e-14)
-
-    def test_rejects_bad_demands(self):
-        with pytest.raises(ModelError):
-            piecewise_linear_levels(np.ones(3), np.zeros(3), np.array([-1.0]))
-        with pytest.raises(ModelError):
-            piecewise_linear_levels(np.ones(3), np.zeros(3),
-                                    np.array([[1.0, 2.0]]))
 
 
 # --------------------------------------------------------------------------- #
@@ -65,13 +39,6 @@ def _affine_dflow(weights, breaks):
         levels = np.asarray(levels, dtype=float)
         return ((levels[:, None] > breaks) * weights).sum(axis=1)
     return dflow
-
-
-def _affine_flow_dflow(weights, breaks):
-    """Fused ``(flow, dflow)`` at each level, as the batched engine takes."""
-    flow = _affine_flow(weights, breaks)
-    dflow = _affine_dflow(weights, breaks)
-    return lambda levels: (flow(levels), dflow(levels))
 
 
 def _links(size):
@@ -178,53 +145,32 @@ class TestSortedBreakpointLevel:
             sorted_breakpoint_level(np.array([]), 1.0, flow)
 
 
-class TestSortedBreakpointLevels:
-    weights, breaks = _links(4)
-
-    @SIZES
-    def test_matches_scalar_engine_per_demand(self, size):
-        weights, breaks = _links(size)
-        flow = _affine_flow(weights, breaks)
-        fused = _affine_flow_dflow(weights, breaks)
-        demands = np.concatenate([[0.0, 1.0, 7.0, 1e4],
-                                  _demands(weights, breaks)])
-        levels = sorted_breakpoint_levels(breaks, demands, flow, fused)
-        for demand, level in zip(demands, levels):
-            assert level == pytest.approx(
-                piecewise_linear_level(weights, breaks, float(demand)),
-                rel=1e-10)
-            assert level == pytest.approx(
-                sorted_breakpoint_level(breaks, float(demand), flow),
-                rel=1e-10)
-
-    def test_empty_batch(self):
-        flow = _affine_flow(self.weights, self.breaks)
-        fused = _affine_flow_dflow(self.weights, self.breaks)
-        out = sorted_breakpoint_levels(self.breaks, np.empty(0), flow, fused)
-        assert out.shape == (0,)
-
-    def test_rejects_bad_demands(self):
-        flow = _affine_flow(self.weights, self.breaks)
-        fused = _affine_flow_dflow(self.weights, self.breaks)
-        with pytest.raises(ModelError):
-            sorted_breakpoint_levels(self.breaks, np.array([-1.0]), flow,
-                                     fused)
-
-
 # --------------------------------------------------------------------------- #
-# The segment locator shared by both engines
+# The segment locator
 # --------------------------------------------------------------------------- #
 class TestSegmentLocator:
-    def test_matches_the_dense_grid_oracle(self):
+    def test_matches_the_dense_grid_oracle(self, monkeypatch):
         # The locator must land on the segment a searchsorted over the full
         # grid of every link at every breakpoint finds, with the same flows.
         instance = random_mixed_parallel(400, demand=80.0, seed=5)
         profile = LatencyBatch(instance.latencies).level_profile("optimum")
         levels, grid = profile.grid()
         demands = np.concatenate([[0.0], np.linspace(0.5, 2.0 * grid[-1], 37)])
-        k, f_lo, f_hi = vectorized._locate_segments(
-            profile.breakpoints, demands, profile.flow_grid,
-            vectorized._LOCATE_ELEMENTS)
+        located = []
+        locate = vectorized._locate_segment
+
+        def recording(*args):
+            located.append(locate(*args))
+            return located[-1]
+
+        monkeypatch.setattr(vectorized, "_locate_segment", recording)
+        for demand in demands:
+            try:
+                sorted_breakpoint_level(profile.breakpoints, float(demand),
+                                        profile.flow_grid)
+            except ConvergenceError:
+                pass  # above the M/M/1 capacities; the locator has run
+        k, f_lo, f_hi = (np.array(column) for column in zip(*located))
         expected = np.maximum(
             np.searchsorted(grid, demands, side="right") - 1, 0)
         np.testing.assert_array_equal(k, expected)
@@ -234,8 +180,8 @@ class TestSegmentLocator:
         assert np.all(np.isnan(f_hi[~inner]))
 
     def test_budget_below_row_count_still_terminates(self, monkeypatch):
-        # A budget smaller than the breakpoint count leaves no room for even
-        # one probe per demand; the locator must still probe one interior
+        # A budget smaller than the breakpoint count leaves no room for more
+        # than one probe; the locator must still probe one interior
         # breakpoint per round and so finish in ~log2(m) rounds.
         monkeypatch.setattr(vectorized, "_LOCATE_ELEMENTS", 1)
         weights, breaks = _links(300)
@@ -246,22 +192,15 @@ class TestSegmentLocator:
             calls.append(len(levels))
             return flow(levels)
 
-        demands = _demands(weights, breaks)
-        fused = _affine_flow_dflow(weights, breaks)
-        levels = sorted_breakpoint_levels(breaks, demands, counted, fused)
-        np.testing.assert_allclose(
-            levels, piecewise_linear_levels(weights, breaks, demands),
-            rtol=1e-10)
-        # One probe per open demand per round: ~log2(unique breakpoints)
-        # rounds plus the top expansion (Newton runs on the fused call).
-        assert len(calls) < 60
-        assert max(calls) <= demands.size
-        for demand in demands:
+        for demand in _demands(weights, breaks):
             calls.clear()
             level = sorted_breakpoint_level(breaks, float(demand), counted)
             assert level == pytest.approx(
                 piecewise_linear_level(weights, breaks, float(demand)),
                 rel=1e-10)
+            # ~log2(unique breakpoints) locator rounds, the top expansion
+            # and the bisection-only finish, one level per call.
+            assert max(calls) == 1
             assert len(calls) < 120
 
     def test_cold_water_fill_evaluates_o_m_log_m_elements(self, monkeypatch):
