@@ -14,7 +14,11 @@ import pytest
 
 from repro.api import SolveConfig, solve, solve_many
 from repro.cache import LRUCache
-from repro.instances import random_linear_parallel, random_mixed_parallel
+from repro.instances import (
+    random_linear_parallel,
+    random_mixed_parallel,
+    random_polynomial_parallel,
+)
 from repro.serve import SolveService
 
 DEMANDS = (0.4, 1.3, 2.9, 5.5, 9.0, 14.0)
@@ -24,6 +28,11 @@ LINK_SYSTEMS = {
     "linear-50": lambda: random_linear_parallel(50, demand=1.0, seed=12),
     "mixed-6": lambda: random_mixed_parallel(6, demand=1.0, seed=13),
     "mixed-50": lambda: random_mixed_parallel(50, demand=1.0, seed=14),
+    "mixed-1000": lambda: random_mixed_parallel(1000, demand=1.0, seed=15),
+    "polynomial-6": lambda: random_polynomial_parallel(6, demand=1.0,
+                                                       seed=16),
+    "polynomial-50": lambda: random_polynomial_parallel(50, demand=1.0,
+                                                        seed=17),
 }
 
 

@@ -113,6 +113,55 @@ class TestEdgeCases:
                  ConstantLatency(1.8), LinearLatency(0.7, 0.2)]
         assert_backends_agree(links, 3.0, kind)
 
+    @pytest.mark.parametrize("kind", ["nash", "optimum"])
+    def test_duplicate_breakpoints(self, kind):
+        # Identical links share one activation breakpoint; the level engine
+        # must deduplicate its grid without losing a segment.
+        links = [LinearLatency(1.0, 1.0), LinearLatency(1.0, 1.0),
+                 MonomialLatency(0.5, 3, 1.0), ConstantLatency(1.0)]
+        for demand in (0.0, 0.5, 2.0, 6.0):
+            assert_backends_agree(links, demand, kind)
+
+    @pytest.mark.parametrize("kind", ["nash", "optimum"])
+    def test_link_without_closed_form_inverse(self, kind):
+        # A generic link has no closed-form inverse, so the level solve
+        # falls back to bisection on it; it must still match the oracle.
+        from repro.latency.base import LatencyFunction
+
+        class _SinhLatency(LatencyFunction):
+            def value(self, x):
+                return 1.0 + x + 0.1 * np.sinh(x)
+
+            def derivative(self, x):
+                return 1.0 + 0.1 * np.cosh(x)
+
+            def integral(self, x):
+                return x + 0.5 * x * x + 0.1 * (np.cosh(x) - 1.0)
+
+        links = [_SinhLatency(), LinearLatency(1.0, 0.5), MM1Latency(4.0)]
+        for demand in (0.3, 1.5, 3.0):
+            assert_backends_agree(links, demand, kind)
+
+    @pytest.mark.parametrize("kind", ["nash", "optimum"])
+    def test_single_link_carries_the_whole_demand(self, kind):
+        for demand in (0.0, 1.0, 2.5):
+            flows, _ = water_fill([MM1Latency(3.0)], demand, kind)
+            np.testing.assert_allclose(flows, [demand], atol=EQ_TOL)
+
+    @pytest.mark.parametrize("kind", ["nash", "optimum"])
+    def test_prebuilt_batch_reused_across_demands(self, kind):
+        # One LatencyBatch serves a whole demand sweep on its link system,
+        # read through its columns alone, with the flows of a fresh solve.
+        from repro.latency.batch import LatencyBatch
+
+        links = random_family_links(7)
+        batch = LatencyBatch(links)
+        for demand in (0.0, 1.0, 3.0):
+            shared, shared_level = water_fill(None, demand, kind, batch=batch)
+            fresh, fresh_level = water_fill(links, demand, kind)
+            np.testing.assert_array_equal(shared, fresh)
+            assert shared_level == fresh_level
+
     def test_unknown_kind_raises_on_both_backends(self):
         links = [LinearLatency(1.0)]
         with pytest.raises(ModelError):

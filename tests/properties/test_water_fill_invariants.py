@@ -85,3 +85,18 @@ def test_backends_agree(family, seed, kind):
                                             instance.demand, kind)
     assert np.allclose(fast, slow, atol=1e-7)
     assert fast_level == pytest.approx(slow_level, abs=1e-7)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:2])
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_backends_agree_across_a_demand_sweep(family, seed, kind):
+    """One link system solved at several demands, as a study demand axis
+    does: every demand matches the scalar reference kernel to 1e-9."""
+    instance = make_instance(family, seed)
+    for demand in (0.0, 0.3 * instance.demand, instance.demand):
+        fast, fast_level = water_fill(instance.latencies, demand, kind)
+        slow, slow_level = water_fill_reference(instance.latencies, demand,
+                                                kind)
+        assert np.allclose(fast, slow, atol=1e-9)
+        assert fast_level == pytest.approx(slow_level, abs=1e-9, rel=1e-9)
