@@ -93,9 +93,8 @@ def measure_warm_throughput(*, num_requests: int, num_distinct: int,
     below read one pass without rebuilding the service.
     """
     services = {
-        "disabled": SolveService(max_wait_ms=1.0),
-        "enabled": SolveService(max_wait_ms=1.0,
-                                obs=Observability(service="overhead-bench")),
+        "disabled": SolveService(),
+        "enabled": SolveService(obs=Observability(service="overhead-bench")),
     }
     rates = {"disabled": [], "enabled": []}
     try:

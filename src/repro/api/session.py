@@ -15,6 +15,10 @@ over a batch with two production conveniences:
 * **process-pool fan-out** via :class:`concurrent.futures.ProcessPoolExecutor`
   for cache misses, since the solvers are CPU-bound and release no GIL.
 
+Both run every fresh solve through :func:`execute`, the uncached executor;
+:class:`repro.serve.SolveService` calls it directly, since its own tiered
+cache sits in front.
+
 Strategies registered at runtime (e.g. test stubs) are visible to worker
 processes only on fork-based platforms: workers resolve strategies by
 *name*, and only the built-in names are re-registered when a spawned worker
@@ -43,8 +47,8 @@ from repro.cache import LRUCache
 from repro.exceptions import ModelError
 from repro.serialization import instance_digest
 
-__all__ = ["solve", "solve_many", "clear_cache", "cache_size", "cache_stats",
-           "resolve_strategy_name", "check_max_workers", "CACHE_MAX_ENTRIES"]
+__all__ = ["solve", "solve_many", "execute", "clear_cache", "cache_size",
+           "cache_stats", "resolve_strategy_name", "CACHE_MAX_ENTRIES"]
 
 #: Upper bound on cached reports; the least recently used entry is evicted
 #: first, so long-running sweeps cannot grow memory without limit.
@@ -135,11 +139,14 @@ def _cache_key(name: str, instance, config: SolveConfig,
     return (f"{name}@{REGISTRY.generation(name)}", digest, config.to_json())
 
 
-def _execute(instance, name: str, config: SolveConfig,
-             keyed: bool) -> SolveReport:
+def execute(instance, name: str, config: SolveConfig,
+            keyed: bool) -> SolveReport:
     """Run the strategy without touching any cache; times the call.
 
-    A ``keyed`` solve gets a ``hit=False`` cache record.  With
+    ``name`` must be a registered strategy name (already resolved from
+    ``None``/``"auto"``).  A ``keyed`` solve — one whose instance has a
+    digest and whose config enables caching — gets a ``hit=False`` cache
+    record, exactly as :func:`solve` stamps a cache miss.  With
     ``config.profile`` set, the strategy runs under a fresh
     :class:`~repro.obs.profiling.PhaseRecorder` — installed *here* because
     this function executes wherever the solve actually runs (the calling
@@ -195,7 +202,7 @@ def solve(instance, strategy: Optional[str] = None, *,
         cached = result_cache.get(key)  # counts the hit or the miss
         if cached is not None:
             return _with_cache_metadata(cached, hit=True)
-    report = _execute(instance, name, config, key is not None)
+    report = execute(instance, name, config, key is not None)
     if key is not None:
         result_cache.put(key, report)
     return report
@@ -241,7 +248,7 @@ def _pool_unsafe_reason(name: str) -> Optional[str]:
             f"to {method!r}-started worker processes")
 
 
-def check_max_workers(max_workers: Optional[int]) -> Optional[int]:
+def _check_max_workers(max_workers: Optional[int]) -> Optional[int]:
     """``max_workers`` when it is ``None`` or an int >= 0.
 
     Anything else (a negative int, a float, a string, a bool) raises
@@ -284,10 +291,7 @@ def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
         Result cache (an :class:`~repro.cache.LRUCache`) to consult/fill;
         defaults to the process-global one.  Callers with their own
         caching discipline inject a private
-        :class:`~repro.cache.LRUCache` instead — e.g.
-        :class:`repro.serve.SolveService` runs its batches against one so
-        serve traffic neither duplicates reports into the global cache nor
-        skews :func:`cache_stats` for other callers in the process.
+        :class:`~repro.cache.LRUCache` instead.
 
     Returns
     -------
@@ -295,7 +299,7 @@ def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
         Reports aligned with the input order.
     """
     config = resolve_config(config)
-    max_workers = check_max_workers(max_workers)
+    max_workers = _check_max_workers(max_workers)
     name = _resolve_name(strategy)
     get_strategy(name)  # fail fast on unknown strategies, before forking
     result_cache = _result_cache(cache)
@@ -339,7 +343,7 @@ def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
             workers = 1
     if workers > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            solved = pool.map(_execute, [batch[i] for i in pending],
+            solved = pool.map(execute, [batch[i] for i in pending],
                               repeat(name), repeat(config),
                               [keyed[i] for i in pending])
             for i, report in zip(pending, solved):
@@ -349,7 +353,7 @@ def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
         # run the strategy directly instead of re-probing through
         # solve() (which would double-count).
         for i in pending:
-            reports[i] = _execute(batch[i], name, config, keyed[i])
+            reports[i] = execute(batch[i], name, config, keyed[i])
 
     for i in pending:
         if keys[i] is not None:

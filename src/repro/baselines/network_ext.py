@@ -20,6 +20,7 @@ comparison sweeps run uniformly across instance kinds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,12 @@ from repro.equilibrium.result import NetworkFlowResult, StackelbergOutcome
 from repro.paths.decomposition import decompose_flow
 from repro.baselines.brute_force import _compositions
 
-__all__ = ["network_llf", "network_brute_force", "NetworkBruteForceResult"]
+__all__ = ["network_llf", "network_brute_force", "NetworkBruteForceResult",
+           "MAX_GRID_CANDIDATES"]
+
+#: Largest grid :func:`network_brute_force` searches.  Each candidate costs
+#: one induced network equilibrium, so a larger grid runs for minutes.
+MAX_GRID_CANDIDATES = 10_000
 
 
 def network_llf(instance: NetworkInstance, alpha: float, *,
@@ -106,7 +112,9 @@ def network_brute_force(instance: NetworkInstance, alpha: float, *,
     over the paths of an optimum flow decomposition in every possible way;
     each candidate strategy is evaluated by its induced equilibrium cost.
     Candidates that load an edge up to its capacity (``domain_upper``) are
-    skipped; :class:`StrategyError` is raised when no candidate is left.
+    skipped; :class:`StrategyError` is raised when no candidate is left, and
+    before any induced solve when the grid holds more than
+    :data:`MAX_GRID_CANDIDATES` candidates.
     Single-commodity instances only (the grid over per-commodity splits would
     explode combinatorially).  ``optimum`` is the instance's system optimum
     when the caller already solved it; otherwise it is solved here.  Every
@@ -136,6 +144,13 @@ def network_brute_force(instance: NetworkInstance, alpha: float, *,
         outcome = strategy.induce(instance, config=config)
         return NetworkBruteForceResult(strategy=strategy, outcome=outcome,
                                        cost=float(outcome.cost), evaluated=1)
+    candidates = math.comb(resolution + len(paths) - 1, len(paths) - 1)
+    if candidates > MAX_GRID_CANDIDATES:
+        raise StrategyError(
+            f"network brute force would evaluate {candidates:,} candidates "
+            f"({len(paths)} optimum paths at resolution {resolution}), more "
+            f"than {MAX_GRID_CANDIDATES:,}; use a lower "
+            f"brute_force_resolution")
     quantum = budget / resolution
     uppers = instance.network.latency_batch().domain_upper
 

@@ -53,7 +53,7 @@ unified :mod:`repro.api` solver-session layer:
 ``repro serve``
     The serving layer: ``repro serve bench`` drives a seed-deterministic
     synthetic request stream through a :class:`repro.serve.SolveService`
-    (micro-batching, request coalescing, tiered cache) and prints per-pass
+    (request coalescing, tiered cache) and prints per-pass
     throughput and the full service statistics.  ``--store DIR`` adds the
     on-disk artifact store as the tier-2 cache, shared with ``repro study``;
     ``--trace PROCESS`` drives diurnal traffic instead of the hot-key mix.
@@ -327,17 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
                              default="optop")
     serve_bench.add_argument("--seed", type=int, default=0,
                              help="workload seed (stream is deterministic)")
-    serve_bench.add_argument("--max-batch", type=int, default=64,
-                             help="micro-batch size cap (default: 64)")
-    serve_bench.add_argument("--max-wait-ms", type=float, default=2.0,
-                             help="micro-batch fill window in ms "
-                                  "(default: 2.0)")
     serve_bench.add_argument("--max-queue", type=int, default=0,
                              help="request queue bound, 0 = unbounded "
                                   "(default: 0)")
-    serve_bench.add_argument("--workers", type=int, default=0,
-                             help="process-pool width per batch "
-                                  "(0 = in-process)")
     serve_bench.add_argument("--store", default=None,
                              help="artifact-store directory used as the "
                                   "tier-2 cache")
@@ -363,12 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cluster.add_argument("--store", default=None,
                                help="shared artifact-store directory (a "
                                     "private temporary one when omitted)")
-    serve_cluster.add_argument("--max-batch", type=int, default=64,
-                               help="per-worker micro-batch size cap "
-                                    "(default: 64)")
-    serve_cluster.add_argument("--max-wait-ms", type=float, default=2.0,
-                               help="per-worker micro-batch fill window in "
-                                    "ms (default: 2.0)")
     serve_cluster.add_argument("--max-queue", type=int, default=10_000,
                                help="per-worker request queue bound "
                                     "(default: 10000)")
@@ -780,9 +766,8 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
     result = run_bench(
         num_requests=args.requests, num_distinct=args.distinct,
         num_links=args.num_links, seed=args.seed, passes=args.passes,
-        strategy=args.strategy, store=store, max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms, max_queue=args.max_queue,
-        max_workers=args.workers, trace=trace)
+        strategy=args.strategy, store=store, max_queue=args.max_queue,
+        trace=trace)
     consistent = all(p.stats.consistent for p in result.passes)
     if args.json:
         import json as _json
@@ -796,23 +781,22 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
                      f"{record.requests_per_second:.0f}",
                      f"{record.tier1_hit_rate:.1f}%",
                      f"{record.tier2_hit_rate:.1f}%",
-                     stats.coalesced, stats.enqueued, stats.batches,
+                     stats.coalesced, stats.enqueued,
                      "yes" if stats.consistent else "NO"))
     print(format_table(
         ("pass", "requests", "seconds", "req/s", "tier-1 hits",
-         "tier-2 hits", "coalesced", "solved", "batches", "consistent"),
+         "tier-2 hits", "coalesced", "solved", "consistent"),
         rows, title="SolveService synthetic benchmark"))
     final = result.final_stats
     hit_rate = (100.0 * final.hits / final.requests
                 if final.requests else 0.0)
     print(f"totals: {final.requests} requests | {final.hits} cache hits "
           f"({hit_rate:.1f}%), {final.coalesced} coalesced, "
-          f"{final.enqueued} solver requests in {final.batches} batches | "
-          f"rejected {final.rejected}, batch failures "
-          f"{final.batch_failures}, queue peak {final.queue_peak}")
+          f"{final.enqueued} solver requests | "
+          f"rejected {final.rejected}, solve failures "
+          f"{final.solve_failures}, queue peak {final.queue_peak}")
     print(f"resilience: {final.timeouts} deadline expiries, "
           f"{final.shutdown_timeouts} shutdown timeouts, "
-          f"{final.pool_restarts} pool restarts, "
           f"{final.worker_restarts} dispatcher restarts")
     return 0 if consistent else 1
 
@@ -824,8 +808,7 @@ def _command_serve_cluster(args: argparse.Namespace) -> int:
 
     cluster = start_cluster(
         n_workers=args.workers, store_dir=args.store, host=args.host,
-        max_inflight=args.max_inflight, max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms, max_queue=args.max_queue,
+        max_inflight=args.max_inflight, max_queue=args.max_queue,
         http=True, http_port=args.port, obs=args.obs)
     try:
         routes = "POST /solve, GET /stats, GET /metrics, GET /trace, " \

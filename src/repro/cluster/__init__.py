@@ -1,10 +1,10 @@
 """`repro.cluster` — the sharded multi-worker solve fabric.
 
 Scales :class:`repro.serve.SolveService` horizontally: N worker processes
-(each one shard — a full service with micro-batching, coalescing and the
-tiered cache) behind an asyncio HTTP gateway that routes every request by
-instance digest, so one instance always lands on one shard and the
-worker-local coalescing and tier-1 hit rates survive the scale-out.  All
+(each one shard — a full service with coalescing and the tiered cache)
+behind an asyncio HTTP gateway that routes every request by instance
+digest, so one instance always lands on one shard and the worker-local
+coalescing and tier-1 hit rates survive the scale-out.  All
 shards share one content-addressed artifact store, the cluster's
 persistent tier: a cold or newly-adopting shard answers any key the
 cluster has ever solved from disk, without a solver call.

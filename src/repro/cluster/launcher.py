@@ -107,18 +107,13 @@ class WorkerProcess:
     """
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
-                 store_dir: Optional[str] = None, max_batch: int = 64,
-                 max_wait_ms: float = 2.0, max_queue: int = 10_000,
-                 pool_workers: int = 0,
+                 store_dir: Optional[str] = None, max_queue: int = 10_000,
                  startup_timeout: float = 120.0,
                  fault_plan: Optional[FaultPlan] = None,
                  obs: bool = False) -> None:
         self.host = host
         self.store_dir = store_dir
-        self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.max_queue = max_queue
-        self.pool_workers = pool_workers
         self.startup_timeout = startup_timeout
         self.fault_plan = fault_plan
         self.obs = bool(obs)
@@ -131,10 +126,7 @@ class WorkerProcess:
                fault_plan: Optional[FaultPlan]) -> subprocess.Popen:
         command = [sys.executable, "-m", "repro.cluster.worker_main",
                    "--host", self.host, "--port", str(port),
-                   "--max-batch", str(self.max_batch),
-                   "--max-wait-ms", str(self.max_wait_ms),
-                   "--max-queue", str(self.max_queue),
-                   "--workers", str(self.pool_workers)]
+                   "--max-queue", str(self.max_queue)]
         if self.store_dir is not None:
             command += ["--store", str(self.store_dir)]
         if fault_plan is not None and fault_plan.specs:
@@ -435,9 +427,8 @@ class ClusterHandle:
 
 def start_cluster(n_workers: int = 2, *, store_dir: Optional[str] = None,
                   host: str = "127.0.0.1", max_inflight: int = 8,
-                  max_retries: int = 6, max_batch: int = 64,
-                  max_wait_ms: float = 2.0, max_queue: int = 10_000,
-                  pool_workers: int = 0, http: bool = False,
+                  max_retries: int = 6, max_queue: int = 10_000,
+                  http: bool = False,
                   http_port: int = 0,
                   startup_timeout: float = 120.0,
                   supervise: bool = False, max_respawns: int = 3,
@@ -473,8 +464,8 @@ def start_cluster(n_workers: int = 2, *, store_dir: Optional[str] = None,
     if int(max_inflight) < 1:
         raise ClusterError(
             f"max_inflight must be >= 1, got {max_inflight!r}")
-    # Each worker's SolveService would reject these only after its spawn.
-    check_batching(max_batch, max_wait_ms, max_queue)
+    # Each worker's SolveService would reject it only after its spawn.
+    check_batching(max_queue)
     if isinstance(fault_plan, str):
         fault_plan = FaultPlan.load(fault_plan)
     owned_tmp = None
@@ -487,9 +478,7 @@ def start_cluster(n_workers: int = 2, *, store_dir: Optional[str] = None,
     try:
         for _ in range(int(n_workers)):
             workers.append(WorkerProcess(
-                host=host, store_dir=store_dir, max_batch=max_batch,
-                max_wait_ms=max_wait_ms, max_queue=max_queue,
-                pool_workers=pool_workers,
+                host=host, store_dir=store_dir, max_queue=max_queue,
                 startup_timeout=startup_timeout,
                 fault_plan=fault_plan, obs=obs))
         loop = EventLoopThread().start()

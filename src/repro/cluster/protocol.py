@@ -82,7 +82,7 @@ DEADLINE_HEADER = "x-repro-deadline-ms"
 
 #: Distributed-tracing header: the deterministic trace id minted by the
 #: gateway (:func:`repro.obs.tracing.trace_id_for`) rides every hop so
-#: gateway, worker and batch spans of one request share an id.
+#: gateway, worker and service spans of one request share an id.
 TRACE_HEADER = "x-repro-trace-id"
 
 #: Upper bounds keeping a malformed peer from ballooning memory.

@@ -1,16 +1,17 @@
 """`WorkerServer`: one cluster shard — a `SolveService` behind asyncio HTTP.
 
-A worker owns exactly one :class:`~repro.serve.SolveService` (micro-batching,
-coalescing, tiered cache) and exposes it on a localhost TCP port:
+A worker owns exactly one :class:`~repro.serve.SolveService` (coalescing,
+tiered cache, one solve per request) and exposes it on a localhost TCP port:
 
 ``POST /solve``
     One solve request (:mod:`repro.cluster.protocol` wire format).  The
     submission runs in the default executor — ``SolveService.submit`` may
     touch the disk for its tier-2 probe, which must not stall the event
     loop — and the resulting future is awaited without blocking, so one
-    worker serves many concurrent connections while its dispatcher batches
-    the misses.  Backpressure (``ServiceOverloadedError``) and a draining
-    service map onto 503 responses the gateway knows how to retry.
+    worker serves many concurrent connections while its dispatcher solves
+    the misses one at a time.  Backpressure (``ServiceOverloadedError``)
+    and a draining service map onto 503 responses the gateway knows how
+    to retry.
 ``GET /stats``
     The exact :class:`~repro.serve.ServiceStats` snapshot as JSON — what
     the gateway aggregates with :meth:`~repro.serve.ServiceStats.merge`.
@@ -70,9 +71,7 @@ __all__ = ["WorkerServer", "build_worker_service", "main"]
 
 
 def build_worker_service(*, store_dir: Optional[str] = None,
-                         max_batch: int = 64, max_wait_ms: float = 2.0,
                          max_queue: int = 10_000,
-                         max_workers: Optional[int] = 0,
                          max_cache_entries: int = 4096,
                          fault_injector: Optional[FaultInjector] = None,
                          obs: Optional[Observability] = None,
@@ -90,9 +89,7 @@ def build_worker_service(*, store_dir: Optional[str] = None,
         ArtifactStore(store_dir, fault_injector=fault_injector)
     cache = TieredCache(store=store, max_entries=max_cache_entries,
                         shared_store=True)
-    return SolveService(cache=cache, max_batch=max_batch,
-                        max_wait_ms=max_wait_ms, max_queue=max_queue,
-                        max_workers=max_workers,
+    return SolveService(cache=cache, max_queue=max_queue,
                         fault_injector=fault_injector, obs=obs)
 
 
@@ -107,7 +104,7 @@ class WorkerServer:
     host / port:
         Bind address; port ``0`` asks the OS for an ephemeral port (read
         the real one from :attr:`port` after :meth:`start`).
-    store_dir / max_batch / max_wait_ms / max_queue / max_workers:
+    store_dir / max_queue:
         Forwarded to :func:`build_worker_service` when no ``service`` is
         given.
     fault_injector:
@@ -126,18 +123,13 @@ class WorkerServer:
 
     def __init__(self, service: Optional[SolveService] = None, *,
                  host: str = "127.0.0.1", port: int = 0,
-                 store_dir: Optional[str] = None, max_batch: int = 64,
-                 max_wait_ms: float = 2.0, max_queue: int = 10_000,
-                 max_workers: Optional[int] = 0,
+                 store_dir: Optional[str] = None, max_queue: int = 10_000,
                  fault_injector: Optional[FaultInjector] = None,
                  obs: Optional[Observability] = None) -> None:
         self._faults = fault_injector
         self._obs = obs
         self.service = service if service is not None else \
-            build_worker_service(store_dir=store_dir, max_batch=max_batch,
-                                 max_wait_ms=max_wait_ms,
-                                 max_queue=max_queue,
-                                 max_workers=max_workers,
+            build_worker_service(store_dir=store_dir, max_queue=max_queue,
                                  fault_injector=fault_injector, obs=obs)
         self.host = host
         self._requested_port = int(port)
@@ -356,9 +348,7 @@ async def _amain(args: argparse.Namespace) -> None:
         if getattr(args, "obs", False) else None
     worker = WorkerServer(
         host=args.host, port=args.port, store_dir=args.store,
-        max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-        max_queue=args.max_queue, max_workers=args.workers or 0,
-        fault_injector=injector, obs=obs)
+        max_queue=args.max_queue, fault_injector=injector, obs=obs)
     await worker.start()
     # The launcher blocks on this exact line to learn the ephemeral port.
     print(f"REPRO_WORKER_READY port={worker.port} pid={os.getpid()}",
@@ -376,11 +366,7 @@ def main(argv=None) -> int:
                         help="TCP port (0 = ephemeral, announced on stdout)")
     parser.add_argument("--store", default=None,
                         help="shared artifact-store directory (tier 2/3)")
-    parser.add_argument("--max-batch", type=int, default=64)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--max-queue", type=int, default=10_000)
-    parser.add_argument("--workers", type=int, default=0,
-                        help="process-pool width per batch (0 = in-process)")
     parser.add_argument("--fault-plan", default=None,
                         help="fault plan: a built-in name (e.g. 'smoke') or "
                              "a JSON file path; chaos testing only")

@@ -112,7 +112,7 @@ class ServiceTimeoutError(ServiceError):
 
     Deadlines propagate gateway -> wire header -> worker -> dispatcher:
     a queued request whose deadline has passed is failed fast with this
-    error instead of occupying a solver batch, and the cluster gateway's
+    error instead of occupying the solver, and the cluster gateway's
     retry/backoff loop never sleeps past the caller's deadline.  Like
     :class:`ServiceOverloadedError` the condition survives the wire round
     trip (:mod:`repro.cluster.protocol` maps it onto HTTP 504 and re-raises

@@ -150,8 +150,7 @@ def run_chaos(plan: Union[FaultPlan, str], *, steps: int = 50,
               strategy: str = "optop",
               deadline_ms: Optional[float] = None,
               store_dir: Optional[str] = None,
-              max_respawns: int = 3,
-              max_wait_ms: float = 5.0) -> ChaosReport:
+              max_respawns: int = 3) -> ChaosReport:
     """Replay a ``steps``-request trace through a faulted cluster.
 
     ``plan`` is a :class:`~repro.faults.spec.FaultPlan`, a built-in plan
@@ -182,7 +181,7 @@ def run_chaos(plan: Union[FaultPlan, str], *, steps: int = 50,
     report = ChaosReport(plan=plan.name, seed=seed, steps=steps)
     started = time.perf_counter()
     with start_cluster(n_workers=n_workers, store_dir=store_dir,
-                       max_wait_ms=max_wait_ms, supervise=True,
+                       supervise=True,
                        max_respawns=max_respawns,
                        fault_plan=plan) as cluster:
         futures = []

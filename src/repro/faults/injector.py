@@ -101,12 +101,12 @@ class FaultInjector:
         return None
 
     def raise_solver_faults(self) -> None:
-        """The serving layer's batch hook: maybe delay, maybe crash.
+        """The serving layer's solve hook: maybe delay, maybe crash.
 
-        ``solver_delay`` sleeps its ``delay_ms`` (holding no locks);
-        ``solver_crash`` raises :class:`FaultInjectedError`, which the
-        service's batch-failure containment turns into failed futures —
-        never a lost request.
+        Drawn once per solved request.  ``solver_delay`` sleeps its
+        ``delay_ms`` (holding no locks); ``solver_crash`` raises
+        :class:`FaultInjectedError`, which the service's solve-failure
+        containment turns into failed futures — never a lost request.
         """
         delay = self.draw("solver_delay")
         if delay is not None and delay.delay_ms > 0.0:

@@ -15,10 +15,11 @@ it):
 ==========================  ============================================
 kind                        injected at
 ==========================  ============================================
-``solver_crash``            ``SolveService`` batch execution (raises
+``solver_crash``            ``SolveService`` solve, drawn once per
+                            solved request (raises
                             :class:`~repro.exceptions.FaultInjectedError`)
-``solver_delay``            ``SolveService`` batch execution (sleeps
-                            ``delay_ms`` before solving)
+``solver_delay``            ``SolveService`` solve, drawn once per
+                            solved request (sleeps ``delay_ms`` first)
 ``store_torn_write``        ``ArtifactStore.put`` (writes a truncated
                             artifact, simulating a torn write)
 ``store_corrupt_artifact``  ``ArtifactStore.put`` (flips payload bytes,
@@ -230,7 +231,7 @@ def named_plans() -> Dict[str, FaultPlan]:
         of dropping any worker connection — the combination that exercises
         respawn, quarantine and gateway failover in one run.
     ``slow_solver``
-        Every 7th batch sleeps 50 ms; surfaces deadline expiries without
+        Every 7th solve sleeps 50 ms; surfaces deadline expiries without
         any hard failure.
     ``bad_disk``
         Torn writes and ENOSPC on the artifact store; exercises

@@ -46,29 +46,23 @@ _SERVICE_SERIES = (
     ("coalesced", "repro_coalesced_total", "counter",
      "Requests folded into an identical in-flight computation"),
     ("enqueued", "repro_enqueued_total", "counter",
-     "Requests that missed every cache tier and entered the batch queue"),
+     "Requests that missed every cache tier and entered the solve queue"),
     ("rejected", "repro_rejected_total", "counter",
      "Requests refused by backpressure (queue full or service closed)"),
     ("probing", "repro_probing", "gauge",
      "Requests currently probing the store tier"),
-    ("batches", "repro_batches_total", "counter",
-     "Solver batches executed"),
-    ("batched_requests", "repro_batched_requests_total", "counter",
-     "Requests executed inside solver batches"),
-    ("batch_failures", "repro_batch_failures_total", "counter",
-     "Solver batches that raised"),
+    ("solve_failures", "repro_solve_failures_total", "counter",
+     "Solves that raised"),
     ("cache_put_failures", "repro_cache_put_failures_total", "counter",
      "Write-through cache puts that raised"),
-    ("pool_restarts", "repro_pool_restarts_total", "counter",
-     "Process-pool restarts after a broken pool"),
     ("worker_restarts", "repro_worker_restarts_total", "counter",
      "Dispatch worker thread restarts"),
     ("timeouts", "repro_timeouts_total", "counter",
      "Requests failed because their deadline expired before execution"),
     ("shutdown_timeouts", "repro_shutdown_timeouts_total", "counter",
-     "Requests failed by shutdown before execution"),
+     "Shutdowns whose dispatcher outlived its join timeout"),
     ("queue_peak", "repro_queue_peak", "gauge",
-     "High-water mark of the batch queue"),
+     "High-water mark of the solve queue"),
     ("pending", "repro_pending", "gauge",
      "Requests currently queued or executing"),
 )

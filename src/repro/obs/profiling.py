@@ -11,7 +11,7 @@ lands in ``SolveReport.metadata["profile"]``:
 The recorder is **thread-local**: the active profile follows the thread
 that executes the solve (the strategy function runs start-to-finish on
 one thread — in the caller for in-process solves, in the pool worker for
-process-pool solves, where :func:`repro.api.session._execute` re-arms it).
+process-pool solves, where :func:`repro.api.session.execute` re-arms it).
 
 Overhead contract (see ``docs/subsystems/obs.md``): with profiling off —
 the default — a kernel pays exactly one thread-local attribute read that

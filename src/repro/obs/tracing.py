@@ -1,7 +1,7 @@
 """Deterministic request tracing with a bounded in-memory ring buffer.
 
 The qualitative half of :mod:`repro.obs`: where did one request spend its
-time across ``gateway -> shard -> batch -> kernel``?  Each process that
+time across ``gateway -> shard -> service -> kernel``?  Each process that
 opts in owns a :class:`Tracer`; spans carry a **trace id** propagated over
 the wire via the ``x-repro-trace-id`` header
 (:data:`repro.cluster.protocol.TRACE_HEADER`), so the gateway can stitch a

@@ -13,7 +13,7 @@ solver calls: every step resolves from tier 2 (the
 
 The result is a :class:`TraceReport`: one :class:`TraceStep` per step
 (demand, beta, price of anarchy, costs) plus the service-statistics delta of
-the replay (tier hits, coalesced steps, solver batches) — the warm-start
+the replay (tier hits, coalesced steps, solved steps) — the warm-start
 accounting that shows how much of the trajectory was served from cache.
 """
 
@@ -75,8 +75,8 @@ class TraceReport:
     ``stats`` is the :class:`~repro.serve.ServiceStats` *delta* of this
     replay: ``tier1_hits`` / ``tier2_hits`` count steps served from memory /
     disk, ``coalesced`` counts steps that attached to an identical in-flight
-    step, and ``batched_requests`` counts the steps that actually reached a
-    solver — zero on a fully resumed replay.
+    step, and ``enqueued`` counts the steps that reached the solver — zero
+    on a fully resumed replay.
     """
 
     trace: Dict[str, Any]
@@ -89,7 +89,7 @@ class TraceReport:
     @property
     def solver_calls(self) -> int:
         """Steps that reached a solver during this replay."""
-        return 0 if self.stats is None else self.stats.batched_requests
+        return 0 if self.stats is None else self.stats.enqueued
 
     @property
     def fully_resumed(self) -> bool:
@@ -150,8 +150,6 @@ def replay_trace(instance: Any, trace: DemandTrace,
                  config: Optional[SolveConfig] = None,
                  store: Optional[ArtifactStore] = None,
                  service: Optional[SolveService] = None,
-                 max_batch: int = 32, max_wait_ms: float = 1.0,
-                 max_workers: Optional[int] = 0,
                  timeout: float = 300.0) -> TraceReport:
     """Solve every step of ``trace`` on ``instance`` through a service.
 
@@ -172,8 +170,6 @@ def replay_trace(instance: Any, trace: DemandTrace,
     service:
         A running :class:`~repro.serve.SolveService` to share; when omitted
         a private one is built (with ``store``) and shut down afterwards.
-    max_batch / max_wait_ms / max_workers:
-        Forwarded to the private service (ignored when ``service`` given).
     timeout:
         Per-step future timeout in seconds.
     """
@@ -186,9 +182,7 @@ def replay_trace(instance: Any, trace: DemandTrace,
         # The replay submits a known, finite number of steps all at once;
         # an unbounded queue is correct here (backpressure would abort a
         # long trace mid-replay), unlike the serving default.
-        service = SolveService(store=store, max_batch=max_batch,
-                               max_wait_ms=max_wait_ms,
-                               max_workers=max_workers, max_queue=0)
+        service = SolveService(store=store, max_queue=0)
     report = TraceReport(trace=trace.to_dict(),
                          strategy="auto" if strategy is None else strategy)
     before = service.stats()

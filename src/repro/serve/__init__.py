@@ -5,7 +5,7 @@ for heavy traffic:
 
 >>> from repro.serve import SolveService
 >>> from repro import instances
->>> with SolveService(max_batch=32, max_wait_ms=2.0) as service:
+>>> with SolveService() as service:
 ...     future = service.submit(instances.pigou())      # returns immediately
 ...     report = future.result()
 >>> round(report.beta, 6)
@@ -13,9 +13,10 @@ for heavy traffic:
 
 The pieces:
 
-* :class:`SolveService` — micro-batching request queue that coalesces
-  concurrent submissions into :func:`repro.api.solve_many` batches, with
-  bounded-queue backpressure and a start/drain/shutdown lifecycle;
+* :class:`SolveService` — a request queue whose dispatcher solves each
+  request as it arrives, coalescing concurrent identical submissions onto
+  one solve, with bounded-queue backpressure and a start/drain/shutdown
+  lifecycle;
 * :class:`TieredCache` — write-through tier-1 in-memory LRU
   (:class:`repro.cache.LRUCache`) above the tier-2 on-disk
   :class:`repro.study.store.ArtifactStore`; it keeps no counters of its

@@ -120,15 +120,14 @@ def run_bench(*, num_requests: int = 5000, num_distinct: int = 200,
               num_links: int = 4, seed: int = 0, passes: int = 2,
               strategy: str = "optop",
               store: Optional[ArtifactStore] = None,
-              max_batch: int = 64, max_wait_ms: float = 2.0,
-              max_queue: int = 0, max_workers: Optional[int] = 0,
+              max_queue: int = 0,
               service: Optional[SolveService] = None,
               trace=None) -> BenchResult:
     """Push the synthetic stream through a service ``passes`` times.
 
     The per-pass stats are deltas against the previous pass
     (:meth:`~repro.serve.ServiceStats.since`), so the second pass of a
-    healthy service shows (almost) pure cache hits and zero new batches.
+    healthy service shows (almost) pure cache hits and zero new solves.
     The cache tiers' own counters are cumulative: read them from
     ``final_stats``.
 
@@ -159,9 +158,7 @@ def run_bench(*, num_requests: int = 5000, num_distinct: int = 200,
         schedule = list(range(len(instances)))
     own_service = service is None
     if own_service:
-        service = SolveService(store=store, max_batch=max_batch,
-                               max_wait_ms=max_wait_ms, max_queue=max_queue,
-                               max_workers=max_workers)
+        service = SolveService(store=store, max_queue=max_queue)
     result = BenchResult()
     previous = service.stats()
     try:

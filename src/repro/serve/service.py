@@ -1,4 +1,4 @@
-"""`SolveService`: a high-throughput, coalescing front-end over `solve_many`.
+"""`SolveService`: a coalescing, tier-cached front-end over the solvers.
 
 The session layer (:mod:`repro.api.session`) is a blocking one-shot call
 path; this module turns it into a *service*:
@@ -8,13 +8,12 @@ path; this module turns it into a *service*:
   request queue** (backpressure: a full queue raises
   :class:`~repro.exceptions.ServiceOverloadedError` instead of growing
   memory without limit).
-* A dispatcher thread **micro-batches** queued requests: it waits up to
-  ``max_wait_ms`` to accumulate up to ``max_batch`` requests, groups them by
-  ``(strategy, config)`` and executes each group with one
-  :func:`repro.api.solve_many` call — so a thousand concurrent callers cost
-  a handful of batch invocations, not a thousand solver round trips.  Each
-  request in a micro-batch is still solved on its own, so its report does
-  not depend on the batch it arrived in.
+* A dispatcher thread takes one request off the queue at a time and
+  solves it at once through :func:`repro.api.session.execute`, the session
+  layer's uncached executor, so a served report is the one
+  :func:`repro.api.solve` returns for the same instance.  Parallel serving
+  scales out through cluster workers (:mod:`repro.cluster`), one service
+  per worker.
 * Concurrent requests for the same ``(instance digest, strategy, config)``
   are **coalesced**: the first enters the queue, the rest attach their
   futures to the in-flight entry and are all resolved by the single solve.
@@ -22,11 +21,10 @@ path; this module turns it into a *service*:
   (tier-1 in-memory LRU, tier-2 on-disk artifact store), so a warm service
   answers repeated traffic without any solver work and a restarted one
   re-warms from disk.
-* **Lifecycle**: :meth:`start` / :meth:`drain` / :meth:`shutdown`.  A batch
-  that crashes fails only its own futures; a broken process pool is retried
-  once in-process (the next batch gets a fresh pool — ``solve_many`` builds
-  one per call); a dispatcher thread that dies is restarted on the next
-  submit.  All of it is counted in :class:`ServiceStats`.
+* **Lifecycle**: :meth:`start` / :meth:`drain` / :meth:`shutdown`.  A solve
+  that raises fails only its own request's futures; a dispatcher thread
+  that dies is restarted on the next submit.  All of it is counted in
+  :class:`ServiceStats`.
 
 Every request falls in exactly one accounting bucket — tier-1 hit, tier-2
 hit, coalesced, enqueued, rejected, or (transiently, while its tier-2 probe
@@ -37,22 +35,18 @@ at any instant, under any interleaving.
 from __future__ import annotations
 
 import logging
-import math
 import numbers
 import queue
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SolveConfig, resolve_config
 from repro.api.registry import get_strategy
 from repro.api.report import SolveReport
-from repro.api.session import (check_max_workers, resolve_strategy_name,
-                               solve_many)
-from repro.cache import LRUCache
+from repro.api.session import execute, resolve_strategy_name
 from repro.exceptions import (
     ModelError,
     ServiceClosedError,
@@ -72,27 +66,17 @@ __all__ = ["SolveService", "ServiceStats", "check_batching"]
 logger = logging.getLogger(__name__)
 
 
-def check_batching(max_batch: int, max_wait_ms: float,
-                   max_queue: int) -> Tuple[int, float, int]:
-    """Validated ``(max_batch, max_wait_ms, max_queue)`` of a service.
+def check_batching(max_queue: int) -> int:
+    """Validated ``max_queue`` of a service.
 
-    ``max_batch`` must be an int >= 1, ``max_queue`` an int >= 0 (0 =
-    unbounded) and ``max_wait_ms`` a finite number >= 0; anything else
+    ``max_queue`` must be an int >= 0 (0 = unbounded); anything else
     raises :class:`ModelError`.  :func:`repro.cluster.start_cluster` runs
     it before it spawns a worker.
     """
-    for name, value, least in (("max_batch", max_batch, 1),
-                               ("max_queue", max_queue, 0)):
-        if (not isinstance(value, numbers.Integral)
-                or isinstance(value, bool) or value < least):
-            raise ModelError(f"{name} must be an int >= {least}, "
-                             f"got {value!r}")
-    if (not isinstance(max_wait_ms, numbers.Real)
-            or isinstance(max_wait_ms, bool)
-            or not 0.0 <= max_wait_ms < math.inf):
-        raise ModelError(f"max_wait_ms must be a finite number >= 0, "
-                         f"got {max_wait_ms!r}")
-    return int(max_batch), float(max_wait_ms), int(max_queue)
+    if (not isinstance(max_queue, numbers.Integral)
+            or isinstance(max_queue, bool) or max_queue < 0):
+        raise ModelError(f"max_queue must be an int >= 0, got {max_queue!r}")
+    return int(max_queue)
 
 
 @dataclass(frozen=True)
@@ -124,17 +108,11 @@ class ServiceStats:
     #: (their bucket — tier-2 hit, enqueued or rejected — is not decided
     #: yet).  Zero whenever no submit() call is executing.
     probing: int = 0
-    #: ``solve_many`` invocations (micro-batches actually executed).
-    batches: int = 0
-    #: Requests carried by those batches (excludes coalesced attachments).
-    batched_requests: int = 0
-    #: Batches whose solver call raised; their futures carry the exception.
-    batch_failures: int = 0
+    #: Solves that raised; their futures carry the exception.
+    solve_failures: int = 0
     #: Solved requests whose write-through cache insert failed (disk full,
     #: permissions); the reports were still served from the solve.
     cache_put_failures: int = 0
-    #: Broken process pools retried in-process (fresh pool next batch).
-    pool_restarts: int = 0
     #: Dispatcher crash recoveries (respawned threads or in-place retries).
     worker_restarts: int = 0
     #: Requests failed with :class:`~repro.exceptions.ServiceTimeoutError`
@@ -144,7 +122,7 @@ class ServiceStats:
     #: in ``enqueued``.
     timeouts: int = 0
     #: Shutdowns whose dispatcher thread outlived its join timeout (a hung
-    #: solver batch); logged as a warning and counted here.
+    #: solve); logged as a warning and counted here.
     shutdown_timeouts: int = 0
     #: High-water mark of the request queue length.
     queue_peak: int = 0
@@ -256,7 +234,7 @@ def _settle(future: Future, *, result=None, exception=None) -> None:
     """Resolve a future, tolerating one already settled elsewhere.
 
     A hard :meth:`SolveService.shutdown` can fail an in-flight future while
-    its (stuck) batch eventually completes; the late resolution must then
+    its (stuck) solve eventually completes; the late resolution must then
     be a no-op, not a dispatcher crash.
     """
     try:
@@ -292,7 +270,7 @@ class _Request:
 
 
 class SolveService:
-    """Micro-batching, tier-cached, backpressured solve front-end.
+    """Coalescing, tier-cached, backpressured solve front-end.
 
     Parameters
     ----------
@@ -302,78 +280,47 @@ class SolveService:
     cache:
         A prebuilt :class:`~repro.serve.cache.TieredCache`; overrides
         ``store`` / ``max_cache_entries``.
-    max_batch:
-        Largest number of requests one micro-batch may carry.
-    max_wait_ms:
-        How long the dispatcher waits to fill a batch once it holds at
-        least one request.  Low values favour latency, high values favour
-        coalescing.
     max_queue:
         Bound of the request queue; ``0`` means unbounded.  A full queue
         rejects submissions with
         :class:`~repro.exceptions.ServiceOverloadedError`.
-    max_workers:
-        Forwarded to :func:`repro.api.solve_many` for each batch (``0`` =
-        solve in-process; ``None`` = process-pool fan-out).
     solver:
-        Injection point for tests and instrumentation; any callable with
-        :func:`repro.api.solve_many`'s signature.
+        Injection point for tests and instrumentation: a callable
+        ``solver(instance, strategy, config) -> SolveReport``.  ``None``
+        (the default) runs :func:`repro.api.session.execute`.
     fault_injector:
         Optional :class:`repro.faults.FaultInjector` drawn before every
-        solver batch (``solver_delay`` / ``solver_crash``).  ``None`` (the
-        default) costs one attribute check per batch.
+        solve (``solver_delay`` / ``solver_crash``).  ``None`` (the
+        default) costs one attribute check per solve.
     obs:
         Optional :class:`repro.obs.Observability` handle.  When set, each
-        executed batch records ``service.batch`` spans (one per traced
-        request, carrying the trace id the cluster worker extracted from
-        the wire) plus ``kernel.*`` spans from the solver's profiling
-        phases, and a ``repro_service_batch_seconds`` latency histogram.
-        ``None`` (the default) follows the same zero-cost contract as
-        ``fault_injector``: one ``is None`` check per batch, nothing on
+        solve records a ``service.batch`` span (when the request is traced,
+        under the trace id the cluster worker extracted from the wire)
+        plus ``kernel.*`` spans from the solver's profiling phases, and a
+        ``repro_service_batch_seconds`` latency histogram.  ``None`` (the
+        default) follows the same zero-cost contract as
+        ``fault_injector``: one ``is None`` check per solve, nothing on
         the submit path.
     """
 
     def __init__(self, *, store: Optional[ArtifactStore] = None,
                  cache: Optional[TieredCache] = None,
-                 max_batch: int = 64, max_wait_ms: float = 2.0,
                  max_queue: int = 10_000,
-                 max_workers: Optional[int] = 0,
                  solver=None,
                  fault_injector: "Optional[FaultInjector]" = None,
                  obs: "Optional[Observability]" = None) -> None:
-        self.max_batch, self.max_wait_ms, self.max_queue = check_batching(
-            max_batch, max_wait_ms, max_queue)
-        self.max_workers = check_max_workers(max_workers)
+        self.max_queue = check_batching(max_queue)
         self.cache = TieredCache(store=store) if cache is None else cache
-        if solver is None:
-            # Give the default solver a private session-layer cache so the
-            # service's batches neither duplicate hot reports into the
-            # process-global result cache nor pollute repro.api.cache_stats()
-            # for unrelated callers in the same process.  Injected solvers
-            # receive the plain (instances, strategy, config, max_workers)
-            # signature and manage caching themselves.
-            session_cache = LRUCache(max_entries=max(64, 4 * self.max_batch))
-
-            def _default_solver(instances, strategy=None, *, config=None,
-                                max_workers=None):
-                return solve_many(instances, strategy, config=config,
-                                  max_workers=max_workers,
-                                  cache=session_cache)
-
-            self._solver = _default_solver
-        else:
-            self._solver = solver
+        self._solver = solver
         self._queue: "queue.Queue[_Request]" = queue.Queue(maxsize=max_queue)
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._inflight: Dict[Tuple[str, str, str], List[Future]] = {}
         self._counters: Dict[str, int] = {
             "requests": 0, "tier1_hits": 0, "tier2_hits": 0, "coalesced": 0,
-            "enqueued": 0, "rejected": 0, "probing": 0, "batches": 0,
-            "batched_requests": 0, "batch_failures": 0,
-            "cache_put_failures": 0, "pool_restarts": 0,
-            "worker_restarts": 0, "timeouts": 0, "shutdown_timeouts": 0,
-            "queue_peak": 0, "pending": 0}
+            "enqueued": 0, "rejected": 0, "probing": 0, "solve_failures": 0,
+            "cache_put_failures": 0, "worker_restarts": 0, "timeouts": 0,
+            "shutdown_timeouts": 0, "queue_peak": 0, "pending": 0}
         self._faults = fault_injector
         self._obs = obs
         self._thread: Optional[threading.Thread] = None
@@ -439,14 +386,14 @@ class SolveService:
         if thread is not None and thread.is_alive():
             thread.join(timeout=5.0)
             if thread.is_alive():
-                # A hung solver batch is holding the dispatcher hostage.
+                # A hung solve is holding the dispatcher hostage.
                 # The thread is a daemon, so the process can still exit —
                 # but the condition must be visible, not silent.
                 with self._lock:
                     self._counters["shutdown_timeouts"] += 1
                 logger.warning(
                     "dispatcher thread still alive after shutdown join "
-                    "timeout (5.0s); a solver batch is likely hung")
+                    "timeout (5.0s); a solve is likely hung")
         # Fail whatever is still queued or in flight (no-op after a drain).
         # Keyed queued requests also appear in _inflight; dedup by identity.
         abandoned: Dict[int, Future] = {}
@@ -499,15 +446,15 @@ class SolveService:
         :class:`~repro.exceptions.ServiceTimeoutError` immediately, and a
         queued request whose deadline expires before the dispatcher
         reaches it is failed fast with the same error instead of occupying
-        a solver batch.  Cache hits ignore the deadline (the answer is
+        the solver.  Cache hits ignore the deadline (the answer is
         already in hand).  A request that coalesces onto an in-flight key
         shares the *claiming* request's fate — its own deadline is not
         re-checked once attached.
 
         ``trace_id`` (optional) tags the request for distributed tracing:
         when the service carries an :class:`~repro.obs.Observability`
-        handle, the executing batch records a ``service.batch`` span
-        under this id.  Ignored (at zero cost) otherwise.
+        handle, its solve records a ``service.batch`` span under this
+        id.  Ignored (at zero cost) otherwise.
         """
         config = resolve_config(config)
         name = resolve_strategy_name(strategy)
@@ -680,209 +627,132 @@ class SolveService:
         while not self._stop.is_set():
             try:
                 try:
-                    first = self._queue.get(timeout=0.05)
+                    request = self._queue.get(timeout=0.05)
                 except queue.Empty:
                     continue
-                batch = [first]
-                deadline = time.monotonic() + self.max_wait_ms / 1000.0
-                while len(batch) < self.max_batch:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    try:
-                        batch.append(self._queue.get(timeout=remaining))
-                    except queue.Empty:
-                        break
-                self._execute_batch(batch)
+                self._serve(request)
             except Exception:
                 # A dispatcher-level crash must not kill the service; the
-                # next submit (or loop iteration) keeps serving.  Batch
-                # execution failures are handled per group below — this is
-                # strictly a belt for unexpected internal errors.
+                # loop keeps serving.  Solve failures are handled in
+                # _serve — this is strictly a belt for unexpected internal
+                # errors.
+                logger.exception("dispatcher error; continuing")
                 with self._lock:
                     self._counters["worker_restarts"] += 1
 
-    def _execute_batch(self, batch: List[_Request]) -> None:
-        """Group a micro-batch by ``(strategy, config)`` and execute it.
+    def _serve(self, request: _Request) -> None:
+        """Solve one dequeued request at once and settle its futures.
 
-        No exception may drop a request on the floor: whatever fails —
-        grouping, a solver group, internal bookkeeping — the affected
-        futures are failed and their ``pending`` counts released, so
-        :meth:`drain` and :meth:`shutdown` never hang on a lost request.
-
-        Requests whose end-to-end deadline has already expired are failed
-        fast with :class:`~repro.exceptions.ServiceTimeoutError` before
-        any solver work — an expired caller gains nothing from the result,
-        and dropping the request frees the batch slot for live ones.
+        No exception may drop a request on the floor: whatever the solve
+        raises fails the request's futures, so :meth:`drain` and
+        :meth:`shutdown` never hang on a lost request.  A request whose
+        end-to-end deadline has already expired is failed fast with
+        :class:`~repro.exceptions.ServiceTimeoutError` before any solver
+        work — an expired caller gains nothing from the result.
         """
-        try:
-            now = time.monotonic()
-            expired = [request for request in batch
-                       if request.deadline is not None
-                       and now > request.deadline]
-            if expired:
-                self._fail_expired(expired, now)
-                batch = [request for request in batch
-                         if request not in expired]
-                if not batch:
-                    return
-            groups: "Dict[Tuple[str, str], List[_Request]]" = {}
-            for request in batch:
-                groups.setdefault(
-                    (request.strategy, request.config.to_json()), []
-                ).append(request)
-        except BaseException as exc:  # noqa: BLE001 - forwarded to futures
-            self._fail_requests(batch, exc)
+        now = time.monotonic()
+        if request.deadline is not None and now > request.deadline:
+            # Coalesced waiters share the claiming request's deadline fate
+            # (documented in submit()).
+            expired = ServiceTimeoutError(
+                "deadline expired while the request was queued",
+                elapsed=now - request.deadline)
+            self._finish(request, "timeouts", exception=expired)
             return
-        for requests in groups.values():
-            try:
-                self._execute_group(requests)
-            except BaseException as exc:  # noqa: BLE001 - same containment
-                self._fail_requests(requests, exc)
-
-    def _fail_expired(self, requests: List[_Request], now: float) -> None:
-        """Fail queued requests whose deadline passed (plus their waiters).
-
-        Counted in ``timeouts`` — not ``batch_failures``, since no solver
-        work was attempted or lost.  Coalesced waiters share the claiming
-        request's deadline fate (documented in :meth:`submit`).
-        """
-        with self._lock:
-            self._counters["timeouts"] += len(requests)
-            settled: List[Tuple[Future, BaseException]] = []
-            for request in requests:
-                waiters = [request.future] if request.key is None else \
-                    self._inflight.pop(request.key, [request.future])
-                exc = ServiceTimeoutError(
-                    "deadline expired while the request was queued",
-                    elapsed=now - request.deadline)
-                settled.extend((future, exc) for future in waiters)
-        for future, exc in settled:
-            _settle(future, exception=exc)
-        self._release_pending(len(settled))
-
-    def _fail_requests(self, requests: List[_Request],
-                       exc: BaseException) -> None:
-        """Fail a set of requests (and their coalesced waiters)."""
-        with self._lock:
-            self._counters["batch_failures"] += 1
-            settled: List[Future] = []
-            for request in requests:
-                waiters = [request.future] if request.key is None else \
-                    self._inflight.pop(request.key, [request.future])
-                settled.extend(waiters)
-        for future in settled:
-            _settle(future, exception=exc)
-        self._release_pending(len(settled))
-
-    def _execute_group(self, requests: List[_Request]) -> None:
-        strategy = requests[0].strategy
-        config = requests[0].config
-        instances = [request.instance for request in requests]
-        obs = self._obs
-        batch_start = obs.tracer.clock() if obs is not None else 0.0
-        recorder: Optional[Any] = None
-
-        def _invoke_solver():
-            try:
-                return self._solver(instances, strategy, config=config,
-                                    max_workers=self.max_workers)
-            except BrokenProcessPool:
-                # The pool died mid-batch (OOM-killed worker, hard crash).
-                # solve_many builds a fresh pool per call, so the *next*
-                # batch is unaffected; this one is retried in-process.
-                with self._lock:
-                    self._counters["pool_restarts"] += 1
-                return self._solver(instances, strategy, config=config,
-                                    max_workers=0)
-
         try:
-            if self._faults is not None:
-                # Chaos hook: may sleep (solver_delay) or raise
-                # FaultInjectedError (solver_crash) — the containment
-                # below turns either into per-request failed futures.
-                self._faults.raise_solver_faults()
-            if obs is None:
-                reports = _invoke_solver()
-            else:
-                # Run the batch under a profiling recorder so in-process
-                # kernels (water_fill, Frank-Wolfe) report phases that
-                # become kernel.* spans below.  Process-pool batches
-                # execute kernels elsewhere; their phases simply stay
-                # empty here.
-                from repro.obs.profiling import profiled
-                with profiled() as recorder:
-                    reports = _invoke_solver()
-            if len(reports) != len(requests):
-                # A misbehaving injected solver must become a visible batch
-                # failure, not a silent hang of the unzipped tail.
-                raise RuntimeError(
-                    f"solver returned {len(reports)} reports for "
-                    f"{len(requests)} instances")
-        except BaseException as exc:  # noqa: BLE001 - forwarded to futures
-            if obs is not None:
-                self._record_batch_spans(requests, recorder, batch_start,
-                                         error=type(exc).__name__)
-            self._fail_requests(requests, exc)
+            report = self._solve(request)
+        except BaseException as exc:  # noqa: BLE001 - to the futures
+            self._finish(request, "solve_failures", exception=exc)
             return
-        if obs is not None:
-            self._record_batch_spans(requests, recorder, batch_start)
-        # Write-through BEFORE popping _inflight: the puts are disk I/O
-        # (the tiers are internally thread-safe), and the put-then-pop
-        # order guarantees a submitter always either sees the cached report
-        # or coalesces onto the still-registered key.  A failed put (disk
-        # full, permissions) must not hang the batch's futures — the solve
+        # Write-through BEFORE popping _inflight: the put is disk I/O (the
+        # tiers are internally thread-safe), and the put-then-pop order
+        # guarantees a submitter always either sees the cached report or
+        # coalesces onto the still-registered key.  A failed put (disk
+        # full, permissions) must not fail the request — the solve
         # succeeded; only persistence is degraded.
-        put_failures = 0
-        for request, report in zip(requests, reports):
-            if request.key is not None:
-                try:
-                    self.cache.put(request.digest, strategy, config, report)
-                except Exception:  # noqa: BLE001 - degrade, keep serving
-                    put_failures += 1
+        counter = None
+        if request.key is not None:
+            try:
+                self.cache.put(request.digest, request.strategy,
+                               request.config, report)
+            except Exception:  # noqa: BLE001 - degrade, keep serving
+                counter = "cache_put_failures"
+        self._finish(request, counter, result=report)
+
+    def _solve(self, request: _Request) -> SolveReport:
+        """One request's solve, traced when observability is on."""
+        obs = self._obs
+        if obs is None:
+            return self._run_solver(request)
+        # Run the solve under a profiling recorder so in-process kernels
+        # (water_fill, Frank-Wolfe) report phases that become kernel.*
+        # spans.
+        from repro.obs.profiling import profiled
+        start = obs.tracer.clock()
+        error = None
+        recorder = None
+        try:
+            with profiled() as recorder:
+                return self._run_solver(request)
+        except BaseException as exc:
+            error = type(exc).__name__
+            raise
+        finally:
+            self._record_spans(request, recorder, start, error)
+
+    def _run_solver(self, request: _Request) -> SolveReport:
+        if self._faults is not None:
+            # Chaos hook: may sleep (solver_delay) or raise
+            # FaultInjectedError (solver_crash), which the dispatcher turns
+            # into failed futures.
+            self._faults.raise_solver_faults()
+        if self._solver is not None:
+            return self._solver(request.instance, request.strategy,
+                                request.config)
+        return execute(request.instance, request.strategy, request.config,
+                       request.key is not None)
+
+    def _finish(self, request: _Request, counter: Optional[str], *,
+                result: Optional[SolveReport] = None,
+                exception: Optional[BaseException] = None) -> None:
+        """Settle a dequeued request and its coalesced waiters.
+
+        ``counter`` (when given) names the :class:`ServiceStats` counter
+        the outcome adds one to.
+        """
         with self._lock:
-            self._counters["batches"] += 1
-            self._counters["batched_requests"] += len(requests)
-            self._counters["cache_put_failures"] += put_failures
-            resolved: List[Tuple[Future, SolveReport]] = []
-            for request, report in zip(requests, reports):
-                waiters = [request.future] if request.key is None else \
-                    self._inflight.pop(request.key, [request.future])
-                resolved.extend((future, report) for future in waiters)
-        for future, report in resolved:
-            _settle(future, result=report)
-        self._release_pending(len(resolved))
+            if counter is not None:
+                self._counters[counter] += 1
+            waiters = [request.future] if request.key is None else \
+                self._inflight.pop(request.key, [request.future])
+        for future in waiters:
+            _settle(future, result=result, exception=exception)
+        self._release_pending(len(waiters))
 
-    def _record_batch_spans(self, requests: List[_Request], recorder,
-                            start: float,
-                            error: Optional[str] = None) -> None:
-        """Emit the batch's spans and latency sample (obs enabled only).
+    def _record_spans(self, request: _Request, recorder, start: float,
+                      error: Optional[str]) -> None:
+        """Emit one solve's spans and latency sample (obs enabled only).
 
-        One ``service.batch`` span per *traced* request (so every trace
-        that flowed through the wire sees where its batch ran), plus one
-        ``kernel.<phase>`` span per profiled kernel phase, anchored to
-        the first traced request's id.
+        A traced request gets one ``service.batch`` span, plus one
+        ``kernel.<phase>`` span per profiled kernel phase under the same
+        trace id.
         """
         tracer = self._obs.tracer
         duration = tracer.clock() - start
         self._obs.latency_histogram(
             "repro_service_batch_seconds",
-            "Wall time of executed solver batches").observe(duration)
-        traced = [request for request in requests
-                  if request.trace_id is not None]
-        for request in traced:
-            annotations: Dict[str, Any] = {
-                "strategy": request.strategy, "batch_size": len(requests)}
-            if error is not None:
-                annotations["error"] = error
-            tracer.record_complete("service.batch",
-                                   trace_id=request.trace_id, start=start,
-                                   duration=duration, **annotations)
-        if traced and recorder is not None:
-            anchor = traced[0].trace_id
+            "Wall time of one served solve").observe(duration)
+        if request.trace_id is None:
+            return
+        annotations: Dict[str, Any] = {"strategy": request.strategy}
+        if error is not None:
+            annotations["error"] = error
+        tracer.record_complete("service.batch", trace_id=request.trace_id,
+                               start=start, duration=duration, **annotations)
+        if recorder is not None:
             for name, entry in recorder.phases.items():
                 tracer.record_complete(
-                    f"kernel.{name}", trace_id=anchor, start=start,
+                    f"kernel.{name}", trace_id=request.trace_id, start=start,
                     duration=entry["seconds"], calls=entry["calls"])
 
     # ------------------------------------------------------------------ #

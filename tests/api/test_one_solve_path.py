@@ -1,7 +1,7 @@
 """One solve path: a report depends only on its instance, not on its batch.
 
 ``aloof`` instances that share one link system and differ only in demand
-(the shape of a study demand axis or a coalesced service micro-batch) must
+(the shape of a study demand axis or a burst of service requests) must
 get, through ``solve_many`` and through a running ``SolveService``, exactly
 the report ``solve`` gives each of them alone.
 """
@@ -56,7 +56,7 @@ def _alone(instances, config=None):
 
 
 def _through_service(instances, config):
-    with SolveService(max_wait_ms=50.0, max_batch=len(instances)) as service:
+    with SolveService() as service:
         futures = [service.submit(inst, "aloof", config=config)
                    for inst in instances]
         return [future.result(timeout=60) for future in futures]

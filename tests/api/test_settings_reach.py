@@ -42,7 +42,7 @@ def test_solve_many_rejects_a_non_config():
 
 
 def test_service_submit_rejects_a_non_config():
-    with SolveService(max_wait_ms=1.0) as service:
+    with SolveService() as service:
         with pytest.raises(ModelError, match="SolveConfig"):
             service.submit(pigou(), "optop", config="x")
 

@@ -225,13 +225,6 @@ class TestMaxWorkersCheck:
         with pytest.raises(ModelError, match="max_workers"):
             solve_many([pigou()], "optop", max_workers=bad)
 
-    @pytest.mark.parametrize("bad", ["x", 2.5, -3])
-    def test_service_rejects(self, bad):
-        from repro.serve import SolveService
-
-        with pytest.raises(ModelError, match="max_workers"):
-            SolveService(max_workers=bad)
-
     @pytest.mark.parametrize("good", [None, 0, 1, np.int64(1)])
     def test_accepted(self, good):
         reports = solve_many([pigou()], "optop", max_workers=good)

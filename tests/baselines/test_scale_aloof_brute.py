@@ -143,3 +143,35 @@ class TestBruteForceCapacities:
     def test_network_no_feasible_candidate_raises(self):
         with pytest.raises(StrategyError, match="capacity"):
             network_brute_force(self.two_queue_network(), 1.0, resolution=1)
+
+
+class TestNetworkBruteForceBound:
+    """An oversized network grid is refused before any induced solve."""
+
+    @pytest.mark.parametrize("strategy", ["exact", "brute_force"])
+    def test_oversized_grid_raises_fast(self, strategy):
+        import time
+
+        from repro.instances import layered_network
+
+        # 9 optimum paths at the default resolution 12: 125,970 candidates.
+        start = time.perf_counter()
+        with pytest.raises(StrategyError, match=r"125,970 candidates"):
+            solve(layered_network(3, 3, seed=0), strategy,
+                  config=SolveConfig(cache=False))
+        assert time.perf_counter() - start < 1.0
+
+    def test_error_suggests_a_lower_resolution(self):
+        from repro.instances import layered_network
+
+        with pytest.raises(StrategyError, match="brute_force_resolution"):
+            network_brute_force(layered_network(3, 3, seed=0), 0.5,
+                                resolution=12)
+
+    def test_a_lower_resolution_runs(self):
+        from repro.instances import layered_network
+
+        # C(2 + 8, 8) = 45 candidates over the same 9 paths.
+        result = network_brute_force(layered_network(3, 3, seed=0), 0.5,
+                                     resolution=2)
+        assert 1 <= result.evaluated <= 45

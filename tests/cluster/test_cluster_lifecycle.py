@@ -33,8 +33,8 @@ class TestTwoPassResume:
     def test_second_pass_makes_zero_solver_calls(self, tmp_path):
         stream = make_stream(seed=0)
         merged, shard_enqueued = [], []
-        with start_cluster(n_workers=2, store_dir=str(tmp_path / "store"),
-                           max_wait_ms=2.0) as cluster:
+        with start_cluster(n_workers=2,
+                           store_dir=str(tmp_path / "store")) as cluster:
             before = cluster.stats()
             for _ in range(2):
                 cluster.solve_many(stream, "optop", config=CONFIG)

@@ -110,7 +110,6 @@ class TestSupervisedRespawn:
         # duplicate key that attaches to an in-flight tier-2 probe counts as
         # coalesced rather than as a hit, so the two buckets are summed.
         assert after.enqueued - before.enqueued == 0
-        assert after.batches - before.batches == 0
         assert ((after.hits + after.coalesced)
                 - (before.hits + before.coalesced)) == len(stream)
         assert stats["workers"][dead]["respawns"] >= 1

@@ -22,7 +22,7 @@ from repro.serve.service import ServiceStats
 class TestServiceStatsRoundTrip:
     def test_to_dict_from_dict_round_trip(self):
         stats = ServiceStats(requests=10, tier1_hits=4, tier2_hits=2,
-                             coalesced=1, enqueued=3, batches=2,
+                             coalesced=1, enqueued=3, solve_failures=2,
                              queue_peak=5, pending=0,
                              cache={"memory": {"hits": 4}})
         rebuilt = ServiceStats.from_dict(stats.to_dict())
@@ -50,10 +50,10 @@ class TestServiceStatsRoundTrip:
 
     def test_merge_sums_counters_and_preserves_partition(self):
         a = ServiceStats(requests=10, tier1_hits=6, enqueued=4,
-                         batches=1, queue_peak=2,
+                         solve_failures=1, queue_peak=2,
                          cache={"memory": {"hits": 6}})
         b = ServiceStats(requests=5, tier2_hits=2, coalesced=1, enqueued=1,
-                         rejected=1, batches=1, queue_peak=7,
+                         rejected=1, solve_failures=1, queue_peak=7,
                          cache={"memory": {"hits": 2}})
         merged = a.merge(b)
         assert merged.requests == 15

@@ -5,6 +5,8 @@ from __future__ import annotations
 import asyncio
 import json
 
+import pytest
+
 from repro.config import SolveConfig
 from repro.cluster import WorkerServer, protocol
 from repro.cluster.worker import build_worker_service
@@ -183,3 +185,20 @@ class TestDigestPassthrough:
             assert service.stats().tier1_hits == 1
         finally:
             service.shutdown()
+
+
+class TestWorkerArguments:
+    @pytest.mark.parametrize("option",
+                             ["--max-batch", "--max-wait-ms", "--workers"])
+    def test_batch_settings_are_not_options(self, option, capsys,
+                                            monkeypatch):
+        from repro.cluster import worker
+
+        async def refuse(args):
+            raise AssertionError("a worker was started")
+
+        monkeypatch.setattr(worker, "_amain", refuse)
+        with pytest.raises(SystemExit) as excinfo:
+            worker.main([option, "2"])
+        assert excinfo.value.code == 2
+        assert option in capsys.readouterr().err

@@ -1,8 +1,8 @@
 """Serving-layer resilience: deadlines, injected solver faults, recovery.
 
 Covers the end-to-end deadline contract of :meth:`SolveService.submit`
-(expired-on-arrival and expired-in-queue), the chaos hooks in batch
-execution, and the recovery paths that existed but had no direct tests:
+(expired-on-arrival and expired-in-queue), the chaos hooks drawn once per
+solve, and the recovery paths that existed but had no direct tests:
 ``drain(timeout=)`` returning ``False``, dispatcher death healing through
 ``_spawn_dispatcher_locked(restart=True)``, and the shutdown join-timeout
 accounting.
@@ -48,11 +48,11 @@ class TestDeadlines:
         assert stats.consistent  # timeouts is a side counter, not a bucket
 
     def test_expired_in_queue_fails_with_timeout(self):
-        # Batch 1 holds the dispatcher for 300 ms (injected delay); the
+        # Solve 1 holds the dispatcher for 300 ms (injected delay); the
         # second request's 50 ms deadline expires while it waits in the
-        # queue, so it must fail fast without occupying a solver batch.
+        # queue, so it must fail fast without occupying the solver.
         delay = FaultSpec(kind="solver_delay", nth_call=1, delay_ms=300.0)
-        with service_with(delay, max_batch=1, max_wait_ms=0.5) as service:
+        with service_with(delay) as service:
             slow = service.submit(instance(0), "optop", config=CONFIG)
             fast = service.submit(instance(1), "optop", config=CONFIG,
                                   deadline=time.monotonic() + 0.05)
@@ -61,7 +61,7 @@ class TestDeadlines:
                 fast.result(timeout=30.0)
             stats = service.stats()
         assert stats.timeouts == 1
-        assert stats.batch_failures == 0  # no solver work was lost
+        assert stats.solve_failures == 0  # no solver work was lost
         assert stats.consistent
 
     def test_generous_deadline_solves_normally(self):
@@ -74,7 +74,7 @@ class TestDeadlines:
 
 
 class TestSolverFaultHooks:
-    def test_solver_crash_fails_the_batch_futures_typed(self):
+    def test_solver_crash_fails_the_solve_futures_typed(self):
         crash = FaultSpec(kind="solver_crash", nth_call=1)
         with service_with(crash) as service:
             future = service.submit(instance(0), "optop", config=CONFIG)
@@ -85,7 +85,20 @@ class TestSolverFaultHooks:
                                     config=CONFIG).result(timeout=30.0)
             assert report is not None
             stats = service.stats()
-        assert stats.batch_failures == 1
+        assert stats.solve_failures == 1
+        assert stats.consistent
+
+    def test_solver_faults_are_drawn_once_per_solve(self):
+        crash = FaultSpec(kind="solver_crash", nth_call=2)
+        with service_with(crash) as service:
+            futures = [service.submit(instance(seed), "optop", config=CONFIG)
+                       for seed in range(3)]
+            assert futures[0].result(timeout=30.0) is not None
+            with pytest.raises(FaultInjectedError):
+                futures[1].result(timeout=30.0)
+            assert futures[2].result(timeout=30.0) is not None
+            stats = service.stats()
+        assert stats.solve_failures == 1
         assert stats.consistent
 
     def test_unfaulted_service_has_no_injector(self):
@@ -113,8 +126,8 @@ class TestRecoveryPaths:
         thread = service._thread
         assert thread.is_alive()
 
-        # Kill the dispatcher the hard way: a BaseException out of the
-        # queue escapes the loop's Exception containment.
+        # Kill the dispatcher the hard way: an exception out of the queue
+        # escapes the loop, which contains only what a solve raises.
         class _Bomb:
             def get(self, timeout=None):
                 raise SystemExit("injected dispatcher death")
@@ -133,6 +146,41 @@ class TestRecoveryPaths:
             assert stats.worker_restarts == 1
             assert service._thread is not thread
             assert service.running
+        finally:
+            service.shutdown(wait=True, timeout=30.0)
+
+    def test_internal_dispatcher_error_is_contained(self, caplog):
+        service = SolveService().start()
+        thread = service._thread
+
+        class _Faulty:
+            # Raises once from the dispatcher's own queue read, then
+            # hands over to the real queue.
+            def __init__(self, real):
+                self.real, self.raised = real, False
+
+            def get(self, timeout=None):
+                if not self.raised:
+                    self.raised = True
+                    raise RuntimeError("injected dispatcher error")
+                return self.real.get(timeout=timeout)
+
+            def __getattr__(self, name):
+                return getattr(self.real, name)
+
+        try:
+            with caplog.at_level(logging.ERROR, logger="repro.serve.service"):
+                faulty = service._queue = _Faulty(service._queue)
+                deadline = time.monotonic() + 10.0
+                while not faulty.raised and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                report = service.submit(instance(), "optop",
+                                        config=CONFIG).result(timeout=30.0)
+            assert report is not None
+            assert service._thread is thread  # the loop kept running
+            assert service.stats().worker_restarts == 1
+            assert any("dispatcher error" in record.message
+                       for record in caplog.records)
         finally:
             service.shutdown(wait=True, timeout=30.0)
 

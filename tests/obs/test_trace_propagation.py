@@ -1,4 +1,4 @@
-"""Trace propagation: one trace id across gateway -> worker -> batch.
+"""Trace propagation: one trace id across gateway -> worker -> service.
 
 The fast tests run an in-process `WorkerServer` (real sockets, no child
 processes) and a `ClusterGateway` against scripted fake workers, covering

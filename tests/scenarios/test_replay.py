@@ -37,7 +37,7 @@ class TestReplay:
         report = replay_trace(instances.figure_4_example(), trace)
         stats = report.stats
         # One solve; the 19 repeats coalesce or hit tier 1.
-        assert stats.batched_requests <= 1
+        assert stats.enqueued <= 1
         assert stats.coalesced + stats.tier1_hits >= 19
         assert report.num_distinct_levels == 1
 
@@ -74,7 +74,7 @@ class TestReplay:
     def test_shared_service_is_left_running(self):
         trace = DemandTrace.from_process("constant",
                                          {"level": 1.0, "num_steps": 3})
-        with SolveService(max_wait_ms=0.5) as service:
+        with SolveService() as service:
             report = replay_trace(instances.pigou(), trace, service=service)
             assert service.running
             assert len(report) == 3

@@ -42,18 +42,16 @@ class TestWorkload:
 class TestRunBench:
     def test_second_pass_is_all_hits(self, tmp_path):
         result = run_bench(num_requests=150, num_distinct=25, passes=2,
-                           store=ArtifactStore(tmp_path / "store"),
-                           max_wait_ms=1.0, seed=3)
+                           store=ArtifactStore(tmp_path / "store"), seed=3)
         assert len(result.passes) == 2
         warm = result.passes[1].stats
         assert warm.hits == 150
-        assert warm.batches == 0
+        assert warm.enqueued == 0
         assert all(p.stats.consistent for p in result.passes)
         assert result.final_stats.requests == 300
 
     def test_single_pass_is_cold(self):
-        result = run_bench(num_requests=20, num_distinct=5, passes=1,
-                           max_wait_ms=1.0)
+        result = run_bench(num_requests=20, num_distinct=5, passes=1)
         assert len(result.passes) == 1
         assert result.passes[0].stats.requests == 20
         assert result.passes[0].stats.consistent
@@ -68,7 +66,7 @@ class TestRunBench:
 class TestCli:
     def test_serve_bench_prints_table(self, capsys):
         code = main(["serve", "bench", "--requests", "120", "--distinct",
-                     "20", "--passes", "2", "--max-wait-ms", "1"])
+                     "20", "--passes", "2"])
         out = capsys.readouterr().out
         assert code == 0
         assert "SolveService synthetic benchmark" in out
@@ -77,7 +75,7 @@ class TestCli:
 
     def test_serve_bench_json_roundtrips(self, capsys, tmp_path):
         code = main(["serve", "bench", "--requests", "60", "--distinct",
-                     "12", "--passes", "1", "--max-wait-ms", "1",
+                     "12", "--passes", "1",
                      "--store", str(tmp_path / "store"), "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -92,10 +90,26 @@ class TestCli:
         assert captured.out == ""
         assert "passes must be >= 1" in captured.err
 
-    @pytest.mark.parametrize("option", ["--cluster", "--max-inflight"])
+    @pytest.mark.parametrize("option", ["--cluster", "--max-inflight",
+                                        "--max-batch", "--max-wait-ms",
+                                        "--workers"])
     def test_serve_bench_has_no_cluster_mode(self, option, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "bench", "--requests", "20", "--distinct", "5",
                   option, "2"])
+        assert excinfo.value.code == 2
+        assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--max-batch", "--max-wait-ms"])
+    def test_serve_cluster_has_no_batch_window(self, option, capsys,
+                                               monkeypatch):
+        import repro.cluster
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cluster was started")
+
+        monkeypatch.setattr(repro.cluster, "start_cluster", refuse)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "cluster", option, "2"])
         assert excinfo.value.code == 2
         assert option in capsys.readouterr().err

@@ -4,8 +4,8 @@ The acceptance contract of the serving layer:
 
 * 5,000 mixed solve requests drawn from <= 200 distinct instances complete
   without an error;
-* coalescing + micro-batching need measurably fewer ``solve_many`` batch
-  calls than requests;
+* coalescing and the cache tiers bring the solver each distinct instance
+  exactly once, one call per instance;
 * a second identical pass is >= 95% tier-1/tier-2 cache hits with ZERO
   solver invocations;
 * a store-backed cold restart also needs zero solver invocations (tier 2);
@@ -20,7 +20,8 @@ import threading
 
 import pytest
 
-from repro.api import SolveConfig, clear_cache, solve_many
+from repro.api import SolveConfig, clear_cache, solve
+from repro.cache import LRUCache
 from repro.instances import random_linear_parallel
 from repro.serve import SolveService, build_workload
 from repro.study.store import ArtifactStore
@@ -33,21 +34,16 @@ QUICK = SolveConfig(compute_nash=False)
 
 
 class CountingSolver:
-    """solve_many wrapper counting batches and solver-visited instances."""
+    """An injected solver counting its calls (one instance each)."""
 
     def __init__(self):
         self.calls = 0
-        self.instances = 0
         self._lock = threading.Lock()
 
-    def __call__(self, instances, strategy=None, *, config=None,
-                 max_workers=None):
-        batch = list(instances)
+    def __call__(self, instance, strategy, config):
         with self._lock:
             self.calls += 1
-            self.instances += len(batch)
-        return solve_many(batch, strategy, config=config,
-                          max_workers=max_workers)
+        return solve(instance, strategy, config=config, cache=LRUCache())
 
 
 def _submit_stream(service, instances, schedule, *, threads=NUM_THREADS):
@@ -84,8 +80,7 @@ def test_five_thousand_mixed_requests_with_cache_and_coalescing(tmp_path):
     assert len(instances) == NUM_DISTINCT
     assert len(schedule) == NUM_REQUESTS
 
-    service = SolveService(store=store, max_batch=128, max_wait_ms=2.0,
-                           max_queue=0, max_workers=0, solver=solver).start()
+    service = SolveService(store=store, max_queue=0, solver=solver).start()
     try:
         # ---------------- pass 1: cold ---------------------------------- #
         reports = _submit_stream(service, instances, schedule)
@@ -95,12 +90,8 @@ def test_five_thousand_mixed_requests_with_cache_and_coalescing(tmp_path):
         stats1 = service.stats()
         assert stats1.consistent, stats1.to_dict()
         assert stats1.requests == NUM_REQUESTS
-        # The solver saw each distinct instance exactly once...
-        assert solver.instances == NUM_DISTINCT
-        # ... and coalescing/micro-batching squeezed those into far fewer
-        # batch calls than there were requests.
-        assert solver.calls < NUM_REQUESTS / 10
-        assert stats1.batches == solver.calls
+        # The solver saw each distinct instance exactly once.
+        assert solver.calls == NUM_DISTINCT
         assert stats1.enqueued == NUM_DISTINCT
         assert (stats1.tier1_hits + stats1.tier2_hits + stats1.coalesced
                 == NUM_REQUESTS - NUM_DISTINCT)
@@ -128,7 +119,7 @@ def test_five_thousand_mixed_requests_with_cache_and_coalescing(tmp_path):
         assert memory["hits"] == stats2.tier1_hits
         assert store["hits"] == stats2.tier2_hits
         assert store["misses"] == stats2.enqueued
-        assert stats2.rejected == 0 and stats2.batch_failures == 0
+        assert stats2.rejected == 0 and stats2.solve_failures == 0
     finally:
         service.shutdown(wait=True, timeout=120)
 
@@ -136,7 +127,6 @@ def test_five_thousand_mixed_requests_with_cache_and_coalescing(tmp_path):
     clear_cache()  # the session-layer cache must not mask tier 2
     restart_solver = CountingSolver()
     with SolveService(store=ArtifactStore(tmp_path / "artifacts"),
-                      max_wait_ms=2.0, max_workers=0,
                       solver=restart_solver) as restarted:
         sample = schedule[:1000]
         reports3 = _submit_stream(restarted, instances, sample, threads=4)
@@ -156,8 +146,7 @@ def test_five_thousand_mixed_requests_with_cache_and_coalescing(tmp_path):
 def test_sustained_backpressure_never_loses_accounting():
     """A tiny queue under a hot stream: rejections + hits still partition."""
     clear_cache()
-    service = SolveService(max_queue=4, max_batch=4, max_wait_ms=0.5,
-                           max_workers=0).start()
+    service = SolveService(max_queue=4).start()
     instances = [random_linear_parallel(3, demand=1.0, seed=s)
                  for s in range(50)]
     accepted, rejected = [], 0

@@ -1,19 +1,22 @@
-"""Unit tests for `SolveService`: coalescing, batching, backpressure,
-tiered caching, failure containment and lifecycle."""
+"""Unit tests for `SolveService`: coalescing, one solve per request,
+backpressure, tiered caching, failure containment and lifecycle."""
 
 from __future__ import annotations
 
+import json
 import logging
 import threading
 import time
 
 import pytest
 
-from repro.api import SolveConfig, clear_cache, solve, solve_many
+from repro.api import SolveConfig, clear_cache, solve
+from repro.cache import LRUCache
 from repro.exceptions import (
     ModelError,
     ServiceClosedError,
     ServiceOverloadedError,
+    ServiceTimeoutError,
 )
 from repro.instances import pigou, random_linear_parallel
 from repro.serialization import instance_digest
@@ -30,56 +33,65 @@ def fresh_session_cache():
     clear_cache()
 
 
-class CountingSolver:
-    """A solve_many wrapper counting batch calls and solved instances."""
+def uncached(instance, strategy, config):
+    """The injected-solver signature, solving without any cache."""
+    return solve(instance, strategy, config=config, cache=LRUCache())
 
-    def __init__(self, inner=solve_many, delay: float = 0.0):
-        self.inner = inner
+
+class CountingSolver:
+    """An injected solver recording the instance of every call."""
+
+    def __init__(self, delay: float = 0.0):
         self.delay = delay
-        self.calls = 0
-        self.instances = 0
+        self.seen = []
         self._lock = threading.Lock()
 
-    def __call__(self, instances, strategy=None, *, config=None,
-                 max_workers=None, cache=None):
+    @property
+    def calls(self) -> int:
+        return len(self.seen)
+
+    def __call__(self, instance, strategy, config):
         with self._lock:
-            self.calls += 1
-            self.instances += len(list(instances))
+            self.seen.append(instance)
         if self.delay:
             time.sleep(self.delay)
-        return self.inner(instances, strategy, config=config,
-                          max_workers=max_workers)
+        return uncached(instance, strategy, config)
 
 
 class FailingSolver:
-    """Raises for the first ``failures`` batches, then delegates."""
+    """Raises for the first ``failures`` calls, then solves.
 
-    def __init__(self, failures: int = 1):
+    With ``gate`` set, every call first waits for it, so requests
+    submitted meanwhile coalesce onto the blocked one.
+    """
+
+    def __init__(self, failures: int = 1, gate=None):
         self.failures = failures
+        self.gate = gate
         self.calls = 0
 
-    def __call__(self, instances, strategy=None, *, config=None,
-                 max_workers=None):
+    def __call__(self, instance, strategy, config):
+        if self.gate is not None:
+            self.gate.wait(timeout=30)
         self.calls += 1
         if self.calls <= self.failures:
             raise RuntimeError("synthetic solver crash")
-        return solve_many(instances, strategy, config=config,
-                          max_workers=max_workers)
+        return uncached(instance, strategy, config)
 
 
 class TestBasicServing:
     def test_submit_returns_a_report_future(self):
-        with SolveService(max_wait_ms=1.0) as service:
+        with SolveService() as service:
             report = service.submit(pigou(), "optop").result(timeout=30)
         assert report.beta == pytest.approx(0.5)
 
     def test_blocking_solve_wrapper(self):
-        with SolveService(max_wait_ms=1.0) as service:
+        with SolveService() as service:
             report = service.solve(pigou(), "optop", timeout=30)
         assert report.strategy == "optop"
 
     def test_repeat_submission_is_a_tier1_hit(self):
-        with SolveService(max_wait_ms=1.0) as service:
+        with SolveService() as service:
             instance = pigou()
             service.solve(instance, "optop", config=QUICK, timeout=30)
             service.solve(instance, "optop", config=QUICK, timeout=30)
@@ -91,7 +103,7 @@ class TestBasicServing:
     def test_unknown_strategy_fails_fast(self):
         from repro.exceptions import StrategyError
 
-        with SolveService(max_wait_ms=1.0) as service:
+        with SolveService() as service:
             with pytest.raises(StrategyError):
                 service.submit(pigou(), "no_such_strategy")
 
@@ -100,56 +112,145 @@ class TestCoalescing:
     def test_concurrent_identical_requests_solve_once(self):
         solver = CountingSolver(delay=0.05)
         instance = random_linear_parallel(4, demand=2.0, seed=1)
-        with SolveService(max_wait_ms=20.0, solver=solver) as service:
+        with SolveService(solver=solver) as service:
             futures = [service.submit(instance, "optop", config=QUICK)
                        for _ in range(25)]
             reports = [f.result(timeout=30) for f in futures]
             stats = service.stats()
-        assert solver.instances == 1, "identical requests must coalesce"
+        assert solver.calls == 1, "identical requests must coalesce"
         assert stats.coalesced == 24
         assert stats.enqueued == 1
         assert stats.consistent
         assert len({r.beta for r in reports}) == 1
 
-    def test_distinct_requests_share_one_batch(self):
-        solver = CountingSolver()
+
+def _without_timings(report):
+    """A report's JSON with its wall time and profile timings removed."""
+    data = json.loads(report.to_json())
+    data.pop("wall_time")
+    profile = data["metadata"].get("profile")
+    if profile is not None:
+        data["metadata"]["profile"] = {
+            name: entry["calls"]
+            for name, entry in profile["phases"].items()}
+    return data
+
+
+class TestOneSolvePerRequest:
+    def test_a_burst_reaches_the_solver_one_instance_per_call(self):
+        gate = threading.Event()
+
+        class GatedSolver(CountingSolver):
+            def __call__(self, instance, strategy, config):
+                gate.wait(timeout=30)
+                return super().__call__(instance, strategy, config)
+
+        solver = GatedSolver()
         instances = [random_linear_parallel(3, demand=1.0, seed=s)
-                     for s in range(10)]
-        with SolveService(max_batch=32, max_wait_ms=50.0,
-                          solver=solver) as service:
+                     for s in range(20)]
+        with SolveService(solver=solver) as service:
+            # The first solve blocks on the gate, so the other 19 requests
+            # are all queued when the dispatcher gets to them.
             futures = [service.submit(inst, "optop", config=QUICK)
                        for inst in instances]
+            gate.set()
             for future in futures:
                 future.result(timeout=30)
             stats = service.stats()
-        assert solver.calls < len(instances), \
-            "micro-batching must need fewer solve_many calls than requests"
-        assert stats.batched_requests == len(instances)
-        assert stats.consistent
+        assert solver.calls == 20
+        assert all(seen is inst for seen, inst in zip(solver.seen, instances))
+        assert stats.enqueued == 20 and stats.consistent
 
-    def test_mixed_strategies_group_into_separate_batches(self):
-        solver = CountingSolver()
-        instance = random_linear_parallel(4, demand=1.5, seed=2)
-        with SolveService(max_batch=32, max_wait_ms=50.0,
-                          solver=solver) as service:
-            a = service.submit(instance, "optop", config=QUICK)
-            b = service.submit(instance, "aloof", config=QUICK)
-            a.result(timeout=30), b.result(timeout=30)
-        assert solver.calls == 2, "one solve_many per (strategy, config)"
+    def test_each_request_is_digested_at_most_once(self, monkeypatch):
+        import repro.api.session as session
+        import repro.serve.service as service_module
+
+        calls = []
+
+        def counting_digest(instance):
+            calls.append(instance)
+            return instance_digest(instance)
+
+        monkeypatch.setattr(service_module, "instance_digest",
+                            counting_digest)
+        monkeypatch.setattr(session, "instance_digest", counting_digest)
+        cold = random_linear_parallel(3, demand=1.0, seed=21)
+        shipped = random_linear_parallel(3, demand=1.0, seed=22)
+        digest = instance_digest(shipped)
+        with SolveService() as service:
+            service.solve(cold, "optop", config=QUICK, timeout=30)
+            assert len(calls) == 1
+            service.submit(shipped, "optop", config=QUICK,
+                           digest=digest).result(timeout=30)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("cache", [True, False])
+    @pytest.mark.parametrize("profile", [False, True])
+    @pytest.mark.parametrize("strategy", ["optop", "aloof"])
+    def test_service_report_is_the_solve_report(self, strategy, profile,
+                                                 cache):
+        config = SolveConfig(profile=profile, cache=cache)
+        instance = random_linear_parallel(5, demand=2.0, seed=23)
+        with SolveService() as service:
+            served = service.solve(instance, strategy, config=config,
+                                   timeout=30)
+        alone = solve(instance, strategy, config=config, cache=LRUCache())
+        assert _without_timings(served) == _without_timings(alone)
+
+    def test_traced_burst_records_one_span_per_solve(self):
+        from repro.obs import Observability
+
+        obs = Observability(service="test")
+        instances = [random_linear_parallel(3, demand=1.0, seed=s)
+                     for s in range(4)]
+        with SolveService(obs=obs) as service:
+            futures = [service.submit(inst, "optop", config=QUICK,
+                                      trace_id=f"t{i}")
+                       for i, inst in enumerate(instances)]
+            for future in futures:
+                future.result(timeout=30)
+        spans = [span for span in obs.tracer.spans()
+                 if span["name"] == "service.batch"]
+        assert sorted(span["trace_id"] for span in spans) == \
+            ["t0", "t1", "t2", "t3"]
+        assert obs.latency_histogram(
+            "repro_service_batch_seconds").snapshot()["count"] == 4
+
+    def test_expired_queued_request_fails_its_coalesced_waiters(self):
+        gate = threading.Event()
+
+        def gated(instance, strategy, config):
+            gate.wait(timeout=30)
+            return uncached(instance, strategy, config)
+
+        late = random_linear_parallel(3, demand=1.0, seed=25)
+        with SolveService(solver=gated) as service:
+            blocker = service.submit(
+                random_linear_parallel(3, demand=1.0, seed=24), "optop",
+                config=QUICK)
+            deadline = time.monotonic() + 0.05
+            waiters = [service.submit(late, "optop", config=QUICK,
+                                      deadline=deadline) for _ in range(2)]
+            time.sleep(0.1)
+            gate.set()
+            assert blocker.result(timeout=30) is not None
+            for waiter in waiters:
+                with pytest.raises(ServiceTimeoutError):
+                    waiter.result(timeout=30)
+            stats = service.stats()
+        assert stats.timeouts == 1 and stats.coalesced == 1
+        assert stats.solve_failures == 0 and stats.consistent
 
 
 class TestBackpressure:
     def test_full_queue_rejects_with_overload_error(self):
         release = threading.Event()
 
-        def blocking_solver(instances, strategy=None, *, config=None,
-                            max_workers=None):
+        def blocking_solver(instance, strategy, config):
             release.wait(timeout=30)
-            return solve_many(instances, strategy, config=config,
-                              max_workers=max_workers)
+            return uncached(instance, strategy, config)
 
-        service = SolveService(max_queue=2, max_batch=1, max_wait_ms=0.0,
-                               solver=blocking_solver).start()
+        service = SolveService(max_queue=2, solver=blocking_solver).start()
         try:
             futures = []
             # First request is picked up by the dispatcher (and blocks);
@@ -182,14 +283,14 @@ class TestTieredCache:
         store = ArtifactStore(tmp_path / "artifacts")
         instance = random_linear_parallel(4, demand=2.0, seed=3)
 
-        with SolveService(store=store, max_wait_ms=1.0) as warm:
+        with SolveService(store=store) as warm:
             first = warm.solve(instance, "optop", config=QUICK, timeout=30)
         assert store.stats()["writes"] == 1
 
         solver = CountingSolver()
         clear_cache()  # the session cache must not mask the tiers
         with SolveService(store=ArtifactStore(tmp_path / "artifacts"),
-                          max_wait_ms=1.0, solver=solver) as cold:
+                          solver=solver) as cold:
             second = cold.solve(instance, "optop", config=QUICK, timeout=30)
             third = cold.solve(instance, "optop", config=QUICK, timeout=30)
             stats = cold.stats()
@@ -202,7 +303,7 @@ class TestTieredCache:
     def test_write_through_lands_in_both_tiers(self, tmp_path):
         store = ArtifactStore(tmp_path / "artifacts")
         cache = TieredCache(store=store)
-        with SolveService(cache=cache, max_wait_ms=1.0) as service:
+        with SolveService(cache=cache) as service:
             service.solve(pigou(), "optop", config=QUICK, timeout=30)
         assert len(cache.memory) == 1
         assert len(store) == 1
@@ -211,26 +312,25 @@ class TestTieredCache:
         solver = CountingSolver()
         nocache = SolveConfig(cache=False, compute_nash=False)
         instance = random_linear_parallel(3, demand=1.0, seed=4)
-        with SolveService(max_wait_ms=1.0, solver=solver) as service:
+        with SolveService(solver=solver) as service:
             service.solve(instance, "optop", config=nocache, timeout=30)
             service.solve(instance, "optop", config=nocache, timeout=30)
             stats = service.stats()
-        assert solver.instances == 2
+        assert solver.calls == 2
         assert stats.hits == 0 and stats.enqueued == 2
         assert stats.consistent
 
     def test_corrupt_tier2_artifact_is_healed_not_fatal(self, tmp_path):
         store = ArtifactStore(tmp_path / "artifacts")
         instance = random_linear_parallel(4, demand=2.0, seed=11)
-        with SolveService(store=store, max_wait_ms=1.0) as warm:
+        with SolveService(store=store) as warm:
             first = warm.solve(instance, "optop", config=QUICK, timeout=30)
         # Corrupt the artifact on disk.
         artifact = next(iter(store.root.glob("??/*.json")))
         artifact.write_text("{not json", encoding="utf-8")
 
         clear_cache()
-        with SolveService(store=ArtifactStore(tmp_path / "artifacts"),
-                          max_wait_ms=1.0) as cold:
+        with SolveService(store=ArtifactStore(tmp_path / "artifacts")) as cold:
             healed = cold.solve(instance, "optop", config=QUICK, timeout=30)
             stats = cold.stats()
         assert healed.beta == pytest.approx(first.beta)
@@ -252,7 +352,7 @@ class TestTieredCache:
         from repro.api import cache_stats
 
         before = cache_stats()
-        with SolveService(max_wait_ms=1.0) as service:
+        with SolveService() as service:
             for seed in range(4):
                 inst = random_linear_parallel(3, demand=1.0, seed=seed)
                 service.solve(inst, "optop", config=QUICK, timeout=30)
@@ -270,7 +370,7 @@ class TestTieredCache:
             store.put(artifact_key(instance_digest(instance), "optop",
                                    QUICK),
                       solve(instance, "optop", config=QUICK))
-        with SolveService(store=store, max_wait_ms=1.0) as service:
+        with SolveService(store=store) as service:
             def client(offset):
                 for round_index in range(5):
                     for i in range(len(instances)):
@@ -306,12 +406,12 @@ class TestTieredCache:
         solver = CountingSolver()
         with caplog.at_level(logging.WARNING, logger="repro.serve.cache"):
             with SolveService(store=RaisingStore(tmp_path / "artifacts"),
-                              max_wait_ms=1.0, solver=solver) as service:
+                              solver=solver) as service:
                 report = service.solve(pigou(), "optop", config=QUICK,
                                        timeout=30)
                 stats = service.stats()
         assert report.beta == pytest.approx(0.5)
-        assert solver.instances == 1
+        assert solver.calls == 1
         assert stats.enqueued == 1 and stats.tier2_hits == 0
         assert stats.consistent, stats.to_dict()
         assert any(record.levelno == logging.WARNING
@@ -329,7 +429,7 @@ class TestFailureContainment:
 
         store = BrokenStore(tmp_path / "artifacts")
         instance = random_linear_parallel(3, demand=1.0, seed=21)
-        with SolveService(store=store, max_wait_ms=1.0) as service:
+        with SolveService(store=store) as service:
             report = service.solve(instance, "optop", config=QUICK,
                                    timeout=30)
             again = service.solve(instance, "optop", config=QUICK,
@@ -354,7 +454,7 @@ class TestFailureContainment:
                          config=SolveConfig(cache=False, compute_nash=False))
 
         try:
-            with SolveService(store=store, max_wait_ms=1.0) as service:
+            with SolveService(store=store) as service:
                 first = service.solve(instance, "serve_versioned_stub",
                                       config=QUICK, timeout=30)
                 assert first.strategy == "aloof"
@@ -367,7 +467,7 @@ class TestFailureContainment:
                          config=SolveConfig(cache=False, compute_nash=False))
 
         try:
-            with SolveService(store=store, max_wait_ms=1.0) as service:
+            with SolveService(store=store) as service:
                 second = service.solve(instance, "serve_versioned_stub",
                                        config=QUICK, timeout=30)
                 stats = service.stats()
@@ -378,11 +478,11 @@ class TestFailureContainment:
         finally:
             REGISTRY.unregister("serve_versioned_stub")
 
-    def test_failed_batch_fails_only_its_futures(self):
+    def test_failed_solve_fails_only_its_futures(self):
         solver = FailingSolver(failures=1)
         a = random_linear_parallel(3, demand=1.0, seed=5)
         b = random_linear_parallel(3, demand=1.0, seed=6)
-        with SolveService(max_wait_ms=1.0, solver=solver) as service:
+        with SolveService(solver=solver) as service:
             first = service.submit(a, "optop", config=QUICK)
             with pytest.raises(RuntimeError, match="synthetic solver crash"):
                 first.result(timeout=30)
@@ -390,15 +490,34 @@ class TestFailureContainment:
             second = service.submit(b, "optop", config=QUICK)
             assert second.result(timeout=30).beta is not None
             stats = service.stats()
-        assert stats.batch_failures == 1
+        assert stats.solve_failures == 1
         assert stats.consistent
 
+    def test_each_failed_solve_is_counted(self):
+        gate = threading.Event()
+        solver = FailingSolver(failures=3, gate=gate)
+        instances = [random_linear_parallel(3, demand=1.0, seed=s)
+                     for s in range(30, 34)]
+        with SolveService(solver=solver) as service:
+            futures = [service.submit(inst, "optop", config=QUICK)
+                       for inst in instances]
+            gate.set()
+            for future in futures[:3]:
+                with pytest.raises(RuntimeError, match="synthetic"):
+                    future.result(timeout=30)
+            assert futures[3].result(timeout=30).beta is not None
+            stats = service.stats()
+        assert solver.calls == 4
+        assert stats.solve_failures == 3 and stats.consistent
+
     def test_coalesced_futures_share_the_failure(self):
-        solver = FailingSolver(failures=1)
+        gate = threading.Event()
+        solver = FailingSolver(failures=1, gate=gate)
         instance = random_linear_parallel(3, demand=1.0, seed=7)
-        with SolveService(max_wait_ms=30.0, solver=solver) as service:
+        with SolveService(solver=solver) as service:
             futures = [service.submit(instance, "optop", config=QUICK)
                        for _ in range(5)]
+            gate.set()
             failures = 0
             for future in futures:
                 with pytest.raises(RuntimeError):
@@ -409,7 +528,7 @@ class TestFailureContainment:
 
 class TestLifecycle:
     def test_drain_waits_for_all_pending(self):
-        with SolveService(max_wait_ms=1.0) as service:
+        with SolveService() as service:
             futures = [service.submit(
                 random_linear_parallel(3, demand=1.0, seed=s), "optop",
                 config=QUICK) for s in range(6)]
@@ -418,7 +537,7 @@ class TestLifecycle:
             assert service.stats().pending == 0
 
     def test_submit_after_shutdown_raises(self):
-        service = SolveService(max_wait_ms=1.0).start()
+        service = SolveService().start()
         service.shutdown(wait=True, timeout=30)
         with pytest.raises(ServiceClosedError):
             service.submit(pigou(), "optop")
@@ -426,14 +545,11 @@ class TestLifecycle:
     def test_hard_shutdown_fails_pending_futures(self):
         release = threading.Event()
 
-        def stuck_solver(instances, strategy=None, *, config=None,
-                         max_workers=None):
+        def stuck_solver(instance, strategy, config):
             release.wait(timeout=30)
-            return solve_many(instances, strategy, config=config,
-                              max_workers=max_workers)
+            return uncached(instance, strategy, config)
 
-        service = SolveService(max_wait_ms=0.0, max_batch=1,
-                               solver=stuck_solver).start()
+        service = SolveService(solver=stuck_solver).start()
         blocked = service.submit(random_linear_parallel(3, demand=1.0,
                                                         seed=8),
                                  "optop", config=QUICK)
@@ -450,12 +566,12 @@ class TestLifecycle:
         assert blocked.done() or blocked.exception(timeout=30) is not None
 
     def test_context_manager_drains_on_clean_exit(self):
-        with SolveService(max_wait_ms=1.0) as service:
+        with SolveService() as service:
             future = service.submit(pigou(), "optop", config=QUICK)
         assert future.done() and future.exception() is None
 
     def test_stats_snapshot_is_a_dataclass_with_dict_view(self):
-        with SolveService(max_wait_ms=1.0) as service:
+        with SolveService() as service:
             service.solve(pigou(), "optop", config=QUICK, timeout=30)
             data = service.stats().to_dict()
         assert data["requests"] == 1

@@ -258,7 +258,7 @@ class TestServeBenchTrace:
 
         payload = _json.loads(capsys.readouterr().out)
         warm = payload["passes"][1]["stats"]
-        assert warm["batches"] == 0
+        assert warm["enqueued"] == 0
         assert all(p["stats"]["consistent"] for p in payload["passes"])
 
 
