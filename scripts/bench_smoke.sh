@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test of the repro.api batch execution path.
 #
-# Runs one solve_many batch (16 random parallel-link instances through the
-# process pool, then a cached re-run) and fails loudly if the batch layer
+# Runs one solve_many batch (16 random parallel-link instances, then a
+# cached re-run) and fails loudly if the batch layer
 # regresses: wrong report count, missing cache hits, or a strategy that no
 # longer induces the optimum.
 set -euo pipefail
@@ -24,7 +24,7 @@ def solver_content(report):
 instances = [random_linear_parallel(6, demand=2.0, seed=s) for s in range(16)]
 
 start = time.perf_counter()
-reports = solve_many(instances, "optop", max_workers=4)
+reports = solve_many(instances, "optop")
 cold = time.perf_counter() - start
 assert len(reports) == 16, f"expected 16 reports, got {len(reports)}"
 assert cache_size() == 16, f"expected 16 cached reports, got {cache_size()}"
@@ -32,7 +32,7 @@ assert all(r.attains_optimum for r in reports), "OpTop failed to induce C(O)"
 assert all(0.0 <= r.beta <= 1.0 for r in reports), "beta out of range"
 
 start = time.perf_counter()
-again = solve_many(instances, "optop", max_workers=4)
+again = solve_many(instances, "optop")
 warm = time.perf_counter() - start
 assert [solver_content(r) for r in again] == \
     [solver_content(r) for r in reports], \

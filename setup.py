@@ -1,10 +1,14 @@
-"""Setuptools shim.
+"""Setuptools metadata for the ``repro`` package.
 
-The project metadata lives in ``pyproject.toml``; this file exists so that the
-package can be installed editable (``pip install -e .``) on machines without
-network access to build-backend wheels (legacy ``setup.py develop`` path).
+The package lives under ``src/``; ``pip install -e .`` installs it in
+editable mode.  The tests and scripts need no install: run them from the
+repo root with ``PYTHONPATH=src``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

@@ -8,9 +8,8 @@ familiar :class:`~repro.analysis.reporting.ExperimentRecord` of tables and
 paper-vs-measured claims.
 
 Because the solver work flows through :func:`repro.study.run_study`, every
-experiment inherits the study pipeline's properties for free: batch
-execution through :func:`repro.api.solve_many`, the instance-digest result
-cache, process-pool fan-out, and — when an
+experiment inherits the study pipeline's properties for free: the
+instance-digest result cache and — when an
 :class:`~repro.study.store.ArtifactStore` is passed — resumable,
 content-addressed artifacts, so re-running an experiment re-solves nothing.
 
@@ -71,10 +70,10 @@ class ExperimentPlan:
     summarize: Callable[[StudyReport, Optional[ArtifactStore]],
                         ExperimentRecord]
 
-    def run(self, *, store: Optional[ArtifactStore] = None,
-            max_workers: Optional[int] = 0) -> ExperimentRecord:
+    def run(self, *, store: Optional[ArtifactStore] = None
+            ) -> ExperimentRecord:
         """Execute the spec through the study runner and summarise."""
-        study = run_study(self.spec, store=store, max_workers=max_workers)
+        study = run_study(self.spec, store=store)
         return self.summarize(study, store)
 
 
@@ -1199,12 +1198,10 @@ def build_experiment(experiment_id: str, **kwargs) -> ExperimentPlan:
 
 def run_experiment(experiment_id: str, *,
                    store: Optional[ArtifactStore] = None,
-                   max_workers: Optional[int] = 0,
                    **kwargs) -> ExperimentRecord:
     """Run one experiment through the study pipeline and summarise it.
 
     With a ``store``, all solver cells resume from (and land in) the
     content-addressed artifact store, so a re-run performs no solver work.
     """
-    return build_experiment(experiment_id, **kwargs).run(
-        store=store, max_workers=max_workers)
+    return build_experiment(experiment_id, **kwargs).run(store=store)

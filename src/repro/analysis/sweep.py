@@ -3,11 +3,10 @@
 All sweeps are defined as declarative :class:`~repro.study.spec.StudySpec`
 plans over the ``"literal"`` generator (the user-supplied instance serialised
 into the cell params) and executed through :func:`repro.study.run_study` —
-so every sweep inherits the study pipeline's batch execution, result cache,
-process-pool fan-out and, when a ``store`` is passed, resumable
-content-addressed artifacts.  A strategy name in a sweep is a registry name,
-so externally registered strategies participate in comparisons without
-touching this module.
+so every sweep inherits the study pipeline's result cache and, when a
+``store`` is passed, resumable content-addressed artifacts.  A strategy name
+in a sweep is a registry name, so externally registered strategies
+participate in comparisons without touching this module.
 
 :func:`alpha_sweep` accepts both parallel-link and network instances
 (dispatch via :func:`repro.api.dispatch.resolve_instance_kind`); only the
@@ -62,8 +61,7 @@ def alpha_sweep(instance, alphas: Sequence[float],
                 *, strategies: Sequence[str] = ("llf", "scale"),
                 include_optimal_restricted: bool = False,
                 config: Optional[SolveConfig] = None,
-                store: Optional[ArtifactStore] = None,
-                max_workers: Optional[int] = 0) -> List[AlphaSweepRow]:
+                store: Optional[ArtifactStore] = None) -> List[AlphaSweepRow]:
     """Sweep the Leader's share alpha and record each strategy's cost ratio.
 
     Accepts any parallel-link or network instance — dispatch is structural
@@ -98,7 +96,7 @@ def alpha_sweep(instance, alphas: Sequence[float],
         strategies=tuple(strategies),
         configs=tuple(base.with_alpha(alpha) for alpha in alphas),
         description="A-posteriori cost ratio of each strategy vs alpha.")
-    study = run_study(spec, store=store, max_workers=max_workers)
+    study = run_study(spec, store=store)
 
     by_strategy = {name: study.select(strategy=name) for name in strategies}
     rows: List[AlphaSweepRow] = []
@@ -149,7 +147,6 @@ def beta_demand_sweep(instance: ParallelLinkInstance,
                       demands: Sequence[float],
                       *, config: Optional[SolveConfig] = None,
                       store: Optional[ArtifactStore] = None,
-                      max_workers: Optional[int] = 0,
                       ) -> List[BetaDemandPoint]:
     """How the Price of Optimum varies with the congestion level.
 
@@ -170,7 +167,7 @@ def beta_demand_sweep(instance: ParallelLinkInstance,
         [_literal_axis(instance, grid={"demand": demand_values})],
         strategies=("optop",), configs=(base,),
         description="The Price of Optimum across congestion levels.")
-    study = run_study(spec, store=store, max_workers=max_workers)
+    study = run_study(spec, store=store)
     points: List[BetaDemandPoint] = []
     for demand, result in zip(demand_values, study.results):
         report = result.report
@@ -185,13 +182,11 @@ def beta_demand_sweep(instance: ParallelLinkInstance,
 def beta_statistics(instances: Iterable[ParallelLinkInstance],
                     *, config: Optional[SolveConfig] = None,
                     store: Optional[ArtifactStore] = None,
-                    max_workers: Optional[int] = 0) -> Tuple[BetaStatistics,
-                                                             List[float]]:
+                    ) -> Tuple[BetaStatistics, List[float]]:
     """Run OpTop over an instance family and summarise the observed betas.
 
     The family becomes one study (one ``"literal"`` axis per instance) and
-    executes through :func:`repro.study.run_study` — sequentially by
-    default; pass ``max_workers`` to fan out across processes, ``store`` to
+    executes through :func:`repro.study.run_study`; pass ``store`` to
     resume from the artifact store.  Returns ``(statistics, betas)``; the
     per-instance price of anarchy is also aggregated so benchmarks can
     relate "how bad selfishness is" to "how much control restores the
@@ -206,7 +201,7 @@ def beta_statistics(instances: Iterable[ParallelLinkInstance],
         [_literal_axis(inst) for inst in batch],
         strategies=("optop",), configs=(base,),
         description="Beta statistics of OpTop over an instance family.")
-    study: StudyReport = run_study(spec, store=store, max_workers=max_workers)
+    study: StudyReport = run_study(spec, store=store)
     reports = study.reports()
     betas = [report.beta for report in reports]
     poas = [report.price_of_anarchy if report.price_of_anarchy is not None

@@ -21,8 +21,8 @@ The pieces:
 * :class:`StrategyRegistry` / :func:`register_strategy` — pluggable strategy
   dispatch by name (``optop``, ``mop``, ``llf``, ``scale``, ``aloof``,
   ``brute_force`` are built in);
-* :func:`solve` / :func:`solve_many` — single and batch execution with an
-  instance-digest result cache and process-pool fan-out.
+* :func:`solve` / :func:`solve_many` — single and in-process batch
+  execution with an instance-digest result cache.
 """
 
 from repro.config import EQUILIBRIUM_BACKENDS, SolveConfig
@@ -37,13 +37,7 @@ from repro.api.registry import (
     register_strategy,
 )
 from repro.api import strategies as _builtin_strategies  # noqa: F401  (registers built-ins)
-from repro.api import session as _session
 from repro.api.session import cache_size, cache_stats, clear_cache, solve, solve_many
-
-# Spawned pool workers re-create exactly the strategies registered so far
-# (by importing this package); record them so solve_many can detect
-# runtime registrations that would not resolve inside a worker.
-_session._mark_import_registered(REGISTRY.names())
 from repro.serialization import instance_digest
 
 __all__ = [

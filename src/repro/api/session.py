@@ -1,43 +1,26 @@
-"""Solver sessions: single-instance dispatch, batch fan-out, result caching.
+"""Solver sessions: single-instance dispatch, batch solving, result caching.
 
 :func:`solve` is the one public entry point for "run this strategy on this
 instance": it looks the strategy up in the registry, times the call and
-returns a :class:`~repro.api.report.SolveReport`.  :func:`solve_many` maps it
-over a batch with two production conveniences:
+returns a :class:`~repro.api.report.SolveReport`.  :func:`solve_many` calls
+it on each instance of a batch, in order and in process.
 
-* a **result cache** keyed by ``(strategy, instance digest, config)`` — the
-  digest is a SHA-256 of the instance's canonical parameter columns, so
-  structurally equal instances (including duplicates inside one batch) are
-  solved exactly once.
-  The cache is a thread-safe :class:`repro.cache.LRUCache`; the process
-  global is shared by default and both entry points accept an injected
-  ``cache`` (the serving layer passes its own tier-1 instance);
-* **process-pool fan-out** via :class:`concurrent.futures.ProcessPoolExecutor`
-  for cache misses, since the solvers are CPU-bound and release no GIL.
+Both consult a **result cache** keyed by ``(strategy, instance digest,
+config)`` — the digest is a SHA-256 of the instance's canonical parameter
+columns, so structurally equal instances (including duplicates inside one
+batch) are solved once.  The cache is a thread-safe
+:class:`repro.cache.LRUCache`; the process global is shared by default and
+both entry points accept an injected ``cache`` (the serving layer passes its
+own tier-1 instance).
 
-Both run every fresh solve through :func:`execute`, the uncached executor;
+Every fresh solve runs through :func:`execute`, the uncached executor;
 :class:`repro.serve.SolveService` calls it directly, since its own tiered
 cache sits in front.
-
-Strategies registered at runtime (e.g. test stubs) are visible to worker
-processes only on fork-based platforms: workers resolve strategies by
-*name*, and only the built-in names are re-registered when a spawned worker
-imports the package.  :func:`solve_many` therefore detects the combination
-of a non-fork start method and a runtime-registered strategy and falls back
-to sequential in-process execution with a warning instead of failing inside
-the worker.  Pass ``max_workers=0`` to force sequential execution
-explicitly.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import numbers
-import os
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.config import SolveConfig, resolve_config
@@ -45,6 +28,7 @@ from repro.api.registry import REGISTRY, get_strategy
 from repro.api.report import SolveReport
 from repro.cache import LRUCache
 from repro.exceptions import ModelError
+from repro.network import NetworkInstance, ParallelLinkInstance
 from repro.serialization import instance_digest
 
 __all__ = ["solve", "solve_many", "execute", "clear_cache", "cache_size",
@@ -208,85 +192,26 @@ def solve(instance, strategy: Optional[str] = None, *,
     return report
 
 
-def _start_method() -> str:
-    """The multiprocessing start method a fresh pool would use."""
-    return multiprocessing.get_start_method(allow_none=False)
-
-
-#: Strategy names registered while :mod:`repro.api` itself was importing.
-#: A spawned worker re-creates exactly these when it imports the package,
-#: so only they resolve by name inside pool workers;
-#: :mod:`repro.api.__init__` fills this in right after the built-in
-#: registrations.
-_IMPORT_REGISTERED_NAMES: Optional[frozenset] = None
-
-
-def _mark_import_registered(names: Iterable[str]) -> None:
-    """Record the strategy names that exist after the package import."""
-    global _IMPORT_REGISTERED_NAMES
-    _IMPORT_REGISTERED_NAMES = frozenset(names)
-
-
-def _pool_unsafe_reason(name: str) -> Optional[str]:
-    """Why a process pool cannot execute strategy ``name``, or ``None``.
-
-    Workers look strategies up by *name* after importing :mod:`repro.api`,
-    which re-registers only the built-in strategies.  Under the fork start
-    method runtime registrations are inherited from the parent; under spawn
-    (Windows, macOS default) or forkserver they are not, so any name
-    registered after import — including aliases of package functions and
-    re-registered built-ins — would misresolve inside the worker.
-    """
-    method = _start_method()
-    if method == "fork":
-        return None
-    if (_IMPORT_REGISTERED_NAMES is not None
-            and name in _IMPORT_REGISTERED_NAMES
-            and REGISTRY.generation(name) == 1):
-        return None
-    return (f"strategy {name!r} was registered at runtime and is invisible "
-            f"to {method!r}-started worker processes")
-
-
-def _check_max_workers(max_workers: Optional[int]) -> Optional[int]:
-    """``max_workers`` when it is ``None`` or an int >= 0.
-
-    Anything else (a negative int, a float, a string, a bool) raises
-    :class:`ModelError` instead of failing later inside the process pool.
-    """
-    if max_workers is None:
-        return None
-    if (isinstance(max_workers, numbers.Integral)
-            and not isinstance(max_workers, bool) and max_workers >= 0):
-        return int(max_workers)
-    raise ModelError(
-        f"max_workers must be None or an int >= 0, got {max_workers!r}")
-
-
 def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
                config: Optional[SolveConfig] = None,
-               max_workers: Optional[int] = None,
                cache: Optional[LRUCache] = None) -> List[SolveReport]:
-    """Solve a batch of instances, reusing cached results and fanning out.
+    """Solve a batch of instances in order, one :func:`solve` call each.
 
     Parameters
     ----------
     instances:
-        Any iterable of parallel-link / network instances.
+        Any iterable of parallel-link / network instances (a single
+        instance raises :class:`ModelError`).
     strategy:
         Registry name shared by the whole batch (``None``/``"auto"`` selects
         the Price-of-Optimum algorithm).
     config:
         Solver settings shared by the whole batch.  With ``config.cache``
-        enabled (the default), each distinct instance digest is solved exactly
-        once — duplicates and previously solved instances are served from the
-        cache.
-    max_workers:
-        Size of the :class:`~concurrent.futures.ProcessPoolExecutor` used for
-        cache misses: ``None`` or an int >= 0 (anything else raises
-        :class:`ModelError`).  ``None`` picks ``min(pending, cpu_count)``;
-        ``0`` or ``1`` forces sequential in-process execution (required for
-        strategies registered at runtime on non-fork platforms).
+        enabled (the default), duplicates and previously solved instances
+        are served from the cache, so each distinct instance digest is
+        solved once — unless the batch holds more than
+        :data:`CACHE_MAX_ENTRIES` distinct instances, when a duplicate whose
+        first copy was already evicted is solved again.
     cache:
         Result cache (an :class:`~repro.cache.LRUCache`) to consult/fill;
         defaults to the process-global one.  Callers with their own
@@ -299,73 +224,16 @@ def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
         Reports aligned with the input order.
     """
     config = resolve_config(config)
-    max_workers = _check_max_workers(max_workers)
     name = _resolve_name(strategy)
-    get_strategy(name)  # fail fast on unknown strategies, before forking
+    get_strategy(name)  # fail fast, even on an empty batch
     result_cache = _result_cache(cache)
-    batch = list(instances)
-    reports: List[Optional[SolveReport]] = [None] * len(batch)
-
-    pending: List[int] = []
-    keys: List[Optional[Tuple[str, str, str]]] = [None] * len(batch)
-    first_seen: Dict[Tuple[str, str, str], int] = {}
-    duplicates: List[Tuple[int, int]] = []  # (index, index of first occurrence)
-    if config.cache:
-        for i, instance in enumerate(batch):
-            key = _cache_key(name, instance, config)
-            keys[i] = key
-            if key is not None and key in first_seen:
-                # In-batch duplicate of a pending solve; its hit is recorded
-                # when the first occurrence's report is copied below.
-                duplicates.append((i, first_seen[key]))
-                continue
-            cached = result_cache.get(key) if key is not None else None
-            if cached is not None:
-                reports[i] = _with_cache_metadata(cached, hit=True)
-            else:
-                if key is not None:
-                    first_seen[key] = i
-                pending.append(i)
-    else:
-        pending = list(range(len(batch)))
-    # Whether each fresh report gets a cache record (none without a digest).
-    keyed = [key is not None for key in keys]
-
-    workers = max_workers
-    if workers is None:
-        workers = min(len(pending), os.cpu_count() or 1)
-    if workers > 1 and len(pending) > 1:
-        unsafe = _pool_unsafe_reason(name)
-        if unsafe is not None:
-            warnings.warn(
-                f"solve_many: falling back to sequential in-process "
-                f"execution; {unsafe}", RuntimeWarning, stacklevel=2)
-            workers = 1
-    if workers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            solved = pool.map(execute, [batch[i] for i in pending],
-                              repeat(name), repeat(config),
-                              [keyed[i] for i in pending])
-            for i, report in zip(pending, solved):
-                reports[i] = report
-    else:
-        # The scan above already recorded these lookups as misses, so
-        # run the strategy directly instead of re-probing through
-        # solve() (which would double-count).
-        for i in pending:
-            reports[i] = execute(batch[i], name, config, keyed[i])
-
-    for i in pending:
-        if keys[i] is not None:
-            result_cache.put(keys[i], reports[i])
-
-    for i, j in duplicates:
-        # Structural duplicates inside the batch were solved once; each
-        # duplicate gets its own copy of the first occurrence's report with
-        # a hit=True cache record, exactly like a report served from the
-        # cross-batch cache.
-        result_cache.note(hits=1)
-        reports[i] = _with_cache_metadata(reports[j], hit=True)
-    missing = [i for i, report in enumerate(reports) if report is None]
-    assert not missing, f"solve_many left unfilled slots: {missing}"
-    return reports
+    if isinstance(instances, (ParallelLinkInstance, NetworkInstance)):
+        raise ModelError("solve_many takes an iterable of instances, got a "
+                         "single instance; use solve() for one instance")
+    try:
+        batch = iter(instances)
+    except TypeError:
+        raise ModelError(f"solve_many takes an iterable of instances, got "
+                         f"{type(instances).__name__}") from None
+    return [solve(instance, name, config=config, cache=result_cache)
+            for instance in batch]

@@ -373,7 +373,6 @@ def _relative(value: float, reference: float) -> float:
 
 
 def run_suite(spec: SuiteSpec, *, store: Optional[ArtifactStore] = None,
-              max_workers: Optional[int] = 0,
               study_report: Optional[StudyReport] = None) -> SuiteReport:
     """Execute a suite through the Study pipeline and build the gap table.
 
@@ -385,7 +384,7 @@ def run_suite(spec: SuiteSpec, *, store: Optional[ArtifactStore] = None,
     if not spec.entries:
         raise ModelError(f"suite {spec.name!r} has no entries")
     study = study_report if study_report is not None else run_study(
-        spec.to_study_spec(), store=store, max_workers=max_workers)
+        spec.to_study_spec(), store=store)
 
     # Index the cells by instance coordinate; the baseline strategy anchors
     # every other strategy's row for the same (entry, seed).

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Iterator, Optional
+from typing import Any, Dict, Hashable, Iterator
 
 __all__ = ["LRUCache"]
 
@@ -82,10 +82,9 @@ class LRUCache:
     def note(self, *, hits: int = 0, misses: int = 0) -> None:
         """Fold externally served lookups into the counters.
 
-        Used by callers that satisfy a request *about* this cache without a
-        ``get`` — e.g. :func:`repro.api.solve_many` serving an in-batch
-        duplicate from the first occurrence's fresh report.  Counting it here
-        keeps ``hits + misses == lookups`` exact under concurrency.
+        For callers that satisfy a request *about* this cache without a
+        ``get``.  Counting it here keeps ``hits + misses == lookups`` exact
+        under concurrency.
         """
         with self._lock:
             self._hits += int(hits)

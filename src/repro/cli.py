@@ -168,14 +168,15 @@ def build_parser() -> argparse.ArgumentParser:
                                 "resume through it)")
     solve_cmd.add_argument("--json", action="store_true",
                            help="print the report as JSON")
+    solve_cmd.set_defaults(handler=_command_solve)
 
     trace = subparsers.add_parser(
         "trace", help="time-varying demand: replay traces through the "
                       "serving layer")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    trace_list = trace_sub.add_parser(
-        "list", help="list the registered demand-trace processes")
-    del trace_list  # no options
+    trace_sub.add_parser(
+        "list", help="list the registered demand-trace processes",
+    ).set_defaults(handler=_command_trace_list)
     trace_run = trace_sub.add_parser(
         "run", help="replay a demand trace step by step")
     trace_source = trace_run.add_mutually_exclusive_group(required=True)
@@ -211,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="print the TraceReport as JSON")
     trace_run.add_argument("--quiet", action="store_true",
                            help="only print the replay summary line")
+    trace_run.set_defaults(handler=_command_trace_run)
 
     sweep = subparsers.add_parser(
         "sweep", help="sweep the Leader share alpha on a parallel-link instance")
@@ -220,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--alphas", type=float, nargs="+",
                        default=[0.1, 0.25, 0.5, 0.75, 1.0],
                        help="values of alpha to evaluate")
+    sweep.set_defaults(handler=_command_sweep)
 
     experiments = subparsers.add_parser(
         "experiments", help="re-run the paper-reproduction experiments (E1-E16)")
@@ -230,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.add_argument("--store", default=None,
                              help="artifact-store directory (makes the run "
                                   "resumable)")
+    experiments.set_defaults(handler=_command_experiments)
 
     study = subparsers.add_parser(
         "study", help="declarative study pipeline: list, run, resume")
@@ -239,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         "list", help="list experiment plans, named studies and generators")
     study_list.add_argument("--generators", action="store_true",
                             help="also list the instance-generator registry")
+    study_list.set_defaults(handler=_command_study_list)
 
     def add_run_arguments(sub: argparse.ArgumentParser, *,
                           store_required: bool) -> None:
@@ -249,14 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="artifact-store directory"
                               + ("" if store_required
                                  else " (makes the run resumable)"))
-        sub.add_argument("--workers", type=int, default=0,
-                         help="process-pool width for cache misses "
-                              "(0 = sequential)")
         sub.add_argument("--json", action="store_true",
                          help="print the study/record as JSON")
         sub.add_argument("--csv", default=None,
                          help="also export the study cells as CSV to this "
                               "path")
+        sub.set_defaults(handler=_command_study_run)
 
     study_run = study_sub.add_parser(
         "run", help="run one experiment plan or named study")
@@ -273,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
         "suite", help="list, run or verify a benchmark suite")
     bench_suite_sub = bench_suite.add_subparsers(dest="suite_command",
                                                  required=True)
-    bench_suite_list = bench_suite_sub.add_parser(
-        "list", help="list the built-in benchmark suites")
-    del bench_suite_list  # no options
+    bench_suite_sub.add_parser(
+        "list", help="list the built-in benchmark suites",
+    ).set_defaults(handler=_command_bench_suite_list)
 
     def add_suite_arguments(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--suite", default="small",
@@ -284,9 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--store", default=None,
                          help="artifact-store directory; a second run "
                               "against it resumes with zero solver calls")
-        sub.add_argument("--workers", type=int, default=0,
-                         help="process-pool width for cache misses "
-                              "(0 = sequential)")
 
     bench_suite_run = bench_suite_sub.add_parser(
         "run", help="run a suite and print the certified gap table")
@@ -299,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_suite_run.add_argument("--baseline-out", default=None,
                                  help="write the run's gaps/digests as a "
                                       "verify baseline to this path")
+    bench_suite_run.set_defaults(handler=_command_bench_suite_run)
 
     bench_suite_verify = bench_suite_sub.add_parser(
         "verify", help="run a suite and gate it against a pinned baseline")
@@ -307,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline", default=".github/suite-gap-baseline.json",
         help="pinned baseline JSON (default: "
              ".github/suite-gap-baseline.json)")
+    bench_suite_verify.set_defaults(handler=_command_bench_suite_verify)
 
     serve = subparsers.add_parser(
         "serve", help="serving layer: benchmark the SolveService")
@@ -341,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "fixed hot-key mix")
     serve_bench.add_argument("--trace-steps", type=int, default=24,
                              help="steps of the demand trace (default: 24)")
+    serve_bench.set_defaults(handler=_command_serve_bench)
 
     serve_cluster = serve_sub.add_parser(
         "cluster",
@@ -368,13 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
                                help="enable observability: trace ids across "
                                     "gateway and workers, /metrics and "
                                     "/trace endpoints")
+    serve_cluster.set_defaults(handler=_command_serve_cluster)
 
     chaos = subparsers.add_parser(
         "chaos", help="deterministic fault injection against a live cluster")
     chaos_sub = chaos.add_subparsers(dest="chaos_command", required=True)
-    chaos_list = chaos_sub.add_parser(
-        "list", help="list the built-in fault plans")
-    del chaos_list  # no options
+    chaos_sub.add_parser(
+        "list", help="list the built-in fault plans",
+    ).set_defaults(handler=_command_chaos_list)
     chaos_run = chaos_sub.add_parser(
         "run", help="replay a pinned workload under a fault plan and "
                     "check the degradation contract")
@@ -408,6 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(for plans that script those faults)")
     chaos_run.add_argument("--json", action="store_true",
                            help="print the ChaosReport as JSON")
+    chaos_run.set_defaults(handler=_command_chaos_run)
 
     obs = subparsers.add_parser(
         "obs", help="observability: scrape metrics and traces from a "
@@ -425,6 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_metrics.add_argument("--json", action="store_true",
                              help="fetch the JSON snapshot instead of the "
                                   "Prometheus text exposition")
+    obs_metrics.set_defaults(handler=_command_obs_metrics)
 
     obs_trace = obs_sub.add_parser(
         "trace", help="print the newest spans of the /trace ring")
@@ -434,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_trace.add_argument("--json", action="store_true",
                            help="print the raw Chrome trace_event JSON "
                                 "(chrome://tracing / Perfetto compatible)")
+    obs_trace.set_defaults(handler=_command_obs_trace)
 
     obs_top = obs_sub.add_parser(
         "top", help="rank span names by cumulative recorded time")
@@ -442,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="restrict to the newest N spans")
     obs_top.add_argument("--limit", type=int, default=10,
                          help="rows to print (default: 10)")
+    obs_top.set_defaults(handler=_command_obs_top)
     return parser
 
 
@@ -646,7 +654,7 @@ def _command_study_run(args: argparse.Namespace) -> int:
         plan = build_experiment(name)
         cache_before = cache_stats()
         store_before = store.stats() if store is not None else None
-        study = run_study(plan.spec, store=store, max_workers=args.workers)
+        study = run_study(plan.spec, store=store)
         record = plan.summarize(study, store)
         # Fold the summariser's dependent solves (brute-force spot checks,
         # follow-up cells) into the printed accounting, so "solver calls"
@@ -673,7 +681,7 @@ def _command_study_run(args: argparse.Namespace) -> int:
         return 0 if record.all_claims_hold else 1
 
     spec = get_named_study(name)
-    study = run_study(spec, store=store, max_workers=args.workers)
+    study = run_study(spec, store=store)
     if args.csv is not None:
         study.to_csv(args.csv)
     if args.json:
@@ -706,7 +714,7 @@ def _run_suite_from_args(args: argparse.Namespace):
 
     spec = get_suite(args.suite)
     store = _open_store(args)
-    report = run_suite(spec, store=store, max_workers=args.workers)
+    report = run_suite(spec, store=store)
     return spec, report
 
 
@@ -949,43 +957,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point used by ``python -m repro`` (returns a process exit code)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "serve":
-        handler = {"bench": _command_serve_bench,
-                   "cluster": _command_serve_cluster}[args.serve_command]
-    elif args.command == "bench":
-        handler = {"list": _command_bench_suite_list,
-                   "run": _command_bench_suite_run,
-                   "verify": _command_bench_suite_verify}[args.suite_command]
-    elif args.command == "chaos":
-        handler = {"list": _command_chaos_list,
-                   "run": _command_chaos_run}[args.chaos_command]
-    elif args.command == "obs":
-        handler = {"metrics": _command_obs_metrics,
-                   "trace": _command_obs_trace,
-                   "top": _command_obs_top}[args.obs_command]
-    elif args.command == "trace":
-        trace_handlers = {
-            "list": _command_trace_list,
-            "run": _command_trace_run,
-        }
-        handler = trace_handlers[args.trace_command]
-    elif args.command == "study":
-        study_handlers = {
-            "list": _command_study_list,
-            "run": _command_study_run,
-            "resume": _command_study_run,
-        }
-        handler = study_handlers[args.study_command]
-    else:
-        handlers = {
-            "analyze": _command_solve,
-            "solve": _command_solve,
-            "sweep": _command_sweep,
-            "experiments": _command_experiments,
-        }
-        handler = handlers[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

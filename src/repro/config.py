@@ -13,6 +13,7 @@ layer can import it.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, Optional
 
@@ -91,12 +92,18 @@ class SolveConfig:
                 f"unknown equilibrium backend {self.backend!r}; expected one of "
                 f"{', '.join(EQUILIBRIUM_BACKENDS)}")
         for name in ("tolerance", "water_fill_tol", "underload_atol",
-                     "shortest_path_atol", "max_iterations",
-                     "brute_force_resolution", "alpha"):
+                     "shortest_path_atol", "alpha"):
             value = getattr(self, name)
             if not (isinstance(value, REAL_TYPES)
                     or (name == "alpha" and value is None)):
                 raise ModelError(f"{name} must be a number, got {value!r}")
+        for name in ("max_iterations", "brute_force_resolution"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) \
+                    or isinstance(value, bool):
+                raise ModelError(f"{name} must be an integer, got {value!r}")
+            # A plain int keeps to_json() (the cache key) canonical.
+            object.__setattr__(self, name, int(value))
         for name in ("tolerance", "water_fill_tol", "underload_atol",
                      "shortest_path_atol"):
             value = getattr(self, name)

@@ -68,8 +68,8 @@ class Network:
             for edge in edges:
                 self.add_edge(edge.tail, edge.head, edge.latency)
 
-    # The derived caches are rebuildable; drop them when pickling (instances
-    # travel to process-pool workers, which recreate the views on demand).
+    # The derived caches are rebuildable; drop them when pickling (a copy
+    # recreates the views on demand).
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
         state["_derived"] = {}

@@ -124,8 +124,7 @@ class ParallelLinkInstance:
         return self._batch
 
     # The columns and the batch are derived views; drop them when pickling
-    # (process-pool fan-out ships instances to workers, which rebuild them
-    # on demand).
+    # (a copy rebuilds them on demand).
     def __getstate__(self):
         return (self.latencies, self.demand, self.names)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.config import SolveConfig
 from repro.api.report import SolveReport

@@ -12,10 +12,9 @@ this package answers "produce all the evidence for this campaign":
 * a **content-addressed artifact store** (:class:`ArtifactStore`): each
   cell's report lands under the digest of *what was solved*, so re-running
   a study resumes — only missing cells are solved;
-* the **runner** (:func:`run_study`): executes a plan through
-  :func:`repro.api.solve_many` (inheriting its result cache and process
-  pool) and aggregates a :class:`StudyReport` with tables and JSON/CSV
-  export.
+* the **runner** (:func:`run_study`): solves each cell the store lacks
+  through :func:`repro.api.solve` (inheriting its result cache) and
+  aggregates a :class:`StudyReport` with tables and JSON/CSV export.
 
 >>> from repro.study import GeneratorAxis, StudySpec, run_study
 >>> spec = StudySpec("demo",

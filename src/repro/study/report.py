@@ -44,8 +44,8 @@ class CellResult:
         """Where the report came from: ``"store"`` or ``"solver"``.
 
         ``"solver"`` covers both fresh solver calls and in-process cache
-        hits inside :func:`repro.api.solve_many` (the session counters
-        distinguish those).
+        hits of :func:`repro.api.solve` (the session counters distinguish
+        those).
         """
         return "store" if self.from_store else "solver"
 

@@ -1,26 +1,24 @@
-"""Execution of study plans through the batch solver session.
+"""Execution of study plans through the solver session.
 
 :func:`run_study` walks a :class:`~repro.study.spec.StudySpec` plan cell by
-cell, serves whatever the artifact store already holds, groups the missing
-cells by ``(strategy, config)`` and executes each group with one
-:func:`repro.api.solve_many` call — inheriting its instance-digest result
-cache and its process-pool fan-out for free.  Freshly solved reports are
-written back to the store, so the next run of the same (or an overlapping)
-spec resumes instead of recomputing.
+cell and serves whatever the artifact store already holds; it then solves
+each missing cell in plan order with :func:`repro.api.solve`, whose
+instance-digest result cache solves duplicate cells once.  Freshly solved
+reports are written back to the store, so the next run of the same (or an
+overlapping) spec resumes instead of recomputing.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.config import SolveConfig
-from repro.api.session import cache_stats, solve, solve_many
+from repro.api.session import cache_stats, solve
 from repro.exceptions import ModelError
 from repro.obs.metrics import MetricsRegistry
 from repro.serialization import instance_digest
 from repro.study.report import CellResult, StudyReport
-from repro.study.spec import StudySpec
+from repro.study.spec import StudyCell, StudySpec
 from repro.study.store import ArtifactStore, artifact_key, storable_strategy
 
 __all__ = ["run_study", "solve_cell"]
@@ -58,7 +56,6 @@ def solve_cell(instance, strategy: str, config: SolveConfig, *,
 
 
 def run_study(spec: StudySpec, *, store: Optional[ArtifactStore] = None,
-              max_workers: Optional[int] = 0,
               registry: Optional[MetricsRegistry] = None) -> StudyReport:
     """Execute a study spec and aggregate the results.
 
@@ -70,11 +67,6 @@ def run_study(spec: StudySpec, *, store: Optional[ArtifactStore] = None,
         Optional :class:`~repro.study.store.ArtifactStore`.  When given,
         cells whose artifacts exist are *not* re-solved (resume), and every
         freshly solved cell is written back.
-    max_workers:
-        Process-pool width for the cache-miss batches, forwarded to
-        :func:`repro.api.solve_many`; the default ``0`` solves sequentially
-        in process (deterministic and cheap for the small studies the
-        experiments use), ``None`` picks ``min(pending, cpu_count)``.
     registry:
         Optional :class:`repro.obs.MetricsRegistry`.  When given, the run
         increments ``repro_study_cells_total``,
@@ -94,24 +86,15 @@ def run_study(spec: StudySpec, *, store: Optional[ArtifactStore] = None,
     before = cache_stats()
     store_stats_before = store.stats() if store is not None else None
 
-    cells = []
-    instances = []
-    digests: List[Optional[str]] = []
-    keys: List[Optional[str]] = []
     slots: List[Optional[CellResult]] = []
-    pending: "OrderedDict[Tuple[str, str], List[int]]" = OrderedDict()
-    pending_configs: Dict[Tuple[str, str], SolveConfig] = {}
-
+    pending: List[Tuple[int, StudyCell, object, str, str]] = []
     for cell in spec.expand():
-        i = len(cells)
-        cells.append(cell)
         instance = cell.make_instance()
-        instances.append(instance)
         digest = None
         key = None
         if store is not None and cell.config.cache:
             # The digest is only needed to address artifacts; without a
-            # store, solve_many computes its own cache keys.  cache=False
+            # store, solve computes its own cache keys.  cache=False
             # means "never reuse results", and the artifact store honours
             # it like the in-process cache does — timing cells stay fresh.
             try:
@@ -120,8 +103,6 @@ def run_study(spec: StudySpec, *, store: Optional[ArtifactStore] = None,
                 digest = None
             if digest is not None and _storable(cell.strategy):
                 key = artifact_key(digest, cell.strategy, cell.config)
-        digests.append(digest)
-        keys.append(key)
         stored = store.get(key) if (store is not None and key is not None) \
             else None
         if stored is not None:
@@ -129,31 +110,21 @@ def run_study(spec: StudySpec, *, store: Optional[ArtifactStore] = None,
                                     instance_digest=digest,
                                     artifact_key=key, from_store=True))
             continue
+        pending.append((len(slots), cell, instance, digest or "", key or ""))
         slots.append(None)
-        group = (cell.strategy, cell.config.to_json())
-        pending.setdefault(group, []).append(i)
-        pending_configs[group] = cell.config
 
     uncached_calls = 0
-    for (strategy, _), indices in pending.items():
-        config = pending_configs[(strategy, _)]
-        batch = [instances[i] for i in indices]
-        if not config.cache:
+    for i, cell, instance, digest, key in pending:
+        if not cell.config.cache:
             # Cache-free cells never touch the session counters; count
             # their executions here so solver_calls stays truthful.
-            uncached_calls += len(batch)
-        reports = solve_many(batch, strategy, config=config,
-                             max_workers=max_workers)
-        for i, report in zip(indices, reports):
-            slots[i] = CellResult(cell=cells[i], report=report,
-                                  instance_digest=digests[i] or "",
-                                  artifact_key=keys[i] or "",
-                                  from_store=False)
-            if store is not None and keys[i] is not None:
-                store.put(keys[i], report)
-
-    missing = [i for i, slot in enumerate(slots) if slot is None]
-    assert not missing, f"run_study left unfilled cells: {missing}"
+            uncached_calls += 1
+        report = solve(instance, cell.strategy, config=cell.config)
+        slots[i] = CellResult(cell=cell, report=report,
+                              instance_digest=digest, artifact_key=key,
+                              from_store=False)
+        if key:
+            store.put(key, report)
 
     after = cache_stats()
     result = StudyReport(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.config import SolveConfig
@@ -181,7 +181,7 @@ class StudyCell:
     A cell is the cross product point ``(instance params, seed, strategy,
     config)`` together with its deterministic position in the plan; the
     runner materialises the instance, executes the strategy through
-    :func:`repro.api.solve_many` and lands the report in the artifact store.
+    :func:`repro.api.solve` and lands the report in the artifact store.
     """
 
     index: int

@@ -47,11 +47,11 @@ class TestSolveManyCounters:
     def test_repeated_batch_hits_for_every_instance(self):
         batch = [random_linear_parallel(5, demand=2.0, seed=s)
                  for s in range(6)]
-        first = solve_many(batch, "optop", max_workers=0)
+        first = solve_many(batch, "optop")
         assert cache_stats() == {"hits": 0, "misses": len(batch)}
         assert all(r.metadata["cache"]["hit"] is False for r in first)
 
-        second = solve_many(batch, "optop", max_workers=0)
+        second = solve_many(batch, "optop")
         stats = cache_stats()
         assert stats["hits"] == len(batch)
         assert stats["misses"] == len(batch)
@@ -61,8 +61,7 @@ class TestSolveManyCounters:
 
     def test_duplicates_within_one_batch_count_as_hits(self):
         instance = random_linear_parallel(4, demand=1.5, seed=3)
-        reports = solve_many([instance, instance, instance], "optop",
-                             max_workers=0)
+        reports = solve_many([instance, instance, instance], "optop")
         stats = cache_stats()
         assert stats["misses"] == 1
         assert stats["hits"] == 2
@@ -89,7 +88,7 @@ class TestCacheArgument:
     @pytest.mark.parametrize("bad", [False, {}])
     def test_solve_many_rejects_a_non_cache(self, bad):
         with pytest.raises(ModelError, match=r"SolveConfig\(cache=False\)"):
-            solve_many([pigou()], "optop", max_workers=0, cache=bad)
+            solve_many([pigou()], "optop", cache=bad)
 
     def test_an_injected_cache_is_used(self):
         private = LRUCache(max_entries=4)

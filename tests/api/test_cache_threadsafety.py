@@ -48,8 +48,7 @@ def test_hammer_mixed_solves_keeps_exact_counters():
                     # lock as everything else.
                     batch = [rng.choice(instances) for _ in range(3)]
                     batch.append(batch[0])
-                    solve_many(batch, rng.choice(strategies), config=config,
-                               max_workers=0)
+                    solve_many(batch, rng.choice(strategies), config=config)
                     count += 4
                 else:
                     solve(rng.choice(instances), rng.choice(strategies),

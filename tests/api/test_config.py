@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import EQUILIBRIUM_BACKENDS, SolveConfig
@@ -43,6 +44,21 @@ class TestValidation:
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ModelError):
             SolveConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["max_iterations",
+                                      "brute_force_resolution"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    def test_integer_fields_reject_non_integers(self, name, value):
+        with pytest.raises(ModelError, match=f"{name} must be an integer"):
+            SolveConfig(**{name: value})
+
+    def test_integer_fields_accept_numpy_integers(self):
+        config = SolveConfig(max_iterations=np.int64(7),
+                             brute_force_resolution=np.int32(4))
+        assert config == SolveConfig(max_iterations=7,
+                                     brute_force_resolution=4)
+        assert config.to_json() == SolveConfig(
+            max_iterations=7, brute_force_resolution=4).to_json()
 
     def test_round_trip(self):
         config = SolveConfig(backend="frank_wolfe", alpha=0.3, tolerance=1e-7)

@@ -65,8 +65,7 @@ def _through_service(instances, config):
 @pytest.mark.parametrize("system", sorted(LINK_SYSTEMS))
 def test_solve_many_reports_equal_single_solves(system):
     instances = _batch(system)
-    reports = solve_many(instances, "aloof", max_workers=0,
-                         cache=LRUCache())
+    reports = solve_many(instances, "aloof", cache=LRUCache())
     assert [_comparable(r) for r in reports] == _alone(instances)
 
 
@@ -90,7 +89,7 @@ def _assert_own_profile(report):
 def test_profiled_solve_many_profiles_each_solve(system):
     instances = _batch(system)
     config = SolveConfig(profile=True)
-    reports = solve_many(instances, "aloof", config=config, max_workers=0,
+    reports = solve_many(instances, "aloof", config=config,
                          cache=LRUCache())
     for report in reports:
         _assert_own_profile(report)

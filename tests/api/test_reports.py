@@ -153,6 +153,6 @@ class TestReportBuiltOnce:
         base = random_mixed_parallel(20, demand=4.0, seed=3)
         instances = [type(base)(base.latencies, 1.0 + k) for k in range(4)]
         reports = solve_many(instances, strategy, config=config,
-                             max_workers=0, cache=LRUCache())
+                             cache=LRUCache())
         assert len(reports) == len(instances)
         assert len(post_init_calls) <= 2 * len(instances)

@@ -86,7 +86,7 @@ class TestBatchEquivalence:
         clear_cache()
         family = [random_linear_parallel(4, demand=2.0, seed=s)
                   for s in range(3)]
-        reports = solve_many(family, "optop", max_workers=0)
+        reports = solve_many(family, "optop")
         betas = np.asarray([r.beta for r in reports])
         linear_row = record.rows[0]
         assert linear_row[0] == "linear"

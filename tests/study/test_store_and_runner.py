@@ -232,6 +232,32 @@ class TestRunStudy:
         assert study.solver_calls == 1
         assert study.cache_hits == 1
 
+    def test_duplicate_cells_against_one_store_counters(self, tmp_path):
+        # Three pigou cells and two equal random cells, each under two
+        # strategies and a cached and a cache-free config: 20 cells over 4
+        # distinct cached (instance, strategy) pairs.  The store is probed
+        # for every cached cell before any is solved, so the first run
+        # misses all 10; duplicates are cache hits; cache-free cells are
+        # solved every time.
+        spec = StudySpec(
+            "dup-cells",
+            [GeneratorAxis("pigou", seeds=(0, 1)), GeneratorAxis("pigou"),
+             GeneratorAxis("random_linear_parallel",
+                           {"num_links": 3, "demand": 1.0}, seeds=(4, 4))],
+            strategies=("optop", "aloof"),
+            configs=(SolveConfig(compute_nash=False),
+                     SolveConfig(cache=False, compute_nash=False)))
+        store = ArtifactStore(tmp_path)
+
+        def counters(study):
+            return (len(study), study.cache_hits, study.cache_misses,
+                    study.store_hits, study.store_misses,
+                    study.solver_calls)
+
+        assert counters(run_study(spec, store=store)) == (20, 6, 4, 0, 10, 14)
+        assert len(store) == 4
+        assert counters(run_study(spec, store=store)) == (20, 0, 0, 10, 0, 10)
+
     def test_reregistered_strategy_bypasses_the_store(self, tmp_path):
         # Artifacts are addressed by strategy *name*; a re-registered
         # implementation must not resume the old implementation's results.
