@@ -25,7 +25,20 @@ def fresh_cache():
     clear_cache()
 
 
-class TestProcessPoolFanOut:
+class TestInOrderBatch:
+    def test_sixteen_instances_match_single_solves(self):
+        instances = [random_linear_parallel(5, demand=2.0, seed=s)
+                     for s in range(16)]
+        batched = solve_many(instances, "optop")
+        singles = [solve(inst, "optop", config=SolveConfig(cache=False))
+                   for inst in instances]
+        assert len(batched) == 16
+        for a, b in zip(batched, singles):
+            assert a.beta == pytest.approx(b.beta, abs=1e-12)
+            assert a.induced_cost == pytest.approx(b.induced_cost, rel=1e-12)
+            assert a.induced_flows == pytest.approx(b.induced_flows,
+                                                    rel=1e-12)
+
     def test_order_is_preserved(self):
         instances = [random_linear_parallel(4, demand=1.0 + s, seed=s)
                      for s in range(6)]
@@ -33,7 +46,7 @@ class TestProcessPoolFanOut:
         for inst, report in zip(instances, reports):
             assert sum(report.induced_flows) == pytest.approx(inst.demand)
 
-    def test_unknown_strategy_fails_before_forking(self):
+    def test_unknown_strategy_fails_before_any_solve(self):
         with pytest.raises(StrategyError):
             solve_many([pigou()], "nope")
 

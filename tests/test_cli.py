@@ -24,6 +24,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analyze"])
 
+    @pytest.mark.parametrize("argv", [
+        ["study", "run", "E1", "--workers", "2"],
+        ["bench", "suite", "run", "--workers", "2"],
+    ])
+    def test_workers_flag_is_gone(self, argv):
+        # Batches solve in process; there is no pool size to set.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
     def test_named_instances_registered(self):
         assert {"pigou", "figure4", "braess", "roughgarden"} <= set(NAMED_INSTANCES)
 
